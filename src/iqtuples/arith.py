@@ -8,7 +8,9 @@ ever trades correctness for speed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 from .errors import BudgetError, DomainError, OutOfRangeError
@@ -18,10 +20,26 @@ from .errors import BudgetError, DomainError, OutOfRangeError
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_BOUND = 3317044064679887385961981
 
-# Default number of Pollard-rho iterations allowed per factorize() call.
-DEFAULT_RHO_BUDGET = 10**8
 
-_TRIAL_LIMIT = 10_000
+@dataclass(frozen=True)
+class Limits:
+    """Budgets for every computation in the context; set with ``limits``."""
+
+    rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
+    sf_budget: int = 10**12  # largest |square-free part| verify_tuple attempts
+
+
+_LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())
+
+
+@contextmanager
+def limits(**changes: int):
+    """Within the block, replace the named fields of the current Limits."""
+    token = _LIMITS.set(replace(_LIMITS.get(), **changes))
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -93,16 +111,9 @@ def primes_up_to(m: int) -> list[int]:
     return [i for i in range(2, m + 1) if sieve[i]]
 
 
-_small_primes: list[int] | None = None
+_TRIAL_PRIMES = primes_up_to(10_000)
 _spf_table: list[int] = []
 _spf_lock = threading.Lock()
-
-
-def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = primes_up_to(_TRIAL_LIMIT)
-    return _small_primes
 
 
 def smallest_prime_factor_table(limit: int) -> list[int]:
@@ -172,25 +183,27 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         c += 1  # cycle collapsed; retry with the next constant
 
 
-def factorize(m: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
+def factorize(m: int) -> Factorization:
     """Prime factorization of m >= 2.
 
     Trial division by primes below 10^4, then Brent-Pollard rho on what is
     left, with primality certified by is_prime at every split. Raises
-    BudgetError if rho exceeds rho_budget iterations, never returns a wrong
-    or incomplete factorization.
+    BudgetError if rho exceeds the current Limits.rho_budget iterations,
+    never returns a wrong or incomplete factorization.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
     n = m
     exps: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
-            break
+            if n > 1:
+                exps[n] = 1  # no prime up to sqrt(n) divides n, so n is prime
+            return Factorization(m, tuple(exps.items()))
         while n % p == 0:
             exps[p] = exps.get(p, 0) + 1
             n //= p
-    budget = [rho_budget]
+    budget = [_LIMITS.get().rho_budget]
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
@@ -205,14 +218,14 @@ def factorize(m: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     return Factorization(m, tuple(sorted(exps.items())))
 
 
-def squarefree_decompose(m: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> SquarefreeDecomposition:
+def squarefree_decompose(m: int) -> SquarefreeDecomposition:
     """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m)."""
     if m == 0:
         raise DomainError("squarefree_decompose requires m != 0")
     if abs(m) == 1:
         return SquarefreeDecomposition(m, m, 1)
     s, f = 1, 1
-    for p, e in factorize(abs(m), rho_budget).factors:
+    for p, e in factorize(abs(m)).factors:
         if e % 2:
             s *= p
         f *= p ** (e // 2)

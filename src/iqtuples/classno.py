@@ -11,7 +11,6 @@ serves as a cross-check oracle for fundamental discriminants.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -226,16 +225,26 @@ def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
     return roots
 
 
-def _count_range(D: int, a_lo: int, a_hi: int, spf: list[int],
-                 collect: bool) -> tuple[int, list[QuadForm]]:
-    """Count reduced primitive forms of discriminant D with a in [a_lo, a_hi]."""
+def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
+    """h*(D): the number of classes of primitive positive-definite forms.
+
+    D must be negative and congruent to 0 or 1 mod 4 (it need not be
+    fundamental). Reduced representatives are returned only when
+    with_forms is set.
+    """
+    if D >= 0:
+        raise DomainError(f"discriminant must be negative, got {D}")
+    if D % 4 not in (0, 1):
+        raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
+    a_max = isqrt(-D // 3)
+    spf = arith.smallest_prime_factor_table(a_max)
     cache: dict[int, list[int]] = {}
     h = 0
     forms: list[QuadForm] = []
-    report_at = a_lo + _PROGRESS_EVERY
-    for a in range(a_lo, a_hi + 1):
+    report_at = 1 + _PROGRESS_EVERY
+    for a in range(1, a_max + 1):
         if a >= report_at:
-            log.info("form count %d: a = %d / %d", D, a, a_hi)
+            log.info("form count %d: a = %d / %d", D, a, a_max)
             report_at += _PROGRESS_EVERY
         m4a = 4 * a
         for r in _roots_mod_4a(D, a, spf, cache):
@@ -250,39 +259,8 @@ def _count_range(D: int, a_lo: int, a_hi: int, spf: list[int],
             if gcd(gcd(a, b), c) != 1:
                 continue
             h += 1
-            if collect:
+            if with_forms:
                 forms.append(QuadForm(a, b, c))
-    return h, forms
-
-
-def class_number_forms(D: int, with_forms: bool = False, threads: int = 1) -> ClassNumberResult:
-    """h*(D): the number of classes of primitive positive-definite forms.
-
-    D must be negative and congruent to 0 or 1 mod 4 (it need not be
-    fundamental). With threads > 1 the a-range is partitioned into chunks
-    whose counts are merged in order, so the result is identical to the
-    sequential one. Reduced representatives are returned only when
-    with_forms is set.
-    """
-    if D >= 0:
-        raise DomainError(f"discriminant must be negative, got {D}")
-    if D % 4 not in (0, 1):
-        raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
-    a_max = isqrt(-D // 3)
-    spf = arith.smallest_prime_factor_table(a_max)
-    if threads <= 1 or a_max < 4 * threads:
-        h, forms = _count_range(D, 1, a_max, spf, with_forms)
-    else:
-        bounds = [1 + (a_max * i) // threads for i in range(threads)] + [a_max + 1]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _count_range(D, se[0], se[1], spf, with_forms),
-                    [(bounds[i], bounds[i + 1] - 1) for i in range(threads)],
-                )
-            )
-        h = sum(p[0] for p in parts)
-        forms = [f for p in parts for f in p[1]]
     return ClassNumberResult(D, h, "form-count", tuple(forms) if with_forms else None)
 
 
@@ -367,7 +345,7 @@ def fundamental_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def field_class_number(d: int, with_forms: bool = False, threads: int = 1) -> ClassNumberResult:
+def field_class_number(d: int, with_forms: bool = False) -> ClassNumberResult:
     """Class number h of the imaginary quadratic field Q(sqrt(d)), d < 0 square-free.
 
     Computed as the primitive-form class count of the fundamental
@@ -376,4 +354,4 @@ def field_class_number(d: int, with_forms: bool = False, threads: int = 1) -> Cl
     """
     if d >= 0:
         raise DomainError(f"field_class_number requires d < 0, got {d}")
-    return class_number_forms(fundamental_discriminant(d), with_forms, threads)
+    return class_number_forms(fundamental_discriminant(d), with_forms)

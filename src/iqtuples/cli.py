@@ -100,13 +100,13 @@ def _cmd_classnum(args) -> int:
         if args.method == "dirichlet":
             res = classno.class_number_dirichlet(classno.fundamental_discriminant(args.d))
         else:
-            res = classno.field_class_number(args.d, args.with_forms, args.threads)
+            res = classno.field_class_number(args.d, args.with_forms)
         label = f"h(Q(sqrt({args.d})))"
     else:
         if args.method == "dirichlet":
             res = classno.class_number_dirichlet(args.D)
         else:
-            res = classno.class_number_forms(args.D, args.with_forms, args.threads)
+            res = classno.class_number_forms(args.D, args.with_forms)
         label = f"h*({args.D})"
     rec = {
         "command": "classnum",
@@ -123,7 +123,7 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_squarefree(args) -> int:
-    dec = arith.squarefree_decompose(args.m, args.rho_budget)
+    dec = arith.squarefree_decompose(args.m)
     rec = {"command": "squarefree", "m": dec.n, "s": dec.s, "f": dec.f}
     _emit([rec], args.format, [f"{dec.n} = {dec.s} * {dec.f}^2"])
     return EXIT_OK
@@ -139,7 +139,7 @@ def _cmd_lehmer(args) -> int:
 
 def _cmd_pdiv(args) -> int:
     p = lehmer.LehmerParams(args.a, args.b)
-    divs = sorted(lehmer.primitive_divisors(p, args.t, args.rho_budget))
+    divs = sorted(lehmer.primitive_divisors(p, args.t))
     rec = {
         "command": "pdiv", "a": args.a, "b": args.b, "t": args.t,
         "primitive_divisors": divs, "has_primitive_divisor": bool(divs),
@@ -154,7 +154,7 @@ def _cmd_lrn_solve(args) -> int:
     if args.method == "brute":
         sols = lrn.solve_brute(inst)
     else:
-        sols = lrn.solve_structured(inst, threads=args.threads)
+        sols = lrn.solve_structured(inst)
         if args.method == "both":
             brute = [(s.x, s.y, s.z) for s in lrn.solve_brute(inst)]
             if [(s.x, s.y, s.z) for s in sols] != brute:
@@ -182,7 +182,7 @@ def _cmd_lrn_solve(args) -> int:
 
 
 def _cmd_thm31(args) -> int:
-    rep = lrn.theorem31_verify(args.l, args.n, args.p, threads=args.threads)
+    rep = lrn.theorem31_verify(args.l, args.n, args.p)
     rec = {
         "command": "thm31", "ell": rep.ell, "n": rep.n, "p": rep.p,
         "accepted": rep.accepted, "rejection": rep.rejection, "branch": rep.branch,
@@ -211,26 +211,27 @@ def _cmd_thm31(args) -> int:
 def _run_tuple(args, build) -> int:
     t = build()
     if args.verify:
-        t = families.verify_tuple(t, args.sf_budget, args.threads)
+        t = families.verify_tuple(t)
     _emit_tuple(t, args.format)
     return _tuple_exit(t, args.verify)
 
 
 def _cmd_verify(args) -> int:
-    stream = open(args.file) if args.file else sys.stdin
     worst = EXIT_OK
     try:
-        for line in stream:
+        for lineno, line in enumerate(args.file, 1):
             line = line.strip()
             if not line:
                 continue
-            t = families.from_json_dict(json.loads(line))
-            families.verify_tuple(t, args.sf_budget, args.threads)
+            try:  # ValueError covers malformed JSON and every DomainError
+                t = families.verify_tuple(families.from_json_dict(json.loads(line)))
+            except ValueError as e:
+                raise DomainError(f"line {lineno}: {e}") from None
             _emit_tuple(t, args.format)
             worst = max(worst, _tuple_exit(t, True))
     finally:
-        if args.file:
-            stream.close()
+        if args.file is not sys.stdin:
+            args.file.close()
     return worst
 
 
@@ -265,10 +266,9 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     p.add_argument("--format", choices=("text", "json", "csv"), default=dflt("text"))
-    p.add_argument("--threads", type=int, default=dflt(1))
-    p.add_argument("--rho-budget", type=int, default=dflt(arith.DEFAULT_RHO_BUDGET),
-                   help="factoring iteration budget")
-    p.add_argument("--sf-budget", type=int, default=dflt(families.DEFAULT_SF_BUDGET),
+    p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
+                   help="rho iteration budget of every factorization")
+    p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
                    help="largest |square-free part| whose class number is attempted")
     p.add_argument("-v", "--verbose", action="store_true", default=dflt(False),
                    help="progress to stderr")
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--verify", action="store_true")
 
     c = sub.add_parser("verify", parents=[common], help="verify tuple JSON lines from a file or stdin")
-    c.add_argument("file", nargs="?", help="JSON-lines file (default stdin)")
+    c.add_argument("file", nargs="?", type=argparse.FileType("r"), default="-",
+                   help="JSON-lines file (default stdin)")
 
     c = sub.add_parser("tables", parents=[common], help="dump the defective Lehmer pair tables")
     c.add_argument("-t", type=int, help="check membership at this index")
@@ -368,7 +369,8 @@ def main(argv=None) -> int:
         "tables": _cmd_tables,
     }
     try:
-        return handlers[args.command](args)
+        with arith.limits(rho_budget=args.rho_budget, sf_budget=args.sf_budget):
+            return handlers[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,10 +28,6 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-# Members whose square-free part exceeds this are reported unverified
-# instead of attempting an unbounded class-number computation.
-DEFAULT_SF_BUDGET = 10**12
-
 STATUS_PENDING = "pending"
 STATUS_VERIFIED = "verified"
 STATUS_BUDGET = "unverified (budget)"
@@ -69,15 +65,6 @@ class FamilyTuple:
     def offsets(self) -> list[int]:
         return [m.offset for m in self.members]
 
-    # U (the d + 1 identity) and V (the d + 4 identity) both equal ell
-    @property
-    def U(self) -> int:
-        return self.ell
-
-    @property
-    def V(self) -> int:
-        return self.ell
-
     @property
     def all_divisible(self) -> bool | None:
         """Conjunction over members; None while any member is unverified."""
@@ -104,10 +91,19 @@ def _identities_hold(n: int, k: int, d: int, p_list: list[int]) -> bool:
     return all(d + 4 * p * p == 4 * (p * p - ell**n) for p in p_list)
 
 
-def _member(offset: int, d: int) -> FamilyMember:
-    rad = d + offset
-    dec = arith.squarefree_decompose(rad)
-    return FamilyMember(offset, rad, dec.s, dec.f)
+def _frame(n: int, k: int, p_list: list[int]) -> tuple[int, int, list[int]]:
+    """ell, d and the member offsets of the tuple that n, k and p_list determine."""
+    return 4 * k**n - 1, 4 * (1 - 4 * k**n) ** n, [0, 1, 4] + [4 * p * p for p in p_list]
+
+
+def _build(kind: str, n: int, k: int, p_list: list[int], checks: list[HypothesisCheck],
+           warnings: list[str] | None = None) -> FamilyTuple:
+    ell, d, offsets = _frame(n, k, p_list)
+    if not _identities_hold(n, k, d, p_list):
+        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
+    decs = [arith.squarefree_decompose(d + off) for off in offsets]
+    members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in zip(offsets, decs)]
+    return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings or [])
 
 
 def _prime_hypotheses(n: int, k: int, p: int) -> list[HypothesisCheck]:
@@ -181,12 +177,7 @@ def quadruple(n: int, p: int, k: int) -> FamilyTuple:
     for c in checks:
         if not c.ok:
             raise HypothesisRejection(c.check, c.detail)
-    ell = 4 * k**n - 1
-    d = 4 * (1 - 4 * k**n) ** n
-    if not _identities_hold(n, k, d, [p]):
-        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    members = [_member(off, d) for off in (0, 1, 4, 4 * p * p)]
-    return FamilyTuple("quadruple", n, k, [p], ell, d, members, checks)
+    return _build("quadruple", n, k, [p], checks)
 
 
 def quintuple(n: int, k: int) -> FamilyTuple:
@@ -196,12 +187,7 @@ def quintuple(n: int, k: int) -> FamilyTuple:
     for c in checks:
         if not c.ok:
             raise HypothesisRejection(c.check, c.detail)
-    ell = 4 * k**n - 1
-    d = 4 * (1 - 4 * k**n) ** n
-    if not _identities_hold(n, k, d, [3, 5]):
-        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    members = [_member(off, d) for off in (0, 1, 4, 36, 100)]
-    return FamilyTuple("quintuple", n, k, [3, 5], ell, d, members, checks)
+    return _build("quintuple", n, k, [3, 5], checks)
 
 
 def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
@@ -234,24 +220,18 @@ def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
             log.warning("pi_tuple(%d, %d, %d): %s", n, m, k, warnings[-1])
         else:
             kept.append(p)
-    ell = 4 * k**n - 1
-    d = 4 * (1 - 4 * k**n) ** n
-    if not _identities_hold(n, k, d, kept):
-        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    offsets = [0, 1, 4] + [4 * p * p for p in kept]
-    members = [_member(off, d) for off in offsets]
-    return FamilyTuple("pi_tuple", n, k, kept, ell, d, members, checks, warnings)
+    return _build("pi_tuple", n, k, kept, checks, warnings)
 
 
-def verify_tuple(t: FamilyTuple, sf_budget: int = DEFAULT_SF_BUDGET,
-                 threads: int = 1) -> FamilyTuple:
+def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     """Fill in class numbers and divisibility verdicts for every member.
 
     Re-checks the construction identities first, then verifies members in
-    offset order. Members whose |square-free part| exceeds sf_budget are
-    marked unverified instead of attempted. Returns the same tuple with
-    members completed.
+    offset order. Members whose |square-free part| exceeds the current
+    Limits.sf_budget are marked unverified instead of attempted. Returns
+    the same tuple with members completed.
     """
+    sf_budget = arith._LIMITS.get().sf_budget
     if not _identities_hold(t.n, t.k, t.d, t.p_list):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
     for m in sorted(t.members, key=lambda m: m.offset):
@@ -266,7 +246,7 @@ def verify_tuple(t: FamilyTuple, sf_budget: int = DEFAULT_SF_BUDGET,
                 m.offset, abs(m.squarefree_part), sf_budget,
             )
             continue
-        m.class_number = classno.field_class_number(m.squarefree_part, threads=threads).h
+        m.class_number = classno.field_class_number(m.squarefree_part).h
         m.divisible = m.class_number % t.n == 0
         m.status = STATUS_VERIFIED
         if not m.divisible:
@@ -312,24 +292,47 @@ def to_json_line(t: FamilyTuple) -> str:
 
 
 def from_json_dict(rec: dict) -> FamilyTuple:
-    """Rebuild a FamilyTuple from its JSON record."""
-    if rec.get("schema") != SCHEMA_VERSION:
-        raise DomainError(f"unsupported schema version {rec.get('schema')!r}")
-    members = [
-        FamilyMember(
-            m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"],
-            m.get("class_number"), m.get("divisible"), m.get("status", STATUS_PENDING),
+    """Rebuild a FamilyTuple from an untrusted JSON record.
+
+    Raises DomainError unless the record is exactly the tuple that n, k and
+    p_list determine, with each radicand = squarefree_part * cofactor^2.
+    """
+    if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
+        raise DomainError(f"not a schema-{SCHEMA_VERSION} tuple record")
+    try:
+        members = [
+            FamilyMember(
+                m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"],
+                m.get("class_number"), m.get("divisible"), m.get("status", STATUS_PENDING),
+            )
+            for m in rec["members"]
+        ]
+        checks = [
+            HypothesisCheck(c["check"], c["ok"], c.get("detail", ""))
+            for c in rec.get("hypotheses", [])
+        ]
+        t = FamilyTuple(
+            rec["kind"], rec["n"], rec["k"], list(rec["p_list"]), rec["ell"], rec["d"],
+            members, checks, list(rec.get("warnings", [])),
         )
-        for m in rec["members"]
-    ]
-    checks = [
-        HypothesisCheck(c["check"], c["ok"], c.get("detail", ""))
-        for c in rec.get("hypotheses", [])
-    ]
-    return FamilyTuple(
-        rec["kind"], rec["n"], rec["k"], list(rec["p_list"]), rec["ell"], rec["d"],
-        members, checks, list(rec.get("warnings", [])),
-    )
+    except (KeyError, TypeError) as e:
+        raise DomainError(f"malformed record ({type(e).__name__}: {e})") from None
+    numbers = [t.n, t.k, t.ell, t.d, *t.p_list]
+    numbers += [v for m in members for v in (m.offset, m.radicand, m.squarefree_part, m.cofactor)]
+    if any(type(v) is not int for v in numbers):
+        raise DomainError("n, k, ell, d, p_list and the member numbers must be integers")
+    _check_nk(t.n, t.k)
+    # |d| has over n^2*(bits(k) - 1) bits: a huge n or k fails before any power
+    if t.n * t.n * (t.k.bit_length() - 1) > abs(t.d).bit_length():
+        raise DomainError(f"d = {t.d} is not 4*(1 - 4*k^n)^n")
+    ell, d, offsets = _frame(t.n, t.k, t.p_list)
+    if (t.ell, t.d, sorted(t.offsets)) != (ell, d, sorted(offsets)):
+        raise DomainError("ell, d or the offsets are not those that n, k and p_list determine")
+    for m in members:
+        if not m.radicand == t.d + m.offset == m.squarefree_part * m.cofactor**2:
+            raise DomainError(f"offset {m.offset}: radicand {m.radicand} is not both "
+                              "d + offset and squarefree_part * cofactor^2")
+    return t
 
 
 def to_csv_rows(t: FamilyTuple) -> list[list]:

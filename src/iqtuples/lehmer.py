@@ -137,8 +137,7 @@ def _primitive_part(p: LehmerParams, n: int) -> int:
     return _strip_known(ln, known)
 
 
-def primitive_divisors(p: LehmerParams, n: int,
-                       rho_budget: int = arith.DEFAULT_RHO_BUDGET) -> frozenset[int]:
+def primitive_divisors(p: LehmerParams, n: int) -> frozenset[int]:
     """The set of primitive prime divisors of L_n(p), n >= 2.
 
     The non-primitive part of L_n is removed exactly by gcd stripping, so
@@ -150,7 +149,7 @@ def primitive_divisors(p: LehmerParams, n: int,
     residual = _primitive_part(p, n)
     if residual == 1:
         return frozenset()
-    return frozenset(q for q, _ in arith.factorize(residual, rho_budget).factors)
+    return frozenset(q for q, _ in arith.factorize(residual).factors)
 
 
 def has_primitive_divisor(p: LehmerParams, n: int) -> bool:

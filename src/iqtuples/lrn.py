@@ -115,14 +115,14 @@ def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
     return out
 
 
-def solve_structured(inst: LrnInstance, threads: int = 1) -> list[LrnSolution]:
+def solve_structured(inst: LrnInstance) -> list[LrnSolution]:
     """All solutions with z <= z_max, each carrying its power decomposition.
 
     Base exponents s run over the divisors of h*(-4d) in increasing order,
     base solutions in increasing a, then powers t and signs; the first
     decomposition found for an (x, y, z) is the one reported.
     """
-    h = classno.class_number_forms(-4 * inst.d, threads=threads).h
+    h = classno.class_number_forms(-4 * inst.d).h
     found: dict[tuple[int, int, int], Decomposition] = {}
     divisors = [s for s in range(1, min(h, inst.z_max) + 1) if h % s == 0]
     for s in divisors:
@@ -251,7 +251,7 @@ def _trace_t5(d: int) -> dict:
     }
 
 
-def theorem31_verify(ell: int, n: int, p: int, threads: int = 1) -> Theorem31Report:
+def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
     """Certify that n divides h*(-4d), -d the square-free part of p^2 - ell^n.
 
     Hypotheses: ell = 3 (mod 4), gcd(ell, p) = 1, p^2 < ell^n, and either
@@ -317,7 +317,7 @@ def theorem31_verify(ell: int, n: int, p: int, threads: int = 1) -> Theorem31Rep
     report.trace["t5"] = _trace_t5(report.d)
     report.trace["conclusion"] = "t = 1, so n = s divides h*(-4d)"
 
-    report.h = classno.class_number_forms(-4 * report.d, threads=threads).h
+    report.h = classno.class_number_forms(-4 * report.d).h
     report.verdict = report.h % n == 0
     if not report.verdict:
         report.anomaly = True

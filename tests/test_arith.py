@@ -33,8 +33,8 @@ class TestFactorize:
         # both factors are beyond the trial-division range, and one rho
         # iteration is not enough to split their product
         n = 99991 * 99989
-        with pytest.raises(BudgetError):
-            arith.factorize(n, rho_budget=1)
+        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
+            arith.factorize(n)
         assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
 
     def test_product_and_primality_up_to_1e6(self):

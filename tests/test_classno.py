@@ -130,13 +130,6 @@ class TestClassNumberForms:
             res = classno.class_number_forms(D, with_forms=True)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == brute_reduced_forms(D), D
 
-    def test_thread_count_does_not_change_result(self):
-        for D in (-23, -476656, -119163):
-            seq = classno.class_number_forms(D, with_forms=True, threads=1)
-            par = classno.class_number_forms(D, with_forms=True, threads=4)
-            assert seq.h == par.h
-            assert seq.reduced_forms == par.reduced_forms
-
 
 class TestDirichlet:
     def test_small_fundamental(self):

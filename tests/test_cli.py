@@ -143,6 +143,11 @@ class TestTuples:
         assert code == 2
         assert json.loads(out)["all_divisible"] is None
 
+    def test_rho_budget_bounds_construction(self, capsys):
+        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "7", "-k", "2")
+        assert code == 2
+        assert out == "" and "budget exhausted" in err
+
 
 class TestVerifyCommand:
     def test_round_trip_through_file(self, capsys, tmp_path):
@@ -156,6 +161,33 @@ class TestVerifyCommand:
         rec = json.loads(out2)
         assert rec["all_divisible"] is True
         assert rec["members"][0]["class_number"] == 3
+
+    def test_malformed_input_exits_3_naming_the_line(self, capsys, tmp_path):
+        _, good, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--format", "json")
+        rec = json.loads(good)
+        tampered = json.loads(good)  # offset 1 swapped for Q(sqrt(-23)) used to verify, exit 0
+        tampered["members"][1].update(radicand=-23, squarefree_part=-23, cofactor=1)
+        bad_lines = {
+            "tampered member": json.dumps(tampered),
+            "malformed JSON": good[:40],
+            "missing key": json.dumps({k: v for k, v in rec.items() if k != "members"}),
+            "wrong type": json.dumps({**rec, "k": "2"}),
+            "unknown schema": json.dumps({**rec, "schema": 7}),
+            "identities": json.dumps({**rec, "d": rec["d"] + 8}),
+        }
+        for why, bad in bad_lines.items():
+            src = tmp_path / "batch.jsonl"
+            src.write_text(good + bad + "\n")
+            code, out, err = run(capsys, "verify", str(src), "--format", "json")
+            assert code == 3, why
+            assert json.loads(out)["all_divisible"] is True, why  # line 1 verified
+            assert err.startswith("invalid input: line 2: "), why
+            assert "Traceback" not in err, why
+
+    def test_missing_file_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path / "absent.jsonl"))
+        assert code == 3
+        assert out == "" and "absent.jsonl" in err
 
 
 class TestTables:
@@ -194,8 +226,5 @@ class TestHarness:
         args = ("thm31", "-l", "7", "-n", "3", "-p", "5", "--format", "json")
         assert run(capsys, *args) == run(capsys, *args)
 
-    def test_threads_flag_does_not_change_output(self, capsys):
-        base = run(capsys, "classnum", "-D", "-476656", "--format", "json")
-        threaded = run(capsys, "classnum", "-D", "-476656", "--format", "json",
-                       "--threads", "4")
-        assert base == threaded
+    def test_threads_flag_is_gone(self, capsys):
+        assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from iqtuples import families
-from iqtuples.errors import DomainError, HypothesisRejection
+from iqtuples.arith import limits
+from iqtuples.errors import BudgetError, DomainError, HypothesisRejection
 from iqtuples.families import (
     FamilyMember,
     FamilyTuple,
@@ -28,7 +29,7 @@ class TestIdentityChain:
 
     def test_constructed_tuples_satisfy_identities(self):
         t = quadruple(3, 3, 2)
-        assert t.ell == t.U == t.V == 31
+        assert t.ell == 31
         assert t.d == -119164
         assert [m.radicand for m in t.members] == [
             -119164, -119163, -119160, -119128
@@ -120,6 +121,11 @@ class TestQuintuple:
         tp5 = quadruple(3, 5, 2)
         assert set(t5.offsets) == set(t3.offsets) | set(tp5.offsets)
 
+    def test_rho_budget_reaches_construction(self):
+        # d + 1 = 1 - 4*511^7 needs Pollard rho to split
+        with limits(rho_budget=1), pytest.raises(BudgetError):
+            quintuple(7, 2)
+
 
 class TestPiTuple:
     def test_offsets_to_six(self):
@@ -192,7 +198,8 @@ class TestVerifyTuple:
 
     def test_budget_marks_unverified(self):
         t = quadruple(3, 3, 2)
-        verify_tuple(t, sf_budget=10**4)
+        with limits(sf_budget=10**4):
+            verify_tuple(t)
         by_offset = {m.offset: m for m in t.members}
         assert by_offset[0].status == families.STATUS_VERIFIED     # |-31| small
         assert by_offset[1].status == families.STATUS_BUDGET       # |-119163| too big
@@ -210,13 +217,6 @@ class TestVerifyTuple:
         t.members[0].cofactor = 5
         with pytest.raises(ArithmeticError):
             verify_tuple(t)
-
-    def test_threads_do_not_change_results(self):
-        a = verify_tuple(quintuple(3, 2), threads=1)
-        b = verify_tuple(quintuple(3, 2), threads=3)
-        assert [(m.class_number, m.divisible) for m in a.members] == [
-            (m.class_number, m.divisible) for m in b.members
-        ]
 
 
 class TestSerialization:
@@ -247,6 +247,36 @@ class TestSerialization:
         rec["schema"] = 99
         with pytest.raises(DomainError):
             families.from_json_dict(rec)
+
+    @pytest.mark.parametrize("mutate", [
+        # Q(sqrt(-23)) is not in the tuple; this record used to verify, exit 0
+        lambda rec: rec["members"][1].update(radicand=-23, squarefree_part=-23, cofactor=1),
+        lambda rec: rec.update(ell=rec["ell"] + 4),
+        lambda rec: rec.update(d=rec["d"] - 4),
+        lambda rec: rec.update(k=3),
+        lambda rec: rec.update(n=10**9 + 1),
+        lambda rec: rec.update(p_list=[5]),
+        lambda rec: rec["members"].pop(),
+        lambda rec: rec["members"].append(dict(rec["members"][0])),
+        lambda rec: rec["members"][3].update(offset=4 * 49, radicand=rec["d"] + 4 * 49),
+        lambda rec: rec["members"][0].update(cofactor=rec["members"][0]["cofactor"] + 2),
+        lambda rec: rec.update(n="3"),
+        lambda rec: rec.update(n=3.0),
+        lambda rec: rec["members"][2].update(cofactor=True),
+        lambda rec: rec.update(members={}),
+        lambda rec: rec["members"][0].pop("radicand"),
+        lambda rec: rec.pop("p_list"),
+    ])
+    def test_rejects_records_that_are_not_the_constructed_tuple(self, mutate):
+        rec = families.to_json_dict(quadruple(3, 3, 2))
+        families.from_json_dict(rec)  # the untouched record passes
+        mutate(rec)
+        with pytest.raises(DomainError):
+            families.from_json_dict(rec)
+
+    def test_rejects_non_object(self):
+        with pytest.raises(DomainError):
+            families.from_json_dict([1, 2])
 
     def test_csv_rows(self):
         t = verify_tuple(quadruple(3, 3, 2))
