@@ -96,6 +96,8 @@ def _emit_tuple(t: families.FamilyTuple, fmt: str) -> None:
 def _cmd_classnum(args) -> int:
     if (args.d is None) == (args.D is None):
         raise _UsageError("classnum needs exactly one of -d (radicand) or -D (discriminant)")
+    if args.method == "dirichlet" and args.with_forms:
+        raise _UsageError("--with-forms lists the forms the form count walks; it needs --method forms")
     if args.d is not None:
         if args.method == "dirichlet":
             res = classno.class_number_dirichlet(classno.fundamental_discriminant(args.d))
@@ -218,12 +220,15 @@ def _run_tuple(args, build) -> int:
 
 def _cmd_verify(args) -> int:
     worst = EXIT_OK
+    # read bytes where the stream has them and decode each line alone: a text
+    # stream decodes whole chunks, so a bad byte would be blamed on an earlier line
+    lines = getattr(args.file, "buffer", args.file)
     try:
-        for lineno, line in enumerate(args.file, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:  # ValueError covers malformed JSON and every DomainError
+        for lineno, line in enumerate(lines, 1):
+            try:  # ValueError covers bad UTF-8, malformed JSON and every DomainError
+                line = line.decode() if isinstance(line, bytes) else line
+                if not line.strip():
+                    continue
                 t = families.verify_tuple(families.from_json_dict(json.loads(line)))
             except ValueError as e:
                 raise DomainError(f"line {lineno}: {e}") from None
@@ -248,11 +253,8 @@ def _cmd_tables(args) -> int:
         if args.a is None or args.b is None:
             raise _UsageError("table membership check needs -t, -a and -b together")
         p = lehmer.LehmerParams(args.a, args.b)
-        member = lehmer.exceptional_table_lookup(args.t, p, args.k_max, args.u_max)
-        rec = {
-            "command": "tables", "t": args.t, "a": args.a, "b": args.b,
-            "k_max": args.k_max, "u_max": args.u_max, "in_table": member,
-        }
+        member = lehmer.exceptional_table_lookup(args.t, p)
+        rec = {"command": "tables", "t": args.t, "a": args.a, "b": args.b, "in_table": member}
         lines = [f"({args.a}, {args.b}) at t = {args.t}: {'in table' if member else 'not in table'}"]
     _emit([rec], args.format, lines)
     return EXIT_OK
@@ -338,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-t", type=int, help="check membership at this index")
     c.add_argument("-a", type=int)
     c.add_argument("-b", type=int)
-    c.add_argument("--k-max", type=int, default=lehmer.DEFAULT_FAMILY_K_MAX)
-    c.add_argument("--u-max", type=int, default=lehmer.DEFAULT_FAMILY_U_MAX)
     return p
 
 

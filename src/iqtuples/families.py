@@ -91,57 +91,89 @@ def _identities_hold(n: int, k: int, d: int, p_list: list[int]) -> bool:
     return all(d + 4 * p * p == 4 * (p * p - ell**n) for p in p_list)
 
 
-def _frame(n: int, k: int, p_list: list[int]) -> tuple[int, int, list[int]]:
-    """ell, d and the member offsets of the tuple that n, k and p_list determine."""
-    return 4 * k**n - 1, 4 * (1 - 4 * k**n) ** n, [0, 1, 4] + [4 * p * p for p in p_list]
+def _cheap_checks(ell: int, n: int, p: int) -> list[HypothesisCheck]:
+    """gcd(ell, p) = 1, then p^2 < ell^n: the checks on p that need no factoring.
 
-
-def _build(kind: str, n: int, k: int, p_list: list[int], checks: list[HypothesisCheck],
-           warnings: list[str] | None = None) -> FamilyTuple:
-    ell, d, offsets = _frame(n, k, p_list)
-    if not _identities_hold(n, k, d, p_list):
-        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    decs = [arith.squarefree_decompose(d + off) for off in offsets]
-    members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in zip(offsets, decs)]
-    return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings or [])
-
-
-def _prime_hypotheses(n: int, k: int, p: int) -> list[HypothesisCheck]:
-    """Checks attached to the member at offset 4*p^2."""
-    ell = 4 * k**n - 1
-    checks = []
+    Stops at the first that fails; d + 4p^2 is negative, a field radicand,
+    only once both pass.
+    """
     g = gcd(ell, p)
-    checks.append(HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}"))
-    if g != 1:
-        return checks
-    ok = p * p < ell**n
-    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {ell**n}"))
-    if not ok:
-        return checks
-    if p in (3, 5):
-        ok = (ell, n) != (3, 3)
-        checks.append(
-            HypothesisCheck(
-                f"(ell, n) != (3, 3) for p = {p}", ok,
-                "congruence condition waived for p in {3, 5}",
-            )
-        )
-    else:
-        dprime = arith.squarefree_decompose(ell**n - p * p).s
-        ok = p % dprime not in (1, dprime - 1)
-        checks.append(
-            HypothesisCheck(
-                f"{p} != +-1 (mod d')", ok,
-                f"d' = {dprime}, {p} = {p % dprime} (mod d')",
-            )
-        )
+    checks = [HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}")]
+    if g == 1:
+        checks.append(HypothesisCheck(f"{p}^2 < ell^n", p * p < ell**n, f"{p * p} < {ell**n}"))
     return checks
 
 
-def _theorem_b_check(n: int, k: int) -> HypothesisCheck:
+def _prime_hypotheses(ell: int, n: int, p: int, dprime: int) -> HypothesisCheck:
+    """p != +-1 (mod d'), where -d' is the square-free part of p^2 - ell^n.
+
+    Waived for p in {3, 5}, which need only (ell, n) != (3, 3).
+    """
+    if p in (3, 5):
+        return HypothesisCheck(
+            f"(ell, n) != (3, 3) for p = {p}", (ell, n) != (3, 3),
+            "congruence condition waived for p in {3, 5}",
+        )
+    return HypothesisCheck(
+        f"{p} != +-1 (mod d')", p % dprime not in (1, dprime - 1),
+        f"d' = {dprime}, {p} = {p % dprime} (mod d')",
+    )
+
+
+def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
     # the d + 4 member needs (n, V) != (5, 3) with V = ell; vacuous for k >= 2
-    ell = 4 * k**n - 1
     return HypothesisCheck("(n, V) != (5, 3)", (n, ell) != (5, 3), f"V = {ell}")
+
+
+def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) -> FamilyTuple:
+    """The tuple of the given kind that n, k and the odd primes determine.
+
+    The only path from parameters to a FamilyTuple. Each prime gets the
+    cheap checks first; once they pass, its member d + 4p^2 = -4(ell^n - p^2)
+    is decomposed, and that decomposition gives d' = -s for the congruence
+    check and the member itself. A prime that fails a check raises
+    HypothesisRejection, or with lenient is dropped with a warning.
+    """
+    _check_nk(n, k)
+    shape_ok = {"quadruple": len(primes) == 1, "quintuple": primes == [3, 5], "pi_tuple": True}
+    if kind not in shape_ok:
+        raise DomainError(f"kind must be quadruple, quintuple or pi_tuple, got {kind!r}")
+    if not shape_ok[kind]:
+        raise DomainError(f"a {kind} cannot have the primes {primes}")
+    for p in primes:
+        if p % 2 == 0 or not arith.is_prime(p):
+            raise DomainError(f"p must be an odd prime, got {p}")
+    if any(p >= q for p, q in zip(primes, primes[1:])):
+        raise DomainError(f"the primes must be increasing, got {primes}")
+    ell, d = 4 * k**n - 1, 4 * (1 - 4 * k**n) ** n
+    checks: list[HypothesisCheck] = []
+    warnings: list[str] = []
+    kept: list[tuple[int, arith.SquarefreeDecomposition]] = []
+    for p in primes:
+        pchecks = _cheap_checks(ell, n, p)
+        if all(c.ok for c in pchecks):
+            dec = arith.squarefree_decompose(d + 4 * p * p)
+            pchecks.append(_prime_hypotheses(ell, n, p, -dec.s))
+        checks.extend(pchecks)
+        bad = next((c for c in pchecks if not c.ok), None)
+        if bad is None:
+            kept.append((p, dec))
+        elif lenient:
+            warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
+            log.warning("%s n=%d k=%d: %s", kind, n, k, warnings[-1])
+        else:
+            raise HypothesisRejection(bad.check, bad.detail)
+    theorem_b = _theorem_b_check(n, ell)
+    if not theorem_b.ok:
+        raise HypothesisRejection(theorem_b.check, theorem_b.detail)
+    checks = [theorem_b] + checks if kind == "pi_tuple" else checks + [theorem_b]
+    p_list = [p for p, _ in kept]
+    if not _identities_hold(n, k, d, p_list):
+        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
+    decs = [(off, arith.squarefree_decompose(d + off)) for off in (0, 1, 4)]
+    decs += [(4 * p * p, dec) for p, dec in kept]
+    members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in decs]
+    return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings)
 
 
 def n_membership(n: int, k: int) -> bool:
@@ -170,24 +202,12 @@ def quadruple(n: int, p: int, k: int) -> FamilyTuple:
     for p in {3, 5} the congruence condition is waived unless
     (ell, n) = (3, 3).
     """
-    _check_nk(n, k)
-    if p % 2 == 0 or not arith.is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    checks = _prime_hypotheses(n, k, p) + [_theorem_b_check(n, k)]
-    for c in checks:
-        if not c.ok:
-            raise HypothesisRejection(c.check, c.detail)
-    return _build("quadruple", n, k, [p], checks)
+    return _build("quadruple", n, k, [p])
 
 
 def quintuple(n: int, k: int) -> FamilyTuple:
     """Tuple with offsets {0, 1, 4, 36, 100}: the quadruples for p = 3 and p = 5 merged."""
-    _check_nk(n, k)
-    checks = _prime_hypotheses(n, k, 3) + _prime_hypotheses(n, k, 5) + [_theorem_b_check(n, k)]
-    for c in checks:
-        if not c.ok:
-            raise HypothesisRejection(c.check, c.detail)
-    return _build("quintuple", n, k, [3, 5], checks)
+    return _build("quintuple", n, k, [3, 5])
 
 
 def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
@@ -198,29 +218,13 @@ def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
     offending prime is dropped with a warning. The member count is
     pi(m) + 2 when every odd prime passes.
     """
-    _check_nk(n, k)
+    _check_nk(n, k)  # before the sieve, which a bad n or k would waste
     if m < 2:
         raise DomainError(f"m must be an integer >= 2, got {m}")
     if mode not in ("strict", "lenient"):
         raise DomainError(f"mode must be 'strict' or 'lenient', got {mode!r}")
     odd_primes = [p for p in arith.primes_up_to(m) if p != 2]
-    checks = [_theorem_b_check(n, k)]
-    if not checks[0].ok:
-        raise HypothesisRejection(checks[0].check, checks[0].detail)
-    warnings = []
-    kept = []
-    for p in odd_primes:
-        pchecks = _prime_hypotheses(n, k, p)
-        bad = next((c for c in pchecks if not c.ok), None)
-        if bad is not None and mode == "strict":
-            raise HypothesisRejection(bad.check, bad.detail)
-        checks.extend(pchecks)
-        if bad is not None:
-            warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
-            log.warning("pi_tuple(%d, %d, %d): %s", n, m, k, warnings[-1])
-        else:
-            kept.append(p)
-    return _build("pi_tuple", n, k, kept, checks, warnings)
+    return _build("pi_tuple", n, k, odd_primes, lenient=mode == "lenient")
 
 
 def verify_tuple(t: FamilyTuple) -> FamilyTuple:
@@ -294,44 +298,40 @@ def to_json_line(t: FamilyTuple) -> str:
 def from_json_dict(rec: dict) -> FamilyTuple:
     """Rebuild a FamilyTuple from an untrusted JSON record.
 
-    Raises DomainError unless the record is exactly the tuple that n, k and
-    p_list determine, with each radicand = squarefree_part * cofactor^2.
+    The tuple is rebuilt from the record's kind, n, k and p_list, so its
+    decompositions, hypotheses and warnings are derived here, never read.
+    Raises DomainError when a p fails its hypotheses, or unless the record's
+    ell, d, p_list and members are exactly the rebuilt ones. Only the
+    verdict fields (class_number, divisible, status) are copied, and
+    verify_tuple overwrites them.
     """
     if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
         raise DomainError(f"not a schema-{SCHEMA_VERSION} tuple record")
     try:
-        members = [
-            FamilyMember(
-                m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"],
-                m.get("class_number"), m.get("divisible"), m.get("status", STATUS_PENDING),
-            )
-            for m in rec["members"]
-        ]
-        checks = [
-            HypothesisCheck(c["check"], c["ok"], c.get("detail", ""))
-            for c in rec.get("hypotheses", [])
-        ]
-        t = FamilyTuple(
-            rec["kind"], rec["n"], rec["k"], list(rec["p_list"]), rec["ell"], rec["d"],
-            members, checks, list(rec.get("warnings", [])),
-        )
+        kind, n, k, ell, d = (rec[key] for key in ("kind", "n", "k", "ell", "d"))
+        p_list = list(rec["p_list"])
+        members = [(m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"])
+                   for m in rec["members"]]
+        verdicts = [(m.get("class_number"), m.get("divisible"), m.get("status", STATUS_PENDING))
+                    for m in rec["members"]]
     except (KeyError, TypeError) as e:
         raise DomainError(f"malformed record ({type(e).__name__}: {e})") from None
-    numbers = [t.n, t.k, t.ell, t.d, *t.p_list]
-    numbers += [v for m in members for v in (m.offset, m.radicand, m.squarefree_part, m.cofactor)]
-    if any(type(v) is not int for v in numbers):
-        raise DomainError("n, k, ell, d, p_list and the member numbers must be integers")
-    _check_nk(t.n, t.k)
+    numbers = [n, k, ell, d, *p_list, *(v for m in members for v in m)]
+    if type(kind) is not str or any(type(v) is not int for v in numbers):
+        raise DomainError("kind must be a string, and n, k, ell, d, p_list and the member "
+                          "numbers integers")
     # |d| has over n^2*(bits(k) - 1) bits: a huge n or k fails before any power
-    if t.n * t.n * (t.k.bit_length() - 1) > abs(t.d).bit_length():
-        raise DomainError(f"d = {t.d} is not 4*(1 - 4*k^n)^n")
-    ell, d, offsets = _frame(t.n, t.k, t.p_list)
-    if (t.ell, t.d, sorted(t.offsets)) != (ell, d, sorted(offsets)):
-        raise DomainError("ell, d or the offsets are not those that n, k and p_list determine")
-    for m in members:
-        if not m.radicand == t.d + m.offset == m.squarefree_part * m.cofactor**2:
-            raise DomainError(f"offset {m.offset}: radicand {m.radicand} is not both "
-                              "d + offset and squarefree_part * cofactor^2")
+    if n * n * (k.bit_length() - 1) > abs(d).bit_length():
+        raise DomainError(f"d = {d} is not 4*(1 - 4*k^n)^n")
+    try:
+        t = _build(kind, n, k, p_list)
+    except HypothesisRejection as e:
+        raise DomainError(f"p_list fails a hypothesis: {e}") from None
+    rebuilt = [(m.offset, m.radicand, m.squarefree_part, m.cofactor) for m in t.members]
+    if (ell, d, p_list, members) != (t.ell, t.d, t.p_list, rebuilt):
+        raise DomainError("ell, d or the members are not those that kind, n, k and p_list determine")
+    for m, (h, divisible, status) in zip(t.members, verdicts):
+        m.class_number, m.divisible, m.status = h, divisible, status
     return t
 
 

@@ -26,10 +26,6 @@ from math import gcd
 from . import arith
 from .errors import DomainError
 
-DEFAULT_FAMILY_K_MAX = 60
-DEFAULT_FAMILY_U_MAX = 10_000
-
-
 def fibonacci(k: int) -> int:
     """k-th Fibonacci number, F_0 = 0, F_1 = 1."""
     if k < 0:
@@ -193,48 +189,51 @@ def _is_power_of_3(n: int) -> int | None:
     return k if n == 1 else None
 
 
-def _match_t3(pair: tuple[int, int], k_max: int, u_max: int) -> bool:
-    """Membership in the defective families at index 3, one sign image."""
+def _match_t3(pair: tuple[int, int]) -> bool:
+    """Membership in the defective families at index 3, one sign image.
+
+    Both families determine their parameters from (a, b), so no search is made.
+    """
     a, b = pair
     # family (1 + u, 1 - 3u), u not in {0, 1}
     u = a - 1
-    if b == 1 - 3 * u and u not in (0, 1) and abs(u) <= u_max:
+    if b == 1 - 3 * u and u not in (0, 1):
         return True
     # family (3^k + u, 3^k - 3u), u != 0, 3 does not divide u, (k, u) != (1, 1)
     total = 3 * a + b  # equals 4 * 3^k on the family
     if total >= 4 and total % 4 == 0:
         k = _is_power_of_3(total // 4)
-        if k is not None and k <= k_max:
+        if k is not None:
             u = a - 3**k
-            if u != 0 and u % 3 != 0 and (k, u) != (1, 1) and abs(u) <= u_max:
+            if u != 0 and u % 3 != 0 and (k, u) != (1, 1):
                 return True
     return False
 
 
-def _match_t5(pair: tuple[int, int], k_max: int) -> bool:
-    """Membership in the Fibonacci/Lucas defective families at index 5, one sign image."""
-    for seq, k_min, k_skip in ((fibonacci, 3, None), (lucas, 0, 1)):
-        for k in range(k_min, k_max + 1):
-            if k == k_skip:
-                continue
-            for eps in (1, -1):
-                idx = k - 2 * eps
-                if idx < 0:
-                    continue
-                first = seq(idx)
-                if pair == (first, first - 4 * seq(k)):
+def _match_t5(pair: tuple[int, int]) -> bool:
+    """Membership in the Fibonacci/Lucas defective families at index 5, one sign image.
+
+    On the family (seq(k - 2e), seq(k - 2e) - 4*seq(k)) a is a sequence
+    value, and both sequences are nondecreasing from index 1 on, so the
+    scan stops once the value passes a.
+    """
+    a, b = pair
+    for seq, k_min, k_skip in (([0, 1], 3, None), ([2, 1], 0, 1)):
+        while len(seq) < 4 or seq[-3] <= a:
+            seq.append(seq[-1] + seq[-2])
+        for idx, value in enumerate(seq[:-2]):
+            for k in (idx + 2, idx - 2):  # e = 1, e = -1
+                if value == a and k >= k_min and k != k_skip and b == a - 4 * seq[k]:
                     return True
     return False
 
 
-def exceptional_table_lookup(t: int, p: LehmerParams,
-                             k_max: int = DEFAULT_FAMILY_K_MAX,
-                             u_max: int = DEFAULT_FAMILY_U_MAX) -> bool:
+def exceptional_table_lookup(t: int, p: LehmerParams) -> bool:
     """True iff p is, up to equivalence, a defective pair at odd index t >= 3.
 
     Indices 7..29 use the shipped finite table (empty for indices it does
-    not list); 3 and 5 search the parametrized families within the given
-    bounds on k and |u|.
+    not list); 3 and 5 decide membership in the parametrized families
+    exactly.
     """
     if t % 2 == 0:
         raise DomainError(f"table is indexed by odd t, got {t}")
@@ -242,9 +241,9 @@ def exceptional_table_lookup(t: int, p: LehmerParams,
         raise DomainError(f"table starts at t = 3, got {t}")
     images = ((p.a, p.b), (-p.a, -p.b))
     if t == 3:
-        return any(_match_t3(img, k_max, u_max) for img in images)
+        return any(_match_t3(img) for img in images)
     if t == 5:
-        return any(_match_t5(img, k_max) for img in images)
+        return any(_match_t5(img) for img in images)
     entries = exceptional_tables()["finite"].get(str(t), [])
     return any(
         _equivalent_raw((p.a, p.b), (ea, eb)) for ea, eb in entries

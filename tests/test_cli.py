@@ -27,6 +27,13 @@ class TestClassnum:
         assert code == 0
         assert json.loads(out)["method"] == "dirichlet"
 
+    def test_with_forms_needs_the_form_count(self, capsys):
+        # the Dirichlet sum lists no forms; the flag used to be ignored there
+        code, out, err = run(capsys, "classnum", "-D", "-23", "--method", "dirichlet",
+                             "--with-forms")
+        assert code == 3
+        assert out == "" and err.startswith("usage error: ")
+
     def test_with_forms(self, capsys):
         code, out, _ = run(capsys, "classnum", "-D", "-23", "--with-forms",
                            "--format", "json")
@@ -184,6 +191,69 @@ class TestVerifyCommand:
             assert err.startswith("invalid input: line 2: "), why
             assert "Traceback" not in err, why
 
+    def test_fabricated_hypotheses_are_not_echoed(self, capsys, tmp_path):
+        _, good, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--format", "json")
+        rec = json.loads(good)
+        src = tmp_path / "made_up.jsonl"
+        src.write_text(json.dumps({**rec, "hypotheses": [{"check": "made up", "ok": True}],
+                                   "warnings": ["made up"]}) + "\n")
+        code, out, _ = run(capsys, "verify", str(src), "--format", "json")
+        assert code == 0
+        back = json.loads(out)
+        assert back["hypotheses"] == rec["hypotheses"] and back["warnings"] == []
+        assert "made up" not in out
+
+    def test_record_with_a_composite_p_exits_3(self, capsys, tmp_path):
+        # p = 7 swapped for 9 at offset 4*81; the record used to verify, exit 0,
+        # still listing the checks for p = 7
+        from iqtuples.arith import squarefree_decompose
+        _, good, _ = run(capsys, "tuples", "-n", "3", "-m", "12", "-k", "2", "--format", "json")
+        rec = json.loads(good)
+        assert rec["p_list"] == [3, 5, 7, 11]
+        dec = squarefree_decompose(rec["d"] + 4 * 81)
+        rec["p_list"] = [3, 5, 9, 11]
+        rec["members"][5].update(offset=4 * 81, radicand=dec.n, squarefree_part=dec.s,
+                                 cofactor=dec.f)
+        src = tmp_path / "nine.jsonl"
+        src.write_text(good + json.dumps(rec) + "\n")
+        code, out, err = run(capsys, "verify", str(src), "--format", "json")
+        assert code == 3
+        assert len(out.splitlines()) == 1  # line 1 verified
+        assert err.startswith("invalid input: line 2: p must be an odd prime, got 9")
+
+    def test_record_whose_p_fails_its_hypothesis_exits_3(self, capsys, tmp_path):
+        # n = 3, k = 4: ell = 255 shares the factor 3 with p = 3, so quadruple
+        # refuses it; a record with the right numbers used to verify anyway
+        from iqtuples.arith import squarefree_decompose
+        ell, d = 255, 4 * (1 - 4 * 4**3) ** 3
+        members = []
+        for off in (0, 1, 4, 36):
+            dec = squarefree_decompose(d + off)
+            members.append({"offset": off, "radicand": dec.n, "squarefree_part": dec.s,
+                            "cofactor": dec.f, "class_number": None, "divisible": None,
+                            "status": "pending"})
+        rec = {"schema": 1, "kind": "quadruple", "n": 3, "k": 4, "ell": ell, "d": d,
+               "p_list": [3], "hypotheses": [], "warnings": [], "members": members,
+               "all_divisible": None}
+        _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
+        src = tmp_path / "gcd.jsonl"
+        src.write_text(good + "\n" + json.dumps(rec) + "\n")
+        code, out, err = run(capsys, "verify", str(src), "--format", "json")
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert err.startswith("invalid input: line 3: p_list fails a hypothesis: gcd(ell, 3) = 1")
+
+    def test_input_that_is_not_utf8_exits_3(self, capsys, tmp_path):
+        # used to end in a UnicodeDecodeError traceback with exit 1
+        _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
+        src = tmp_path / "utf16.jsonl"
+        src.write_bytes(good.encode() + b"\xff\xfe{\x00}\x00\n")
+        code, out, err = run(capsys, "verify", str(src), "--format", "json")
+        assert code == 3
+        assert json.loads(out)["all_divisible"] is True  # line 1 verified
+        assert err.startswith("invalid input: line 2: ")
+        assert "utf-8" in err and "Traceback" not in err
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(tmp_path / "absent.jsonl"))
         assert code == 3
@@ -206,6 +276,16 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "-t", "13", "-a", "1", "-b", "-19",
                            "--format", "json")
         assert json.loads(out)["in_table"] is False
+
+    def test_membership_has_no_search_bounds(self, capsys):
+        # (1 + u, 1 - 3u) at u = 100001, past the former default bound |u| <= 10^4
+        code, out, _ = run(capsys, "tables", "-t", "3", "-a", "100002", "-b", "-300002",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"command": "tables", "t": 3, "a": 100002, "b": -300002,
+                                   "in_table": True}
+        assert run(capsys, "tables", "-t", "3", "-a", "3", "-b", "-5", "--k-max", "9")[0] == 3
+        assert run(capsys, "tables", "-t", "3", "-a", "3", "-b", "-5", "--u-max", "9")[0] == 3
 
 
 class TestHarness:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from iqtuples import families
+from iqtuples import arith, families
 from iqtuples.arith import limits
 from iqtuples.errors import BudgetError, DomainError, HypothesisRejection
 from iqtuples.families import (
@@ -160,6 +162,16 @@ class TestPiTuple:
         assert len(t.warnings) == 2
         assert "dropped p = 3" in t.warnings[0]
 
+    def test_each_radicand_is_decomposed_once(self, monkeypatch):
+        # the congruence check reads d' off the member d + 4p^2 = -4(ell^n - p^2)
+        seen = []
+        real = arith.squarefree_decompose
+        monkeypatch.setattr(arith, "squarefree_decompose", lambda m: seen.append(m) or real(m))
+        t = pi_tuple(3, 12, 2)
+        assert sorted(seen) == sorted(m.radicand for m in t.members)
+        detail = next(c.detail for c in t.hypotheses if c.check == "11 != +-1 (mod d')")
+        assert detail.startswith(f"d' = {-t.members[-1].squarefree_part}, ")
+
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             pi_tuple(3, 6, 2, mode="other")
@@ -289,3 +301,86 @@ class TestSerialization:
         rec = families.to_json_dict(quadruple(3, 3, 2))
         assert rec["members"][0]["class_number"] is None
         assert rec["all_divisible"] is None
+
+
+def _facts(t: FamilyTuple) -> dict:
+    """Everything in a tuple's record except the verdicts verify_tuple fills in."""
+    rec = families.to_json_dict(t)
+    for m in rec["members"]:
+        del m["class_number"], m["divisible"], m["status"]
+    del rec["all_divisible"]
+    return rec
+
+
+def _claims(rec: dict) -> tuple:
+    """The numbers a record states about its tuple."""
+    members = [(m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"]) for m in rec["members"]]
+    return rec["kind"], rec["n"], rec["k"], rec["ell"], rec["d"], rec["p_list"], members
+
+
+def _constructed(kind: str, n: int, k: int, p_list: list[int]) -> FamilyTuple:
+    if kind == "quadruple":
+        return quadruple(n, p_list[0], k)
+    if kind == "quintuple":
+        return quintuple(n, k)
+    return pi_tuple(n, max(p_list, default=2), k)  # strict: every odd prime up to m
+
+
+VALID_RECORDS = [
+    families.to_json_dict(t)
+    for t in (quadruple(3, 7, 2), quintuple(3, 3), pi_tuple(3, 12, 2), verify_tuple(quintuple(3, 2)))
+]
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.integers(-10**30, 10**30), st.lists(st.integers(-20, 20), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def single_field_mutations(draw):
+    """A valid record with one field, at the top or in one member, changed or removed."""
+    rec = json.loads(json.dumps(draw(st.sampled_from(VALID_RECORDS))))
+    holder = rec
+    if draw(st.booleans()):
+        holder = draw(st.sampled_from(rec["members"]))
+    key = draw(st.sampled_from(sorted(holder)))
+    old = holder[key]
+    candidates = [ANY_VALUE]
+    if type(old) is int:
+        candidates += [st.integers(-12, 12).map(lambda e: old + e),
+                       st.sampled_from([-old, 2 * old, old // 4, 4 * old])]
+    if isinstance(old, list):
+        candidates += [st.permutations(old), st.lists(st.sampled_from(old or [0]), max_size=6)]
+    if key == "p_list":
+        candidates.append(st.lists(st.integers(-3, 40), max_size=6))
+    if key == "kind":
+        candidates.append(st.sampled_from(["quadruple", "quintuple", "pi_tuple"]))
+    if draw(st.integers(0, 9)) == 0:
+        del holder[key]
+    else:
+        holder[key] = draw(st.one_of(candidates))
+    return rec
+
+
+class TestTrustBoundary:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(single_field_mutations())
+    def test_mutations_are_rejected_or_rebuilt(self, rec):
+        try:
+            t = families.from_json_dict(rec)
+        except DomainError:
+            return
+        true = _constructed(t.kind, t.n, t.k, t.p_list)
+        assert _claims(rec) == _claims(families.to_json_dict(true))
+        assert _facts(t) == _facts(true)
+
+    def test_lenient_record_is_rebuilt_over_its_own_p_list(self):
+        # k = 4: p = 3 and p = 5 share a factor with ell = 255 and are dropped
+        lenient = pi_tuple(3, 6, 4, mode="lenient")
+        assert lenient.p_list == [] and len(lenient.warnings) == 2
+        back = families.from_json_dict(families.to_json_dict(lenient))
+        assert back.warnings == []
+        assert [c.check for c in back.hypotheses] == ["(n, V) != (5, 3)"]
+        assert _facts(back)["members"] == _facts(lenient)["members"]

@@ -216,6 +216,21 @@ class TestExceptionalTable:
         assert lehmer.exceptional_table_lookup(3, LehmerParams(1, -7))
         assert not lehmer.has_primitive_divisor(LehmerParams(1, -7), 3)
 
+    def test_t3_families_have_no_parameter_bound(self):
+        # (1 + u, 1 - 3u) at u = 100001 and (3^k + u, 3^k - 3u) at k = 70, u = 2
+        for a, b in ((100002, -300002), (3**70 + 2, 3**70 - 6)):
+            p = LehmerParams(a, b)
+            assert lehmer.exceptional_table_lookup(3, p), (a, b)
+            assert not lehmer.has_primitive_divisor(p, 3), (a, b)
+
+    def test_t5_family_has_no_index_bound(self):
+        # (F_59, F_59 - 4*F_61): k = 61, e = 1, past the former bound k <= 60
+        f59 = lehmer.fibonacci(59)
+        p = LehmerParams(f59, f59 - 4 * lehmer.fibonacci(61))
+        assert (p.a, p.b) == (956722026041, -9062201101803)
+        assert lehmer.exceptional_table_lookup(5, p)
+        assert not lehmer.has_primitive_divisor(p, 5)
+
     def test_t3_non_member(self):
         # L_3(5, -7) = 2 is a primitive divisor, so (5, -7) cannot be listed
         p = LehmerParams(5, -7)
