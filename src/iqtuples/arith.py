@@ -7,7 +7,6 @@ ever trades correctness for speed.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -113,29 +112,25 @@ def primes_up_to(m: int) -> list[int]:
 
 _TRIAL_PRIMES = primes_up_to(10_000)
 _spf_table: list[int] = []
-_spf_lock = threading.Lock()
 
 
 def smallest_prime_factor_table(limit: int) -> list[int]:
     """Table t with t[n] = smallest prime factor of n, for 0 <= n <= limit.
 
-    Grown on demand and cached for the process lifetime; building is
-    idempotent, so concurrent callers are safe.
+    Grown on demand and cached for the process lifetime; a larger table
+    replaces the old one whole, so a table a caller holds never changes.
     """
     global _spf_table
     if len(_spf_table) > limit:
         return _spf_table
-    with _spf_lock:
-        if len(_spf_table) > limit:
-            return _spf_table
-        size = max(limit + 1, 2 * len(_spf_table), 1 << 16)
-        spf = list(range(size))
-        for i in range(2, isqrt(size - 1) + 1):
-            if spf[i] == i:
-                for j in range(i * i, size, i):
-                    if spf[j] == j:
-                        spf[j] = i
-        _spf_table = spf
+    size = max(limit + 1, 2 * len(_spf_table), 1 << 16)
+    spf = list(range(size))
+    for i in range(2, isqrt(size - 1) + 1):
+        if spf[i] == i:
+            for j in range(i * i, size, i):
+                if spf[j] == j:
+                    spf[j] = i
+    _spf_table = spf
     return _spf_table
 
 

@@ -19,7 +19,7 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
-# The Dirichlet oracle evaluates a full character sum of length |D|; cap it.
+# The Dirichlet oracle evaluates a character sum of length |D|/2; cap it.
 DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
@@ -274,33 +274,16 @@ def is_fundamental_discriminant(D: int) -> bool:
     return m % 4 in (2, 3) and arith.squarefree_decompose(m).f == 1
 
 
-_legendre_arrays: dict[int, "object"] = {}
-
-
-def _legendre_array(p: int):
-    """numpy int8 array L with L[r] = Legendre symbol (r/p)."""
-    import numpy as np
-
-    arr = _legendre_arrays.get(p)
-    if arr is None:
-        arr = np.full(p, -1, dtype=np.int8)
-        i = np.arange(p, dtype=np.int64)
-        arr[(i * i) % p] = 1
-        arr[0] = 0
-        _legendre_arrays[p] = arr
-    return arr
-
-
 def class_number_dirichlet(D: int) -> ClassNumberResult:
-    """Class number of a fundamental D < 0 by the finite Dirichlet formula.
+    """Class number of a fundamental D < 0 by the half-range Dirichlet formula.
 
-        h = w / (2|D|) * | sum_{a=1}^{|D|-1} (D/a) * a |
+        h = sum_{0 < a < |D|/2} (D/a) / (2 - (D/2))
 
-    with w = 6 for D = -3, w = 4 for D = -4, w = 2 otherwise. The character
-    is evaluated through the factorization of D into prime discriminants,
-    one residue table per factor; every intermediate is a bounded exact
-    integer (the sum fits in 64 bits for |D| <= 10^6, which is enforced).
-    Independent of the form-counting path by construction.
+    for D < -4, and h = 1 for D = -3 and D = -4. The character is evaluated
+    through the factorization of D into prime discriminants, one residue
+    table per factor built for this call; every intermediate is a bounded
+    exact integer (|D| <= 10^6 is enforced). Independent of the
+    form-counting path by construction.
     """
     import numpy as np
 
@@ -318,22 +301,28 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     # rem is the 2-part prime discriminant (or 1) left after odd factors.
     if rem not in (1, -4, 8, -8):
         raise DomainError(f"{D} does not factor into prime discriminants")
-    n = np.arange(absD, dtype=np.int64)
-    chi = np.ones(absD, dtype=np.int8)
+    if D in (-3, -4):
+        return ClassNumberResult(D, 1, "dirichlet")
+    # 0 <= a <= |D|/2: (D/0) = 0, and (D/a) = 0 at a = |D|/2 when |D| is even
+    a = np.arange(absD // 2 + 1, dtype=np.int64)
+    chi = np.ones(len(a), dtype=np.int8)
     for p in odd_primes:
-        chi *= _legendre_array(p)[n % p]
+        legendre = np.full(p, -1, dtype=np.int8)  # legendre[r] = (r/p)
+        i = np.arange(p // 2 + 1, dtype=np.int64)
+        legendre[i * i % p] = 1
+        legendre[0] = 0
+        chi *= legendre[a % p]
     if rem == -4:
-        chi *= np.array([0, 1, 0, -1], dtype=np.int8)[n & 3]
+        chi *= np.array([0, 1, 0, -1], dtype=np.int8)[a & 3]
     elif rem == 8:
-        chi *= np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[n & 7]
+        chi *= np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[a & 7]
     elif rem == -8:
-        chi *= np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)[n & 7]
-    S = int(n @ chi.astype(np.int64))
-    w = 6 if D == -3 else 4 if D == -4 else 2
-    num = w * abs(S)
-    if num % (2 * absD) != 0:
+        chi *= np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)[a & 7]
+    S = int(chi.sum(dtype=np.int64))
+    den = 2 - arith.kronecker(D, 2)
+    if S <= 0 or S % den != 0:
         raise ArithmeticError(f"character sum {S} is inconsistent for D = {D}")
-    return ClassNumberResult(D, num // (2 * absD), "dirichlet")
+    return ClassNumberResult(D, S // den, "dirichlet")
 
 
 def fundamental_discriminant(d: int) -> int:

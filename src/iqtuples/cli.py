@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -276,6 +277,7 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
                    help="progress to stderr")
 
 
+@functools.cache  # parse_args keeps no state, and building costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="iqtuples", description=__doc__)
     _add_common(p, suppress=False)

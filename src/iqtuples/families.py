@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from math import gcd
 
-from . import arith, classno
-from .errors import DomainError, HypothesisCheck, HypothesisRejection
+from . import arith, classno, lrn
+from .errors import DomainError, HypothesisCheck, HypothesisRejection, OutOfRangeError
 
 log = logging.getLogger(__name__)
 
@@ -91,48 +90,27 @@ def _identities_hold(n: int, k: int, d: int, p_list: list[int]) -> bool:
     return all(d + 4 * p * p == 4 * (p * p - ell**n) for p in p_list)
 
 
-def _cheap_checks(ell: int, n: int, p: int) -> list[HypothesisCheck]:
-    """gcd(ell, p) = 1, then p^2 < ell^n: the checks on p that need no factoring.
-
-    Stops at the first that fails; d + 4p^2 is negative, a field radicand,
-    only once both pass.
-    """
-    g = gcd(ell, p)
-    checks = [HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}")]
-    if g == 1:
-        checks.append(HypothesisCheck(f"{p}^2 < ell^n", p * p < ell**n, f"{p * p} < {ell**n}"))
-    return checks
-
-
-def _prime_hypotheses(ell: int, n: int, p: int, dprime: int) -> HypothesisCheck:
-    """p != +-1 (mod d'), where -d' is the square-free part of p^2 - ell^n.
-
-    Waived for p in {3, 5}, which need only (ell, n) != (3, 3).
-    """
-    if p in (3, 5):
-        return HypothesisCheck(
-            f"(ell, n) != (3, 3) for p = {p}", (ell, n) != (3, 3),
-            "congruence condition waived for p in {3, 5}",
-        )
-    return HypothesisCheck(
-        f"{p} != +-1 (mod d')", p % dprime not in (1, dprime - 1),
-        f"d' = {dprime}, {p} = {p % dprime} (mod d')",
-    )
-
-
 def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
     # the d + 4 member needs (n, V) != (5, 3) with V = ell; vacuous for k >= 2
     return HypothesisCheck("(n, V) != (5, 3)", (n, ell) != (5, 3), f"V = {ell}")
 
 
+def _labelled(what: str, f, *args):
+    """f(*args), with what prefixed to the message of an OutOfRangeError."""
+    try:
+        return f(*args)
+    except OutOfRangeError as e:
+        raise OutOfRangeError(f"{what}: {e}") from None
+
+
 def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) -> FamilyTuple:
     """The tuple of the given kind that n, k and the odd primes determine.
 
-    The only path from parameters to a FamilyTuple. Each prime gets the
-    cheap checks first; once they pass, its member d + 4p^2 = -4(ell^n - p^2)
-    is decomposed, and that decomposition gives d' = -s for the congruence
-    check and the member itself. A prime that fails a check raises
-    HypothesisRejection, or with lenient is dropped with a warning.
+    The only path from parameters to a FamilyTuple. Each prime gets
+    Theorem 3.1's hypotheses from lrn.theorem31_hypotheses, whose
+    decomposition of 4(p^2 - ell^n) = d + 4p^2 is the prime's member. A
+    prime that fails a check raises HypothesisRejection, or with lenient is
+    dropped with a warning.
     """
     _check_nk(n, k)
     shape_ok = {"quadruple": len(primes) == 1, "quintuple": primes == [3, 5], "pi_tuple": True}
@@ -141,7 +119,7 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     if not shape_ok[kind]:
         raise DomainError(f"a {kind} cannot have the primes {primes}")
     for p in primes:
-        if p % 2 == 0 or not arith.is_prime(p):
+        if p % 2 == 0 or not _labelled(f"testing p = {p} for primality", arith.is_prime, p):
             raise DomainError(f"p must be an odd prime, got {p}")
     if any(p >= q for p, q in zip(primes, primes[1:])):
         raise DomainError(f"the primes must be increasing, got {primes}")
@@ -150,10 +128,8 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     warnings: list[str] = []
     kept: list[tuple[int, arith.SquarefreeDecomposition]] = []
     for p in primes:
-        pchecks = _cheap_checks(ell, n, p)
-        if all(c.ok for c in pchecks):
-            dec = arith.squarefree_decompose(d + 4 * p * p)
-            pchecks.append(_prime_hypotheses(ell, n, p, -dec.s))
+        pchecks, dec = _labelled(f"decomposing the radicand at offset {4 * p * p}",
+                                 lrn.theorem31_hypotheses, ell, n, p)
         checks.extend(pchecks)
         bad = next((c for c in pchecks if not c.ok), None)
         if bad is None:
@@ -170,7 +146,8 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     p_list = [p for p, _ in kept]
     if not _identities_hold(n, k, d, p_list):
         raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    decs = [(off, arith.squarefree_decompose(d + off)) for off in (0, 1, 4)]
+    decs = [(off, _labelled(f"decomposing the radicand at offset {off}",
+                            arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
     decs += [(4 * p * p, dec) for p, dec in kept]
     members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in decs]
     return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings)

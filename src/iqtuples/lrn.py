@@ -23,11 +23,6 @@ from .errors import DomainError, HypothesisCheck
 
 log = logging.getLogger(__name__)
 
-# Bound on the index k when scanning the Fibonacci/Lucas families during the
-# t = 5 elimination; the scanned values are nonnegative and increasing, so
-# any bound >= 1 already witnesses the sign argument.
-T5_SCAN_K_MAX = 90
-
 
 @dataclass(frozen=True)
 class LrnInstance:
@@ -182,7 +177,7 @@ class Theorem31Report:
         return None
 
 
-def _trace_t_range(d: int, p: int) -> dict:
+def _trace_t_range() -> dict:
     """Why the power exponent t can only be 1, 3, or 5.
 
     |L_t| = 1 for the Lehmer pair attached to a solution, so L_t has no
@@ -236,19 +231,50 @@ def _trace_t3(d: int, p: int) -> dict:
 def _trace_t5(d: int) -> dict:
     """Eliminate t = 5: -4*d*b^2 would have to be a Fibonacci or Lucas number.
 
-    Every scanned family value is nonnegative while -4*d*b^2 <= -4d < 0,
-    so no b works; the scan bound is recorded.
+    F_k and L_k are nonnegative for every k >= 0 (F_0 = 0 is the least),
+    while -4*d*b^2 <= -4d < 0, so no b works.
     """
-    lo = 0
-    for k in range(T5_SCAN_K_MAX + 1):
-        lo = min(lo, lehmer.fibonacci(k), lehmer.lucas(k))
     return {
         "required": "-4*d*b^2 equals a Fibonacci or Lucas number",
-        "k_scanned_up_to": T5_SCAN_K_MAX,
-        "min_family_value": lo,
+        "min_family_value": 0,
         "max_candidate": -4 * d,
-        "possible": lo <= -4 * d,
+        "possible": -4 * d >= 0,
     }
+
+
+def theorem31_hypotheses(
+    ell: int, n: int, p: int
+) -> tuple[list[HypothesisCheck], arith.SquarefreeDecomposition | None]:
+    """Theorem 3.1's hypotheses on p, in order, up to the first that fails.
+
+    gcd(ell, p) = 1, then p^2 < ell^n; once both hold, 4*(p^2 - ell^n) is
+    decomposed (for ell = 4*k^n - 1 it is the tuple member d + 4p^2), and
+    d' = -s, s its square-free part. Last comes p != +-1 (mod d'), waived
+    for p in {3, 5}, which need only (ell, n) != (3, 3). Returns the checks
+    made and the decomposition, None when a check before it failed.
+    ell = 3 (mod 4) is the caller's to check: it holds for every tuple.
+    """
+    g = gcd(ell, p)
+    checks = [HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}")]
+    if g != 1:
+        return checks, None
+    ok = p * p < ell**n
+    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {ell**n}"))
+    if not ok:
+        return checks, None
+    dec = arith.squarefree_decompose(4 * (p * p - ell**n))
+    if p in (3, 5):
+        checks.append(HypothesisCheck(
+            f"(ell, n) != (3, 3) for p = {p}", (ell, n) != (3, 3),
+            "congruence condition waived for p in {3, 5}",
+        ))
+    else:
+        dprime = -dec.s
+        checks.append(HypothesisCheck(
+            f"{p} != +-1 (mod d')", p % dprime not in (1, dprime - 1),
+            f"d' = {dprime}, {p} = {p % dprime} (mod d')",
+        ))
+    return checks, dec
 
 
 def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
@@ -268,43 +294,19 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
         raise DomainError(f"p must be an odd prime, got {p}")
 
     report = Theorem31Report(ell, n, p)
-    checks = report.hypotheses
-
     ok = ell % 4 == 3
-    checks.append(HypothesisCheck("ell = 3 (mod 4)", ok, f"ell = {ell} = {ell % 4} (mod 4)"))
+    report.hypotheses.append(
+        HypothesisCheck("ell = 3 (mod 4)", ok, f"ell = {ell} = {ell % 4} (mod 4)")
+    )
     if not ok:
         return report
-    ok = gcd(ell, p) == 1
-    checks.append(HypothesisCheck("gcd(ell, p) = 1", ok, f"gcd({ell}, {p}) = {gcd(ell, p)}"))
-    if not ok:
-        return report
-    ok = p * p < ell**n
-    checks.append(HypothesisCheck("p^2 < ell^n", ok, f"{p * p} < {ell**n}"))
-    if not ok:
-        return report
-
-    dec = arith.squarefree_decompose(ell**n - p * p)
-    report.d, report.r = dec.s, dec.f
-
-    if p in (3, 5):
-        report.branch = "p-in-{3,5}"
-        ok = (ell, n) != (3, 3)
-        checks.append(
-            HypothesisCheck(
-                "(ell, n) != (3, 3)", ok,
-                "congruence condition on p waived for p in {3, 5}",
-            )
-        )
-    else:
-        report.branch = "general"
-        ok = report.d > 1 and p % report.d not in (1, report.d - 1)
-        checks.append(
-            HypothesisCheck(
-                "p != +-1 (mod d)", ok,
-                f"p = {p} = {p % report.d} (mod {report.d})",
-            )
-        )
-    if not ok:
+    checks, dec = theorem31_hypotheses(ell, n, p)
+    report.hypotheses += checks
+    if dec is not None:
+        # 4*(p^2 - ell^n) = -d * (2r)^2, and the decomposition is unique
+        report.d, report.r = -dec.s, dec.f // 2
+        report.branch = "p-in-{3,5}" if p in (3, 5) else "general"
+    if not report.accepted:
         return report
 
     report.trace["solution"] = {
@@ -312,7 +314,7 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
         "x": p, "y": report.r, "z": n,
     }
     report.trace["d_mod_4"] = report.d % 4
-    report.trace["t_range"] = _trace_t_range(report.d, p)
+    report.trace["t_range"] = _trace_t_range()
     report.trace["t3"] = _trace_t3(report.d, p)
     report.trace["t5"] = _trace_t5(report.d)
     report.trace["conclusion"] = "t = 1, so n = s divides h*(-4d)"

@@ -1,3 +1,4 @@
+import io
 import json
 
 from iqtuples import cli
@@ -106,7 +107,7 @@ class TestThm31:
         code, out, _ = run(capsys, "thm31", "-l", "3", "-n", "3", "-p", "3",
                            "--format", "json")
         assert code == 1
-        assert json.loads(out)["rejection"] == "gcd(ell, p) = 1"
+        assert json.loads(out)["rejection"] == "gcd(ell, 3) = 1"
 
 
 class TestTuples:
@@ -149,6 +150,19 @@ class TestTuples:
                            "--verify", "--sf-budget", "100", "--format", "json")
         assert code == 2
         assert json.loads(out)["all_divisible"] is None
+
+    def test_out_of_range_p_is_named(self, capsys):
+        # used to say only that is_prime got a value past its proven bound
+        p = "1000000000000000000000000000057"
+        code, out, err = run(capsys, "quadruple", "-n", "3", "-k", "2", "-p", p)
+        assert code == 3
+        assert out == "" and err.startswith(f"invalid input: testing p = {p} for primality: ")
+
+    def test_out_of_range_radicand_is_named(self, capsys):
+        code, out, err = run(capsys, "quintuple", "-n", "9", "-k", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input: decomposing the radicand at offset 36: ")
 
     def test_rho_budget_bounds_construction(self, capsys):
         code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "7", "-k", "2")
@@ -243,6 +257,15 @@ class TestVerifyCommand:
         assert len(out.splitlines()) == 1
         assert err.startswith("invalid input: line 3: p_list fails a hypothesis: gcd(ell, 3) = 1")
 
+    def test_record_with_an_out_of_range_p_names_it(self, capsys, tmp_path):
+        _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
+        p = 10**30 + 1
+        src = tmp_path / "huge.jsonl"
+        src.write_text(json.dumps({**json.loads(good), "p_list": [p]}) + "\n")
+        code, out, err = run(capsys, "verify", str(src))
+        assert code == 3
+        assert out == "" and err.startswith(f"invalid input: line 1: testing p = {p} for primality: ")
+
     def test_input_that_is_not_utf8_exits_3(self, capsys, tmp_path):
         # used to end in a UnicodeDecodeError traceback with exit 1
         _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
@@ -305,6 +328,19 @@ class TestHarness:
         assert first == second
         args = ("thm31", "-l", "7", "-n", "3", "-p", "5", "--format", "json")
         assert run(capsys, *args) == run(capsys, *args)
+
+    def test_calls_share_no_arguments(self, capsys, tmp_path, monkeypatch):
+        # the parser is built once per process; each call must still parse afresh
+        _, quad, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
+        _, quint, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--format", "json")
+        src = tmp_path / "quad.jsonl"
+        src.write_text(quad)
+        code, out, _ = run(capsys, "verify", str(src), "--format", "json", "--sf-budget", "100")
+        assert code == 2 and json.loads(out)["kind"] == "quadruple"
+        monkeypatch.setattr("sys.stdin", io.StringIO(quint))
+        code, out, _ = run(capsys, "--rho-budget", "1000000", "verify")
+        assert code == 0
+        assert out.startswith("quintuple n=3 k=2 ") and "all divisible: True" in out
 
     def test_threads_flag_is_gone(self, capsys):
         assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from iqtuples import lrn
+from iqtuples import families, lrn
 from iqtuples.errors import DomainError
 from iqtuples.lrn import Decomposition, LrnInstance
 
@@ -141,7 +141,7 @@ class TestTheorem31:
     def test_excluded_case_rejected_not_crashed(self):
         rep = lrn.theorem31_verify(3, 3, 3)
         assert not rep.accepted
-        assert rep.rejection == "gcd(ell, p) = 1"
+        assert rep.rejection == "gcd(ell, 3) = 1"
         assert rep.verdict is None
         assert rep.h is None
 
@@ -153,7 +153,7 @@ class TestTheorem31:
     def test_p_too_large_rejected(self):
         rep = lrn.theorem31_verify(7, 3, 19)  # 361 > 343
         assert not rep.accepted
-        assert rep.rejection == "p^2 < ell^n"
+        assert rep.rejection == "19^2 < ell^n"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -181,7 +181,19 @@ class TestTheorem31:
         assert t5["possible"] is False
         assert t5["min_family_value"] == 0
         assert t5["max_candidate"] == -4 * 318
-        assert t5["k_scanned_up_to"] == lrn.T5_SCAN_K_MAX
+
+    def test_tuple_checks_are_theorem31s(self):
+        # for ell = 4k^n - 1, thm31 runs exactly the checks a quadruple runs on p,
+        # and its d is the member's -squarefree_part
+        for n, k, p in ((3, 2, 3), (3, 2, 7), (3, 4, 3), (5, 2, 11)):
+            t = families._build("quadruple", n, k, [p], lenient=True)
+            rep = lrn.theorem31_verify(t.ell, n, p)
+            assert rep.hypotheses[0].check == "ell = 3 (mod 4)"
+            assert rep.hypotheses[1:] == t.hypotheses[:-1], (n, k, p)  # the last is theorem B
+            if t.p_list:
+                assert rep.accepted and rep.d == -t.members[-1].squarefree_part
+            else:
+                assert not rep.accepted and rep.d is None
 
     def test_verdict_true_on_small_grid(self):
         for ell in (7, 11):
