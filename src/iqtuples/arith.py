@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
-from .errors import BudgetError, DomainError, OutOfRangeError
+from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
 
 # Strong-pseudoprime test with the first 13 primes as witnesses is a proven
 # primality test below this bound (Sorenson-Webster).
@@ -125,11 +125,8 @@ def smallest_prime_factor_table(limit: int) -> list[int]:
         return _spf_table
     size = max(limit + 1, 2 * len(_spf_table), 1 << 16)
     spf = list(range(size))
-    for i in range(2, isqrt(size - 1) + 1):
-        if spf[i] == i:
-            for j in range(i * i, size, i):
-                if spf[j] == j:
-                    spf[j] = i
+    for p in reversed(primes_up_to(isqrt(size - 1))):  # smaller primes overwrite
+        spf[p * p :: p] = [p] * len(range(p * p, size, p))
     _spf_table = spf
     return _spf_table
 
@@ -204,7 +201,8 @@ def factorize(m: int) -> Factorization:
         v = stack.pop()
         if v == 1:
             continue
-        if is_prime(v):
+        if labelled(lambda: f"factoring {decimal(m)}: "
+                            f"testing the cofactor {decimal(v)} for primality", is_prime, v):
             exps[v] = exps.get(v, 0) + 1
             continue
         g = _brent_rho(v, budget)

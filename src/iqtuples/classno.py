@@ -76,54 +76,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _sqrt_mod_2k(D: int, k: int) -> list[int]:
-    """All x in [0, 2^k) with x^2 = D (mod 2^k)."""
-    m = 1 << k
-    D %= m
-    if k == 0:
-        return [0]
-    if k == 1:
-        return [D & 1]
-    if D == 0:
-        h = (k + 1) // 2
-        return list(range(0, m, 1 << h))
-    v = 0
-    u = D
-    while u % 2 == 0:
-        u //= 2
-        v += 1
-    if v % 2 == 1:
-        return []
-    ku = k - v  # solve y^2 = u (mod 2^ku) with u odd
-    if ku == 1:
-        ys = [1]
-    elif ku == 2:
-        ys = [1, 3] if u % 4 == 1 else []
-    elif u % 8 != 1:
-        ys = []
-    else:
-        ys = [1, 3, 5, 7]  # every odd square is 1 mod 8
-        mod = 8
-        for _ in range(ku - 3):
-            mod <<= 1
-            lifted = set()
-            for y in ys:
-                for cand in (y, y + (mod >> 1)):
-                    if (cand * cand - u) % mod == 0:
-                        lifted.add(cand % mod)
-            ys = sorted(lifted)
-    if not ys:
-        return []
-    half = 1 << (v // 2)
-    stride = (1 << ku) * half
-    out = set()
-    for y in ys:
-        base = y * half % m
-        for t in range(max(m // stride, 1)):
-            out.add((base + t * stride) % m)
-    return sorted(out)
-
-
 def _tonelli(n: int, p: int) -> int | None:
     """Square root of n modulo an odd prime p, or None if n is a non-residue."""
     n %= p
@@ -153,38 +105,47 @@ def _tonelli(n: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_mod_pk(D: int, p: int, e: int) -> list[int]:
-    """All x in [0, p^e) with x^2 = D (mod p^e), p an odd prime."""
+def _sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
+    """All x in [0, p^e) with x^2 = D (mod p^e), p prime and e >= 1, sorted.
+
+    Writing D = p^v * u with u a unit, the roots are y * p^(v/2) plus
+    multiples of p^(e - v/2), y running over the roots of y^2 = u (mod
+    p^(e-v)): +-r for odd p, and for p = 2 also +-r + 2^(e-v-1) once
+    e - v >= 3.
+    """
     pe = p**e
     D %= pe
     if D == 0:
-        h = (e + 1) // 2
-        return list(range(0, pe, p**h))
+        return list(range(0, pe, p ** ((e + 1) // 2)))
     v = 0
-    u = D
-    while u % p == 0:
-        u //= p
+    while D % p == 0:
+        D //= p
         v += 1
-    if v % 2 == 1:
+    if v % 2:
         return []
     eu = e - v
-    r = _tonelli(u % p, p)
-    if r is None:
-        return []
-    # Hensel-lift the unit square root from mod p up to mod p^eu.
     peu = p**eu
-    pk = p
-    while pk < peu:
-        pk = min(pk * p, peu)
-        r = (r - (r * r - u) * pow(2 * r, -1, pk)) % pk
-    ph = p ** (v // 2)
-    stride = peu * ph
-    out = set()
-    for y in (r, peu - r):
-        base = y * ph % pe
-        for t in range(max(pe // stride, 1)):
-            out.add((base + t * stride) % pe)
-    return sorted(out)
+    if p == 2:
+        if D % (1 << min(eu, 3)) != 1:  # an odd square is 1 mod 8
+            return []
+        r = 1
+        for i in range(3, eu):  # r^2 = D (mod 2^i) lifts to r or r + 2^(i-1)
+            if (r * r - D) % (2 << i):
+                r += 1 << (i - 1)
+    else:
+        r = _tonelli(D, p)
+        if r is None:
+            return []
+        pk = p
+        while pk < peu:  # Newton's step doubles the exponent
+            pk = min(pk * pk, peu)
+            r = (r - (r * r - D) * pow(2 * r, -1, pk)) % pk
+    units = {r, peu - r}
+    if p == 2 and eu >= 3:
+        units |= {(y + (peu >> 1)) % peu for y in units}
+    half = p ** (v // 2)
+    stride = peu * half
+    return sorted(y * half + t * stride for y in units for t in range(half))
 
 
 def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -> list[int]:
@@ -201,7 +162,7 @@ def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
     q = 1 << v2
     roots = cache.get(q)
     if roots is None:
-        roots = _sqrt_mod_2k(D, v2)
+        roots = _sqrt_mod_prime_power(D, 2, v2)
         cache[q] = roots
     if not roots:
         return []
@@ -215,7 +176,7 @@ def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
         q = p**e
         rs = cache.get(q)
         if rs is None:
-            rs = _sqrt_mod_pk(D, p, e)
+            rs = _sqrt_mod_prime_power(D, p, e)
             cache[q] = rs
         if not rs:
             return []

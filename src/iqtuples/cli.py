@@ -352,11 +352,10 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig is a no-op once the root logger has a handler, so -v sets
+    # the package logger's level on every call instead
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("iqtuples").setLevel(logging.INFO if args.verbose else logging.WARNING)
     handlers = {
         "classnum": _cmd_classnum,
         "squarefree": _cmd_squarefree,

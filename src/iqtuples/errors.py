@@ -13,6 +13,26 @@ class OutOfRangeError(DomainError):
     """The input exceeds the range for which the answer would be provably correct."""
 
 
+def labelled(what, f, *args):
+    """f(*args), with what() prefixed to the message of an OutOfRangeError.
+
+    The label is built only when that error happens, so it may name numbers
+    that would be costly, or too long, to print on every call.
+    """
+    try:
+        return f(*args)
+    except OutOfRangeError as e:
+        raise OutOfRangeError(f"{what()}: {e}") from None
+
+
+def decimal(m: int) -> str:
+    """m in decimal, or its size when Python refuses so long a conversion."""
+    try:
+        return str(m)
+    except ValueError:
+        return f"a {m.bit_length()}-bit integer"
+
+
 class BudgetError(RuntimeError):
     """A configured resource budget (iterations, size) was exhausted.
 

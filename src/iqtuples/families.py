@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import arith, classno, lrn
-from .errors import DomainError, HypothesisCheck, HypothesisRejection, OutOfRangeError
+from .errors import DomainError, HypothesisCheck, HypothesisRejection, labelled
 
 log = logging.getLogger(__name__)
 
@@ -95,14 +95,6 @@ def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
     return HypothesisCheck("(n, V) != (5, 3)", (n, ell) != (5, 3), f"V = {ell}")
 
 
-def _labelled(what: str, f, *args):
-    """f(*args), with what prefixed to the message of an OutOfRangeError."""
-    try:
-        return f(*args)
-    except OutOfRangeError as e:
-        raise OutOfRangeError(f"{what}: {e}") from None
-
-
 def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) -> FamilyTuple:
     """The tuple of the given kind that n, k and the odd primes determine.
 
@@ -119,7 +111,7 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     if not shape_ok[kind]:
         raise DomainError(f"a {kind} cannot have the primes {primes}")
     for p in primes:
-        if p % 2 == 0 or not _labelled(f"testing p = {p} for primality", arith.is_prime, p):
+        if p % 2 == 0 or not labelled(lambda: f"testing p = {p} for primality", arith.is_prime, p):
             raise DomainError(f"p must be an odd prime, got {p}")
     if any(p >= q for p, q in zip(primes, primes[1:])):
         raise DomainError(f"the primes must be increasing, got {primes}")
@@ -128,8 +120,8 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     warnings: list[str] = []
     kept: list[tuple[int, arith.SquarefreeDecomposition]] = []
     for p in primes:
-        pchecks, dec = _labelled(f"decomposing the radicand at offset {4 * p * p}",
-                                 lrn.theorem31_hypotheses, ell, n, p)
+        pchecks, dec = labelled(lambda: f"decomposing the radicand at offset {4 * p * p}",
+                                lrn.theorem31_hypotheses, ell, n, p)
         checks.extend(pchecks)
         bad = next((c for c in pchecks if not c.ok), None)
         if bad is None:
@@ -146,8 +138,8 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     p_list = [p for p, _ in kept]
     if not _identities_hold(n, k, d, p_list):
         raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    decs = [(off, _labelled(f"decomposing the radicand at offset {off}",
-                            arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
+    decs = [(off, labelled(lambda: f"decomposing the radicand at offset {off}",
+                           arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
     decs += [(4 * p * p, dec) for p, dec in kept]
     members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in decs]
     return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from . import arith, classno, lehmer
-from .errors import DomainError, HypothesisCheck
+from .errors import DomainError, HypothesisCheck, decimal, labelled
 
 log = logging.getLogger(__name__)
 
@@ -290,7 +290,7 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
         raise DomainError(f"n must be an odd integer > 1, got {n}")
     if ell <= 1 or ell % 2 == 0:
         raise DomainError(f"ell must be an odd integer > 1, got {ell}")
-    if p % 2 == 0 or not arith.is_prime(p):
+    if p % 2 == 0 or not labelled(lambda: f"testing p = {p} for primality", arith.is_prime, p):
         raise DomainError(f"p must be an odd prime, got {p}")
 
     report = Theorem31Report(ell, n, p)
@@ -300,7 +300,8 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
     )
     if not ok:
         return report
-    checks, dec = theorem31_hypotheses(ell, n, p)
+    checks, dec = labelled(lambda: f"decomposing 4(p^2 - ell^n) = {decimal(4 * (p * p - ell**n))}",
+                           theorem31_hypotheses, ell, n, p)
     report.hypotheses += checks
     if dec is not None:
         # 4*(p^2 - ell^n) = -d * (2r)^2, and the decomposition is unique

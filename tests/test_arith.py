@@ -37,6 +37,14 @@ class TestFactorize:
             arith.factorize(n)
         assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
 
+    def test_too_long_to_print_is_named_by_size(self):
+        # Python refuses to print an int of more than 4300 digits in decimal
+        m = 10**5000 + 1
+        while any(m % p == 0 for p in arith.primes_up_to(10_000)):
+            m += 2
+        with pytest.raises(OutOfRangeError, match=f"^factoring a {m.bit_length()}-bit integer: "):
+            arith.factorize(m)
+
     def test_product_and_primality_up_to_1e6(self):
         # every m in [2, 10^6]: factors multiply back and are prime
         for m in range(2, 10**6 + 1):
@@ -153,3 +161,18 @@ class TestPrimesUpTo:
         assert set(arith.primes_up_to(10**5)) == set(sieve_primes(10**5))
         for m in (0, 2, 3, 4, 97, 100):
             assert arith.primes_up_to(m) == sieve_primes(m)
+
+
+class TestSmallestPrimeFactorTable:
+    def test_matches_trial_division(self):
+        t = arith.smallest_prime_factor_table(70_000)  # past the 1 << 16 minimum size
+        assert len(t) > 70_000
+        for n in range(2, 70_001):
+            assert t[n] == trial_factorize(n)[0][0], n
+
+    def test_held_table_survives_growth(self):
+        held = arith.smallest_prime_factor_table(100)
+        copy = list(held)
+        grown = arith.smallest_prime_factor_table(2 * len(held))
+        assert len(grown) > 2 * len(held)
+        assert held == copy and grown[: len(held)] == copy

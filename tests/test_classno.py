@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from iqtuples import classno
@@ -10,24 +11,35 @@ from oracles import brute_reduced_forms
 
 
 class TestSqrtModInternals:
-    def test_sqrt_mod_2k_exhaustive(self):
-        for k in range(1, 9):
-            m = 1 << k
-            for D in range(-2 * m, 2 * m):
-                got = set(classno._sqrt_mod_2k(D, k))
-                want = {x for x in range(m) if (x * x - D) % m == 0}
-                assert got == want, (k, D)
+    def test_sqrt_mod_prime_power_exhaustive(self):
+        # every p^e <= 2500 (2^e for e <= 11), D over four full periods
+        for p in (2, 3, 5, 7, 11, 13):
+            e, pe = 1, p
+            while pe <= 2500:
+                roots: dict[int, list[int]] = {}
+                for x in range(pe):
+                    roots.setdefault(x * x % pe, []).append(x)
+                for D in range(-2 * pe, 2 * pe):
+                    got = classno._sqrt_mod_prime_power(D, p, e)
+                    assert got == roots.get(D % pe, []), (p, e, D)
+                e, pe = e + 1, pe * p
 
-    def test_sqrt_mod_pk_exhaustive(self):
-        for p in (3, 5, 7, 11, 13):
-            for e in range(1, 5):
-                pe = p**e
-                if pe > 2500:
-                    continue
-                for D in range(-pe, pe):
-                    got = set(classno._sqrt_mod_pk(D, p, e))
-                    want = {x for x in range(pe) if (x * x - D) % pe == 0}
-                    assert got == want, (p, e, D)
+    def test_sqrt_mod_2e_sampled(self):
+        # the exponents _roots_mod_4a meets at |D| up to about 3e11
+        rng = random.Random(5)
+        for e in range(9, 21):
+            m = 1 << e
+            x = np.arange(m, dtype=np.int64)
+            squares = x * x % m
+            for i in range(40):
+                D = rng.randrange(-10**12, 0)
+                if i % 2:  # every other D is a square mod 2^e, often an even one
+                    y = rng.randrange(1, m) << rng.randrange(e // 2 + 1)
+                    D = y * y % m - m * rng.randrange(1, 10**6)
+                got = classno._sqrt_mod_prime_power(D, 2, e)
+                assert got == sorted(set(got)) and all((r * r - D) % m == 0 for r in got), (e, D)
+                if i < 8:
+                    assert len(got) == int(np.count_nonzero(squares == D % m)), (e, D)
 
 
 class TestReduceForm:

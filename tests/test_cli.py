@@ -1,7 +1,7 @@
 import io
 import json
 
-from iqtuples import cli
+from iqtuples import classno, cli
 
 
 def run(capsys, *argv):
@@ -53,6 +53,13 @@ class TestScalarCommands:
         assert code == 0
         rec = json.loads(out)
         assert (rec["s"], rec["f"]) == (-31, 62)
+
+    def test_out_of_range_cofactor_is_named(self, capsys):
+        # used to say only that is_prime got a value past its proven bound
+        m = "10000000000000000000000000000057"
+        code, out, err = run(capsys, "squarefree", "-m", m)
+        assert code == 3 and out == ""
+        assert err.startswith(f"invalid input: factoring {m}: testing the cofactor {m} for ")
 
     def test_lehmer(self, capsys):
         code, out, _ = run(capsys, "lehmer", "-a", "1", "-b", "-7", "-t", "13")
@@ -108,6 +115,16 @@ class TestThm31:
                            "--format", "json")
         assert code == 1
         assert json.loads(out)["rejection"] == "gcd(ell, 3) = 1"
+
+    def test_out_of_range_radicand_is_named(self, capsys):
+        code, out, err = run(capsys, "thm31", "-l", "2047", "-n", "9", "-p", "3")
+        assert code == 3 and out == ""
+        assert err.startswith(f"invalid input: decomposing 4(p^2 - ell^n) = {4 * (9 - 2047**9)}: ")
+        assert "testing the cofactor " in err
+        p = "1000000000000000000000000000057"
+        code, out, err = run(capsys, "thm31", "-l", "7", "-n", "3", "-p", p)
+        assert code == 3 and out == ""
+        assert err.startswith(f"invalid input: testing p = {p} for primality: ")
 
 
 class TestTuples:
@@ -341,6 +358,17 @@ class TestHarness:
         code, out, _ = run(capsys, "--rho-budget", "1000000", "verify")
         assert code == 0
         assert out.startswith("quintuple n=3 k=2 ") and "all divisible: True" in out
+
+    def test_verbose_applies_to_each_call(self, capsys, caplog, monkeypatch):
+        # logging.basicConfig is a no-op once the root logger has a handler
+        monkeypatch.setattr(classno, "_PROGRESS_EVERY", 10)
+        progress = []
+        for argv in (["classnum"], ["-v", "classnum"], ["classnum"]):
+            caplog.clear()
+            assert run(capsys, *argv, "-D", "-100003")[0] == 0
+            progress.append(sum(r.levelname == "INFO" and r.getMessage().startswith("form count")
+                                for r in caplog.records))
+        assert progress[0] == 0 and progress[1] > 0 and progress[2] == 0
 
     def test_threads_flag_is_gone(self, capsys):
         assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3
