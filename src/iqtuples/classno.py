@@ -1,11 +1,18 @@
 """Class numbers of negative discriminants via reduced binary quadratic forms.
 
-The main counter enumerates reduced primitive positive-definite forms
-(a, b, c) of discriminant D < 0 by walking a from 1 to sqrt(|D|/3) and
-solving the congruence b^2 = D (mod 4a) through the factorization of 4a,
-so a single class number costs O(sqrt(|D|)) congruence solves rather than
-O(|D|) scanning. An independent Dirichlet class-number-formula evaluator
-serves as a cross-check oracle for fundamental discriminants.
+The main counter counts reduced primitive positive-definite forms (a, b, c)
+of discriminant D < 0, a running from 1 to sqrt(|D|/3). For a up to M, the
+largest a with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a]
+gives c > a, so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R
+is multiplicative and a numpy sieve builds it over the whole a-range at
+once. Above M, the last eighth of the range, the a with R(a) > 0 are
+walked: b^2 = D (mod 4a) is solved through the factorization of 4a and the
+roots with c < a are dropped. The sieve counts forms of every content, and
+Moebius inversion over the squares dividing D keeps the primitive ones.
+The full walk of every a, which tests each form for primitivity, lists the
+forms on request and serves small |D|. An independent Dirichlet
+class-number-formula evaluator serves as a cross-check oracle for
+fundamental discriminants.
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ log = logging.getLogger(__name__)
 DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
+
+# Below this |D| a form count walks every a: the sieve's fixed numpy cost
+# exceeds the whole walk there. Per call, over 150 D = 0, 1 (mod 4) drawn
+# from |D| in [x, x + 1500], the walk against the sieve took 312 against
+# 363 us at x = 20 000, 401 against 418 at 30 000, 506 against 435 at
+# 40 000 and 529 against 470 at 50 000 (CPython 3.11, 2-core x86-64 VM).
+SIEVE_FROM = 40_000
 
 
 @dataclass(frozen=True)
@@ -186,27 +200,21 @@ def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
     return roots
 
 
-def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
-    """h*(D): the number of classes of primitive positive-definite forms.
+def _walk(D: int, a_values, a_max: int, primitive: bool,
+          forms: list[QuadForm] | None = None) -> int:
+    """The number of reduced forms (a, b, c) of discriminant D with a in a_values.
 
-    D must be negative and congruent to 0 or 1 mod 4 (it need not be
-    fundamental). Reduced representatives are returned only when
-    with_forms is set.
+    For each a, the roots of b^2 = D (mod 4a) are moved into (-a, a] and
+    kept when c >= a, the boundary classes counted once, with b >= 0.
+    primitive keeps only forms with gcd(a, b, c) = 1; forms, when given,
+    collects them. a_values is increasing and ends at or below a_max.
     """
-    if D >= 0:
-        raise DomainError(f"discriminant must be negative, got {D}")
-    if D % 4 not in (0, 1):
-        raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
-    a_max = isqrt(-D // 3)
     spf = arith.smallest_prime_factor_table(a_max)
     cache: dict[int, list[int]] = {}
     h = 0
-    forms: list[QuadForm] = []
-    report_at = 1 + _PROGRESS_EVERY
-    for a in range(1, a_max + 1):
-        if a >= report_at:
+    for i, a in enumerate(a_values, 1):
+        if i % _PROGRESS_EVERY == 0:
             log.info("form count %d: a = %d / %d", D, a, a_max)
-            report_at += _PROGRESS_EVERY
         m4a = 4 * a
         for r in _roots_mod_4a(D, a, spf, cache):
             b = r if r <= a else r - m4a
@@ -217,12 +225,172 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
                 continue
             if b < 0 and (-b == a or a == c):
                 continue  # boundary classes are counted once, with b >= 0
-            if gcd(gcd(a, b), c) != 1:
+            if primitive and gcd(gcd(a, b), c) != 1:
                 continue
             h += 1
-            if with_forms:
+            if forms is not None:
                 forms.append(QuadForm(a, b, c))
-    return ClassNumberResult(D, h, "form-count", tuple(forms) if with_forms else None)
+    return h
+
+
+_held_primes: tuple = (0, None)  # (m, numpy array of the primes <= m)
+
+
+def _prime_array(m: int):
+    """The primes <= m as a numpy int64 array, cut from a sieve held for the process.
+
+    Grown on demand like arith's spf table; a larger array replaces the old
+    one whole.
+    """
+    import numpy as np
+
+    global _held_primes
+    held, primes = _held_primes
+    if held < m:
+        held = max(m, 2 * held, 1 << 16)
+        primes = np.array(arith.primes_up_to(held), dtype=np.int64)
+        _held_primes = (held, primes)
+    return primes[: np.searchsorted(primes, m, side="right")]
+
+
+def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
+    """(p^e, R(p^e)) for e = 1, 2, ... while p^e <= a_max, up to the first zero."""
+    out, q, e = [], p, 1
+    while q <= a_max:
+        if p == 2:
+            n = len(_sqrt_mod_prime_power(D, 2, e + 2)) // 2
+        else:
+            n = len(_sqrt_mod_prime_power(D, p, e))
+        out.append((q, n))
+        if n == 0:
+            break
+        q, e = q * p, e + 1
+    return out
+
+
+def _root_counts(D: int, a_max: int):
+    """R with R[a] = #{b mod 2a : b^2 = D (mod 4a)} for 0 < a <= a_max, R[0] = 0.
+
+    R is multiplicative. R(2^v) is half the number of roots mod 2^(v+2);
+    for odd p, R(p^e) = 1 + (D/p) whatever e when p does not divide D, and
+    the number of roots mod p^e when it does. The Legendre symbols come from
+    Euler's criterion over all odd primes at once. Each factor is multiplied
+    into the multiples of its prime (power) by slicing, except that the
+    large primes, whose squares exceed a_max, go in by their multiples j*p,
+    one j at a time.
+    """
+    import numpy as np
+
+    primes = _prime_array(a_max)
+    odd = primes[1:]
+    Dmod = D % odd  # |D| < 2^63, or the arrays here would not fit in memory
+    chi, base, e = np.ones_like(odd), Dmod, (odd - 1) >> 1
+    for k in range(int(e[-1]).bit_length() if len(e) else 0):
+        chi = np.where(e >> k & 1, chi * base % odd, chi)  # products stay below 2^62
+        base = base * base % odd
+    fac = np.where(chi == 1, 2, np.where(chi == 0, 1, 0))  # R(p) = 1 + (D/p)
+
+    # One numpy call per prime below the split and per j above it; splitting
+    # at 4*sqrt(a_max) rather than sqrt(a_max) took a quarter less time.
+    split_at = 4 * isqrt(a_max)
+    small = int(np.searchsorted(odd, split_at, side="right"))
+    exact = [_power_counts(D, 2, a_max)]
+    exact += [_power_counts(D, p, a_max) for p in odd[:small][Dmod[:small] == 0].tolist()]
+    # No a <= a_max has more than omega prime factors, and each contributes
+    # at most 2 or its exact power count, so R fits a dtype this bound fits.
+    bound, prod = 1, 1
+    for p in primes[:16].tolist():
+        prod *= p
+        if prod > a_max:
+            break
+        bound *= 2
+    for counts in exact:
+        bound *= max([n for _, n in counts] + [1])
+    dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+
+    R = np.ones(a_max + 1, dtype=dtype)
+    R[0] = 0
+    for counts in exact:
+        prev = 1
+        for q, n in counts:
+            if n != prev:  # at the multiples of q, R(q/p) becomes R(q)
+                view = R[q::q]
+                view //= prev
+                view *= n
+            prev = n
+    for p, f in zip(odd[:small].tolist(), fac[:small].tolist()):
+        if f != 1:
+            R[p::p] *= f
+    inert, split = odd[small:][fac[small:] == 0], odd[small:][fac[small:] == 2]
+    js = np.arange(1, a_max // (split_at + 1) + 1)
+    upto = a_max // js
+    counts = zip(js.tolist(), np.searchsorted(inert, upto, side="right").tolist(),
+                 np.searchsorted(split, upto, side="right").tolist())
+    for j, i, s in counts:
+        R[j * inert[:i]] = 0
+        R[j * split[:s]] *= 2
+    return R
+
+
+def _reduced_count(D: int) -> int:
+    """The number of reduced forms of discriminant D, primitive or not.
+
+    For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
+    gives c > a, so the forms with first coefficient a number R(a) and the
+    sieve counts them. The a above M are walked, but only where R(a) > 0.
+    """
+    import numpy as np
+
+    a_max = isqrt(-D // 3)
+    if -D < SIEVE_FROM:
+        return _walk(D, range(1, a_max + 1), a_max, primitive=False)
+    R = _root_counts(D, a_max)
+    M = isqrt((-D - 1) // 4)
+    head = int(R[1 : M + 1].sum(dtype=np.int64))
+    log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
+    tail = (np.flatnonzero(R[M + 1 :]) + (M + 1)).tolist()
+    h = _walk(D, tail, a_max, primitive=False)
+    log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
+    return head + h
+
+
+def _moebius_terms(D: int) -> list[tuple[int, int]]:
+    """(g, mu(g)) for the square-free g with g^2 | D and D/g^2 = 0, 1 (mod 4).
+
+    A reduced form of D is g times a primitive reduced form of D/g^2, g its
+    content, so h*(D) = sum of mu(g) * (reduced forms of D/g^2) by Moebius
+    inversion. A prime q with q^2 | D and q > sqrt(|D|/3) would leave
+    |D/q^2| < 3, which is no discriminant, so the primes up to there suffice.
+    """
+    N = -D
+    primes = _prime_array(isqrt(N // 3))
+    terms = [(1, 1)]
+    for p in primes[N % primes == 0].tolist():
+        if N % (p * p) == 0:
+            terms += [(g * p, -mu) for g, mu in terms]
+    return [(g, mu) for g, mu in terms if (D // (g * g)) % 4 in (0, 1)]
+
+
+def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
+    """h*(D): the number of classes of primitive positive-definite forms.
+
+    D must be negative and congruent to 0 or 1 mod 4 (it need not be
+    fundamental). Reduced representatives are returned only when
+    with_forms is set; that, and |D| < SIEVE_FROM, walks every a and tests
+    each form for primitivity. Otherwise the sieve counts all reduced forms
+    of D and of each D/g^2, and Moebius inversion keeps the primitive ones.
+    """
+    if D >= 0:
+        raise DomainError(f"discriminant must be negative, got {D}")
+    if D % 4 not in (0, 1):
+        raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
+    if with_forms or -D < SIEVE_FROM:
+        a_max = isqrt(-D // 3)
+        forms: list[QuadForm] | None = [] if with_forms else None
+        h = _walk(D, range(1, a_max + 1), a_max, primitive=True, forms=forms)
+        return ClassNumberResult(D, h, "form-count", tuple(forms) if with_forms else None)
+    h = sum(mu * _reduced_count(D // (g * g)) for g, mu in _moebius_terms(D))
+    return ClassNumberResult(D, h, "form-count")
 
 
 def is_fundamental_discriminant(D: int) -> bool:

@@ -259,7 +259,7 @@ def theorem31_hypotheses(
     if g != 1:
         return checks, None
     ok = p * p < ell**n
-    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {ell**n}"))
+    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {decimal(ell**n)}"))
     if not ok:
         return checks, None
     dec = arith.squarefree_decompose(4 * (p * p - ell**n))

@@ -1,9 +1,12 @@
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from iqtuples import classno
+from iqtuples import arith, classno
 from iqtuples.classno import QuadForm, reduce_form
 from iqtuples.errors import DomainError
 
@@ -141,6 +144,62 @@ class TestClassNumberForms:
         for D in rng.sample(pool, 40):
             res = classno.class_number_forms(D, with_forms=True)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == brute_reduced_forms(D), D
+
+
+def _walk_h(D):
+    return len(classno.class_number_forms(D, with_forms=True).reduced_forms)
+
+
+class TestSieve:
+    def test_equals_walk_to_3e4(self, monkeypatch):
+        # every D, so -3, -4 and non-fundamental D such as -4*9*7 among them
+        monkeypatch.setattr(classno, "SIEVE_FROM", 0)
+        for D in range(-3, -30_001, -1):
+            if D % 4 in (0, 1):
+                assert classno.class_number_forms(D).h == _walk_h(D), D
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 10).flatmap(lambda k: st.integers(1, 10**k // 4)),
+           st.sampled_from(["D", "-4d", "square"]), st.integers(2, 60))
+    def test_equals_walk_sampled(self, monkeypatch, n, kind, f):
+        # |D| log-uniform up to 1e10; -4d with d = 3 (mod 4) is what thm31 counts
+        if kind == "D":
+            D = -n if -n % 4 in (0, 1) else -4 * n
+        elif kind == "-4d":
+            D = -4 * (4 * (n // 4) + 3)
+        else:  # a square cofactor f^2 over a discriminant
+            d = max(3, n // (f * f))
+            D = (-d if -d % 4 in (0, 1) else -4 * d) * f * f
+        with monkeypatch.context() as m:
+            m.setattr(classno, "SIEVE_FROM", 0)  # the sieve at every size
+            assert classno.class_number_forms(D).h == _walk_h(D), D
+
+    def test_root_counts_brute(self):
+        square_heavy = -4 * 30030**2  # large R(a) at a with many small primes
+        for D in (-3, -4, -252, -112, -2**12 * 3**4 * 7, -1023, square_heavy, -4 * 10**9 + 1):
+            R = classno._root_counts(D, 300)
+            want = [0] + [sum((b * b - D) % (4 * a) == 0 for b in range(2 * a))
+                          for a in range(1, 301)]
+            assert R.tolist() == want, D
+
+    def test_tail_walks_only_a_with_roots(self, monkeypatch):
+        D = -4 * 10**9 + 1
+        walked = []
+        roots_mod_4a = classno._roots_mod_4a
+
+        def recording(D, a, spf, cache):
+            walked.append(a)
+            return roots_mod_4a(D, a, spf, cache)
+
+        with monkeypatch.context() as m:
+            m.setattr(classno, "_roots_mod_4a", recording)
+            h = classno.class_number_forms(D).h
+        a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
+        spf = arith.smallest_prime_factor_table(a_max)
+        assert walked and all(M < a <= a_max and roots_mod_4a(D, a, spf, {}) for a in walked)
+        assert len(walked) < (a_max - M) // 2
+        assert h == _walk_h(D)
 
 
 class TestDirichlet:

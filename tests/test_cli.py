@@ -126,8 +126,21 @@ class TestThm31:
         assert code == 3 and out == ""
         assert err.startswith(f"invalid input: testing p = {p} for primality: ")
 
+    def test_too_long_to_print_power_is_named_by_size(self, capsys):
+        # 7^6001 has more decimal digits than Python converts to a string
+        code, out, err = run(capsys, "thm31", "-l", "7", "-n", "6001", "-p", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("invalid input: decomposing 4(p^2 - ell^n) = a 16849-bit integer: ")
+        assert "Traceback" not in err
+
 
 class TestTuples:
+    def test_too_long_to_print_radicand_is_named_by_size(self, capsys):
+        code, out, err = run(capsys, "quadruple", "-n", "2001", "-k", "2", "-p", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("invalid input: decomposing the radicand at offset 36: ")
+        assert "-bit integer" in err and "Traceback" not in err
+
     def test_quintuple_verify_json(self, capsys):
         code, out, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--verify",
                            "--format", "json")
