@@ -403,50 +403,74 @@ def is_fundamental_discriminant(D: int) -> bool:
     return m % 4 in (2, 3) and arith.squarefree_decompose(m).f == 1
 
 
+def _fill_periodic(out, table) -> None:
+    """Fill the array out with table repeated, cut off at len(out).
+
+    The table is copied once, then the filled prefix onto the rest, doubling
+    it each time: log2(len(out) / len(table)) copies and no index array.
+    """
+    n = min(len(table), len(out))
+    out[:n] = table[:n]
+    while n < len(out):  # n is a multiple of the period until the last copy
+        k = min(n, len(out) - n)
+        out[n : n + k] = out[:k]
+        n += k
+
+
 def class_number_dirichlet(D: int) -> ClassNumberResult:
     """Class number of a fundamental D < 0 by the half-range Dirichlet formula.
 
         h = sum_{0 < a < |D|/2} (D/a) / (2 - (D/2))
 
-    for D < -4, and h = 1 for D = -3 and D = -4. The character is evaluated
-    through the factorization of D into prime discriminants, one residue
-    table per factor built for this call; every intermediate is a bounded
-    exact integer (|D| <= 10^6 is enforced). Independent of the
-    form-counting path by construction.
+    for D < -4, and h = 1 for D = -3 and D = -4. D is split into prime
+    discriminants through one factorization, which also decides whether D
+    is fundamental. The character (D/a) on 0 <= a <= |D|/2 is the product
+    of one int8 residue table per factor, each repeated to length |D|/2 + 1
+    by copying the filled prefix onto the rest, with no index array; every
+    intermediate is a bounded exact integer (|D| <= 10^6 is enforced).
+    Independent of the form-counting path by construction.
     """
     import numpy as np
 
-    if not is_fundamental_discriminant(D):
+    # D = rem * prod(p*) over the odd primes p | D, p* = +-p = 1 (mod 4). D
+    # is fundamental exactly when no p^2 divides it, which would leave p in
+    # rem, and rem is 1, -4 or +-8. The odd part is factored as by
+    # is_fundamental_discriminant, after the same tests mod 4 and mod 16.
+    odd_primes: list[int] = []
+    rem = 0
+    if D < 0 and (D % 4 == 1 or D % 16 in (8, 12)):
+        rem = D
+        m = -D if D % 4 == 1 else -D // 4
+        for p, _ in arith.factorize(m).factors if m > 1 else ():
+            if p != 2:
+                odd_primes.append(p)
+                rem //= p if p % 4 == 1 else -p
+    if rem not in (1, -4, 8, -8):
         raise DomainError(f"{D} is not a negative fundamental discriminant")
     absD = -D
     if absD > DIRICHLET_LIMIT:
         raise DomainError(
             f"dirichlet method supports |D| <= {DIRICHLET_LIMIT}, got |D| = {absD}"
         )
-    odd_primes = [p for p, _ in arith.factorize(absD).factors if p != 2]
-    rem = D
-    for p in odd_primes:
-        rem //= p if p % 4 == 1 else -p
-    # rem is the 2-part prime discriminant (or 1) left after odd factors.
-    if rem not in (1, -4, 8, -8):
-        raise DomainError(f"{D} does not factor into prime discriminants")
     if D in (-3, -4):
         return ClassNumberResult(D, 1, "dirichlet")
     # 0 <= a <= |D|/2: (D/0) = 0, and (D/a) = 0 at a = |D|/2 when |D| is even
-    a = np.arange(absD // 2 + 1, dtype=np.int64)
-    chi = np.ones(len(a), dtype=np.int8)
+    tables = []
     for p in odd_primes:
         legendre = np.full(p, -1, dtype=np.int8)  # legendre[r] = (r/p)
         i = np.arange(p // 2 + 1, dtype=np.int64)
         legendre[i * i % p] = 1
         legendre[0] = 0
-        chi *= legendre[a % p]
-    if rem == -4:
-        chi *= np.array([0, 1, 0, -1], dtype=np.int8)[a & 3]
-    elif rem == 8:
-        chi *= np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[a & 7]
-    elif rem == -8:
-        chi *= np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)[a & 7]
+        tables.append(legendre)
+    if rem != 1:
+        tables.append(np.array({-4: [0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
+                                -8: [0, 1, 0, 1, 0, -1, 0, -1]}[rem], dtype=np.int8))
+    chi = np.empty(absD // 2 + 1, dtype=np.int8)
+    _fill_periodic(chi, tables[0])
+    factor = np.empty_like(chi)
+    for table in tables[1:]:
+        _fill_periodic(factor, table)
+        chi *= factor
     S = int(chi.sum(dtype=np.int64))
     den = 2 - arith.kronecker(D, 2)
     if S <= 0 or S % den != 0:

@@ -80,14 +80,16 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _identities_hold(n: int, k: int, d: int, p_list: list[int]) -> bool:
-    ell = 4 * k**n - 1
-    if d != 4 * (1 - 4 * k**n) ** n:
+    kn = k**n
+    ell = 4 * kn - 1
+    if d != 4 * (1 - 4 * kn) ** n:
         return False
-    if d + 1 != 1 - 4 * ell**n:
+    elln = ell**n
+    if d + 1 != 1 - 4 * elln:
         return False
-    if d + 4 != 4 * (1 - ell**n):
+    if d + 4 != 4 * (1 - elln):
         return False
-    return all(d + 4 * p * p == 4 * (p * p - ell**n) for p in p_list)
+    return all(d + 4 * p * p == 4 * (p * p - elln) for p in p_list)
 
 
 def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
@@ -115,7 +117,8 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
             raise DomainError(f"p must be an odd prime, got {p}")
     if any(p >= q for p, q in zip(primes, primes[1:])):
         raise DomainError(f"the primes must be increasing, got {primes}")
-    ell, d = 4 * k**n - 1, 4 * (1 - 4 * k**n) ** n
+    kn = k**n
+    ell, d = 4 * kn - 1, 4 * (1 - 4 * kn) ** n
     checks: list[HypothesisCheck] = []
     warnings: list[str] = []
     kept: list[tuple[int, arith.SquarefreeDecomposition]] = []

@@ -258,11 +258,12 @@ def theorem31_hypotheses(
     checks = [HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}")]
     if g != 1:
         return checks, None
-    ok = p * p < ell**n
-    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {decimal(ell**n)}"))
+    elln = ell**n
+    ok = p * p < elln
+    checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok, f"{p * p} < {decimal(elln)}"))
     if not ok:
         return checks, None
-    dec = arith.squarefree_decompose(4 * (p * p - ell**n))
+    dec = arith.squarefree_decompose(4 * (p * p - elln))
     if p in (3, 5):
         checks.append(HypothesisCheck(
             f"(ell, n) != (3, 3) for p = {p}", (ell, n) != (3, 3),

@@ -228,6 +228,42 @@ class TestDirichlet:
             if classno.is_fundamental_discriminant(D):
                 assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
 
+    def test_rejects_exactly_the_nonfundamental(self):
+        for D in list(range(-1, -3000, -1)) + [0, 1, 5, 8, 12, -(10**6) - 16]:
+            if classno.is_fundamental_discriminant(D):
+                assert classno.class_number_dirichlet(D).h >= 1, D
+            else:
+                with pytest.raises(DomainError, match="not a negative fundamental"):
+                    classno.class_number_dirichlet(D)
+
+    def test_agrees_with_forms_near_limit_per_2_part(self):
+        # the largest fundamental |D| <= 10^6 whose 2-part prime discriminant
+        # is 1 (odd D), -4, 8 and -8
+        largest: dict[int, int] = {}
+        D = -(10**6)
+        while len(largest) < 4:
+            if classno.is_fundamental_discriminant(D):
+                two = 1 if D % 4 == 1 else -4 if D % 16 == 12 else 8 if D // 8 % 4 == 1 else -8
+                largest.setdefault(two, D)
+            D += 1
+        assert largest == {1: -999995, -4: -999988, -8: -999976, 8: -999960}
+        for D in largest.values():
+            assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_agrees_with_forms_on_many_primes_and_on_a_long_period(self):
+        # -255255 = -3*5*7*11*13*17 has the most odd prime factors under the
+        # limit; for the prime 999983 the table is longer than |D|/2 + 1
+        for D in (-255255, -999983):
+            assert classno.is_fundamental_discriminant(D)
+            assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_fill_periodic(self):
+        table = np.array([0, 1, -1, -1, 1], dtype=np.int8)
+        for L in (3, 5, 6, 19, 20, 21, 40, 41, 1):
+            out = np.empty(L, dtype=np.int8)
+            classno._fill_periodic(out, table)
+            assert out.tolist() == [int(table[a % 5]) for a in range(L)], L
+
 
 class TestFieldClassNumber:
     def test_examples(self):
