@@ -36,7 +36,6 @@ from .errors import (
 from .families import (
     FamilyMember,
     FamilyTuple,
-    n_membership,
     pi_tuple,
     quadruple,
     quintuple,
@@ -97,7 +96,6 @@ __all__ = [
     "kronecker",
     "lehmer_number",
     "lucas",
-    "n_membership",
     "pi_tuple",
     "primes_up_to",
     "primitive_divisors",

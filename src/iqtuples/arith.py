@@ -10,7 +10,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
 
@@ -111,6 +111,7 @@ def primes_up_to(m: int) -> list[int]:
 
 
 _TRIAL_PRIMES = primes_up_to(10_000)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _spf_table: list[int] = []
 
 
@@ -181,10 +182,24 @@ def factorize(m: int) -> Factorization:
     Trial division by primes below 10^4, then Brent-Pollard rho on what is
     left, with primality certified by is_prime at every split. Raises
     BudgetError if rho exceeds the current Limits.rho_budget iterations,
-    never returns a wrong or incomplete factorization.
+    never returns a wrong or incomplete factorization. An m past the proven
+    primality range whose cofactor after trial division stays past it fails
+    at once: the trial primes are stripped by gcd with their product first.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
+
+    def is_prime_cofactor(v: int) -> bool:
+        return labelled(lambda: f"factoring {decimal(m)}: "
+                                f"testing the cofactor {decimal(v)} for primality", is_prime, v)
+
+    if m >= MR_PROVEN_BOUND:
+        n, g = m, gcd(m, _TRIAL_PRODUCT)
+        while g > 1:
+            n //= g
+            g = gcd(n, g)
+        if n >= MR_PROVEN_BOUND:
+            is_prime_cofactor(n)  # raises the OutOfRangeError rho's first test would
     n = m
     exps: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
@@ -201,8 +216,7 @@ def factorize(m: int) -> Factorization:
         v = stack.pop()
         if v == 1:
             continue
-        if labelled(lambda: f"factoring {decimal(m)}: "
-                            f"testing the cofactor {decimal(v)} for primality", is_prime, v):
+        if is_prime_cofactor(v):
             exps[v] = exps.get(v, 0) + 1
             continue
         g = _brent_rho(v, budget)

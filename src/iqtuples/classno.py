@@ -1,18 +1,17 @@
 """Class numbers of negative discriminants via reduced binary quadratic forms.
 
-The main counter counts reduced primitive positive-definite forms (a, b, c)
-of discriminant D < 0, a running from 1 to sqrt(|D|/3). For a up to M, the
-largest a with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a]
-gives c > a, so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R
-is multiplicative and a numpy sieve builds it over the whole a-range at
-once. Above M, the last eighth of the range, the a with R(a) > 0 are
-walked: b^2 = D (mod 4a) is solved through the factorization of 4a and the
-roots with c < a are dropped. The sieve counts forms of every content, and
-Moebius inversion over the squares dividing D keeps the primitive ones.
-The full walk of every a, which tests each form for primitivity, lists the
-forms on request and serves small |D|. An independent Dirichlet
-class-number-formula evaluator serves as a cross-check oracle for
-fundamental discriminants.
+The main counter counts reduced positive-definite forms (a, b, c) of every
+content, a running from 1 to sqrt(|D|/3), and Moebius inversion over the
+squares dividing D keeps the primitive ones. For a up to M, the largest a
+with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a] gives c > a,
+so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R is
+multiplicative and a numpy sieve builds it over the whole a-range at once.
+Above M, the last eighth of the range, the a with R(a) > 0 are walked: b is
+solved mod 2a by CRT over the factorization of 2a, and the forms with c < a
+are dropped. SIEVE_FROM only chooses between walking every a and sieving.
+On request one walk of every a lists the forms with gcd(a, b, c) = 1,
+within one a in the CRT order of the roots. An independent Dirichlet
+evaluator of the class number formula cross-checks fundamental D.
 """
 
 from __future__ import annotations
@@ -162,25 +161,32 @@ def _sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
     return sorted(y * half + t * stride for y in units for t in range(half))
 
 
-def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -> list[int]:
-    """All b in [0, 4a) with b^2 = D (mod 4a), via CRT over the factors of 4a.
+def _two_adic_roots(D: int, v: int) -> list[int]:
+    """The x in [0, 2^(v+1)) with x^2 = D (mod 2^(v+2)), sorted.
 
-    cache maps prime powers q to the solution set of x^2 = D (mod q); it is
-    only valid for one fixed D.
+    These are the roots mod 2^(v+2) below 2^(v+1), half of them: a root
+    stays one when 2^(v+1) is added, as 2^(v+2) divides 2^(v+2)*x + 2^(2v+2).
     """
-    v2 = 2
-    rest = a
-    while rest % 2 == 0:
-        rest //= 2
-        v2 += 1
-    q = 1 << v2
-    roots = cache.get(q)
+    roots = _sqrt_mod_prime_power(D, 2, v + 2)
+    return roots[: len(roots) // 2]
+
+
+def _roots_mod_2a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -> list[int]:
+    """All b in [0, 2a) with b^2 = D (mod 4a), via CRT over the factors of 2a.
+
+    A root stays one when 2a is added, so these are the roots mod 4a, each
+    taken once. cache maps each prime power q exactly dividing 2a to the
+    residues of those roots mod q: the roots of x^2 = D (mod q) for odd q,
+    _two_adic_roots for q = 2^(v+1). It is only valid for one fixed D.
+    """
+    v = (a & -a).bit_length() - 1
+    rest = a >> v
+    mod = 2 << v
+    roots = cache.get(mod)
     if roots is None:
-        roots = _sqrt_mod_prime_power(D, 2, v2)
-        cache[q] = roots
+        roots = cache[mod] = _two_adic_roots(D, v)
     if not roots:
         return []
-    mod = q
     while rest > 1:
         p = spf[rest]
         e = 0
@@ -200,37 +206,24 @@ def _roots_mod_4a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
     return roots
 
 
-def _walk(D: int, a_values, a_max: int, primitive: bool,
-          forms: list[QuadForm] | None = None) -> int:
-    """The number of reduced forms (a, b, c) of discriminant D with a in a_values.
+def _walk(D: int, a_values, a_max: int):
+    """Yield the reduced forms (a, b, c) of discriminant D with a in a_values.
 
-    For each a, the roots of b^2 = D (mod 4a) are moved into (-a, a] and
-    kept when c >= a, the boundary classes counted once, with b >= 0.
-    primitive keeps only forms with gcd(a, b, c) = 1; forms, when given,
-    collects them. a_values is increasing and ends at or below a_max.
+    Forms of every content, in the CRT order of the roots within one a: each
+    root b in [0, 2a) is moved into (-a, a] and kept when c > a, or when
+    c = a and b >= 0. a_values is increasing and ends at or below a_max.
     """
     spf = arith.smallest_prime_factor_table(a_max)
     cache: dict[int, list[int]] = {}
-    h = 0
     for i, a in enumerate(a_values, 1):
         if i % _PROGRESS_EVERY == 0:
             log.info("form count %d: a = %d / %d", D, a, a_max)
         m4a = 4 * a
-        for r in _roots_mod_4a(D, a, spf, cache):
-            b = r if r <= a else r - m4a
-            if b < -a:
-                continue
+        for r in _roots_mod_2a(D, a, spf, cache):
+            b = r if r <= a else r - 2 * a
             c = (b * b - D) // m4a
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue  # boundary classes are counted once, with b >= 0
-            if primitive and gcd(gcd(a, b), c) != 1:
-                continue
-            h += 1
-            if forms is not None:
-                forms.append(QuadForm(a, b, c))
-    return h
+            if c > a or c == a and b >= 0:
+                yield a, b, c
 
 
 _held_primes: tuple = (0, None)  # (m, numpy array of the primes <= m)
@@ -257,10 +250,7 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
     """(p^e, R(p^e)) for e = 1, 2, ... while p^e <= a_max, up to the first zero."""
     out, q, e = [], p, 1
     while q <= a_max:
-        if p == 2:
-            n = len(_sqrt_mod_prime_power(D, 2, e + 2)) // 2
-        else:
-            n = len(_sqrt_mod_prime_power(D, p, e))
+        n = len(_two_adic_roots(D, e) if p == 2 else _sqrt_mod_prime_power(D, p, e))
         out.append((q, n))
         if n == 0:
             break
@@ -271,7 +261,7 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
 def _root_counts(D: int, a_max: int):
     """R with R[a] = #{b mod 2a : b^2 = D (mod 4a)} for 0 < a <= a_max, R[0] = 0.
 
-    R is multiplicative. R(2^v) is half the number of roots mod 2^(v+2);
+    R is multiplicative. R(2^v) is the number of _two_adic_roots(D, v);
     for odd p, R(p^e) = 1 + (D/p) whatever e when p does not divide D, and
     the number of roots mod p^e when it does. The Legendre symbols come from
     Euler's criterion over all odd primes at once. Each factor is multiplied
@@ -338,18 +328,19 @@ def _reduced_count(D: int) -> int:
     For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
     gives c > a, so the forms with first coefficient a number R(a) and the
     sieve counts them. The a above M are walked, but only where R(a) > 0.
+    Below |D| = SIEVE_FROM every a is walked and nothing sieved.
     """
-    import numpy as np
-
     a_max = isqrt(-D // 3)
     if -D < SIEVE_FROM:
-        return _walk(D, range(1, a_max + 1), a_max, primitive=False)
+        return sum(1 for _ in _walk(D, range(1, a_max + 1), a_max))
+    import numpy as np
+
     R = _root_counts(D, a_max)
     M = isqrt((-D - 1) // 4)
     head = int(R[1 : M + 1].sum(dtype=np.int64))
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
     tail = (np.flatnonzero(R[M + 1 :]) + (M + 1)).tolist()
-    h = _walk(D, tail, a_max, primitive=False)
+    h = sum(1 for _ in _walk(D, tail, a_max))
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 
@@ -359,15 +350,20 @@ def _moebius_terms(D: int) -> list[tuple[int, int]]:
 
     A reduced form of D is g times a primitive reduced form of D/g^2, g its
     content, so h*(D) = sum of mu(g) * (reduced forms of D/g^2) by Moebius
-    inversion. A prime q with q^2 | D and q > sqrt(|D|/3) would leave
-    |D/q^2| < 3, which is no discriminant, so the primes up to there suffice.
+    inversion. Trial division runs while p^3 <= r, the part of |D| left;
+    then r has at most two prime factors, so a square divides it only if it
+    is one. Pure Python, so a walked count imports no numpy.
     """
-    N = -D
-    primes = _prime_array(isqrt(N // 3))
-    terms = [(1, 1)]
-    for p in primes[N % primes == 0].tolist():
-        if N % (p * p) == 0:
+    terms, r, p = [(1, 1)], -D, 2
+    while p * p * p <= r:
+        if r % (p * p) == 0:
             terms += [(g * p, -mu) for g, mu in terms]
+        while r % p == 0:
+            r //= p
+        p += 1
+    q = isqrt(r)
+    if q > 1 and q * q == r:
+        terms += [(g * q, -mu) for g, mu in terms]
     return [(g, mu) for g, mu in terms if (D // (g * g)) % 4 in (0, 1)]
 
 
@@ -375,20 +371,20 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     """h*(D): the number of classes of primitive positive-definite forms.
 
     D must be negative and congruent to 0 or 1 mod 4 (it need not be
-    fundamental). Reduced representatives are returned only when
-    with_forms is set; that, and |D| < SIEVE_FROM, walks every a and tests
-    each form for primitivity. Otherwise the sieve counts all reduced forms
-    of D and of each D/g^2, and Moebius inversion keeps the primitive ones.
+    fundamental). h is the sum of mu(g) times the number of reduced forms
+    of D/g^2, over the terms of _moebius_terms. With with_forms, every a is
+    walked instead, the forms with gcd(a, b, c) = 1 are kept and returned,
+    and h is their number.
     """
     if D >= 0:
         raise DomainError(f"discriminant must be negative, got {D}")
     if D % 4 not in (0, 1):
         raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
-    if with_forms or -D < SIEVE_FROM:
+    if with_forms:
         a_max = isqrt(-D // 3)
-        forms: list[QuadForm] | None = [] if with_forms else None
-        h = _walk(D, range(1, a_max + 1), a_max, primitive=True, forms=forms)
-        return ClassNumberResult(D, h, "form-count", tuple(forms) if with_forms else None)
+        forms = tuple(QuadForm(a, b, c) for a, b, c in _walk(D, range(1, a_max + 1), a_max)
+                      if gcd(gcd(a, b), c) == 1)
+        return ClassNumberResult(D, len(forms), "form-count", forms)
     h = sum(mu * _reduced_count(D // (g * g)) for g, mu in _moebius_terms(D))
     return ClassNumberResult(D, h, "form-count")
 

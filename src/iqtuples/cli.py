@@ -80,11 +80,12 @@ def _tuple_exit(t: families.FamilyTuple, verified: bool) -> int:
     return EXIT_REJECTED
 
 
-def _emit_tuple(t: families.FamilyTuple, fmt: str) -> None:
+def _emit_tuple(t: families.FamilyTuple, fmt: str, header: bool = True) -> None:
     rec = families.to_json_dict(t)
     if fmt == "csv":
         w = csv.writer(sys.stdout)
-        w.writerow(families.CSV_FIELDS)
+        if header:
+            w.writerow(families.CSV_FIELDS)
         for row in families.to_csv_rows(t):
             w.writerow(row)
     elif fmt == "json":
@@ -221,6 +222,7 @@ def _run_tuple(args, build) -> int:
 
 def _cmd_verify(args) -> int:
     worst = EXIT_OK
+    header = True  # one CSV header, before the first tuple's rows
     # read bytes where the stream has them and decode each line alone: a text
     # stream decodes whole chunks, so a bad byte would be blamed on an earlier line
     lines = getattr(args.file, "buffer", args.file)
@@ -233,7 +235,8 @@ def _cmd_verify(args) -> int:
                 t = families.verify_tuple(families.from_json_dict(json.loads(line)))
             except ValueError as e:
                 raise DomainError(f"line {lineno}: {e}") from None
-            _emit_tuple(t, args.format)
+            _emit_tuple(t, args.format, header)
+            header = False
             worst = max(worst, _tuple_exit(t, True))
     finally:
         if args.file is not sys.stdin:

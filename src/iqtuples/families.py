@@ -148,24 +148,6 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings)
 
 
-def n_membership(n: int, k: int) -> bool:
-    """True iff n divides the class number of Q(sqrt(1 - 4*k^n)).
-
-    Expected true for every odd n >= 3 and k >= 2; a False return is
-    logged as an anomaly since it would contradict proven theory.
-    """
-    _check_nk(n, k)
-    dec = arith.squarefree_decompose(1 - 4 * k**n)
-    h = classno.field_class_number(dec.s).h
-    if h % n != 0:
-        log.error(
-            "membership anomaly: h(Q(sqrt(%d))) = %d is not divisible by %d "
-            "(k = %d); this contradicts proven theory", dec.s, h, n, k,
-        )
-        return False
-    return True
-
-
 def quadruple(n: int, p: int, k: int) -> FamilyTuple:
     """Tuple with offsets {0, 1, 4, 4*p^2} for an odd prime p.
 
@@ -273,9 +255,9 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     The tuple is rebuilt from the record's kind, n, k and p_list, so its
     decompositions, hypotheses and warnings are derived here, never read.
     Raises DomainError when a p fails its hypotheses, or unless the record's
-    ell, d, p_list and members are exactly the rebuilt ones. Only the
-    verdict fields (class_number, divisible, status) are copied, and
-    verify_tuple overwrites them.
+    ell, d, p_list and members are exactly the rebuilt ones. The verdict
+    fields (class_number, divisible, status, all_divisible) are ignored:
+    the members come back pending, for verify_tuple to decide.
     """
     if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
         raise DomainError(f"not a schema-{SCHEMA_VERSION} tuple record")
@@ -284,8 +266,6 @@ def from_json_dict(rec: dict) -> FamilyTuple:
         p_list = list(rec["p_list"])
         members = [(m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"])
                    for m in rec["members"]]
-        verdicts = [(m.get("class_number"), m.get("divisible"), m.get("status", STATUS_PENDING))
-                    for m in rec["members"]]
     except (KeyError, TypeError) as e:
         raise DomainError(f"malformed record ({type(e).__name__}: {e})") from None
     numbers = [n, k, ell, d, *p_list, *(v for m in members for v in m)]
@@ -302,8 +282,6 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     rebuilt = [(m.offset, m.radicand, m.squarefree_part, m.cofactor) for m in t.members]
     if (ell, d, p_list, members) != (t.ell, t.d, t.p_list, rebuilt):
         raise DomainError("ell, d or the members are not those that kind, n, k and p_list determine")
-    for m, (h, divisible, status) in zip(t.members, verdicts):
-        m.class_number, m.divisible, m.status = h, divisible, status
     return t
 
 

@@ -45,6 +45,21 @@ class TestFactorize:
         with pytest.raises(OutOfRangeError, match=f"^factoring a {m.bit_length()}-bit integer: "):
             arith.factorize(m)
 
+    def test_huge_cofactor_fails_before_trial_division(self, monkeypatch):
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("trial division ran")
+
+        m = 2**5 * 3 * 9973**2 * (10**30 + 57)  # 10^30 + 57 has no factor below 10^4
+        monkeypatch.setattr(arith, "_TRIAL_PRIMES", Untouchable())
+        with pytest.raises(OutOfRangeError, match=f"^factoring {m}: testing the cofactor "
+                                                  f"{10**30 + 57} for primality: "):
+            arith.factorize(m)
+
+    def test_huge_smooth_part_then_small_cofactor(self):
+        # past the proven range, but trial division leaves a cofactor inside it
+        assert arith.factorize(2**90 * 1000003).factors == ((2, 90), (1000003, 1))
+
     def test_product_and_primality_up_to_1e6(self):
         # every m in [2, 10^6]: factors multiply back and are prime
         for m in range(2, 10**6 + 1):

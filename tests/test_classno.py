@@ -10,7 +10,7 @@ from iqtuples import arith, classno
 from iqtuples.classno import QuadForm, reduce_form
 from iqtuples.errors import DomainError
 
-from oracles import brute_reduced_forms
+from oracles import brute_reduced_forms, trial_factorize
 
 
 class TestSqrtModInternals:
@@ -28,7 +28,7 @@ class TestSqrtModInternals:
                 e, pe = e + 1, pe * p
 
     def test_sqrt_mod_2e_sampled(self):
-        # the exponents _roots_mod_4a meets at |D| up to about 3e11
+        # the exponents _roots_mod_2a meets at |D| up to about 3e11
         rng = random.Random(5)
         for e in range(9, 21):
             m = 1 << e
@@ -137,6 +137,8 @@ class TestClassNumberForms:
             res = classno.class_number_forms(D, with_forms=True)
             want = brute_reduced_forms(D)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == want, D
+            # below SIEVE_FROM: forms of every content walked, Moebius sum
+            assert classno.class_number_forms(D).h == len(want), D
 
     def test_enumeration_completeness_sampled(self):
         rng = random.Random(7)
@@ -179,25 +181,44 @@ class TestSieve:
         square_heavy = -4 * 30030**2  # large R(a) at a with many small primes
         for D in (-3, -4, -252, -112, -2**12 * 3**4 * 7, -1023, square_heavy, -4 * 10**9 + 1):
             R = classno._root_counts(D, 300)
-            want = [0] + [sum((b * b - D) % (4 * a) == 0 for b in range(2 * a))
-                          for a in range(1, 301)]
-            assert R.tolist() == want, D
+            roots = [[b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
+                     for a in range(1, 301)]
+            assert R.tolist() == [0] + [len(rs) for rs in roots], D
+            spf, cache = arith.smallest_prime_factor_table(300), {}
+            for a, want in enumerate(roots, 1):
+                got = classno._roots_mod_2a(D, a, spf, cache)
+                assert sorted(got) == want and len(got) == R[a], (D, a)
+
+    def test_moebius_terms_brute(self):
+        # q^2 | D for a prime q above the cube root of |D| is found too
+        big = [-3 * 10007**2, -4 * 99991**2, -28 * 10007**2, -3 * 4 * 9 * 10007**2, -(2**12) * 3**4 * 7]
+        for D in big + list(range(-3, -2001, -1)):
+            if D % 4 not in (0, 1):
+                continue
+            want = []
+            for g in range(1, isqrt(-D) + 1):
+                if -D % (g * g) or (D // (g * g)) % 4 not in (0, 1):
+                    continue
+                fs = trial_factorize(g)
+                if all(e == 1 for _, e in fs):
+                    want.append((g, (-1) ** len(fs)))
+            assert sorted(classno._moebius_terms(D)) == want, D
 
     def test_tail_walks_only_a_with_roots(self, monkeypatch):
         D = -4 * 10**9 + 1
         walked = []
-        roots_mod_4a = classno._roots_mod_4a
+        roots_mod_2a = classno._roots_mod_2a
 
         def recording(D, a, spf, cache):
             walked.append(a)
-            return roots_mod_4a(D, a, spf, cache)
+            return roots_mod_2a(D, a, spf, cache)
 
         with monkeypatch.context() as m:
-            m.setattr(classno, "_roots_mod_4a", recording)
+            m.setattr(classno, "_roots_mod_2a", recording)
             h = classno.class_number_forms(D).h
         a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
         spf = arith.smallest_prime_factor_table(a_max)
-        assert walked and all(M < a <= a_max and roots_mod_4a(D, a, spf, {}) for a in walked)
+        assert walked and all(M < a <= a_max and roots_mod_2a(D, a, spf, {}) for a in walked)
         assert len(walked) < (a_max - M) // 2
         assert h == _walk_h(D)
 

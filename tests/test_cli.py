@@ -1,7 +1,8 @@
+import csv
 import io
 import json
 
-from iqtuples import classno, cli
+from iqtuples import classno, cli, families
 
 
 def run(capsys, *argv):
@@ -212,6 +213,21 @@ class TestVerifyCommand:
         rec = json.loads(out2)
         assert rec["all_divisible"] is True
         assert rec["members"][0]["class_number"] == 3
+
+    def test_csv_has_one_header_over_several_tuples(self, capsys, tmp_path):
+        records = ""
+        for argv in (["quadruple", "-n", "3", "-k", "2", "-p", "3"], ["quintuple", "-n", "3", "-k", "2"]):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            records += out
+        src = tmp_path / "tuples.jsonl"
+        src.write_text(records)
+        code, out, _ = run(capsys, "verify", str(src), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == list(families.CSV_FIELDS)
+        assert len(rows) == 10 and rows[0] not in rows[1:]  # 4 + 5 members
+        assert [r[0] for r in rows[1:]] == ["quadruple"] * 4 + ["quintuple"] * 5
 
     def test_malformed_input_exits_3_naming_the_line(self, capsys, tmp_path):
         _, good, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--format", "json")

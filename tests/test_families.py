@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from iqtuples import arith, families
 from iqtuples.arith import limits
+from iqtuples.classno import field_class_number
 from iqtuples.errors import BudgetError, DomainError, HypothesisRejection
 from iqtuples.families import (
     FamilyMember,
     FamilyTuple,
-    n_membership,
     pi_tuple,
     quadruple,
     quintuple,
@@ -53,19 +53,6 @@ class TestIdentityChain:
         from iqtuples.errors import OutOfRangeError
         with pytest.raises(OutOfRangeError):
             quintuple(7, 3)
-
-
-class TestNMembership:
-    def test_examples(self):
-        assert n_membership(3, 2)   # h(-31) = 3
-        assert n_membership(3, 3)   # h(-107) = 3
-        assert n_membership(5, 2)   # h(-127) = 5
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            n_membership(4, 2)
-        with pytest.raises(DomainError):
-            n_membership(3, 1)
 
 
 class TestQuadruple:
@@ -193,9 +180,15 @@ class TestVerifyTuple:
         assert all(m.status == families.STATUS_VERIFIED for m in t.members)
 
     def test_membership_consistency(self):
-        for k in (2, 3, 5):
+        # the offset-0 member is Q(sqrt(1 - 4k^n)): d = (1 - 4k^n) * (2(1 - 4k^n)^((n-1)/2))^2
+        for k in (2, 3, 5):  # h(-31) = 3, h(-107) = 3, h(-499) = 3
             t = verify_tuple(quadruple(3, 3, k))
-            assert n_membership(3, k) == t.members[0].divisible
+            assert t.members[0].squarefree_part == arith.squarefree_decompose(1 - 4 * k**3).s
+            assert t.members[0].divisible is True
+        assert field_class_number(quadruple(5, 3, 2).members[0].squarefree_part).h == 5  # -127
+        for n, k in ((4, 2), (3, 1)):
+            with pytest.raises(DomainError):
+                quadruple(n, 3, k)
 
     def test_negative_divisibility_detected(self):
         # hand-built tuple, radicand -15 has h = 2, not divisible by 3
@@ -240,7 +233,9 @@ class TestSerialization:
         assert rec["kind"] == "quintuple"
         assert rec["all_divisible"] is True
         back = families.from_json_dict(rec)
-        assert families.to_json_line(back) == line
+        assert all((m.class_number, m.divisible, m.status) == (None, None, families.STATUS_PENDING)
+                   for m in back.members)  # the record's verdicts are not copied
+        assert families.to_json_line(verify_tuple(back)) == line
 
     def test_json_schema_fields(self):
         rec = families.to_json_dict(quadruple(3, 3, 2))
