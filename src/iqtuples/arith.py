@@ -30,6 +30,18 @@ class Limits:
 
 _LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())
 
+# Entries each process-lifetime memo keeps (factorize's here, classno's
+# h-only form counts); past it the oldest entry goes. Running all 390 items
+# of the construct benchmark in one process leaves 758 factorizations.
+MEMO_SIZE = 1 << 14
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Store value under key in memo, first dropping its oldest entries past MEMO_SIZE."""
+    while len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
 
 @contextmanager
 def limits(**changes: int):
@@ -113,6 +125,8 @@ def primes_up_to(m: int) -> list[int]:
 _TRIAL_PRIMES = primes_up_to(10_000)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _spf_table: list[int] = []
+# m -> (its Factorization, the rho iterations it took), for the m rho split
+_rho_memo: dict[int, tuple[Factorization, int]] = {}
 
 
 def smallest_prime_factor_table(limit: int) -> list[int]:
@@ -185,9 +199,19 @@ def factorize(m: int) -> Factorization:
     never returns a wrong or incomplete factorization. An m past the proven
     primality range whose cofactor after trial division stays past it fails
     at once: the trial primes are stripped by gcd with their product first.
+
+    An m that rho split is remembered for the process, with the iterations
+    it took (MEMO_SIZE numbers at most, the oldest dropped first). A remembered
+    m is answered at once only while those iterations fit the current
+    rho_budget; otherwise it is factored again, and rho, being
+    deterministic, raises the BudgetError the first call would have.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
+    rho_budget = _LIMITS.get().rho_budget
+    hit = _rho_memo.get(m)
+    if hit is not None and hit[1] <= rho_budget:
+        return hit[0]
 
     def is_prime_cofactor(v: int) -> bool:
         return labelled(lambda: f"factoring {decimal(m)}: "
@@ -210,7 +234,7 @@ def factorize(m: int) -> Factorization:
         while n % p == 0:
             exps[p] = exps.get(p, 0) + 1
             n //= p
-    budget = [_LIMITS.get().rho_budget]
+    budget = [rho_budget]
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
@@ -222,7 +246,10 @@ def factorize(m: int) -> Factorization:
         g = _brent_rho(v, budget)
         stack.append(g)
         stack.append(v // g)
-    return Factorization(m, tuple(sorted(exps.items())))
+    out = Factorization(m, tuple(sorted(exps.items())))
+    if budget[0] < rho_budget:
+        _remember(_rho_memo, m, (out, rho_budget - budget[0]))
+    return out
 
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:

@@ -8,10 +8,11 @@ so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R is
 multiplicative and a numpy sieve builds it over the whole a-range at once.
 Above M, the last eighth of the range, the a with R(a) > 0 are walked: b is
 solved mod 2a by CRT over the factorization of 2a, and the forms with c < a
-are dropped. SIEVE_FROM only chooses between walking every a and sieving.
-On request one walk of every a lists the forms with gcd(a, b, c) = 1,
-within one a in the CRT order of the roots. An independent Dirichlet
-evaluator of the class number formula cross-checks fundamental D.
+are dropped. Below |D| = SIEVE_FROM nothing is sieved: one walk of every
+a keeps the forms with gcd(a, b, c) = 1 and counts them, and on request
+the same walk lists them, within one a in the CRT order of the roots.
+Counts are remembered for the process. An independent Dirichlet evaluator
+of the class number formula cross-checks fundamental D.
 """
 
 from __future__ import annotations
@@ -367,25 +368,44 @@ def _moebius_terms(D: int) -> list[tuple[int, int]]:
     return [(g, mu) for g, mu in terms if (D // (g * g)) % 4 in (0, 1)]
 
 
+_h_memo: dict[int, int] = {}  # D -> h, for the counts made without with_forms
+
+
+def _primitive_walk(D: int):
+    """Yield the reduced forms (a, b, c) of D with gcd(a, b, c) = 1, every a walked."""
+    a_max = isqrt(-D // 3)
+    return ((a, b, c) for a, b, c in _walk(D, range(1, a_max + 1), a_max)
+            if gcd(gcd(a, b), c) == 1)
+
+
 def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     """h*(D): the number of classes of primitive positive-definite forms.
 
     D must be negative and congruent to 0 or 1 mod 4 (it need not be
-    fundamental). h is the sum of mu(g) times the number of reduced forms
-    of D/g^2, over the terms of _moebius_terms. With with_forms, every a is
-    walked instead, the forms with gcd(a, b, c) = 1 are kept and returned,
-    and h is their number.
+    fundamental). From |D| = SIEVE_FROM up, h is the sum of mu(g) times the
+    number of reduced forms of D/g^2, over the terms of _moebius_terms;
+    below it, one walk of every a counts the forms with gcd(a, b, c) = 1.
+    With with_forms, that walk runs whatever D is, and the forms it keeps
+    are returned. Results without with_forms are remembered for the process
+    (at most arith.MEMO_SIZE, oldest dropped first), and a D counted before
+    is answered from there, logged at INFO.
     """
     if D >= 0:
         raise DomainError(f"discriminant must be negative, got {D}")
     if D % 4 not in (0, 1):
         raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
     if with_forms:
-        a_max = isqrt(-D // 3)
-        forms = tuple(QuadForm(a, b, c) for a, b, c in _walk(D, range(1, a_max + 1), a_max)
-                      if gcd(gcd(a, b), c) == 1)
+        forms = tuple(QuadForm(a, b, c) for a, b, c in _primitive_walk(D))
         return ClassNumberResult(D, len(forms), "form-count", forms)
-    h = sum(mu * _reduced_count(D // (g * g)) for g, mu in _moebius_terms(D))
+    h = _h_memo.get(D)
+    if h is not None:
+        log.info("form count %d: h = %d, counted earlier in this process", D, h)
+    else:
+        if -D < SIEVE_FROM:
+            h = sum(1 for _ in _primitive_walk(D))
+        else:
+            h = sum(mu * _reduced_count(D // (g * g)) for g, mu in _moebius_terms(D))
+        arith._remember(_h_memo, D, h)
     return ClassNumberResult(D, h, "form-count")
 
 

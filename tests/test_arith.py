@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from iqtuples import arith
+from iqtuples import arith, families
 from iqtuples.errors import BudgetError, DomainError, OutOfRangeError
 
 from oracles import sieve_primes, trial_factorize, trial_is_prime
@@ -70,6 +70,44 @@ class TestFactorize:
                 assert arith.is_prime(p), (m, p)
             primes = [p for p, _ in f.factors]
             assert primes == sorted(set(primes))
+
+
+class TestFactorizeMemo:
+    def test_hit_never_beats_a_smaller_budget(self):
+        # test_budget_error_is_raised in the other order: remembered first
+        n = 99991 * 99989
+        assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
+        assert n in arith._rho_memo
+        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
+            arith.factorize(n)
+        spent = arith._rho_memo[n][1]
+        with pytest.raises(BudgetError), arith.limits(rho_budget=spent - 1):
+            arith.factorize(n)
+        with arith.limits(rho_budget=spent):  # exactly the iterations it took
+            assert arith.factorize(n) is arith._rho_memo[n][0]
+
+    def test_tuple_built_twice_still_obeys_the_budget(self):
+        families.quintuple(7, 2)
+        assert arith._rho_memo
+        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
+            families.quintuple(7, 2)
+
+    def test_only_what_rho_split_is_remembered(self):
+        # trial division finishes these, or leaves a prime cofactor past 10^8
+        for m in (12, 119164, 14891, 2**90 * 1000003, 9973 * 9967, 6 * 1000000007):
+            arith.factorize(m)
+        assert not arith._rho_memo
+
+    def test_size_bound_drops_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(arith, "MEMO_SIZE", 3)
+        ms = [p * q for p, q in ((10007, 10009), (10037, 10039), (10061, 10067),
+                                 (10069, 10079), (10091, 10093))]
+        for m in ms:
+            arith.factorize(m)
+            assert len(arith._rho_memo) <= 3
+        assert list(arith._rho_memo) == ms[2:]
+        assert arith.factorize(ms[0]).factors == ((10007, 1), (10009, 1))
+        assert list(arith._rho_memo) == ms[3:] + ms[:1]
 
 
 class TestIsPrime:

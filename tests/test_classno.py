@@ -137,7 +137,7 @@ class TestClassNumberForms:
             res = classno.class_number_forms(D, with_forms=True)
             want = brute_reduced_forms(D)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == want, D
-            # below SIEVE_FROM: forms of every content walked, Moebius sum
+            # below SIEVE_FROM the h-only count walks every a too
             assert classno.class_number_forms(D).h == len(want), D
 
     def test_enumeration_completeness_sampled(self):
@@ -146,6 +146,58 @@ class TestClassNumberForms:
         for D in rng.sample(pool, 40):
             res = classno.class_number_forms(D, with_forms=True)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == brute_reduced_forms(D), D
+
+    def test_nonfundamental_below_sieve_from(self):
+        # one walk keeps the primitive forms; the Moebius sum over walked
+        # counts of every content is the independent check
+        assert classno.SIEVE_FROM >= 40_000
+        counts = {}
+        for D in range(-3, -40_001, -1):
+            if D % 4 not in (0, 1) or classno.is_fundamental_discriminant(D):
+                continue
+            h = classno.class_number_forms(D).h
+            assert h == len(classno.class_number_forms(D, with_forms=True).reduced_forms), D
+            terms = classno._moebius_terms(D)
+            assert len(terms) > 1, D
+            for g, _ in terms:
+                if D // (g * g) not in counts:
+                    counts[D // (g * g)] = classno._reduced_count(D // (g * g))
+            assert h == sum(mu * counts[D // (g * g)] for g, mu in terms), D
+
+
+class TestFormCountMemo:
+    def test_remembered_equals_fresh(self, caplog):
+        for D in (-23, -476656, -4 * 10**9 + 1, -100003 * 4):
+            first = classno.class_number_forms(D)
+            assert classno._h_memo[D] == first.h
+            with caplog.at_level("INFO", logger="iqtuples"):
+                caplog.clear()
+                again = classno.class_number_forms(D)
+            assert again == first
+            assert [r.getMessage() for r in caplog.records] == [
+                f"form count {D}: h = {first.h}, counted earlier in this process"]
+            classno._h_memo.clear()
+            assert classno.class_number_forms(D) == first
+
+    def test_with_forms_is_not_remembered(self):
+        assert classno.class_number_forms(-23).reduced_forms is None
+        res = classno.class_number_forms(-23, with_forms=True)
+        assert set(res.reduced_forms) == {QuadForm(1, 1, 6), QuadForm(2, 1, 3), QuadForm(2, -1, 3)}
+        assert list(classno._h_memo) == [-23]
+        classno._h_memo.clear()
+        classno.class_number_forms(-47, with_forms=True)
+        assert not classno._h_memo
+
+    def test_dirichlet_is_not_remembered(self):
+        assert classno.class_number_dirichlet(-23).h == 3
+        assert not classno._h_memo
+
+    def test_size_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "MEMO_SIZE", 2)
+        for D in (-3, -4, -7, -8, -11):
+            classno.class_number_forms(D)
+            assert len(classno._h_memo) <= 2
+        assert list(classno._h_memo) == [-8, -11]
 
 
 def _walk_h(D):

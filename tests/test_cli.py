@@ -1,8 +1,9 @@
 import csv
 import io
 import json
+from collections import Counter
 
-from iqtuples import classno, cli, families
+from iqtuples import arith, classno, cli, families
 
 
 def run(capsys, *argv):
@@ -398,6 +399,44 @@ class TestHarness:
             progress.append(sum(r.levelname == "INFO" and r.getMessage().startswith("form count")
                                 for r in caplog.records))
         assert progress[0] == 0 and progress[1] > 0 and progress[2] == 0
+
+    def test_remembered_factorization_obeys_rho_budget(self, capsys):
+        assert run(capsys, "quintuple", "-n", "7", "-k", "2")[0] == 0
+        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "7", "-k", "2")
+        assert code == 2 and out == "" and err.startswith("budget exhausted: ")
+
+    def test_verify_batch_splits_each_radicand_once(self, capsys, tmp_path, monkeypatch):
+        # at (n, k) = (3, 16) offsets 0, 1 and 4 are common to every p, and
+        # the offset-1 radicand needs rho (so does p = 11's own member)
+        records = [families.to_json_line(families.quadruple(3, p, 16)) for p in (5, 7, 11, 13)]
+        split = []
+        brent_rho = arith._brent_rho
+
+        def recording(n, budget):
+            split.append(n)
+            return brent_rho(n, budget)
+
+        monkeypatch.setattr(arith, "_brent_rho", recording)
+        alone, alone_splits, alone_total = [], Counter(), 0
+        for i, line in enumerate(records):
+            arith._rho_memo.clear()
+            classno._h_memo.clear()
+            split.clear()
+            src = tmp_path / f"one{i}.jsonl"
+            src.write_text(line + "\n")
+            alone.append(run(capsys, "verify", str(src), "--format", "json")[:2])
+            alone_splits |= Counter(split)  # the most times one record split each n
+            alone_total += len(split)
+        arith._rho_memo.clear()
+        classno._h_memo.clear()
+        split.clear()
+        src = tmp_path / "batch.jsonl"
+        src.write_text("".join(line + "\n" for line in records))
+        code, out, _ = run(capsys, "verify", str(src), "--format", "json")
+        assert code == max(c for c, _ in alone)
+        assert out == "".join(o for _, o in alone)
+        assert Counter(split) == alone_splits
+        assert len(split) < alone_total
 
     def test_threads_flag_is_gone(self, capsys):
         assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3
