@@ -7,12 +7,15 @@ ever trades correctness for speed.
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log2, prod
 
 from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
+
+log = logging.getLogger(__name__)
 
 # Strong-pseudoprime test with the first 13 primes as witnesses is a proven
 # primality test below this bound (Sorenson-Webster).
@@ -22,7 +25,13 @@ MR_PROVEN_BOUND = 3317044064679887385961981
 
 @dataclass(frozen=True)
 class Limits:
-    """Budgets for every computation in the context; set with ``limits``."""
+    """Budgets for every computation in the context; set with ``limits``.
+
+    rho_budget bounds the Pollard-rho iterations of one factorize() call. A
+    cofactor that rho has not split after QS_AFTER of them goes once to the
+    quadratic sieve, whose work the budget does not count, so a budget below
+    QS_AFTER never reaches the sieve.
+    """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
     sf_budget: int = 10**12  # largest |square-free part| verify_tuple attempts
@@ -146,15 +155,239 @@ def smallest_prime_factor_table(limit: int) -> list[int]:
     return _spf_table
 
 
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """Square root of n modulo an odd prime p, or None if n is a non-residue."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t = t * c % p
+        r = r * b % p
+    return r
+
+
+def _perfect_power(v: int) -> tuple[int, int] | None:
+    """(r, k) with v = r**k for the first k in 2, 3, 5 that fits, else None.
+
+    For v < 2**82 the float k-th root is within 10**-7 of the true one, so
+    rounding it finds r whenever it exists. factorize asks only about v
+    below MR_PROVEN_BOUND < 10**28 with every prime above 10**4, and such a
+    v has no prime to a power above 6: a square, cube or fifth power test
+    finds every perfect power among them.
+    """
+    r = isqrt(v)
+    if r * r == v:
+        return r, 2
+    for k in (3, 5):
+        r = round(v ** (1.0 / k))
+        if r**k == v:
+            return r, k
+    return None
+
+
+# Rho iterations one cofactor gets before the quadratic sieve is tried on it.
+# Within this many, rho splits a cofactor whose smaller prime is below about
+# 10^6; past that, the sieve (1-17 ms from 35 to 76 bits) is cheaper than
+# rho's sqrt(p) steps of about 1 us each. The 390 construct benchmark items
+# of seed 1, run in one process (2-core VM, CPython 3.11.7), took 5.5-6.1 s
+# without the sieve and 2.2-2.7 s with it at every hand-off from 512 to 4096
+# iterations, a flat optimum; replaying the recorded rho calls with the
+# hand-off after H iterations gave its minimum at H = 1024 and 2048.
+QS_AFTER = 1024
+
+# Cofactor bit length -> (primes in the factor base, half-width M of the sieve
+# interval); the first row whose bound reaches the cofactor's length applies.
+_QS_PARAMS = ((45, 30, 1 << 12), (55, 30, 1 << 14), (65, 40, 1 << 15),
+              (73, 70, 1 << 15), (82, 110, 1 << 16))
+_QS_MULTIPLIERS = (1, 3, 5, 7, 11, 13, 15, 17, 19, 21, 23, 29, 31, 33, 35, 37, 39, 41, 43, 47)
+_QS_POLYS = 100  # polynomials tried before the sieve gives up; 1-9 were needed at seed 1
+_QS_FAILS = 32  # dependencies that gave no divisor before the sieve gives up
+_QS_LARGE = 32  # a partial relation's leftover is below this times the largest base prime
+
+
+def _qs_multiplier(n: int) -> int:
+    """Knuth-Schroeppel: the k whose kn has the most small primes splitting it."""
+    import numpy as np
+
+    primes = _TRIAL_PRIMES[1:30]
+    P = np.array(primes, dtype=np.int64)
+    K = np.array(_QS_MULTIPLIERS, dtype=np.int64)[:, None]
+    base = K * np.array([n % p for p in primes], dtype=np.int64) % P
+    e, square = (P - 1) // 2, np.ones(base.shape, dtype=np.int64)
+    while e.any():  # Euler's criterion, kn^((p-1)/2) mod p for every k and p at once
+        square = np.where(e & 1, square * base % P, square)
+        base, e = base * base % P, e >> 1
+    gain = np.where(K % P == 0, np.log2(P) / P, np.where(square == 1, 2 * np.log2(P) / (P - 1), 0))
+    score = gain.sum(axis=1) - 0.5 * np.log2(K[:, 0])
+    score += [2 if k * n % 8 == 1 else 1 if k * n % 8 == 5 else 0.5 for k in _QS_MULTIPLIERS]
+    return _QS_MULTIPLIERS[int(np.argmax(score))]
+
+
+def _quadratic_sieve(n: int) -> int | None:
+    """A proper divisor of n, or None after _QS_POLYS polynomials or _QS_FAILS misses.
+
+    n is composite, every prime factor of n is above 10**4 and n <
+    MR_PROVEN_BOUND. A perfect power gets None at once: a congruence of
+    squares cannot split a prime power, and Q(x) can be 0 when n is a
+    square. Each polynomial is Montgomery's Q(x) = ((Ax + B)^2 - kn) / A
+    with A = q^2 for a prime q = 3 (mod 4), k the Knuth-Schroeppel
+    multiplier, so (Ax + B)^2 = q^2 Q(x) (mod n). x runs over [-M, M); an
+    int16 array sums log2(p) over the factor base by slice, and the x whose
+    sum passes a threshold are trial-divided together: one int64 matrix of
+    Q(x) mod p finds the primes that divide each Q(x) (|Q(x)| <=
+    M*sqrt(kn/2) < 2**62 at these sizes), then the pairs found are divided
+    out until none divides. Relations with one leftover factor
+    below _QS_LARGE times the largest base prime are paired on it. Each
+    relation is reduced at once against the earlier ones as a GF(2) bitset,
+    and a dependency is tried for a divisor as soon as it appears.
+    Deterministic; a failure costs time only.
+    """
+    if _perfect_power(n) is not None:
+        return None
+    import numpy as np
+
+    bits = n.bit_length()
+    size, M = next((s, m) for b, s, m in _QS_PARAMS if bits <= b)
+    k = _qs_multiplier(n)
+    kn = k * n
+    primes = [2]
+    for p in _TRIAL_PRIMES[1:]:
+        if len(primes) == size:
+            break
+        if k % p == 0 or pow(kn % p, (p - 1) // 2, p) == 1:
+            primes.append(p)
+    P = np.array(primes, dtype=np.int64)
+    # Only the primes above 30 that do not divide k are sieved: the others
+    # have one root or short strides, and the threshold leaves room for them.
+    sieved = [p for p in primes if p > 30 and k % p]
+    SP = np.array(sieved, dtype=np.int64)
+    T = np.array([sqrt_mod_prime(kn, p) for p in sieved], dtype=np.int64)
+    logs = [round(log2(p)) for p in sieved]
+    large = _QS_LARGE * primes[-1]
+    thresh = int(log2(M) + 0.5 * log2(kn / 2) - log2(large) - 6)
+    # (X, Z, e): X^2 = Z^2 * (-1)^e[0] * prod(primes[i]^e[i + 1]) (mod n)
+    relations: list[tuple[int, int, np.ndarray]] = []
+    partials: dict[int, tuple[int, int, np.ndarray]] = {}  # leftover factor -> its first relation
+    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (parity row, relations in it)
+    q = (isqrt(isqrt(2 * kn) // M) | 3) - 4
+    for polys in range(1, _QS_POLYS + 1):
+        # Each dependency splits n unless X = +-Y, at odds of 1 in 2 or less
+        # for n with two distinct primes or more; after _QS_FAILS misses in a
+        # row something else is wrong, and rho is cheaper than more trying.
+        if len(relations) - len(pivots) >= _QS_FAILS:
+            break
+        q += 4
+        while not (pow(kn % q, (q - 1) // 2, q) == 1 and is_prime(q)):
+            q += 4
+        A = q * q
+        t = pow(kn, (q + 1) // 4, q)
+        B = (t + q * ((kn - t * t) // q * pow(2 * t, -1, q) % q)) % A
+        B = min(B, A - B)
+        C = (B * B - kn) // A
+        if A * M * M + 2 * B * M + abs(C) >= 1 << 62:  # |Q(x)| would not fit an int64
+            break
+        Ainv = np.array([pow(A, -1, p) if p != q else 0 for p in sieved], dtype=np.int64)
+        Bp = B % SP
+        r1 = ((T - Bp) * Ainv + M) % SP
+        r2 = ((SP - T - Bp) * Ainv + M) % SP
+        sieve = np.zeros(2 * M, dtype=np.int16)
+        for p, lp, a, b in zip(sieved, logs, r1.tolist(), r2.tolist()):
+            if p != q:
+                sieve[a::p] += lp
+                sieve[b::p] += lp
+        xs = (np.flatnonzero(sieve > thresh) - M).tolist()
+        if not xs:
+            continue
+        V = np.array([(A * x + 2 * B) * x + C for x in xs], dtype=np.int64)
+        rem = np.abs(V)
+        E = np.zeros((len(xs), len(primes) + 1), dtype=np.int8)
+        E[:, 0] = V < 0
+        i, j = np.nonzero(rem[:, None] % P == 0)  # every (x, p) with p | Q(x), p once
+        pj = P[j]
+        while i.size:
+            np.add.at(E, (i, j + 1), 1)
+            np.floor_divide.at(rem, i, pj)
+            again = rem[i] % pj == 0
+            i, j, pj = i[again], j[again], pj[again]
+        smooth = np.flatnonzero(rem < large).tolist()
+        for c, r in zip(smooth, rem[smooth].tolist()):
+            rel = ((A * xs[c] + B) % n, q, E[c].copy())
+            if r > 1:
+                if r not in partials:
+                    partials[r] = rel
+                    continue
+                X, Z, f = partials[r]
+                rel = (rel[0] * X % n, q * Z * r % n, rel[2] + f)
+            relations.append(rel)
+            row = int.from_bytes(np.packbits(rel[2] & 1, bitorder="little").tobytes(), "little")
+            used = 1 << (len(relations) - 1)
+            while row:
+                low = row & -row
+                piv = pivots.get(low)
+                if piv is None:
+                    pivots[low] = (row, used)
+                    break
+                row ^= piv[0]
+                used ^= piv[1]
+            else:
+                g = _qs_divisor(n, primes, relations, used)
+                if g:
+                    log.info("quadratic sieve split a %d-bit cofactor: %d polynomials, "
+                             "%d relations", bits, polys, len(relations))
+                    return g
+    log.info("quadratic sieve gave up on a %d-bit cofactor: %d polynomials, %d relations",
+             bits, polys, len(relations))
+    return None
+
+
+def _qs_divisor(n: int, primes: list[int], relations: list, used: int) -> int:
+    """The proper divisor gcd(X - Y, n) that the relations in the bitset used give, or 0.
+
+    Their product is X^2 = Y^2 (mod n), Y taken from the halved exponents.
+    """
+    import numpy as np
+
+    chosen = [rel for i, rel in enumerate(relations) if used >> i & 1]
+    X = Y = 1
+    for x, z, _ in chosen:
+        X, Y = X * x % n, Y * z % n
+    exps = np.sum([e for _, _, e in chosen], axis=0, dtype=np.int64)
+    for p, e in zip(primes, exps[1:].tolist()):
+        Y = Y * pow(p, e // 2, n) % n
+    g = gcd(X - Y, n)
+    return g if 1 < g < n else 0
+
+
 def _brent_rho(n: int, budget: list[int]) -> int:
     """One nontrivial factor of composite odd n, Brent's cycle variant.
 
     The polynomial constant c is stepped deterministically (1, 2, 3, ...) so
     repeated runs factor identically. budget is a single-element mutable
-    iteration counter shared across a factorization.
+    iteration counter shared across a factorization. Once QS_AFTER of its
+    iterations went to n, n is handed to _quadratic_sieve once; if that
+    finds no divisor, rho goes on where it stopped.
     """
     if n % 2 == 0:
         return 2
+    qs_at = budget[0] - QS_AFTER  # the sieve runs when the budget falls to this
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -174,6 +407,11 @@ def _brent_rho(n: int, budget: list[int]) -> int:
                 budget[0] -= step
                 if budget[0] < 0:
                     raise BudgetError(f"rho iteration budget exhausted factoring {n}")
+                if budget[0] <= qs_at:
+                    qs_at = -1
+                    g = _quadratic_sieve(n)
+                    if g:
+                        return g
                 g = gcd(q, n)
                 k += 128
             r <<= 1
@@ -190,15 +428,28 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         c += 1  # cycle collapsed; retry with the next constant
 
 
+def _primes_dividing(g: int):
+    """The trial primes dividing g, a divisor of their product, in increasing order."""
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            return
+        if g % p == 0:
+            g //= p
+            yield p
+
+
 def factorize(m: int) -> Factorization:
     """Prime factorization of m >= 2.
 
-    Trial division by primes below 10^4, then Brent-Pollard rho on what is
-    left, with primality certified by is_prime at every split. Raises
-    BudgetError if rho exceeds the current Limits.rho_budget iterations,
-    never returns a wrong or incomplete factorization. An m past the proven
-    primality range whose cofactor after trial division stays past it fails
-    at once: the trial primes are stripped by gcd with their product first.
+    Trial division by primes below 10^4, then, for each composite cofactor
+    left, an exact test for a square, cube or fifth power, and Brent-Pollard
+    rho, which hands the cofactor to a quadratic sieve once QS_AFTER of its
+    iterations went to it. Primality is certified by is_prime at every
+    split. Raises BudgetError if rho exceeds the current Limits.rho_budget
+    iterations (the sieve's work is not counted), never returns a wrong or
+    incomplete factorization. An m past the proven primality range whose
+    cofactor after trial division stays past it fails at once: the trial
+    primes are stripped by gcd with their product first.
 
     An m that rho split is remembered for the process, with the iterations
     it took (MEMO_SIZE numbers at most, the oldest dropped first). A remembered
@@ -217,8 +468,9 @@ def factorize(m: int) -> Factorization:
         return labelled(lambda: f"factoring {decimal(m)}: "
                                 f"testing the cofactor {decimal(v)} for primality", is_prime, v)
 
+    small = gcd(m, _TRIAL_PRODUCT) if m >= 10**8 else 0  # product of the trial primes dividing m
     if m >= MR_PROVEN_BOUND:
-        n, g = m, gcd(m, _TRIAL_PRODUCT)
+        n, g = m, small
         while g > 1:
             n //= g
             g = gcd(n, g)
@@ -226,7 +478,8 @@ def factorize(m: int) -> Factorization:
             is_prime_cofactor(n)  # raises the OutOfRangeError rho's first test would
     n = m
     exps: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    # below 10^8 the scan ends by p^2 > n; above, it visits only the primes in small
+    for p in _TRIAL_PRIMES if m < 10**8 else _primes_dividing(small):
         if p * p > n:
             if n > 1:
                 exps[n] = 1  # no prime up to sqrt(n) divides n, so n is prime
@@ -235,17 +488,20 @@ def factorize(m: int) -> Factorization:
             exps[p] = exps.get(p, 0) + 1
             n //= p
     budget = [rho_budget]
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
     while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
+        v, e = stack.pop()
         if is_prime_cofactor(v):
-            exps[v] = exps.get(v, 0) + 1
+            exps[v] = exps.get(v, 0) + e
+            continue
+        power = _perfect_power(v)
+        if power is not None:
+            log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), v, *power)
+            stack.append((power[0], e * power[1]))
             continue
         g = _brent_rho(v, budget)
-        stack.append(g)
-        stack.append(v // g)
+        stack.append((g, e))
+        stack.append((v // g, e))
     out = Factorization(m, tuple(sorted(exps.items())))
     if budget[0] < rho_budget:
         _remember(_rho_memo, m, (out, rho_budget - budget[0]))

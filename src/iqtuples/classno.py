@@ -90,35 +90,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _tonelli(n: int, p: int) -> int | None:
-    """Square root of n modulo an odd prime p, or None if n is a non-residue."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
 def _sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
     """All x in [0, p^e) with x^2 = D (mod p^e), p prime and e >= 1, sorted.
 
@@ -147,7 +118,7 @@ def _sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
             if (r * r - D) % (2 << i):
                 r += 1 << (i - 1)
     else:
-        r = _tonelli(D, p)
+        r = arith.sqrt_mod_prime(D, p)
         if r is None:
             return []
         pk = p

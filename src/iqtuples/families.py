@@ -186,7 +186,9 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
 
     Re-checks the construction identities first, then verifies members in
     offset order. Members whose |square-free part| exceeds the current
-    Limits.sf_budget are marked unverified instead of attempted. Returns
+    Limits.sf_budget are marked unverified instead of attempted. Each
+    square-free part is taken as _build derived it, so its field
+    discriminant (s, or 4s unless s = 1 mod 4) needs no factoring. Returns
     the same tuple with members completed.
     """
     sf_budget = arith._LIMITS.get().sf_budget
@@ -204,7 +206,8 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
                 m.offset, abs(m.squarefree_part), sf_budget,
             )
             continue
-        m.class_number = classno.field_class_number(m.squarefree_part).h
+        s = m.squarefree_part
+        m.class_number = classno.class_number_forms(s if s % 4 == 1 else 4 * s).h
         m.divisible = m.class_number % t.n == 0
         m.status = STATUS_VERIFIED
         if not m.divisible:

@@ -72,6 +72,96 @@ class TestFactorize:
             assert primes == sorted(set(primes))
 
 
+def _untouchable(*args):
+    raise AssertionError("called")
+
+
+def _prime(rng, bits):
+    """A random prime of the given bit length above 10^4."""
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if p > 10**4 and arith.is_prime(p):
+            return p
+
+
+def _composites(seed):
+    """Seeded composites in [2^40, 2^81] whose primes are all above 10^4.
+
+    Balanced semiprimes, products of three primes, p^2 q, p^3 and p^5, and
+    the 23-digit radicand cofactor that rho took 448 767 iterations on.
+    """
+    rng = random.Random(seed)
+    out = [61887126757805598613499]  # 149383678981 * 414283054079
+    for bits in (42, 48, 56, 64, 72, 78, 81):
+        out.append(_prime(rng, bits // 2) * _prime(rng, bits - bits // 2))
+    for bits in (45, 60, 75, 81):
+        a = bits // 3
+        out.append(_prime(rng, a) * _prime(rng, a) * _prime(rng, bits - 2 * a))
+    for bits in (44, 63, 80):
+        a = bits // 3
+        out.append(_prime(rng, a) ** 2 * _prime(rng, bits - 2 * a))
+    out += [_prime(rng, b) ** 3 for b in (15, 20, 27)]
+    out += [_prime(rng, b) ** 5 for b in (14, 15, 16)]
+    assert all(2**40 <= m < min(2**81, arith.MR_PROVEN_BOUND) for m in out)
+    return out
+
+
+class TestFactorizeOracle:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in _composites(10):
+            assert arith.factorize(m).factors == tuple(sorted(sympy.factorint(m).items())), m
+
+
+class TestQuadraticSieve:
+    N = 61887126757805598613499  # 149383678981 * 414283054079
+
+    def test_rho_alone_gives_the_same_factorizations(self, monkeypatch):
+        # semiprimes that rho takes more than QS_AFTER iterations on
+        rng = random.Random(11)
+        ms = [_prime(rng, 26) * _prime(rng, 27) for _ in range(4)] + [10007 * _prime(rng, 60)]
+        with_sieve = [arith.factorize(m) for m in ms]
+        arith._rho_memo.clear()
+        asked = []
+        monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
+        assert [arith.factorize(m) for m in ms] == with_sieve
+        assert len(asked) == 4  # 10007 falls to rho at once
+
+    def test_returns_a_proper_divisor(self):
+        # and nothing for a perfect power, which no congruence of squares splits
+        for m in _composites(12):
+            g = arith._quadratic_sieve(m)
+            if arith._perfect_power(m) is None:
+                assert g is not None and 1 < g < m and m % g == 0, m
+            else:
+                assert g is None, m
+
+    def test_a_budget_below_the_hand_off_raises_without_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "_quadratic_sieve", _untouchable)
+        with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
+            arith.factorize(self.N)
+
+    def test_the_memo_records_the_rho_iterations_spent(self, monkeypatch):
+        spent = []
+        brent_rho = arith._brent_rho
+
+        def counting(n, budget):
+            before = budget[0]
+            try:
+                return brent_rho(n, budget)
+            finally:
+                spent.append(before - budget[0])
+
+        monkeypatch.setattr(arith, "_brent_rho", counting)
+        assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
+        assert arith.QS_AFTER <= sum(spent) < 2 * arith.QS_AFTER  # the sieve split it
+        assert arith._rho_memo[self.N][1] == sum(spent)
+        with pytest.raises(BudgetError), arith.limits(rho_budget=sum(spent) - 1):
+            arith.factorize(self.N)
+        with arith.limits(rho_budget=sum(spent)):
+            assert arith.factorize(self.N) is arith._rho_memo[self.N][0]
+
+
 class TestFactorizeMemo:
     def test_hit_never_beats_a_smaller_budget(self):
         # test_budget_error_is_raised in the other order: remembered first
@@ -92,10 +182,16 @@ class TestFactorizeMemo:
         with pytest.raises(BudgetError), arith.limits(rho_budget=1):
             families.quintuple(7, 2)
 
-    def test_only_what_rho_split_is_remembered(self):
-        # trial division finishes these, or leaves a prime cofactor past 10^8
-        for m in (12, 119164, 14891, 2**90 * 1000003, 9973 * 9967, 6 * 1000000007):
-            arith.factorize(m)
+    def test_only_what_rho_split_is_remembered(self, monkeypatch):
+        # trial division finishes these, or leaves a prime cofactor past 10^8,
+        # or a power of primes past 10^4 that the root test takes without rho
+        monkeypatch.setattr(arith, "_brent_rho", _untouchable)
+        for m in (12, 119164, 14891, 2**90 * 1000003, 9973 * 9967, 6 * 1000000007,
+                  10007**3, 12 * 10007**5, 10007**4, 10009**6):
+            f = arith.factorize(m)
+            assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
+        assert arith.factorize(10007**3).factors == ((10007, 3),)
+        assert arith.factorize(10009**6).factors == ((10009, 6),)
         assert not arith._rho_memo
 
     def test_size_bound_drops_the_oldest(self, monkeypatch):

@@ -438,5 +438,39 @@ class TestHarness:
         assert Counter(split) == alone_splits
         assert len(split) < alone_total
 
+    def test_verify_splits_a_member_cofactor_once(self, capsys, monkeypatch):
+        # the member at offset 4 has radicand -255808047896 = 8 * -31976005987
+        # and square-free part -63952011974 = 2 * -31976005987
+        split = []
+        brent_rho = arith._brent_rho
+
+        def recording(n, budget):
+            split.append(n)
+            return brent_rho(n, budget)
+
+        monkeypatch.setattr(arith, "_brent_rho", recording)
+        code, out, _ = run(capsys, "quadruple", "-n", "3", "-p", "5", "-k", "10", "--verify",
+                           "--format", "json")
+        assert code == 0
+        assert -63952011974 in (m["squarefree_part"] for m in json.loads(out)["members"])
+        assert split.count(31976005987) == 1
+
+    def test_verbose_names_sieve_and_power_splits(self, capsys, caplog):
+        sieved = "61887126757805598613499"  # 149383678981 * 414283054079
+        power = str(12 * 10007**3)
+        for m, said in ((sieved, "quadratic sieve split a 76-bit cofactor: "),
+                        (power, f"factoring {power}: the cofactor {10007**3} is a power 10007^3")):
+            outs, told = [], []
+            for argv in (["squarefree"], ["-v", "squarefree"]):
+                arith._rho_memo.clear()
+                caplog.clear()
+                code, out, _ = run(capsys, *argv, "-m", m)
+                assert code == 0
+                outs.append(out)
+                told.append(sum(r.levelname == "INFO" and r.getMessage().startswith(said)
+                                for r in caplog.records))
+            assert outs[0] == outs[1]
+            assert told == [0, 1]
+
     def test_threads_flag_is_gone(self, capsys):
         assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3
