@@ -21,6 +21,18 @@ log = logging.getLogger(__name__)
 # primality test below this bound (Sorenson-Webster).
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_BOUND = 3317044064679887385961981
+# (bound, witnesses): the bound is the least strong pseudoprime to these
+# witnesses, so below it they prove primality (Pomerance, Selfridge and
+# Wagstaff 1980 for {2, 3}; Jaeschke 1993 for the first 7 primes; Jiang and
+# Deng 2014 for the first 9). is_prime takes the first row whose bound
+# exceeds m.
+MR_WITNESS_SETS = (
+    (2047, MR_WITNESSES[:1]),
+    (1373653, MR_WITNESSES[:2]),
+    (341550071728321, MR_WITNESSES[:7]),
+    (3825123056546413051, MR_WITNESSES[:9]),
+    (MR_PROVEN_BOUND, MR_WITNESSES),
+)
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,9 @@ class SquarefreeDecomposition:
 def is_prime(m: int) -> bool:
     """Deterministic primality test for |m| < MR_PROVEN_BOUND (about 3.3e24).
 
-    Miller-Rabin with a fixed witness set that is proven correct below the
-    bound. Larger inputs raise OutOfRangeError rather than returning a
+    Trial division by the 13 witnesses, then Miller-Rabin with the smallest
+    witness set of MR_WITNESS_SETS that is proven correct below a bound
+    above m. Larger inputs raise OutOfRangeError rather than returning a
     probabilistic answer.
     """
     if m < 2:
@@ -101,12 +114,14 @@ def is_prime(m: int) -> bool:
     for p in MR_WITNESSES:
         if m % p == 0:
             return m == p
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in MR_WITNESSES:
+    return _strong_probable_prime(m, next(ws for bound, ws in MR_WITNESS_SETS if m < bound))
+
+
+def _strong_probable_prime(m: int, witnesses: tuple[int, ...]) -> bool:
+    """True when m passes the strong test to every witness; m is odd and above them all."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    for a in witnesses:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -247,7 +262,8 @@ def _quadratic_sieve(n: int) -> int | None:
     n is composite, every prime factor of n is above 10**4 and n <
     MR_PROVEN_BOUND. A perfect power gets None at once: a congruence of
     squares cannot split a prime power, and Q(x) can be 0 when n is a
-    square. Each polynomial is Montgomery's Q(x) = ((Ax + B)^2 - kn) / A
+    square. An n longer than the last row of _QS_PARAMS gets None too, as no
+    parameters fit it. Each polynomial is Montgomery's Q(x) = ((Ax + B)^2 - kn) / A
     with A = q^2 for a prime q = 3 (mod 4), k the Knuth-Schroeppel
     multiplier, so (Ax + B)^2 = q^2 Q(x) (mod n). x runs over [-M, M); an
     int16 array sums log2(p) over the factor base by slice, and the x whose
@@ -260,12 +276,13 @@ def _quadratic_sieve(n: int) -> int | None:
     and a dependency is tried for a divisor as soon as it appears.
     Deterministic; a failure costs time only.
     """
-    if _perfect_power(n) is not None:
+    bits = n.bit_length()
+    row = next(((s, m) for b, s, m in _QS_PARAMS if bits <= b), None)
+    if row is None or _perfect_power(n) is not None:
         return None
     import numpy as np
 
-    bits = n.bit_length()
-    size, M = next((s, m) for b, s, m in _QS_PARAMS if bits <= b)
+    size, M = row
     k = _qs_multiplier(n)
     kn = k * n
     primes = [2]

@@ -6,11 +6,13 @@ squares dividing D keeps the primitive ones. For a up to M, the largest a
 with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a] gives c > a,
 so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R is
 multiplicative and a numpy sieve builds it over the whole a-range at once.
-Above M, the last eighth of the range, the a with R(a) > 0 are walked: b is
-solved mod 2a by CRT over the factorization of 2a, and the forms with c < a
-are dropped. Below |D| = SIEVE_FROM nothing is sieved: one walk of every
-a keeps the forms with gcd(a, b, c) = 1 and counts them, and on request
-the same walk lists them, within one a in the CRT order of the roots.
+Above M, the last eighth of the range, only the a with R(a) > 0 are looked
+at: b is solved mod 2a by CRT over the factorization of 2a, and the forms
+with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
+in one numpy pass over all of them, a shorter one walked a by a. Below
+|D| = SIEVE_FROM nothing is sieved: one walk of every a keeps the forms
+with gcd(a, b, c) = 1 and counts them, and on request the same walk lists
+them, within one a in the CRT order of the roots.
 Counts are remembered for the process. An independent Dirichlet evaluator
 of the class number formula cross-checks fundamental D.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from . import arith
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +39,14 @@ _PROGRESS_EVERY = 250_000
 # 363 us at x = 20 000, 401 against 418 at 30 000, 506 against 435 at
 # 40 000 and 529 against 470 at 50 000 (CPython 3.11, 2-core x86-64 VM).
 SIEVE_FROM = 40_000
+
+# A tail of fewer a than this (the a above M with R(a) > 0) is walked, as
+# the numpy pass's fixed cost exceeds the walk there. Per count, over 900
+# D = 0, 1 (mod 4) with |D| log-uniform in [10^7, 4*10^8], binned by tail
+# length, the walk against the pass took 0.89 against 1.25 ms at 75-99 a,
+# 1.43 against 1.49 at 125-149, 1.66 against 1.54 at 150-174 and 2.80
+# against 1.86 at 275-299 (CPython 3.11, 2-core x86-64 VM).
+TAIL_PASS_FROM = 150
 
 
 @dataclass(frozen=True)
@@ -294,13 +304,229 @@ def _root_counts(D: int, a_max: int):
     return R
 
 
+_held_spf = ()  # then a numpy array t with t[n] = smallest prime factor of n
+
+
+def _spf_array(m: int):
+    """A numpy int32 table t with t[n] the smallest prime factor of n, n <= m at least.
+
+    Held for the process and grown on demand like _prime_array; a larger
+    table replaces the old one whole. arith's table is a Python list, which
+    would cost more to convert than this costs to sieve.
+    """
+    import numpy as np
+
+    global _held_spf
+    if len(_held_spf) <= m:
+        size = max(m + 1, 2 * len(_held_spf), 1 << 16)
+        spf = np.arange(size, dtype=np.int32)
+        for p in reversed(_prime_array(isqrt(size - 1)).tolist()):  # smaller primes overwrite
+            spf[p * p :: p] = p
+        _held_spf = spf
+    return _held_spf
+
+
+def _pow_mod(x, e, m):
+    """x^e mod m elementwise over int64 arrays, 0 <= x < m < 2^31, e >= 0."""
+    import numpy as np
+
+    out = np.ones_like(x)
+    bits = int(e.max()).bit_length() if e.size else 0
+    for k in range(bits):
+        out = np.where(e >> k & 1, out * x % m, out)
+        if k + 1 < bits:
+            x = x * x % m
+    return out
+
+
+def _sqrt_mod_split(d, p):
+    """s with s^2 = d (mod p) elementwise, for odd primes p and nonzero squares d mod p.
+
+    One power for p = 3 (mod 4): d^((p+1)/4). Atkin's for p = 5 (mod 8),
+    where 2 is a non-residue: with v = (2d)^((p-5)/8), i = 2d v^2 is a root
+    of -1 and s = dv(i - 1). Otherwise Cipolla: t is the least positive
+    integer with w = t^2 - d a non-residue, and s is the constant term of
+    (t + x)^((p+1)/2) in F_p[x]/(x^2 - w). Every product is below p^2.
+    """
+    import numpy as np
+
+    s = np.empty_like(p)
+    one = (p & 7) == 1
+    q, c = p[~one], d[~one]
+    five = (q & 7) == 5
+    base = np.where(five, 2 * c % q, c)
+    v = _pow_mod(base, np.where(five, (q - 5) >> 3, (q + 1) >> 2), q)
+    s[~one] = np.where(five, c * v % q * ((base * v % q * v - 1) % q) % q, v)
+    P, d = p[one], d[one]
+    t, w = np.empty_like(P), np.empty_like(P)
+    pending, k = np.arange(len(P)), 1
+    while pending.size:
+        # Half the t fail. A round's numpy calls cost about as much as its
+        # work on 1000 pairs (p, t), so it tries up to 8 t per p to reach that.
+        ks = np.arange(k, k + min(8, max(1, 1024 // len(pending))))
+        Pk = P[pending, None]
+        wk = (ks * ks - d[pending, None]) % Pk
+        nonres = _pow_mod(wk, Pk >> 1, Pk) == Pk - 1  # Euler's criterion
+        found, col = nonres.any(axis=1), nonres.argmax(axis=1)
+        t[pending[found]] = ks[col[found]]
+        w[pending[found]] = wk[found, col[found]]
+        pending, k = pending[~found], k + len(ks)
+    x, y, rx, ry, e = t, np.ones_like(P), np.ones_like(P), np.zeros_like(P), (P + 1) >> 1
+    bits = int(e.max()).bit_length() if e.size else 0
+    for k in range(bits):
+        odd = (e >> k & 1).astype(bool)
+        rx, ry = (np.where(odd, (rx * x + ry * y % P * w) % P, rx),
+                  np.where(odd, (rx * y + ry * x) % P, ry))
+        if k + 1 < bits:
+            x, y = (x * x + y * y % P * w) % P, 2 * x * y % P
+    s[one] = rx
+    return s
+
+
+def _root_table(roots: list[list[int]]):
+    """(flat, count, start): the lists laid end to end, list i at flat[start[i]:][:count[i]]."""
+    import numpy as np
+
+    count = np.array([len(rs) for rs in roots], dtype=np.int64)
+    flat = np.array([x for rs in roots for x in rs], dtype=np.int64)
+    return flat, count, np.cumsum(count) - count
+
+
+def _expand(k):
+    """(i, j) over the pairs j < k[i], i increasing: the rows i repeated k[i] times."""
+    import numpy as np
+
+    i = np.repeat(np.arange(len(k)), k)
+    return i, np.arange(len(i)) - (np.cumsum(k) - k)[i]
+
+
+def _inverse_mod_2k(u, mask):
+    """w in [0, 2^k) with u * w = 1 (mod 2^k) elementwise, for odd u and mask = 2^k - 1.
+
+    Newton's step w -> w(2 - uw) doubles the bits to which w is right, from
+    3 at w = u, as u^2 = 1 (mod 8). int64 products that pass 2^63 wrap
+    modulo 2^64, which keeps them right modulo 2^k for any k <= 63.
+    """
+    w = u & mask
+    for _ in range(int(mask.max()).bit_length().bit_length() - 1):  # 3 * 2^steps >= k
+        w = w * (2 - (u * w & mask)) & mask
+    return w
+
+
+def _tail_count(D: int, tail) -> int:
+    """The reduced forms (a, b, c) of D with a in tail, of every content: _walk's count.
+
+    tail is an increasing int64 array of a in (M, a_max] with R(a) > 0, all
+    counted in one numpy pass. Each a = 2^v * u is factored through a
+    smallest-prime-factor table, one odd prime power q of u per level,
+    smallest first. The roots mod a q = p^e with e > 1 or p | D come from
+    _sqrt_mod_prime_power, once per D and q; for the other q = p they are
+    +-sqrt(D) mod p, from _sqrt_mod_split once per prime. Each array row
+    holds one root mod the part of u done so far, starting from 0 mod 1; at
+    each level a row becomes one row per root mod q, joined by CRT with the
+    inverse of that part mod q (by Fermat, once per a and level from the
+    second on). Last, each root mod u is joined with each of
+    _two_adic_roots(D, v), mod 2^(v+1), by _inverse_mod_2k. A root b in
+    [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
+    b >= 0, compared as b^2 - D against 4a^2. Outside _inverse_mod_2k, whose
+    masks keep it right, every intermediate is below max(4a^2, a^2 - D) <=
+    4|D|/3, so all are exact in int64 for |D| < 2^62.
+    """
+    import numpy as np
+
+    n = len(tail)
+    if not n:
+        return 0
+    low = tail & -tail
+    v = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # low = 2^v exactly
+    rest = tail >> v
+    spf = _spf_array(int(tail[-1]))
+    levels = []  # (a, p, q, split): the tail indices a whose next odd prime power is q = p^e
+    depth = np.zeros(n, dtype=np.int64)  # the odd prime powers of each a
+    act = np.flatnonzero(rest > 1)
+    while act.size:
+        left = rest[act]
+        p = spf[left].astype(np.int64)
+        q = p.copy()
+        left //= p
+        more = np.flatnonzero(left % p == 0)
+        while more.size:
+            q[more] *= p[more]
+            left[more] //= p[more]
+            more = more[left[more] % p[more] == 0]
+        rest[act] = left
+        depth[act] += 1
+        levels.append((act, p, q, (q == p) & (D % p != 0)))
+        act = act[left > 1]
+
+    root_at = np.zeros(int(tail[-1]) + 1, dtype=np.int32)  # sqrt(D) mod each split p met
+    for _, p, _, sp in levels:
+        root_at[p[sp]] = 1
+    split_p = np.flatnonzero(root_at)
+    root_at[split_p] = _sqrt_mod_split(D % split_p, split_p)
+    exact_q = np.unique(np.concatenate([q[~sp] for _, _, q, sp in levels] + [low[:0]]))
+    exact = []
+    for q in exact_q.tolist():
+        p, e = int(spf[q]), 1
+        while p**e < q:
+            e += 1
+        exact.append(_sqrt_mod_prime_power(D, p, e))
+    ex_flat, ex_count, ex_start = _root_table(exact)
+
+    own, r = np.arange(n), np.zeros(n, dtype=np.int64)  # own: the tail index of each row
+    mod = np.ones(n, dtype=np.int64)  # per a: the part of u its roots so far are taken mod
+    # per a, at its current level: roots mod q, and the first of them (the
+    # square root of D for a split p, else where they start in ex_flat)
+    count, first, qa, inv = (np.ones(n, dtype=np.int64) for _ in range(4))
+    tabled = np.zeros(n, dtype=bool)
+    finished = []
+    for level, (act, p, q, sp) in enumerate(levels):
+        done = depth[own] == level
+        finished.append((own[done], r[done]))
+        own, r = own[~done], r[~done]
+        count[act], qa[act], tabled[act] = 2, q, ~sp
+        first[act[sp]] = root_at[p[sp]]
+        x = np.searchsorted(exact_q, q[~sp])
+        count[act[~sp]], first[act[~sp]] = ex_count[x], ex_start[x]
+        if level:  # at the first level every mod is 1, and so is its inverse
+            inv[act] = _pow_mod(mod[act] % q, q - q // p - 1, q)
+        i, j = _expand(count[own])
+        own, r0 = own[i], r[i]
+        qq, f = qa[own], first[own]
+        r1 = np.where(j == 0, f, qq - f)
+        t = np.flatnonzero(tabled[own])
+        r1[t] = ex_flat[f[t] + j[t]]
+        r = r0 + mod[own] * ((r1 - r0) % qq * inv[own] % qq)
+        mod[act] *= q
+        del i, j, r0, qq, f, r1, t  # before the next level's rows or the last step's
+    own = np.concatenate([o for o, _ in finished] + [own])
+    r = np.concatenate([x for _, x in finished] + [r])
+    del finished
+
+    two_flat, two_count, two_start = _root_table(
+        [_two_adic_roots(D, k) for k in range(int(v.max()) + 1)])
+    mask = (low << 1) - 1
+    w = _inverse_mod_2k(mod, mask)
+    i, j = _expand(two_count[v[own]])
+    own, r = own[i], r[i]
+    j += two_start[v[own]]
+    b = r + mod[own] * ((two_flat[j] - r) * w[own] & mask[own])
+    del i, j, r
+    a = tail[own]
+    b = np.where(b > a, b - 2 * a, b)
+    N, A4 = b * b - D, 4 * a * a
+    return int(np.count_nonzero((N > A4) | ((N == A4) & (b >= 0))))
+
+
 def _reduced_count(D: int) -> int:
     """The number of reduced forms of discriminant D, primitive or not.
 
     For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
     gives c > a, so the forms with first coefficient a number R(a) and the
-    sieve counts them. The a above M are walked, but only where R(a) > 0.
-    Below |D| = SIEVE_FROM every a is walked and nothing sieved.
+    sieve counts them. Above M only the a with R(a) > 0 are looked at: a
+    tail of at least TAIL_PASS_FROM of them is counted by _tail_count in one
+    numpy pass, a shorter one walked. Below |D| = SIEVE_FROM every a is
+    walked and nothing sieved.
     """
     a_max = isqrt(-D // 3)
     if -D < SIEVE_FROM:
@@ -311,8 +537,11 @@ def _reduced_count(D: int) -> int:
     M = isqrt((-D - 1) // 4)
     head = int(R[1 : M + 1].sum(dtype=np.int64))
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    tail = (np.flatnonzero(R[M + 1 :]) + (M + 1)).tolist()
-    h = sum(1 for _ in _walk(D, tail, a_max))
+    tail = np.flatnonzero(R[M + 1 :]) + (M + 1)
+    if len(tail) >= TAIL_PASS_FROM:
+        h = _tail_count(D, tail)
+    else:
+        h = sum(1 for _ in _walk(D, tail.tolist(), a_max))
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 
@@ -359,12 +588,17 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     With with_forms, that walk runs whatever D is, and the forms it keeps
     are returned. Results without with_forms are remembered for the process
     (at most arith.MEMO_SIZE, oldest dropped first), and a D counted before
-    is answered from there, logged at INFO.
+    is answered from there, logged at INFO. Every count, remembered or not,
+    first checks |D| <= 4 * Limits.sf_budget, the largest field discriminant
+    whose square-free part fits the budget, and raises BudgetError past it.
     """
     if D >= 0:
         raise DomainError(f"discriminant must be negative, got {D}")
     if D % 4 not in (0, 1):
         raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
+    bound = 4 * arith._LIMITS.get().sf_budget
+    if -D > bound:
+        raise BudgetError(f"form count of D = {D}: |D| exceeds 4 * sf_budget = {bound}")
     if with_forms:
         forms = tuple(QuadForm(a, b, c) for a, b, c in _primitive_walk(D))
         return ClassNumberResult(D, len(forms), "form-count", forms)

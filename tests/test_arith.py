@@ -136,6 +136,11 @@ class TestQuadraticSieve:
             else:
                 assert g is None, m
 
+    def test_none_above_the_last_parameter_row(self):
+        n = 4398046511119 * 8796093022237  # 86 bits, two primes of 43 and 44 bits
+        assert n.bit_length() > arith._QS_PARAMS[-1][0]
+        assert arith._quadratic_sieve(n) is None
+
     def test_a_budget_below_the_hand_off_raises_without_the_sieve(self, monkeypatch):
         monkeypatch.setattr(arith, "_quadratic_sieve", _untouchable)
         with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
@@ -226,6 +231,30 @@ class TestIsPrime:
         assert not arith.is_prime(3215031751)          # 151 * 751 * 28351
         assert not arith.is_prime(3825123056546413051)
         assert arith.is_prime(2**61 - 1)
+
+    def test_witness_sets_agree_with_all_13_witnesses(self):
+        # densely below 3*10^4 and on both sides of every bound, the bound itself included
+        all_13 = arith.MR_WITNESSES
+        for bound, witnesses in arith.MR_WITNESS_SETS:
+            near = range(max(43, bound - 3000) | 1, bound + 3000, 2)
+            for m in [*range(43, 30_000, 2), *near]:
+                if m < arith.MR_PROVEN_BOUND and all(m % p for p in all_13):
+                    want = arith._strong_probable_prime(m, all_13)
+                    assert arith.is_prime(m) == want, m
+                    if m < bound:
+                        assert arith._strong_probable_prime(m, witnesses) == want, (bound, m)
+
+    def test_strong_pseudoprimes_at_the_bounds(self):
+        # the least strong pseudoprime to the first k primes, for k = 1..9
+        least = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+                 6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+                 9: 3825123056546413051}
+        for k, m in least.items():
+            assert arith._strong_probable_prime(m, arith.MR_WITNESSES[:k]), m
+            assert not arith.is_prime(m), m
+        sets = arith.MR_WITNESS_SETS
+        assert [bound for bound, _ in sets[:-1]] == [least[len(ws)] for _, ws in sets[:-1]]
+        assert sets[-1] == (arith.MR_PROVEN_BOUND, arith.MR_WITNESSES)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):

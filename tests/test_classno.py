@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iqtuples import arith, classno
 from iqtuples.classno import QuadForm, reduce_form
-from iqtuples.errors import DomainError
+from iqtuples.errors import BudgetError, DomainError
 
 from oracles import brute_reduced_forms, trial_factorize
 
@@ -192,6 +192,17 @@ class TestFormCountMemo:
         assert classno.class_number_dirichlet(-23).h == 3
         assert not classno._h_memo
 
+    def test_sf_budget_is_checked_before_the_memo(self):
+        D = -4 * (10**6 + 1)  # the largest |D| that sf_budget = 10^6 + 1 allows
+        h = classno.class_number_forms(D).h
+        with arith.limits(sf_budget=10**6 + 1):
+            assert classno.class_number_forms(D).h == h
+        with arith.limits(sf_budget=10**6):
+            with pytest.raises(BudgetError, match="exceeds 4 \\* sf_budget = 4000000$"):
+                classno.class_number_forms(D)
+            with pytest.raises(BudgetError):
+                classno.class_number_forms(D, with_forms=True)
+
     def test_size_bound(self, monkeypatch):
         monkeypatch.setattr(arith, "MEMO_SIZE", 2)
         for D in (-3, -4, -7, -8, -11):
@@ -206,8 +217,10 @@ def _walk_h(D):
 
 class TestSieve:
     def test_equals_walk_to_3e4(self, monkeypatch):
-        # every D, so -3, -4 and non-fundamental D such as -4*9*7 among them
+        # every D, so -3, -4 and non-fundamental D such as -4*9*7 among them;
+        # the sieve and the numpy tail pass at every size
         monkeypatch.setattr(classno, "SIEVE_FROM", 0)
+        monkeypatch.setattr(classno, "TAIL_PASS_FROM", 0)
         for D in range(-3, -30_001, -1):
             if D % 4 in (0, 1):
                 assert classno.class_number_forms(D).h == _walk_h(D), D
@@ -267,12 +280,89 @@ class TestSieve:
 
         with monkeypatch.context() as m:
             m.setattr(classno, "_roots_mod_2a", recording)
+            m.setattr(classno, "TAIL_PASS_FROM", 10**9)  # the walk, whatever the tail
             h = classno.class_number_forms(D).h
         a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
         spf = arith.smallest_prime_factor_table(a_max)
         assert walked and all(M < a <= a_max and roots_mod_2a(D, a, spf, {}) for a in walked)
         assert len(walked) < (a_max - M) // 2
         assert h == _walk_h(D)
+
+
+def _tail(D):
+    a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
+    R = classno._root_counts(D, a_max)
+    return np.flatnonzero(R[M + 1 :]) + (M + 1), a_max
+
+
+class TestTailPass:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(27, 41).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
+           st.sampled_from(["D", "-4d", "square", "two"]), st.integers(2, 400), st.integers(3, 24))
+    def test_equals_walk_sampled(self, n, kind, f, v):
+        # |D| log-uniform from 1.3e8, where most tails pass the cut, to 4e12
+        n = min(n, 10**12)
+        if kind == "D":
+            D = -n if -n % 4 in (0, 1) else -4 * n
+        elif kind == "-4d":  # what thm31 counts
+            D = -4 * (4 * (n // 4) + 3)
+        elif kind == "square":  # p^2 | D for the primes p of f
+            d = max(3, n // (f * f))
+            D = (-d if -d % 4 in (0, 1) else -4 * d) * f * f
+        else:  # 2^v | D
+            D = -(2**v) * max(1, n >> v)
+        tail, a_max = _tail(D)
+        want = sum(1 for _ in classno._walk(D, tail.tolist(), a_max))
+        assert classno._tail_count(D, tail) == want, D
+
+    def test_equals_walk_on_prime_powers(self):
+        # tails whose a hold odd prime powers and high powers of 2, with p | D,
+        # p^2 | D and 2^v | D for many v, and one tail of a single a
+        for D in (-4 * 30030**2, -(3**4) * (5**2) * 7 * 11 * 13 * 4 * 10**3, -(2**23) * 3 * 5 * 7,
+                  -(2**30) * 17, -4 * 10**9 - 3 * 4, -3, -4):
+            tail, a_max = _tail(D)
+            want = sum(1 for _ in classno._walk(D, tail.tolist(), a_max))
+            assert classno._tail_count(D, tail) == want, D
+        tail, _ = _tail(-4 * 30030**2)
+        assert any(a % 9 == 0 and a % 27 for a in tail.tolist())  # 9 exactly divides a
+
+    def test_inverse_mod_2k(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, 33):
+            u = np.concatenate([np.arange(1, 200, 2), rng.integers(0, 2**31, 500) | 1])
+            mask = np.full_like(u, (1 << k) - 1)
+            mask[::2] = 1  # and a smaller modulus beside it
+            w = classno._inverse_mod_2k(u, mask)
+            assert (u * w & mask == 1 & mask).all() and (w <= mask).all(), k
+
+    def test_sqrt_mod_split(self):
+        # p = 3 (mod 4) by one power, 5 (mod 8) by Atkin's formula, 1 (mod 8) by Cipolla
+        primes = np.array(arith.primes_up_to(5000)[1:], dtype=np.int64)
+        seen = set()
+        for D in (-4, -3, -23, -4 * 10**9 - 12, -4 * 10**12 + 1):
+            split = primes[[arith.kronecker(D, p) == 1 for p in primes.tolist()]]
+            s = classno._sqrt_mod_split(D % split, split)
+            assert ((s * s - D) % split == 0).all(), D
+            seen |= set((split % 8).tolist())
+        assert seen == {1, 3, 5, 7}
+
+    def test_tail_pass_from_the_cut(self, monkeypatch, caplog):
+        # from the cut up the pass runs and walks nothing; both log alike
+        D = -4 * 10**9 + 1
+        tail, _ = _tail(D)
+        assert len(tail) >= classno.TAIL_PASS_FROM
+        walk, runs = classno._walk, []
+        for cut in (len(tail), len(tail) + 1):  # the pass, then the walk
+            walked = []
+            monkeypatch.setattr(classno, "TAIL_PASS_FROM", cut)
+            monkeypatch.setattr(classno, "_walk", lambda *args: walked.append(1) or walk(*args))
+            with caplog.at_level("INFO", logger="iqtuples"):
+                caplog.clear()
+                count = classno._reduced_count(D)
+            runs.append((count, [r.getMessage() for r in caplog.records], bool(walked)))
+        (c0, log0, walked0), (c1, log1, walked1) = runs
+        assert (c0, log0) == (c1, log1) and not walked0 and walked1
+        assert log0[-1].startswith(f"form count {D}: walked {len(tail)} of a = ")
 
 
 class TestDirichlet:

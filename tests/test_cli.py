@@ -42,6 +42,16 @@ class TestClassnum:
                            "--format", "json")
         assert sorted(json.loads(out)["reduced_forms"]) == [[1, 1, 6], [2, -1, 3], [2, 1, 3]]
 
+    def test_sf_budget_bounds_the_form_count(self, capsys):
+        # |D| = 4 * (10^12 + 1), one past 4 * sf_budget at the default budget
+        code, out, err = run(capsys, "classnum", "-D", "-4000000000004")
+        assert code == 2 and out == ""
+        assert err.startswith("budget exhausted: form count of D = -4000000000004: ")
+        code, out, _ = run(capsys, "classnum", "-D", "-4000000000004",
+                           "--sf-budget", "1000000000001")
+        assert code == 0
+        assert out.startswith("h*(-4000000000004) = 938880 ")  # as a walk of every tail a counts it
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "classnum")
         assert code == 3
@@ -102,6 +112,11 @@ class TestLrnSolve:
         code, _, err = run(capsys, "lrn-solve", "-d", "7", "-l", "11", "--z-max", "3",
                            "--method", "both")
         assert code == 0
+
+    def test_sf_budget_bounds_the_class_number(self, capsys):
+        code, out, err = run(capsys, "lrn-solve", "-d", "1000000000001", "-l", "3", "--z-max", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("budget exhausted: form count of D = -4000000000004: ")
 
 
 class TestThm31:
