@@ -238,6 +238,19 @@ _QS_FAILS = 32  # dependencies that gave no divisor before the sieve gives up
 _QS_LARGE = 32  # a partial relation's leftover is below this times the largest base prime
 
 
+def _pow_mod(x, e, m):
+    """x^e mod m elementwise over int64 arrays that broadcast, 0 <= x < m, 2 <= m < 2^31, e >= 0."""
+    import numpy as np
+
+    out = np.ones_like(x)
+    bits = int(e.max()).bit_length() if e.size else 0
+    for k in range(bits):
+        out = np.where(e >> k & 1, out * x % m, out)  # products stay below 2^62
+        if k + 1 < bits:
+            x = x * x % m
+    return out
+
+
 def _qs_multiplier(n: int) -> int:
     """Knuth-Schroeppel: the k whose kn has the most small primes splitting it."""
     import numpy as np
@@ -246,10 +259,7 @@ def _qs_multiplier(n: int) -> int:
     P = np.array(primes, dtype=np.int64)
     K = np.array(_QS_MULTIPLIERS, dtype=np.int64)[:, None]
     base = K * np.array([n % p for p in primes], dtype=np.int64) % P
-    e, square = (P - 1) // 2, np.ones(base.shape, dtype=np.int64)
-    while e.any():  # Euler's criterion, kn^((p-1)/2) mod p for every k and p at once
-        square = np.where(e & 1, square * base % P, square)
-        base, e = base * base % P, e >> 1
+    square = _pow_mod(base, (P - 1) >> 1, P)  # Euler's criterion for every k and p at once
     gain = np.where(K % P == 0, np.log2(P) / P, np.where(square == 1, 2 * np.log2(P) / (P - 1), 0))
     score = gain.sum(axis=1) - 0.5 * np.log2(K[:, 0])
     score += [2 if k * n % 8 == 1 else 1 if k * n % 8 == 5 else 0.5 for k in _QS_MULTIPLIERS]

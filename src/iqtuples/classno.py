@@ -9,7 +9,10 @@ multiplicative and a numpy sieve builds it over the whole a-range at once.
 Above M, the last eighth of the range, only the a with R(a) > 0 are looked
 at: b is solved mod 2a by CRT over the factorization of 2a, and the forms
 with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
-in one numpy pass over all of them, a shorter one walked a by a. Below
+in one numpy pass over all of them, a shorter one walked a by a. The
+sieve of R and the tail pass read their primes and smallest prime factors
+from one numpy table held for the process (_sieve); the walk reads arith's
+Python-list table, so that it imports no numpy. Below
 |D| = SIEVE_FROM nothing is sieved: one walk of every a keeps the forms
 with gcd(a, b, c) = 1 and counts them, and on request the same walk lists
 them, within one a in the CRT order of the roots.
@@ -208,24 +211,34 @@ def _walk(D: int, a_values, a_max: int):
                 yield a, b, c
 
 
-_held_primes: tuple = (0, None)  # (m, numpy array of the primes <= m)
+_held_sieve: tuple = ((), ())  # (spf, primes), numpy arrays once first asked for
 
 
-def _prime_array(m: int):
-    """The primes <= m as a numpy int64 array, cut from a sieve held for the process.
+def _sieve(m: int):
+    """(spf, primes): spf[n] the smallest prime factor of n, primes those <= m.
 
-    Grown on demand like arith's spf table; a larger array replaces the old
-    one whole.
+    spf is int32 and covers 0..m at least, primes int64. It equals arith's
+    smallest_prime_factor_table, which _walk keeps, as reading a numpy table
+    one entry at a time is slower. The sieve of R and the tail pass both ask
+    for a_max, so a count builds one table. Held for the process and grown
+    on demand; a larger table replaces the old one whole, so arrays a caller
+    holds never change.
     """
     import numpy as np
 
-    global _held_primes
-    held, primes = _held_primes
-    if held < m:
-        held = max(m, 2 * held, 1 << 16)
-        primes = np.array(arith.primes_up_to(held), dtype=np.int64)
-        _held_primes = (held, primes)
-    return primes[: np.searchsorted(primes, m, side="right")]
+    global _held_sieve
+    spf, primes = _held_sieve
+    if len(spf) <= m:
+        size = max(m + 1, 2 * len(spf), 1 << 16)
+        n = np.arange(size, dtype=np.int32)
+        spf = n.copy()
+        for p in range(2, isqrt(size - 1) + 1):
+            if spf[p] == p:  # no smaller prime divides p
+                view = spf[p * p :: p]
+                np.minimum(view, p, out=view)
+        primes = np.flatnonzero(spf == n)[2:]  # 0 and 1 are their own entries too
+        _held_sieve = (spf, primes)
+    return spf, primes[: np.searchsorted(primes, m, side="right")]
 
 
 def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
@@ -245,21 +258,18 @@ def _root_counts(D: int, a_max: int):
 
     R is multiplicative. R(2^v) is the number of _two_adic_roots(D, v);
     for odd p, R(p^e) = 1 + (D/p) whatever e when p does not divide D, and
-    the number of roots mod p^e when it does. The Legendre symbols come from
-    Euler's criterion over all odd primes at once. Each factor is multiplied
-    into the multiples of its prime (power) by slicing, except that the
-    large primes, whose squares exceed a_max, go in by their multiples j*p,
-    one j at a time.
+    the number of roots mod p^e when it does. The primes are _sieve(a_max)'s,
+    and the Legendre symbols come from Euler's criterion over all odd ones at
+    once, by arith._pow_mod. Each factor is multiplied into the multiples of
+    its prime (power) by slicing, except that the large primes, whose squares
+    exceed a_max, go in by their multiples j*p, one j at a time.
     """
     import numpy as np
 
-    primes = _prime_array(a_max)
+    primes = _sieve(a_max)[1]
     odd = primes[1:]
     Dmod = D % odd  # |D| < 2^63, or the arrays here would not fit in memory
-    chi, base, e = np.ones_like(odd), Dmod, (odd - 1) >> 1
-    for k in range(int(e[-1]).bit_length() if len(e) else 0):
-        chi = np.where(e >> k & 1, chi * base % odd, chi)  # products stay below 2^62
-        base = base * base % odd
+    chi = arith._pow_mod(Dmod, (odd - 1) >> 1, odd)
     fac = np.where(chi == 1, 2, np.where(chi == 0, 1, 0))  # R(p) = 1 + (D/p)
 
     # One numpy call per prime below the split and per j above it; splitting
@@ -304,41 +314,6 @@ def _root_counts(D: int, a_max: int):
     return R
 
 
-_held_spf = ()  # then a numpy array t with t[n] = smallest prime factor of n
-
-
-def _spf_array(m: int):
-    """A numpy int32 table t with t[n] the smallest prime factor of n, n <= m at least.
-
-    Held for the process and grown on demand like _prime_array; a larger
-    table replaces the old one whole. arith's table is a Python list, which
-    would cost more to convert than this costs to sieve.
-    """
-    import numpy as np
-
-    global _held_spf
-    if len(_held_spf) <= m:
-        size = max(m + 1, 2 * len(_held_spf), 1 << 16)
-        spf = np.arange(size, dtype=np.int32)
-        for p in reversed(_prime_array(isqrt(size - 1)).tolist()):  # smaller primes overwrite
-            spf[p * p :: p] = p
-        _held_spf = spf
-    return _held_spf
-
-
-def _pow_mod(x, e, m):
-    """x^e mod m elementwise over int64 arrays, 0 <= x < m < 2^31, e >= 0."""
-    import numpy as np
-
-    out = np.ones_like(x)
-    bits = int(e.max()).bit_length() if e.size else 0
-    for k in range(bits):
-        out = np.where(e >> k & 1, out * x % m, out)
-        if k + 1 < bits:
-            x = x * x % m
-    return out
-
-
 def _sqrt_mod_split(d, p):
     """s with s^2 = d (mod p) elementwise, for odd primes p and nonzero squares d mod p.
 
@@ -355,7 +330,7 @@ def _sqrt_mod_split(d, p):
     q, c = p[~one], d[~one]
     five = (q & 7) == 5
     base = np.where(five, 2 * c % q, c)
-    v = _pow_mod(base, np.where(five, (q - 5) >> 3, (q + 1) >> 2), q)
+    v = arith._pow_mod(base, np.where(five, (q - 5) >> 3, (q + 1) >> 2), q)
     s[~one] = np.where(five, c * v % q * ((base * v % q * v - 1) % q) % q, v)
     P, d = p[one], d[one]
     t, w = np.empty_like(P), np.empty_like(P)
@@ -366,7 +341,7 @@ def _sqrt_mod_split(d, p):
         ks = np.arange(k, k + min(8, max(1, 1024 // len(pending))))
         Pk = P[pending, None]
         wk = (ks * ks - d[pending, None]) % Pk
-        nonres = _pow_mod(wk, Pk >> 1, Pk) == Pk - 1  # Euler's criterion
+        nonres = arith._pow_mod(wk, Pk >> 1, Pk) == Pk - 1  # Euler's criterion
         found, col = nonres.any(axis=1), nonres.argmax(axis=1)
         t[pending[found]] = ks[col[found]]
         w[pending[found]] = wk[found, col[found]]
@@ -417,15 +392,15 @@ def _tail_count(D: int, tail) -> int:
     """The reduced forms (a, b, c) of D with a in tail, of every content: _walk's count.
 
     tail is an increasing int64 array of a in (M, a_max] with R(a) > 0, all
-    counted in one numpy pass. Each a = 2^v * u is factored through a
-    smallest-prime-factor table, one odd prime power q of u per level,
+    counted in one numpy pass. Each a = 2^v * u is factored through the
+    smallest prime factors of _sieve, one odd prime power q of u per level,
     smallest first. The roots mod a q = p^e with e > 1 or p | D come from
     _sqrt_mod_prime_power, once per D and q; for the other q = p they are
     +-sqrt(D) mod p, from _sqrt_mod_split once per prime. Each array row
     holds one root mod the part of u done so far, starting from 0 mod 1; at
     each level a row becomes one row per root mod q, joined by CRT with the
-    inverse of that part mod q (by Fermat, once per a and level from the
-    second on). Last, each root mod u is joined with each of
+    inverse of that part mod q (by Fermat and arith._pow_mod, once per a and
+    level from the second on). Last, each root mod u is joined with each of
     _two_adic_roots(D, v), mod 2^(v+1), by _inverse_mod_2k. A root b in
     [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
     b >= 0, compared as b^2 - D against 4a^2. Outside _inverse_mod_2k, whose
@@ -440,7 +415,7 @@ def _tail_count(D: int, tail) -> int:
     low = tail & -tail
     v = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # low = 2^v exactly
     rest = tail >> v
-    spf = _spf_array(int(tail[-1]))
+    spf = _sieve(int(tail[-1]))[0]
     levels = []  # (a, p, q, split): the tail indices a whose next odd prime power is q = p^e
     depth = np.zeros(n, dtype=np.int64)  # the odd prime powers of each a
     act = np.flatnonzero(rest > 1)
@@ -489,7 +464,7 @@ def _tail_count(D: int, tail) -> int:
         x = np.searchsorted(exact_q, q[~sp])
         count[act[~sp]], first[act[~sp]] = ex_count[x], ex_start[x]
         if level:  # at the first level every mod is 1, and so is its inverse
-            inv[act] = _pow_mod(mod[act] % q, q - q // p - 1, q)
+            inv[act] = arith._pow_mod(mod[act] % q, q - q // p - 1, q)
         i, j = _expand(count[own])
         own, r0 = own[i], r[i]
         qq, f = qa[own], first[own]

@@ -384,6 +384,10 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError as e:  # a sieve or table larger than the machine
+        print(f"budget exhausted: out of memory: {str(e) or 'an allocation failed'}",
+              file=sys.stderr)
+        return EXIT_BUDGET
     except DomainError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE

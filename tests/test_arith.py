@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from iqtuples import arith, families
@@ -354,3 +355,31 @@ class TestSmallestPrimeFactorTable:
         grown = arith.smallest_prime_factor_table(2 * len(held))
         assert len(grown) > 2 * len(held)
         assert held == copy and grown[: len(held)] == copy
+
+
+class TestPowMod:
+    def test_equals_pow(self):
+        rng = np.random.default_rng(11)
+        m = rng.integers(2, 2**31, 3000)
+        x = rng.integers(0, 2**62, 3000) % m
+        e = rng.integers(0, 2**31, 3000)
+        e[::7] = 0
+        want = [pow(*t) for t in zip(x.tolist(), e.tolist(), m.tolist())]
+        assert arith._pow_mod(x, e, m).tolist() == want
+
+    def test_zero_exponents_and_empty_arrays(self):
+        x = np.array([0, 1, 5, 2**31 - 2], dtype=np.int64)
+        zero = np.zeros_like(x)
+        assert arith._pow_mod(x, zero, x + 1).tolist() == [1, 1, 1, 1]
+        empty = np.zeros(0, dtype=np.int64)
+        assert arith._pow_mod(empty, empty, empty).tolist() == []
+
+    def test_broadcast_as_the_multiplier_uses_it(self):
+        # a base per multiplier and prime, one exponent and modulus per prime
+        P = np.array(arith.primes_up_to(113)[1:], dtype=np.int64)
+        K = np.arange(1, 41, 2, dtype=np.int64)[:, None]
+        base = K * 1000003 % P
+        assert base.shape == (20, 29)
+        got = arith._pow_mod(base, (P - 1) >> 1, P)
+        want = [[pow(b, (p - 1) // 2, p) for b, p in zip(row, P.tolist())] for row in base.tolist()]
+        assert got.tolist() == want

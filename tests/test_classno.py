@@ -289,6 +289,26 @@ class TestSieve:
         assert h == _walk_h(D)
 
 
+class TestHeldSieve:
+    def test_equals_arith_tables(self, monkeypatch):
+        # from an empty hold, across the growth past 2^16 and to 7*10^4
+        monkeypatch.setattr(classno, "_held_sieve", ((), ()))
+        for m in list(range(101)) + [2**16 - 1, 2**16, 70_000]:
+            spf, primes = classno._sieve(m)
+            assert len(spf) > m and spf.dtype == np.int32 and primes.dtype == np.int64
+            assert spf[: m + 1].tolist() == arith.smallest_prime_factor_table(m)[: m + 1], m
+            assert primes.tolist() == arith.primes_up_to(m), m
+
+    def test_held_arrays_survive_growth(self, monkeypatch):
+        monkeypatch.setattr(classno, "_held_sieve", ((), ()))
+        spf, primes = classno._sieve(100)
+        copies = spf.copy(), primes.copy()
+        grown, more = classno._sieve(2 * len(spf))
+        assert len(grown) > 2 * len(spf)
+        assert (spf == copies[0]).all() and (primes == copies[1]).all()
+        assert (grown[: len(spf)] == spf).all() and (more[: len(primes)] == primes).all()
+
+
 def _tail(D):
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
     R = classno._root_counts(D, a_max)

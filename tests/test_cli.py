@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 from iqtuples import arith, classno, cli, families
@@ -414,6 +417,38 @@ class TestHarness:
             progress.append(sum(r.levelname == "INFO" and r.getMessage().startswith("form count")
                                 for r in caplog.records))
         assert progress[0] == 0 and progress[1] > 0 and progress[2] == 0
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # as when the held sieve or pi_tuple's primes do not fit; nothing is allocated
+        def sieve(m):
+            raise MemoryError(f"Unable to allocate 43.0 GiB for an array with shape ({m},)")
+
+        def primes_up_to(m):
+            raise MemoryError()  # as a bytearray too large for the address space
+
+        monkeypatch.setattr(classno, "_sieve", sieve)
+        code, out, err = run(capsys, "classnum", "-D", "-400003")
+        assert code == 2 and out == ""
+        assert err == ("budget exhausted: out of memory: Unable to allocate 43.0 GiB "
+                       "for an array with shape (365,)\n")
+        monkeypatch.setattr(arith, "primes_up_to", primes_up_to)
+        code, out, err = run(capsys, "tuples", "-n", "3", "-m", "100000000000", "-k", "2")
+        assert code == 2 and out == ""
+        assert err == "budget exhausted: out of memory: an allocation failed\n"
+
+    def test_walked_counts_import_no_numpy(self):
+        # numpy doubles a fresh interpreter's start-up, so a walked count or a
+        # construction without --verify must not import it
+        script = ("import sys\nfrom iqtuples import cli\n"
+                  "for argv in (['classnum', '-D', '-23'], "
+                  "['classnum', '-D', '-39999', '--with-forms'], "
+                  "['quadruple', '-n', '3', '-p', '3', '-k', '2']):\n"
+                  "    assert cli.main(argv) == 0, argv\n"
+                  "assert 'numpy' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_remembered_factorization_obeys_rho_budget(self, capsys):
         assert run(capsys, "quintuple", "-n", "7", "-k", "2")[0] == 0
