@@ -42,11 +42,16 @@ class Limits:
     rho_budget bounds the Pollard-rho iterations of one factorize() call. A
     cofactor that rho has not split after QS_AFTER of them goes once to the
     quadratic sieve, whose work the budget does not count, so a budget below
-    QS_AFTER never reaches the sieve.
+    QS_AFTER never reaches the sieve. A negative budget raises DomainError.
     """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
-    sf_budget: int = 10**12  # largest |square-free part| verify_tuple attempts
+    sf_budget: int = 10**12  # largest |square-free part| whose class number is counted
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
 
 
 _LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())

@@ -1,10 +1,10 @@
 """Class numbers of negative discriminants via reduced binary quadratic forms.
 
-The main counter counts reduced positive-definite forms (a, b, c) of every
-content, a running from 1 to sqrt(|D|/3), and Moebius inversion over the
-squares dividing D keeps the primitive ones. For a up to M, the largest a
-with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a] gives c > a,
-so the forms number R(a) = #{b mod 2a : b^2 = D (mod 4a)}; R is
+The main counter counts the primitive reduced positive-definite forms
+(a, b, c), a running from 1 to sqrt(|D|/3); gcd(a, b, c) = 1 is a local
+condition on b at each prime of a (_primitive_roots). For a up to M, the
+largest a with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a]
+gives c > a, so the forms number R(a), the primitive roots b mod 2a; R is
 multiplicative and a numpy sieve builds it over the whole a-range at once.
 Above M, the last eighth of the range, only the a with R(a) > 0 are looked
 at: b is solved mod 2a by CRT over the factorization of 2a, and the forms
@@ -12,18 +12,19 @@ with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
 in one numpy pass over all of them, a shorter one walked a by a. The
 sieve of R and the tail pass read their primes and smallest prime factors
 from one numpy table held for the process (_sieve); the walk reads arith's
-Python-list table, so that it imports no numpy. Below
-|D| = SIEVE_FROM nothing is sieved: one walk of every a keeps the forms
-with gcd(a, b, c) = 1 and counts them, and on request the same walk lists
-them, within one a in the CRT order of the roots.
-Counts are remembered for the process. An independent Dirichlet evaluator
-of the class number formula cross-checks fundamental D.
+Python-list table, so that it imports no numpy. Below |D| = SIEVE_FROM
+nothing is sieved. The walk tests gcd(a, b, c) = 1 form by form, an
+independent check on the local rule, and on request lists the forms of
+every a, within one a in the CRT order of the roots. Counts are
+remembered for the process. An independent Dirichlet evaluator of the
+class number formula cross-checks fundamental D.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import dropwhile
 from math import gcd, isqrt
 
 from . import arith
@@ -156,6 +157,23 @@ def _two_adic_roots(D: int, v: int) -> list[int]:
     return roots[: len(roots) // 2]
 
 
+def _primitive_roots(D: int, p: int, e: int) -> list[int]:
+    """The roots mod p^e (2^(e+1) at p = 2) of primitive forms, p^e exactly dividing a.
+
+    For odd p, the x with x^2 = D (mod p^e); for p = 2, _two_adic_roots(D, e).
+    When e >= 1, the x with p | x and p | c are dropped: those with p^(e+1)
+    (2^(e+3) at p = 2) dividing x^2 - D, as p | x gives b^2 = x^2 modulo
+    that power.
+    """
+    if p == 2:
+        roots, mod = _two_adic_roots(D, e), 8 << e
+    else:
+        roots, mod = _sqrt_mod_prime_power(D, p, e), p ** (e + 1)
+    if D % p == 0 and e:  # else p | x would mean p | D, or p does not divide a
+        roots = [x for x in roots if x % p or (x * x - D) % mod]
+    return roots
+
+
 def _roots_mod_2a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -> list[int]:
     """All b in [0, 2a) with b^2 = D (mod 4a), via CRT over the factors of 2a.
 
@@ -192,11 +210,11 @@ def _roots_mod_2a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -
 
 
 def _walk(D: int, a_values, a_max: int):
-    """Yield the reduced forms (a, b, c) of discriminant D with a in a_values.
+    """Yield the primitive reduced forms (a, b, c) of discriminant D with a in a_values.
 
-    Forms of every content, in the CRT order of the roots within one a: each
-    root b in [0, 2a) is moved into (-a, a] and kept when c > a, or when
-    c = a and b >= 0. a_values is increasing and ends at or below a_max.
+    In the CRT order of the roots within one a: each root b in [0, 2a) is
+    moved into (-a, a] and kept when c > a, or when c = a and b >= 0, and
+    when gcd(a, b, c) = 1. a_values is increasing and ends at or below a_max.
     """
     spf = arith.smallest_prime_factor_table(a_max)
     cache: dict[int, list[int]] = {}
@@ -207,7 +225,7 @@ def _walk(D: int, a_values, a_max: int):
         for r in _roots_mod_2a(D, a, spf, cache):
             b = r if r <= a else r - 2 * a
             c = (b * b - D) // m4a
-            if c > a or c == a and b >= 0:
+            if (c > a or c == a and b >= 0) and gcd(gcd(a, b), c) == 1:
                 yield a, b, c
 
 
@@ -242,27 +260,35 @@ def _sieve(m: int):
 
 
 def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
-    """(p^e, R(p^e)) for e = 1, 2, ... while p^e <= a_max, up to the first zero."""
+    """(p^e, R(p^e)) for e = 1, 2, ... while p^e <= a_max, R the _primitive_roots.
+
+    Up to the first zero at a p^e that does not divide D. Once p^e does not
+    divide D, some root is kept whenever there is one, so a zero means no
+    root mod p^e, nor mod any higher power. While p^e | D a zero may precede
+    a nonzero count (D = p^2 u, u a nonzero square mod p: R(p) = 0 and
+    R(p^2) = p - 2).
+    """
     out, q, e = [], p, 1
     while q <= a_max:
-        n = len(_two_adic_roots(D, e) if p == 2 else _sqrt_mod_prime_power(D, p, e))
+        n = len(_primitive_roots(D, p, e))
         out.append((q, n))
-        if n == 0:
+        if n == 0 and D % q:
             break
         q, e = q * p, e + 1
     return out
 
 
 def _root_counts(D: int, a_max: int):
-    """R with R[a] = #{b mod 2a : b^2 = D (mod 4a)} for 0 < a <= a_max, R[0] = 0.
+    """R with R[a] = #{b mod 2a : b^2 = D (mod 4a), gcd(a, b, c) = 1} for 0 < a <= a_max.
 
-    R is multiplicative. R(2^v) is the number of _two_adic_roots(D, v);
-    for odd p, R(p^e) = 1 + (D/p) whatever e when p does not divide D, and
-    the number of roots mod p^e when it does. The primes are _sieve(a_max)'s,
-    and the Legendre symbols come from Euler's criterion over all odd ones at
-    once, by arith._pow_mod. Each factor is multiplied into the multiples of
-    its prime (power) by slicing, except that the large primes, whose squares
-    exceed a_max, go in by their multiples j*p, one j at a time.
+    R[0] = 0. R is multiplicative, R(p^e) the number of _primitive_roots:
+    by _power_counts at 2 and the odd p | D, each laid over the multiples of
+    p^e in turn so that the exact power decides, and 1 + (D/p) for the other
+    odd p. The primes are _sieve(a_max)'s, and the Legendre symbols come from
+    Euler's criterion over all odd ones at once, by arith._pow_mod. Each
+    factor is multiplied into the multiples of its prime by slicing, except
+    that the large primes, whose squares exceed a_max, go in by their
+    multiples j*p, one j at a time.
     """
     import numpy as np
 
@@ -276,8 +302,7 @@ def _root_counts(D: int, a_max: int):
     # at 4*sqrt(a_max) rather than sqrt(a_max) took a quarter less time.
     split_at = 4 * isqrt(a_max)
     small = int(np.searchsorted(odd, split_at, side="right"))
-    exact = [_power_counts(D, 2, a_max)]
-    exact += [_power_counts(D, p, a_max) for p in odd[:small][Dmod[:small] == 0].tolist()]
+    exact = [_power_counts(D, p, a_max) for p in [2] + odd[Dmod == 0].tolist()]
     # No a <= a_max has more than omega prime factors, and each contributes
     # at most 2 or its exact power count, so R fits a dtype this bound fits.
     bound, prod = 1, 1
@@ -293,13 +318,13 @@ def _root_counts(D: int, a_max: int):
     R = np.ones(a_max + 1, dtype=dtype)
     R[0] = 0
     for counts in exact:
-        prev = 1
-        for q, n in counts:
-            if n != prev:  # at the multiples of q, R(q/p) becomes R(q)
-                view = R[q::q]
-                view //= prev
-                view *= n
-            prev = n
+        counts = list(dropwhile(lambda qn: qn[1] == 1, counts))
+        if counts:  # from the first count that is not 1, over the multiples of its q
+            q0 = counts[0][0]
+            at = np.empty(a_max // q0, dtype=dtype)
+            for q, n in counts:
+                at[q // q0 - 1 :: q // q0] = n
+            R[q0::q0] *= at
     for p, f in zip(odd[:small].tolist(), fac[:small].tolist()):
         if f != 1:
             R[p::p] *= f
@@ -389,19 +414,19 @@ def _inverse_mod_2k(u, mask):
 
 
 def _tail_count(D: int, tail) -> int:
-    """The reduced forms (a, b, c) of D with a in tail, of every content: _walk's count.
+    """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count.
 
     tail is an increasing int64 array of a in (M, a_max] with R(a) > 0, all
     counted in one numpy pass. Each a = 2^v * u is factored through the
     smallest prime factors of _sieve, one odd prime power q of u per level,
     smallest first. The roots mod a q = p^e with e > 1 or p | D come from
-    _sqrt_mod_prime_power, once per D and q; for the other q = p they are
+    _primitive_roots, once per D and q; for the other q = p they are
     +-sqrt(D) mod p, from _sqrt_mod_split once per prime. Each array row
     holds one root mod the part of u done so far, starting from 0 mod 1; at
     each level a row becomes one row per root mod q, joined by CRT with the
     inverse of that part mod q (by Fermat and arith._pow_mod, once per a and
     level from the second on). Last, each root mod u is joined with each of
-    _two_adic_roots(D, v), mod 2^(v+1), by _inverse_mod_2k. A root b in
+    _primitive_roots(D, 2, v), mod 2^(v+1), by _inverse_mod_2k. A root b in
     [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
     b >= 0, compared as b^2 - D against 4a^2. Outside _inverse_mod_2k, whose
     masks keep it right, every intermediate is below max(4a^2, a^2 - D) <=
@@ -445,7 +470,7 @@ def _tail_count(D: int, tail) -> int:
         p, e = int(spf[q]), 1
         while p**e < q:
             e += 1
-        exact.append(_sqrt_mod_prime_power(D, p, e))
+        exact.append(_primitive_roots(D, p, e))
     ex_flat, ex_count, ex_start = _root_table(exact)
 
     own, r = np.arange(n), np.zeros(n, dtype=np.int64)  # own: the tail index of each row
@@ -479,7 +504,7 @@ def _tail_count(D: int, tail) -> int:
     del finished
 
     two_flat, two_count, two_start = _root_table(
-        [_two_adic_roots(D, k) for k in range(int(v.max()) + 1)])
+        [_primitive_roots(D, 2, k) for k in range(int(v.max()) + 1)])
     mask = (low << 1) - 1
     w = _inverse_mod_2k(mod, mask)
     i, j = _expand(two_count[v[own]])
@@ -494,7 +519,7 @@ def _tail_count(D: int, tail) -> int:
 
 
 def _reduced_count(D: int) -> int:
-    """The number of reduced forms of discriminant D, primitive or not.
+    """h*(D): the number of primitive reduced forms of discriminant D.
 
     For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
     gives c > a, so the forms with first coefficient a number R(a) and the
@@ -521,70 +546,38 @@ def _reduced_count(D: int) -> int:
     return head + h
 
 
-def _moebius_terms(D: int) -> list[tuple[int, int]]:
-    """(g, mu(g)) for the square-free g with g^2 | D and D/g^2 = 0, 1 (mod 4).
-
-    A reduced form of D is g times a primitive reduced form of D/g^2, g its
-    content, so h*(D) = sum of mu(g) * (reduced forms of D/g^2) by Moebius
-    inversion. Trial division runs while p^3 <= r, the part of |D| left;
-    then r has at most two prime factors, so a square divides it only if it
-    is one. Pure Python, so a walked count imports no numpy.
-    """
-    terms, r, p = [(1, 1)], -D, 2
-    while p * p * p <= r:
-        if r % (p * p) == 0:
-            terms += [(g * p, -mu) for g, mu in terms]
-        while r % p == 0:
-            r //= p
-        p += 1
-    q = isqrt(r)
-    if q > 1 and q * q == r:
-        terms += [(g * q, -mu) for g, mu in terms]
-    return [(g, mu) for g, mu in terms if (D // (g * g)) % 4 in (0, 1)]
-
-
 _h_memo: dict[int, int] = {}  # D -> h, for the counts made without with_forms
-
-
-def _primitive_walk(D: int):
-    """Yield the reduced forms (a, b, c) of D with gcd(a, b, c) = 1, every a walked."""
-    a_max = isqrt(-D // 3)
-    return ((a, b, c) for a, b, c in _walk(D, range(1, a_max + 1), a_max)
-            if gcd(gcd(a, b), c) == 1)
 
 
 def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     """h*(D): the number of classes of primitive positive-definite forms.
 
     D must be negative and congruent to 0 or 1 mod 4 (it need not be
-    fundamental). From |D| = SIEVE_FROM up, h is the sum of mu(g) times the
-    number of reduced forms of D/g^2, over the terms of _moebius_terms;
-    below it, one walk of every a counts the forms with gcd(a, b, c) = 1.
-    With with_forms, that walk runs whatever D is, and the forms it keeps
-    are returned. Results without with_forms are remembered for the process
-    (at most arith.MEMO_SIZE, oldest dropped first), and a D counted before
-    is answered from there, logged at INFO. Every count, remembered or not,
-    first checks |D| <= 4 * Limits.sf_budget, the largest field discriminant
-    whose square-free part fits the budget, and raises BudgetError past it.
+    fundamental). h is _reduced_count(D); with with_forms, one walk of every
+    a lists the forms whatever D is. Results without with_forms are
+    remembered for the process (at most arith.MEMO_SIZE, oldest dropped
+    first), and a D counted before is answered from there, logged at INFO.
+    Every count, remembered or not, first checks that the square-free part
+    of D may fit Limits.sf_budget: |D| <= sf_budget for D = 1 (mod 4), or
+    4 * sf_budget for D = 0 (mod 4). Past it, it raises BudgetError.
     """
     if D >= 0:
         raise DomainError(f"discriminant must be negative, got {D}")
     if D % 4 not in (0, 1):
         raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
-    bound = 4 * arith._LIMITS.get().sf_budget
+    budget = arith._LIMITS.get().sf_budget
+    bound, what = (budget, "sf_budget") if D % 4 == 1 else (4 * budget, "4 * sf_budget")
     if -D > bound:
-        raise BudgetError(f"form count of D = {D}: |D| exceeds 4 * sf_budget = {bound}")
+        raise BudgetError(f"form count of D = {D}: |D| exceeds {what} = {bound}")
     if with_forms:
-        forms = tuple(QuadForm(a, b, c) for a, b, c in _primitive_walk(D))
+        a_max = isqrt(-D // 3)
+        forms = tuple(QuadForm(*f) for f in _walk(D, range(1, a_max + 1), a_max))
         return ClassNumberResult(D, len(forms), "form-count", forms)
     h = _h_memo.get(D)
     if h is not None:
         log.info("form count %d: h = %d, counted earlier in this process", D, h)
     else:
-        if -D < SIEVE_FROM:
-            h = sum(1 for _ in _primitive_walk(D))
-        else:
-            h = sum(mu * _reduced_count(D // (g * g)) for g, mu in _moebius_terms(D))
+        h = _reduced_count(D)
         arith._remember(_h_memo, D, h)
     return ClassNumberResult(D, h, "form-count")
 

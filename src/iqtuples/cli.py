@@ -275,7 +275,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
                    help="rho iteration budget of every factorization")
     p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
-                   help="largest |square-free part| whose class number is attempted")
+                   help="largest |square-free part| whose class number is counted: "
+                        "|D| up to it for D = 1 (mod 4), up to 4 times it for D = 0 (mod 4)")
     p.add_argument("-v", "--verbose", action="store_true", default=dflt(False),
                    help="progress to stderr")
 

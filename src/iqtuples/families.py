@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import arith, classno, lrn
-from .errors import DomainError, HypothesisCheck, HypothesisRejection, labelled
+from .errors import BudgetError, DomainError, HypothesisCheck, HypothesisRejection, labelled
 
 log = logging.getLogger(__name__)
 
@@ -185,29 +185,27 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     """Fill in class numbers and divisibility verdicts for every member.
 
     Re-checks the construction identities first, then verifies members in
-    offset order. Members whose |square-free part| exceeds the current
-    Limits.sf_budget are marked unverified instead of attempted. Each
-    square-free part is taken as _build derived it, so its field
-    discriminant (s, or 4s unless s = 1 mod 4) needs no factoring. Returns
-    the same tuple with members completed.
+    offset order. A member whose form count raises BudgetError (its
+    |square-free part| exceeds the current Limits.sf_budget) is marked
+    unverified. Each square-free part is taken as _build derived it, so its
+    field discriminant (s, or 4s unless s = 1 mod 4) needs no factoring.
+    Returns the same tuple with members completed.
     """
-    sf_budget = arith._LIMITS.get().sf_budget
     if not _identities_hold(t.n, t.k, t.d, t.p_list):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
     for m in sorted(t.members, key=lambda m: m.offset):
         if m.radicand != m.squarefree_part * m.cofactor**2:
             raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
-        if abs(m.squarefree_part) > sf_budget:
+        s = m.squarefree_part
+        try:
+            m.class_number = classno.class_number_forms(s if s % 4 == 1 else 4 * s).h
+        except BudgetError as e:
             m.status = STATUS_BUDGET
             m.class_number = None
             m.divisible = None
-            log.warning(
-                "offset %d: |square-free part| = %d exceeds budget %d, not verified",
-                m.offset, abs(m.squarefree_part), sf_budget,
-            )
+            log.warning("offset %d: |square-free part| = %d exceeds budget (%s), not verified",
+                        m.offset, abs(s), e)
             continue
-        s = m.squarefree_part
-        m.class_number = classno.class_number_forms(s if s % 4 == 1 else 4 * s).h
         m.divisible = m.class_number % t.n == 0
         m.status = STATUS_VERIFIED
         if not m.divisible:

@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -147,22 +147,54 @@ class TestClassNumberForms:
             res = classno.class_number_forms(D, with_forms=True)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == brute_reduced_forms(D), D
 
-    def test_nonfundamental_below_sieve_from(self):
-        # one walk keeps the primitive forms; the Moebius sum over walked
-        # counts of every content is the independent check
-        assert classno.SIEVE_FROM >= 40_000
-        counts = {}
-        for D in range(-3, -40_001, -1):
-            if D % 4 not in (0, 1) or classno.is_fundamental_discriminant(D):
-                continue
-            h = classno.class_number_forms(D).h
-            assert h == len(classno.class_number_forms(D, with_forms=True).reduced_forms), D
-            terms = classno._moebius_terms(D)
-            assert len(terms) > 1, D
-            for g, _ in terms:
-                if D // (g * g) not in counts:
-                    counts[D // (g * g)] = classno._reduced_count(D // (g * g))
-            assert h == sum(mu * counts[D // (g * g)] for g, mu in terms), D
+    def test_nonfundamental_equals_order_formula(self, monkeypatch):
+        # h*(f^2 D0) = h(D0) f prod_{p | f} (1 - (D0/p)/p) / (w(D0)/2) (Cox,
+        # Primes of the Form x^2 + ny^2, Thm 7.24), h(D0) by Dirichlet, on
+        # the walk, the sieve with the tail pass and the sieve with the tail
+        # walked: every non-fundamental D to -12 000 (-40 000 by default,
+        # all walked), 40 sampled f^2 D0 to 5*10^10, large primes q with
+        # q^2 | D, and D = 7^2 u with u a nonzero square mod 7, which has
+        # R(7) = 0 and R(49) = 5
+        big = [-3 * 10007**2, -4 * 99991**2, -28 * 10007**2, -108 * 10007**2,
+               -(2**12) * 3**4 * 7, -49 * 20_011]
+        assert classno._power_counts(-49 * 20_011, 7, 600)[:2] == [(7, 0), (49, 5)]
+        rng = random.Random(13)
+        sampled = [-rng.choice([3, 4, 7, 8, 20, 23, 31, 47, 104, 5923]) * rng.randint(2, 3000) ** 2
+                   for _ in range(40)]
+        dirichlet: dict[int, int] = {}
+
+        def order_h(D):
+            sf = arith.squarefree_decompose(D)
+            D0, f = (sf.s, sf.f) if sf.s % 4 == 1 else (4 * sf.s, sf.f // 2)
+            if D0 not in dirichlet:
+                dirichlet[D0] = classno.class_number_dirichlet(D0).h
+            h = dirichlet[D0] * f
+            for q, _ in trial_factorize(f):
+                h = h * (q - arith.kronecker(D0, q)) // q
+            return h // {-3: 3, -4: 2}.get(D0, 1)
+
+        small = [D for D in range(-3, -40_001, -1)
+                 if D % 4 in (0, 1) and not classno.is_fundamental_discriminant(D)]
+        for sieve_from, tail_pass_from, upto in ((classno.SIEVE_FROM, classno.TAIL_PASS_FROM, 40_000),
+                                                 (0, 0, 12_000), (0, 10**9, 12_000)):
+            monkeypatch.setattr(classno, "SIEVE_FROM", sieve_from)
+            monkeypatch.setattr(classno, "TAIL_PASS_FROM", tail_pass_from)
+            classno._h_memo.clear()
+            for D in [D for D in small if -D <= upto] + big + sampled:
+                assert classno.class_number_forms(D).h == order_h(D), (D, sieve_from, tail_pass_from)
+
+    def test_with_forms_reads_no_local_rule(self, monkeypatch):
+        # the listing walks every root and tests gcd(a, b, c) itself, so it
+        # stays an independent check on _primitive_roots
+        def refuse(*args):
+            raise AssertionError("_primitive_roots called")
+
+        monkeypatch.setattr(classno, "_primitive_roots", refuse)
+        for D in (-23, -4 * 9 * 7, -49 * 20_011, -(2**12) * 3**4 * 7):
+            forms = classno.class_number_forms(D, with_forms=True).reduced_forms
+            assert all(f.is_reduced() for f in forms), D
+        with pytest.raises(AssertionError, match="_primitive_roots called"):
+            classno.class_number_forms(-49 * 20_011)
 
 
 class TestFormCountMemo:
@@ -244,30 +276,33 @@ class TestSieve:
 
     def test_root_counts_brute(self):
         square_heavy = -4 * 30030**2  # large R(a) at a with many small primes
-        for D in (-3, -4, -252, -112, -2**12 * 3**4 * 7, -1023, square_heavy, -4 * 10**9 + 1):
+        # 7^2 u and 5^2 u with u a nonzero square mod p: R(p) = 0, R(p^2) > 0;
+        # 3 * 101^2: a prime above the split at 4 * sqrt(300) with its square in D
+        for D in (-3, -4, -252, -112, -2**12 * 3**4 * 7, -1023, square_heavy, -4 * 10**9 + 1,
+                  -49 * 3, -25 * 11, -3 * 101**2):
             R = classno._root_counts(D, 300)
             roots = [[b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
                      for a in range(1, 301)]
-            assert R.tolist() == [0] + [len(rs) for rs in roots], D
+            primitive = [sum(gcd(gcd(a, b), (b * b - D) // (4 * a)) == 1 for b in rs)
+                         for a, rs in enumerate(roots, 1)]
+            assert R.tolist() == [0] + primitive, D
             spf, cache = arith.smallest_prime_factor_table(300), {}
-            for a, want in enumerate(roots, 1):
-                got = classno._roots_mod_2a(D, a, spf, cache)
-                assert sorted(got) == want and len(got) == R[a], (D, a)
+            for a, want in enumerate(roots, 1):  # every root, primitive or not
+                assert sorted(classno._roots_mod_2a(D, a, spf, cache)) == want, (D, a)
 
-    def test_moebius_terms_brute(self):
-        # q^2 | D for a prime q above the cube root of |D| is found too
-        big = [-3 * 10007**2, -4 * 99991**2, -28 * 10007**2, -3 * 4 * 9 * 10007**2, -(2**12) * 3**4 * 7]
-        for D in big + list(range(-3, -2001, -1)):
-            if D % 4 not in (0, 1):
-                continue
-            want = []
-            for g in range(1, isqrt(-D) + 1):
-                if -D % (g * g) or (D // (g * g)) % 4 not in (0, 1):
+    def test_power_counts_stop_only_where_nothing_follows(self):
+        # the counts end at the first zero at a p^e not dividing D; the
+        # counts past it, to p^14, are all zero
+        for p in (2, 3, 5, 7):
+            for D in range(-3, -3001, -1):
+                if D % 4 not in (0, 1):
                     continue
-                fs = trial_factorize(g)
-                if all(e == 1 for _, e in fs):
-                    want.append((g, (-1) ** len(fs)))
-            assert sorted(classno._moebius_terms(D)) == want, D
+                got = classno._power_counts(D, p, p**14)
+                want = [(p**e, len(classno._primitive_roots(D, p, e))) for e in range(1, 15)]
+                assert got == want[: len(got)] and not any(n for _, n in want[len(got) :]), (p, D)
+        assert classno._power_counts(-49 * 3, 7, 7**4) == [(7, 0), (49, 5), (343, 12), (2401, 12)]
+        assert classno._power_counts(-7 * 43, 7, 7**4) == [(7, 1), (49, 0)]
+        assert classno._power_counts(-4 * 43 + 1, 2, 2**4) == [(2, 0)]  # D = 5 (mod 8)
 
     def test_tail_walks_only_a_with_roots(self, monkeypatch):
         D = -4 * 10**9 + 1

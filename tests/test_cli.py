@@ -55,6 +55,14 @@ class TestClassnum:
         assert code == 0
         assert out.startswith("h*(-4000000000004) = 938880 ")  # as a walk of every tail a counts it
 
+    def test_sf_budget_bounds_an_odd_discriminant_by_itself(self, capsys):
+        # D = 1 (mod 4) is its own square-free part, so |D| <= sf_budget
+        code, out, err = run(capsys, "classnum", "-D", "-1000003", "--sf-budget", "1000000")
+        assert code == 2 and out == ""
+        assert err == "budget exhausted: form count of D = -1000003: |D| exceeds sf_budget = 1000000\n"
+        code, out, _ = run(capsys, "classnum", "-D", "-1000003", "--sf-budget", "1000003")
+        assert code == 0 and out.startswith("h*(-1000003) = ")
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "classnum")
         assert code == 3
@@ -417,6 +425,17 @@ class TestHarness:
             progress.append(sum(r.levelname == "INFO" and r.getMessage().startswith("form count")
                                 for r in caplog.records))
         assert progress[0] == 0 and progress[1] > 0 and progress[2] == 0
+
+    def test_negative_budgets_are_bad_input(self, capsys):
+        for argv, want in (
+            (["--sf-budget", "-1", "classnum", "-D", "-23"], "sf_budget must be >= 0, got -1"),
+            (["--rho-budget", "-5", "quadruple", "-n", "3", "-p", "3", "-k", "2"],
+             "rho_budget must be >= 0, got -5"),
+            (["quintuple", "-n", "3", "-k", "2", "--verify", "--sf-budget", "-4"],
+             "sf_budget must be >= 0, got -4"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (3, "", f"invalid input: {want}\n"), argv
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         # as when the held sieve or pi_tuple's primes do not fit; nothing is allocated

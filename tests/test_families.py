@@ -201,10 +201,14 @@ class TestVerifyTuple:
         assert t.members[0].divisible is False
         assert t.all_divisible is False
 
-    def test_budget_marks_unverified(self):
+    def test_budget_marks_unverified(self, caplog):
+        # on the form count's BudgetError: |D| = 119163 > sf_budget for D = 1 (mod 4)
         t = quadruple(3, 3, 2)
-        with limits(sf_budget=10**4):
+        with limits(sf_budget=10**4), caplog.at_level("WARNING", logger="iqtuples"):
             verify_tuple(t)
+        assert caplog.records[0].getMessage() == (
+            "offset 1: |square-free part| = 119163 exceeds budget (form count of D = -119163: "
+            "|D| exceeds sf_budget = 10000), not verified")
         by_offset = {m.offset: m for m in t.members}
         assert by_offset[0].status == families.STATUS_VERIFIED     # |-31| small
         assert by_offset[1].status == families.STATUS_BUDGET       # |-119163| too big
