@@ -476,10 +476,12 @@ def factorize(m: int) -> Factorization:
     Trial division by primes below 10^4, then, for each composite cofactor
     left, an exact test for a square, cube or fifth power, and Brent-Pollard
     rho, which hands the cofactor to a quadratic sieve once QS_AFTER of its
-    iterations went to it. Primality is certified by is_prime at every
-    split. Raises BudgetError if rho exceeds the current Limits.rho_budget
-    iterations (the sieve's work is not counted), never returns a wrong or
-    incomplete factorization. An m past the proven primality range whose
+    iterations went to it. No prime below 10^4 divides a cofactor, so one
+    below 10^8 is prime: a composite would have a prime factor up to its
+    square root. Primality of the larger ones is certified by is_prime at
+    every split. Raises BudgetError if rho exceeds the current
+    Limits.rho_budget iterations (the sieve's work is not counted), never
+    returns a wrong or incomplete factorization. An m past the proven primality range whose
     cofactor after trial division stays past it fails at once: the trial
     primes are stripped by gcd with their product first.
 
@@ -523,7 +525,7 @@ def factorize(m: int) -> Factorization:
     stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
     while stack:
         v, e = stack.pop()
-        if is_prime_cofactor(v):
+        if v < 10**8 or is_prime_cofactor(v):  # below 10^8 prime by the trial division
             exps[v] = exps.get(v, 0) + e
             continue
         power = _perfect_power(v)

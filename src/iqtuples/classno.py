@@ -606,6 +606,27 @@ def _fill_periodic(out, table) -> None:
         n += k
 
 
+def _legendre_table(p: int):
+    """The int8 table t with t[r] = (r/p) for 0 <= r < p, p an odd prime.
+
+    The nonzero squares mod p are the i^2 mod p for 0 < i <= p // 2. The i^2
+    sit in one int64 buffer and are reduced in place as sq - p * (sq // p):
+    numpy divides by one scalar without a hardware division per element,
+    which an int64 % pays. Exact for p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
+    """
+    import numpy as np
+
+    legendre = np.full(p, -1, dtype=np.int8)
+    sq = np.arange(p // 2 + 1, dtype=np.int64)
+    sq *= sq
+    q = sq // p
+    q *= p
+    sq -= q
+    legendre[sq] = 1
+    legendre[0] = 0
+    return legendre
+
+
 def class_number_dirichlet(D: int) -> ClassNumberResult:
     """Class number of a fundamental D < 0 by the half-range Dirichlet formula.
 
@@ -615,8 +636,10 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     discriminants through one factorization, which also decides whether D
     is fundamental. The character (D/a) on 0 <= a <= |D|/2 is the product
     of one int8 residue table per factor, each repeated to length |D|/2 + 1
-    by copying the filled prefix onto the rest, with no index array; every
-    intermediate is a bounded exact integer (|D| <= 10^6 is enforced).
+    by copying the filled prefix onto the rest, with no index array. The
+    table of an odd p marks the squares i^2 mod p, 0 <= i <= p // 2, reduced
+    by a floor division by p (_legendre_table). Every intermediate is exact,
+    as |D| <= 10^6 is enforced: i <= 5 * 10^5, so i^2 < 2^38.
     Independent of the form-counting path by construction.
     """
     import numpy as np
@@ -644,13 +667,7 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     if D in (-3, -4):
         return ClassNumberResult(D, 1, "dirichlet")
     # 0 <= a <= |D|/2: (D/0) = 0, and (D/a) = 0 at a = |D|/2 when |D| is even
-    tables = []
-    for p in odd_primes:
-        legendre = np.full(p, -1, dtype=np.int8)  # legendre[r] = (r/p)
-        i = np.arange(p // 2 + 1, dtype=np.int64)
-        legendre[i * i % p] = 1
-        legendre[0] = 0
-        tables.append(legendre)
+    tables = [_legendre_table(p) for p in odd_primes]
     if rem != 1:
         tables.append(np.array({-4: [0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
                                 -8: [0, 1, 0, 1, 0, -1, 0, -1]}[rem], dtype=np.int8))

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -112,6 +113,33 @@ class TestFactorizeOracle:
         sympy = pytest.importorskip("sympy")
         for m in _composites(10):
             assert arith.factorize(m).factors == tuple(sorted(sympy.factorint(m).items())), m
+
+    def test_cofactors_below_1e8_are_not_tested(self, monkeypatch):
+        # no prime below 10^4 divides a cofactor, so one below 10^8 is prime;
+        # rho splits these products of primes in (10^4, 10^8) and one larger
+        # prime without the sieve
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(14)
+        ms = [99999989, 10007 * 99999989, 10007**2 * 99999989, 10009**3 * _prime(rng, 40)]
+        for _ in range(12):
+            small = [_prime(rng, rng.randrange(14, 18)) for _ in range(rng.randrange(1, 3))]
+            s = prod(small) * rng.choice(small + [1])
+            ms.append(s * _prime(rng, rng.randrange(27, 82 - s.bit_length())))
+        assert all(m < arith.MR_PROVEN_BOUND for m in ms)
+        tested = []
+        is_prime = arith.is_prime
+
+        def large_only(v):
+            assert v >= 10**8, f"is_prime({v})"
+            tested.append(v)
+            return is_prime(v)
+
+        monkeypatch.setattr(arith, "is_prime", large_only)
+        monkeypatch.setattr(arith, "_quadratic_sieve", _untouchable)
+        for m in ms:
+            assert arith.factorize(m).factors == tuple(sorted(sympy.factorint(m).items())), m
+        assert sum(p < 10**8 for m in ms for p in sympy.factorint(m)) > len(ms)
+        assert tested
 
 
 class TestQuadraticSieve:

@@ -10,7 +10,7 @@ from iqtuples import arith, classno
 from iqtuples.classno import QuadForm, reduce_form
 from iqtuples.errors import BudgetError, DomainError
 
-from oracles import brute_reduced_forms, trial_factorize
+from oracles import brute_reduced_forms, sieve_primes, trial_factorize, trial_is_prime
 
 
 class TestSqrtModInternals:
@@ -474,6 +474,36 @@ class TestDirichlet:
         for D in (-255255, -999983):
             assert classno.is_fundamental_discriminant(D)
             assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_legendre_table_is_eulers_criterion(self):
+        # every odd prime below 2000, and the largest primes below 10^5 and 10^6
+        assert not any(trial_is_prime(n) for n in range(99992, 10**5))
+        assert not any(trial_is_prime(n) for n in range(999984, 10**6))
+        for p in sieve_primes(2000)[1:] + [99991, 999983]:
+            assert trial_is_prime(p)
+            euler = [pow(r, (p - 1) // 2, p) for r in range(p)]
+            table = classno._legendre_table(p)
+            assert table.dtype == np.int8
+            assert table.tolist() == [e if e < 2 else e - p for e in euler], p
+
+    def test_agrees_with_forms_on_a_seeded_sample_per_2_part(self):
+        # 20 fundamental D in [-10^6, -10^5) for each 2-part prime discriminant
+        # (1, -4, 8, -8), the odd ones other than -p, and 20 D = -p, p prime
+        rng = random.Random(14)
+        kinds: dict[str, list[int]] = {kind: [] for kind in ("1", "-4", "8", "-8", "-p")}
+        while any(len(Ds) < 20 for Ds in kinds.values()):
+            D = -rng.randrange(10**5 + 1, 10**6 + 1)
+            if not classno.is_fundamental_discriminant(D):
+                continue
+            if D % 4 == 1:
+                kind = "-p" if trial_is_prime(-D) else "1"
+            else:
+                kind = "-4" if D % 16 == 12 else "8" if D // 8 % 4 == 1 else "-8"
+            if len(kinds[kind]) < 20:
+                kinds[kind].append(D)
+        for Ds in kinds.values():
+            for D in Ds:
+                assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
 
     def test_fill_periodic(self):
         table = np.array([0, 1, -1, -1, 1], dtype=np.int8)
