@@ -12,10 +12,10 @@ with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
 in one numpy pass over all of them, a shorter one walked a by a. The
 sieve of R and the tail pass read their primes and smallest prime factors
 from one numpy table held for the process (_sieve); the walk reads arith's
-Python-list table, so that it imports no numpy. Below |D| = SIEVE_FROM
-nothing is sieved. The walk tests gcd(a, b, c) = 1 form by form, an
-independent check on the local rule, and on request lists the forms of
-every a, within one a in the CRT order of the roots. Counts are
+pure-Python array("i") table, so that it imports no numpy. Below
+|D| = SIEVE_FROM nothing is sieved. The walk tests gcd(a, b, c) = 1 form
+by form, an independent check on the local rule, and on request lists the
+forms of every a, within one a in the CRT order of the roots. Counts are
 remembered for the process. An independent Dirichlet evaluator of the
 class number formula cross-checks fundamental D.
 """
@@ -23,6 +23,7 @@ class number formula cross-checks fundamental D.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import dropwhile
 from math import gcd, isqrt
@@ -174,7 +175,7 @@ def _primitive_roots(D: int, p: int, e: int) -> list[int]:
     return roots
 
 
-def _roots_mod_2a(D: int, a: int, spf: list[int], cache: dict[int, list[int]]) -> list[int]:
+def _roots_mod_2a(D: int, a: int, spf: Sequence[int], cache: dict[int, list[int]]) -> list[int]:
     """All b in [0, 2a) with b^2 = D (mod 4a), via CRT over the factors of 2a.
 
     A root stays one when 2a is added, so these are the roots mod 4a, each
@@ -425,10 +426,17 @@ def _tail_count(D: int, tail) -> int:
     holds one root mod the part of u done so far, starting from 0 mod 1; at
     each level a row becomes one row per root mod q, joined by CRT with the
     inverse of that part mod q (by Fermat and arith._pow_mod, once per a and
-    level from the second on). Last, each root mod u is joined with each of
-    _primitive_roots(D, 2, v), mod 2^(v+1), by _inverse_mod_2k. A root b in
-    [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
-    b >= 0, compared as b^2 - D against 4a^2. Outside _inverse_mod_2k, whose
+    level from the second on). At the first such split p of an a only
+    +sqrt(D) is taken, and its rows stand for b and -b both. Last, each
+    root mod u is joined with each of _primitive_roots(D, 2, v), mod
+    2^(v+1), by _inverse_mod_2k. A root b in [0, 2a) is moved into (-a, a]
+    and kept when c > a, or when c = a and b >= 0, compared as b^2 - D
+    against 4a^2; a row that stands for -b too counts 2 when c > a and 1
+    when c = a. That is exact: p | a and p does not divide b, as it does not
+    divide D, so b is neither 0 nor a; b and -b are then two roots mod 2a,
+    both in (-a, a) with the same c and told apart by b mod p, and the
+    primitive roots, like gcd(a, b, c), do not change when b is negated.
+    Half the rows of such an a are built. Outside _inverse_mod_2k, whose
     masks keep it right, every intermediate is below max(4a^2, a^2 - D) <=
     4|D|/3, so all are exact in int64 for |D| < 2^62.
     """
@@ -478,13 +486,15 @@ def _tail_count(D: int, tail) -> int:
     # per a, at its current level: roots mod q, and the first of them (the
     # square root of D for a split p, else where they start in ex_flat)
     count, first, qa, inv = (np.ones(n, dtype=np.int64) for _ in range(4))
-    tabled = np.zeros(n, dtype=bool)
+    tabled, paired = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     finished = []
     for level, (act, p, q, sp) in enumerate(levels):
         done = depth[own] == level
         finished.append((own[done], r[done]))
         own, r = own[~done], r[~done]
         count[act], qa[act], tabled[act] = 2, q, ~sp
+        halve = act[sp & ~paired[act]]  # at its first split p an a takes +sqrt(D) alone
+        count[halve], paired[halve] = 1, True
         first[act[sp]] = root_at[p[sp]]
         x = np.searchsorted(exact_q, q[~sp])
         count[act[~sp]], first[act[~sp]] = ex_count[x], ex_start[x]
@@ -512,10 +522,12 @@ def _tail_count(D: int, tail) -> int:
     j += two_start[v[own]]
     b = r + mod[own] * ((two_flat[j] - r) * w[own] & mask[own])
     del i, j, r
-    a = tail[own]
+    a, pair = tail[own], paired[own]
     b = np.where(b > a, b - 2 * a, b)
     N, A4 = b * b - D, 4 * a * a
-    return int(np.count_nonzero((N > A4) | ((N == A4) & (b >= 0))))
+    above = N > A4
+    return int(np.count_nonzero(above) + np.count_nonzero(above & pair)
+               + np.count_nonzero((N == A4) & (pair | (b >= 0))))
 
 
 def _reduced_count(D: int) -> int:
@@ -606,23 +618,35 @@ def _fill_periodic(out, table) -> None:
         n += k
 
 
+# i taken at once while a Legendre table is built: int64 blocks of 128 KB.
+# Over the 480 D of the sweep benchmark's seed 1, in one process, blocks of
+# 2^16 took 28 % more minor page faults than one buffer of p / 2 entries
+# (22 715 against 17 676) and blocks of 2^14 took 3 114 (2-core x86-64 VM,
+# CPython 3.11, glibc malloc); the sweep's item_p50_ms followed the faults.
+_LEGENDRE_BLOCK = 1 << 14
+
+
 def _legendre_table(p: int):
     """The int8 table t with t[r] = (r/p) for 0 <= r < p, p an odd prime.
 
-    The nonzero squares mod p are the i^2 mod p for 0 < i <= p // 2. The i^2
-    sit in one int64 buffer and are reduced in place as sq - p * (sq // p):
-    numpy divides by one scalar without a hardware division per element,
-    which an int64 % pays. Exact for p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
+    The nonzero squares mod p are the i^2 mod p for 0 < i <= p // 2. They
+    are taken _LEGENDRE_BLOCK i at a time: the i^2 sit in one int64 buffer
+    and are reduced in place as sq - p * (sq // p), as numpy divides by one
+    scalar without a hardware division per element, which an int64 % pays.
+    So two buffers of 128 KB, whatever p, are live beside the table.
+    Exact for p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
     """
     import numpy as np
 
     legendre = np.full(p, -1, dtype=np.int8)
-    sq = np.arange(p // 2 + 1, dtype=np.int64)
-    sq *= sq
-    q = sq // p
-    q *= p
-    sq -= q
-    legendre[sq] = 1
+    half = p // 2 + 1
+    for lo in range(0, half, _LEGENDRE_BLOCK):
+        sq = np.arange(lo, min(lo + _LEGENDRE_BLOCK, half), dtype=np.int64)
+        sq *= sq
+        q = sq // p
+        q *= p
+        sq -= q
+        legendre[sq] = 1
     legendre[0] = 0
     return legendre
 

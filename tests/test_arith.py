@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 from math import prod
 
 import numpy as np
@@ -142,8 +144,29 @@ class TestFactorizeOracle:
         assert tested
 
 
+def _grid_multiplier(n: int) -> int:
+    """Knuth-Schroeppel's k scored over the whole (k, p) grid for this n alone."""
+    primes = sieve_primes(113)[1:]
+    P = np.array(primes, dtype=np.int64)
+    K = np.array(arith._QS_MULTIPLIERS, dtype=np.int64)[:, None]
+    base = K * np.array([n % p for p in primes], dtype=np.int64) % P
+    square = arith._pow_mod(base, (P - 1) >> 1, P)
+    gain = np.where(K % P == 0, np.log2(P) / P, np.where(square == 1, 2 * np.log2(P) / (P - 1), 0))
+    score = gain.sum(axis=1) - 0.5 * np.log2(K[:, 0])
+    score += [2 if k * n % 8 == 1 else 1 if k * n % 8 == 5 else 0.5 for k in arith._QS_MULTIPLIERS]
+    return arith._QS_MULTIPLIERS[int(np.argmax(score))]
+
+
 class TestQuadraticSieve:
     N = 61887126757805598613499  # 149383678981 * 414283054079
+
+    def test_multiplier_equals_the_grid_formula(self):
+        # 2000 seeded n whose primes are all above 10^4, from 28 to 82 bits
+        rng = random.Random(15)
+        ns = [_prime(rng, rng.randrange(14, 42)) * _prime(rng, rng.randrange(14, 41)) for _ in range(2000)]
+        got = [arith._qs_multiplier(n) for n in ns]
+        assert got == [_grid_multiplier(n) for n in ns]
+        assert len(set(got)) > 5
 
     def test_rho_alone_gives_the_same_factorizations(self, monkeypatch):
         # semiprimes that rho takes more than QS_AFTER iterations on
@@ -382,7 +405,23 @@ class TestSmallestPrimeFactorTable:
         copy = list(held)
         grown = arith.smallest_prime_factor_table(2 * len(held))
         assert len(grown) > 2 * len(held)
-        assert held == copy and grown[: len(held)] == copy
+        assert list(held) == copy and list(grown[: len(held)]) == copy
+
+    def test_is_an_int32_array(self):
+        t = arith.smallest_prime_factor_table(1000)
+        assert isinstance(t, array) and t.typecode == "i"
+
+    def test_peak_memory_of_a_build(self, monkeypatch):
+        # 4 bytes an entry: 1.2 MB held at 3*10^5; a list of ints peaks near 12 MB
+        monkeypatch.setattr(arith, "_spf_table", array("i"))
+        tracemalloc.start()
+        try:
+            t = arith.smallest_prime_factor_table(300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) == 300_001 and t[299_999] == 7 and t[299_993] == 299_993
+        assert peak < 3 * 10**6, peak
 
 
 class TestPowMod:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import numpy as np
@@ -331,7 +332,7 @@ class TestHeldSieve:
         for m in list(range(101)) + [2**16 - 1, 2**16, 70_000]:
             spf, primes = classno._sieve(m)
             assert len(spf) > m and spf.dtype == np.int32 and primes.dtype == np.int64
-            assert spf[: m + 1].tolist() == arith.smallest_prime_factor_table(m)[: m + 1], m
+            assert spf[: m + 1].tolist() == list(arith.smallest_prime_factor_table(m)[: m + 1]), m
             assert primes.tolist() == arith.primes_up_to(m), m
 
     def test_held_arrays_survive_growth(self, monkeypatch):
@@ -380,6 +381,30 @@ class TestTailPass:
             assert classno._tail_count(D, tail) == want, D
         tail, _ = _tail(-4 * 30030**2)
         assert any(a % 9 == 0 and a % 27 for a in tail.tolist())  # 9 exactly divides a
+
+    def test_paired_roots_against_the_walk(self):
+        # ambiguous forms with c = a whose a has a split prime (all of them in
+        # 1 - 4 * 15015^2), a whose odd primes all divide D, and a = 2^v * p
+        # with p split; the pass over the whole tail against the walk
+        seen = {"c = a, split p | a": 0, "odd primes | D": 0, "2^v * p": 0}
+        odd_primorial = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+        for D in (1 - 4 * 15015**2, -odd_primorial * 29, -4 * odd_primorial):
+            tail, a_max = _tail(D)
+            forms = list(classno._walk(D, tail.tolist(), a_max))
+            assert classno._tail_count(D, tail) == len(forms), D
+            for a in tail.tolist():
+                u = a >> (a & -a).bit_length() - 1
+                odd = [p for p, _ in trial_factorize(u)] if u > 1 else []
+                seen["odd primes | D"] += bool(odd) and all(D % p == 0 for p in odd)
+                seen["2^v * p"] += a % 2 == 0 and odd == [u] and D % u != 0
+            seen["c = a, split p | a"] += sum(
+                c == a and any(D % p for p, _ in trial_factorize(a) if p > 2) for a, _, c in forms)
+        assert all(seen.values()), seen
+
+    def test_count_at_3e11(self, monkeypatch):
+        # as the pass counted it with both roots of every split prime expanded
+        monkeypatch.setattr(classno, "TAIL_PASS_FROM", 1)
+        assert classno._reduced_count(-299999999999) == 795920
 
     def test_inverse_mod_2k(self):
         rng = np.random.default_rng(3)
@@ -485,6 +510,26 @@ class TestDirichlet:
             table = classno._legendre_table(p)
             assert table.dtype == np.int8
             assert table.tolist() == [e if e < 2 else e - p for e in euler], p
+
+    def test_legendre_table_across_block_boundaries(self):
+        # p // 2 + 1 = 2^16 ends on a block boundary, and the next prime spills past it
+        after = next(n for n in range(131073, 10**6, 2) if trial_is_prime(n))
+        assert trial_is_prime(131071) and (131071 // 2 + 1) % classno._LEGENDRE_BLOCK == 0
+        assert after // 2 + 1 > 2**16
+        for p in (131071, after):
+            euler = [pow(r, (p - 1) // 2, p) for r in range(p)]
+            assert classno._legendre_table(p).tolist() == [e if e < 2 else e - p for e in euler], p
+
+    def test_legendre_table_peak_memory(self):
+        # the 1 MB table and two int64 blocks; two buffers of p / 2 entries took 8 MB
+        classno._legendre_table(999983)  # numpy's first-use allocations, outside the count
+        tracemalloc.start()
+        try:
+            table = classno._legendre_table(999983)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 999983 and peak < 4 * 10**6, peak
 
     def test_agrees_with_forms_on_a_seeded_sample_per_2_part(self):
         # 20 fundamental D in [-10^6, -10^5) for each 2-part prime discriminant
