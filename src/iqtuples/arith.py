@@ -155,8 +155,8 @@ def primes_up_to(m: int) -> list[int]:
 _TRIAL_PRIMES = primes_up_to(10_000)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _spf_table = array("i")
-# m -> (its Factorization, the rho iterations it took), for the m rho split
-_rho_memo: dict[int, tuple[Factorization, int]] = {}
+# m -> (its Factorization, the rho iterations it took, 0 if rho never ran), for every m >= 10^8
+_factor_memo: dict[int, tuple[Factorization, int]] = {}
 
 
 def smallest_prime_factor_table(limit: int) -> array:
@@ -508,16 +508,18 @@ def factorize(m: int) -> Factorization:
     cofactor after trial division stays past it fails at once: the trial
     primes are stripped by gcd with their product first.
 
-    An m that rho split is remembered for the process, with the iterations
-    it took (MEMO_SIZE numbers at most, the oldest dropped first). A remembered
-    m is answered at once only while those iterations fit the current
-    rho_budget; otherwise it is factored again, and rho, being
+    Every m >= 10^8 is remembered for the process once factored, with the
+    rho iterations it took, 0 when trial division, is_prime and the power
+    test finished it (MEMO_SIZE numbers at most, the oldest dropped first);
+    below 10^8 trial division alone decides, and nothing is kept. A
+    remembered m is answered at once only while those iterations fit the
+    current rho_budget; otherwise it is factored again, and rho, being
     deterministic, raises the BudgetError the first call would have.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
     rho_budget = _LIMITS.get().rho_budget
-    hit = _rho_memo.get(m)
+    hit = _factor_memo.get(m)
     if hit is not None and hit[1] <= rho_budget:
         return hit[0]
 
@@ -538,9 +540,7 @@ def factorize(m: int) -> Factorization:
     # below 10^8 the scan ends by p^2 > n; above, it visits only the primes in small
     for p in _TRIAL_PRIMES if m < 10**8 else _primes_dividing(small):
         if p * p > n:
-            if n > 1:
-                exps[n] = 1  # no prime up to sqrt(n) divides n, so n is prime
-            return Factorization(m, tuple(exps.items()))
+            break  # no prime up to sqrt(n) divides n, so n is 1 or a prime below 10^8
         while n % p == 0:
             exps[p] = exps.get(p, 0) + 1
             n //= p
@@ -560,8 +560,8 @@ def factorize(m: int) -> Factorization:
         stack.append((g, e))
         stack.append((v // g, e))
     out = Factorization(m, tuple(sorted(exps.items())))
-    if budget[0] < rho_budget:
-        _remember(_rho_memo, m, (out, rho_budget - budget[0]))
+    if m >= 10**8:
+        _remember(_factor_memo, m, (out, rho_budget - budget[0]))
     return out
 
 

@@ -266,8 +266,8 @@ def _cmd_tables(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     # Shared flags are valid before or after the subcommand; the subparser
-    # copies use SUPPRESS defaults so they never clobber a value given on
-    # the main parser.
+    # copies use SUPPRESS defaults so they never clobber a value given
+    # before the subcommand.
     def dflt(value):
         return argparse.SUPPRESS if suppress else value
 
@@ -281,10 +281,17 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
                    help="progress to stderr")
 
 
-@functools.cache  # parse_args keeps no state, and building costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="iqtuples", description=__doc__)
-    _add_common(p, suppress=False)
+    """The whole command line as one parser: usage, --help and the reference parse_argv matches."""
+    return _parsers()[0]
+
+
+@functools.cache  # parsing keeps no state, and building costs more than a small command
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
+    """(the whole parser, the shared flags alone with their defaults, each subcommand's parser by name)."""
+    shared = _Parser(prog="iqtuples", add_help=False)
+    _add_common(shared, suppress=False)
+    p = _Parser(prog="iqtuples", description=__doc__, parents=[shared])
     common = _Parser(add_help=False)
     _add_common(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -346,13 +353,36 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-t", type=int, help="check membership at this index")
     c.add_argument("-a", type=int)
     c.add_argument("-b", type=int)
-    return p
+    return p, shared, sub.choices
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsing each token once.
+
+    argv is split at the first subcommand name. No shared flag takes a
+    subcommand name as its value, so in a valid argv that name is the
+    subcommand. The tokens before it, which may only be shared flags, are
+    parsed with their defaults, and the tokens after it by that
+    subcommand's own parser into the same Namespace. Where argv names no
+    subcommand, or either part is refused, the whole parser parses argv,
+    so usage, --help and every usage error read as they always have.
+    """
+    parser, shared, commands = _parsers()
+    i = next((i for i, token in enumerate(argv) if token in commands), None)
+    if i is None:
+        return parser.parse_args(argv)
+    try:
+        args = shared.parse_args(argv[:i])
+        args.command = argv[i]
+        return commands[argv[i]].parse_args(argv[i + 1:], args)
+    except _UsageError:
+        parser.parse_args(argv)  # raises the whole parser's own message
+        raise
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,5 +11,22 @@ from iqtuples import arith, classno  # noqa: E402
 @pytest.fixture(autouse=True)
 def empty_memos():
     """Start every test with no factorization or form count remembered."""
-    arith._rho_memo.clear()
+    arith._factor_memo.clear()
     classno._h_memo.clear()
+
+
+@pytest.fixture
+def large_proofs(monkeypatch):
+    """Each value from 10^8 up that _brent_rho or is_prime is called on, in order."""
+    seen = []
+
+    def recording(real):
+        def call(n, *rest):
+            if n >= 10**8:
+                seen.append(n)
+            return real(n, *rest)
+        return call
+
+    monkeypatch.setattr(arith, "_brent_rho", recording(arith._brent_rho))
+    monkeypatch.setattr(arith, "is_prime", recording(arith.is_prime))
+    return seen

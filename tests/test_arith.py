@@ -173,7 +173,7 @@ class TestQuadraticSieve:
         rng = random.Random(11)
         ms = [_prime(rng, 26) * _prime(rng, 27) for _ in range(4)] + [10007 * _prime(rng, 60)]
         with_sieve = [arith.factorize(m) for m in ms]
-        arith._rho_memo.clear()
+        arith._factor_memo.clear()
         asked = []
         monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
         assert [arith.factorize(m) for m in ms] == with_sieve
@@ -212,11 +212,11 @@ class TestQuadraticSieve:
         monkeypatch.setattr(arith, "_brent_rho", counting)
         assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
         assert arith.QS_AFTER <= sum(spent) < 2 * arith.QS_AFTER  # the sieve split it
-        assert arith._rho_memo[self.N][1] == sum(spent)
+        assert arith._factor_memo[self.N][1] == sum(spent)
         with pytest.raises(BudgetError), arith.limits(rho_budget=sum(spent) - 1):
             arith.factorize(self.N)
         with arith.limits(rho_budget=sum(spent)):
-            assert arith.factorize(self.N) is arith._rho_memo[self.N][0]
+            assert arith.factorize(self.N) is arith._factor_memo[self.N][0]
 
 
 class TestFactorizeMemo:
@@ -224,32 +224,46 @@ class TestFactorizeMemo:
         # test_budget_error_is_raised in the other order: remembered first
         n = 99991 * 99989
         assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
-        assert n in arith._rho_memo
+        assert n in arith._factor_memo
         with pytest.raises(BudgetError), arith.limits(rho_budget=1):
             arith.factorize(n)
-        spent = arith._rho_memo[n][1]
+        spent = arith._factor_memo[n][1]
         with pytest.raises(BudgetError), arith.limits(rho_budget=spent - 1):
             arith.factorize(n)
         with arith.limits(rho_budget=spent):  # exactly the iterations it took
-            assert arith.factorize(n) is arith._rho_memo[n][0]
+            assert arith.factorize(n) is arith._factor_memo[n][0]
 
     def test_tuple_built_twice_still_obeys_the_budget(self):
         families.quintuple(7, 2)
-        assert arith._rho_memo
+        assert arith._factor_memo
         with pytest.raises(BudgetError), arith.limits(rho_budget=1):
             families.quintuple(7, 2)
 
-    def test_only_what_rho_split_is_remembered(self, monkeypatch):
+    def test_every_factorization_from_1e8_is_remembered(self, monkeypatch):
         # trial division finishes these, or leaves a prime cofactor past 10^8,
         # or a power of primes past 10^4 that the root test takes without rho
         monkeypatch.setattr(arith, "_brent_rho", _untouchable)
-        for m in (12, 119164, 14891, 2**90 * 1000003, 9973 * 9967, 6 * 1000000007,
-                  10007**3, 12 * 10007**5, 10007**4, 10009**6):
+        below = (12, 119164, 14891, 9973 * 9967, 99999989)
+        above = (2**90 * 1000003, 2**40 * 3**5 * 9973, 6 * 1000000007, 10007**3,
+                 12 * 10007**5, 10007**4, 10009**6)
+        for m in below + above:
             f = arith.factorize(m)
             assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
         assert arith.factorize(10007**3).factors == ((10007, 3),)
         assert arith.factorize(10009**6).factors == ((10009, 6),)
-        assert not arith._rho_memo
+        assert list(arith._factor_memo) == list(above)  # below 10^8 nothing is kept
+        assert all(spent == 0 for _, spent in arith._factor_memo.values())
+        monkeypatch.setattr(arith, "is_prime", _untouchable)
+        with arith.limits(rho_budget=0):
+            for m in above:
+                assert arith.factorize(m) is arith._factor_memo[m][0]
+
+    def test_a_repeated_tuple_proves_nothing_again(self, large_proofs):
+        families.quintuple(3, 150)
+        assert large_proofs
+        large_proofs.clear()
+        families.quintuple(3, 150)
+        assert large_proofs == []
 
     def test_size_bound_drops_the_oldest(self, monkeypatch):
         monkeypatch.setattr(arith, "MEMO_SIZE", 3)
@@ -257,10 +271,10 @@ class TestFactorizeMemo:
                                  (10069, 10079), (10091, 10093))]
         for m in ms:
             arith.factorize(m)
-            assert len(arith._rho_memo) <= 3
-        assert list(arith._rho_memo) == ms[2:]
+            assert len(arith._factor_memo) <= 3
+        assert list(arith._factor_memo) == ms[2:]
         assert arith.factorize(ms[0]).factors == ((10007, 1), (10009, 1))
-        assert list(arith._rho_memo) == ms[3:] + ms[:1]
+        assert list(arith._factor_memo) == ms[3:] + ms[:1]
 
 
 class TestIsPrime:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from iqtuples import arith, classno, cli, families
 
 
@@ -488,7 +490,7 @@ class TestHarness:
         monkeypatch.setattr(arith, "_brent_rho", recording)
         alone, alone_splits, alone_total = [], Counter(), 0
         for i, line in enumerate(records):
-            arith._rho_memo.clear()
+            arith._factor_memo.clear()
             classno._h_memo.clear()
             split.clear()
             src = tmp_path / f"one{i}.jsonl"
@@ -496,7 +498,7 @@ class TestHarness:
             alone.append(run(capsys, "verify", str(src), "--format", "json")[:2])
             alone_splits |= Counter(split)  # the most times one record split each n
             alone_total += len(split)
-        arith._rho_memo.clear()
+        arith._factor_memo.clear()
         classno._h_memo.clear()
         split.clear()
         src = tmp_path / "batch.jsonl"
@@ -531,7 +533,7 @@ class TestHarness:
                         (power, f"factoring {power}: the cofactor {10007**3} is a power 10007^3")):
             outs, told = [], []
             for argv in (["squarefree"], ["-v", "squarefree"]):
-                arith._rho_memo.clear()
+                arith._factor_memo.clear()
                 caplog.clear()
                 code, out, _ = run(capsys, *argv, "-m", m)
                 assert code == 0
@@ -543,3 +545,106 @@ class TestHarness:
 
     def test_threads_flag_is_gone(self, capsys):
         assert run(capsys, "--threads", "2", "squarefree", "-m", "12")[0] == 3
+
+    def test_a_repeated_command_proves_nothing_again(self, capsys, large_proofs):
+        argv = ("quadruple", "-n", "3", "-p", "5", "-k", "150", "--format", "json")
+        first = run(capsys, *argv)
+        assert large_proofs
+        large_proofs.clear()
+        assert run(capsys, *argv) == first
+        assert large_proofs == []
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "iqtuples", "tables", "--format", "json"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(capsys, "tables", "--format", "json")[1]
+
+
+def _parse(parse, argv):
+    """vars of parse(argv) with a file argument by its name, or the usage error as main prints it."""
+    try:
+        args = vars(parse(argv))
+    except cli._UsageError as e:
+        return f"usage error: {e}"
+    if args.get("file") not in (None, sys.stdin):
+        args["file"].close()
+        args["file"] = args["file"].name
+    return args
+
+
+def _whole_parser_unused(*args):
+    raise AssertionError("a valid command went through the whole parser")
+
+
+class TestParseArgv:
+    COMMANDS = (
+        ["classnum", "-D", "-23", "--method", "dirichlet"],
+        ["classnum", "-d", "-31", "--with-forms"],
+        ["squarefree", "-m", "-12"],
+        ["lehmer", "-a", "1", "-b", "-3", "-t", "5"],
+        ["pdiv", "-a", "1", "-b", "-3", "-t", "5"],
+        ["lrn-solve", "-d", "7", "-l", "11", "--z-max", "3", "--method", "both"],
+        ["thm31", "-l", "7", "-n", "3", "-p", "5"],
+        ["quadruple", "-n", "3", "-p", "5", "-k", "2", "--verify"],
+        ["quintuple", "-n", "3", "-k", "2"],
+        ["tuples", "-n", "3", "-m", "12", "-k", "2", "--mode", "lenient"],
+        ["verify"],
+        ["tables", "-t", "7", "-a", "14", "-b", "-22"],
+    )
+    # shared flags, spelt out, abbreviated, with = and with a value like a negative number
+    SHARED = ([], ["--format", "json"], ["--rho-budget", "1000", "-v"], ["--sf-budget=99"],
+              ["--form", "csv"], ["--rho", "-5"], ["--verbose", "--sf-budget", "7", "--format", "text"])
+
+    def test_equals_the_whole_parser(self, tmp_path, monkeypatch):
+        src = tmp_path / "in.jsonl"
+        src.write_text("")
+        commands = self.COMMANDS + (["verify", str(src)],)
+        assert {c[0] for c in commands} == set(cli._parsers()[2])
+        whole = cli.build_parser().parse_args
+        monkeypatch.setattr(cli.build_parser(), "parse_args", _whole_parser_unused)
+        for before in self.SHARED:
+            # past "--" every token is an argument, a shared flag too
+            for argv in [before + c + after for c in commands for after in self.SHARED] + [
+                    before + ["verify", "--", str(src)]]:
+                want = _parse(whole, argv)
+                assert isinstance(want, dict), (argv, want)
+                assert _parse(cli.parse_argv, argv) == want, argv
+
+    def test_refused_argv_reads_as_before(self, capsys):
+        for argv in (
+            ["--bogus", "classnum", "-D", "-3"],
+            ["classnum", "-D", "-3", "--bogus"],
+            ["--bogus", "classnum", "-D", "-3", "--also-bogus"],
+            ["classnum", "-D", "-3", "--method", "sum"],
+            ["--format", "xml", "classnum", "-D", "-3"],
+            [],
+            ["--format", "json"],
+            ["-5", "classnum", "-D", "-3"],
+            ["--format", "tables"],
+            ["--format", "tables", "tables"],
+            ["--rho-budget", "verify", "classnum", "-D", "-3"],
+            ["--rho-budget"],
+            ["--", "classnum", "-D", "-3"],
+            ["classnum", "--", "-D", "-3"],
+            ["--format", "json", "--", "verify"],
+            ["lehmer", "-a", "1"],
+            ["no-such-command"],
+        ):
+            want = _parse(cli.build_parser().parse_args, argv)
+            assert want.startswith("usage error: "), argv
+            assert _parse(cli.parse_argv, argv) == want, argv
+            assert run(capsys, *argv) == (3, "", want + "\n"), argv
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["classnum", "-h"], ["-h"], ["-h", "classnum"], ["--format", "json", "--help"],
+                     ["--format", "json", "tables", "--help"]):
+            with pytest.raises(SystemExit) as parsed:
+                cli.build_parser().parse_args(argv)
+            want = capsys.readouterr().out
+            with pytest.raises(SystemExit) as ran:
+                cli.main(argv)
+            assert parsed.value.code == ran.value.code == 0, argv
+            assert capsys.readouterr().out == want and want.startswith("usage: iqtuples"), argv

@@ -105,6 +105,24 @@ class TestStructured:
                 ), (d, ell)
 
 
+    def test_equals_brute_wherever_brute_runs(self):
+        # every d < 40 and ell < 20 that the instance admits, up to ell^z_max <= 10^6
+        for d in range(2, 40):
+            for ell in range(3, 20, 2):
+                if gcd(ell, 2 * d) != 1:
+                    continue
+                inst = LrnInstance(d, ell, max(z for z in range(1, 20) if ell**z <= 10**6))
+                assert triples(lrn.solve_structured(inst)) == triples(lrn.solve_brute(inst)), (d, ell)
+
+    def test_long_range_matches_expand(self):
+        # far past brute's reach: 3^2000 has 954 digits
+        sols = lrn.solve_structured(LrnInstance(5, 3, 2000))
+        assert len(sols) == 1000 and [s.z for s in sols] == list(range(2, 2001, 2))
+        for s in sols[::37] + sols[-1:]:
+            assert s.decomposition.expand(5) == (s.x, s.y)
+            assert s.x * s.x + 5 * s.y * s.y == 3**s.z
+
+
 class TestDecomposition:
     def test_expand(self):
         # -(1 - sqrt(-2))^3 = 5 + sqrt(-2)
@@ -154,6 +172,15 @@ class TestTheorem31:
         rep = lrn.theorem31_verify(7, 3, 19)  # 361 > 343
         assert not rep.accepted
         assert rep.rejection == "19^2 < ell^n"
+        assert rep.hypotheses[-1].detail == "361 >= 343"
+
+    def test_size_check_states_the_relation_that_holds(self):
+        assert lrn.theorem31_verify(7, 3, 17).hypotheses[2].detail == "289 < 343"
+        t = families.pi_tuple(3, 1000, 2, mode="lenient")
+        dropped = next(w for w in t.warnings if w.startswith("dropped p = 173: "))
+        assert dropped == "dropped p = 173: 173^2 < ell^n (29929 >= 29791)"
+        kept = next(c for c in t.hypotheses if c.check == "167^2 < ell^n")
+        assert kept.ok and kept.detail == "27889 < 29791"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
