@@ -160,24 +160,21 @@ _factor_memo: dict[int, tuple[Factorization, int]] = {}
 
 
 def smallest_prime_factor_table(limit: int) -> array:
-    """Table t with t[n] = smallest prime factor of n, for 0 <= n <= limit.
+    """Table t with t[n] = smallest prime factor of a composite n, 0 for primes, 0 and 1.
 
-    An array("i"), 4 bytes an entry against the 8-byte pointer and the int
-    object of a list of Python ints, built in pure Python so that the form
-    count's walk, which reads it one entry at a time, imports no numpy.
-    Grown on demand and cached for the process lifetime; a larger table
-    replaces the old one whole, so a table a caller holds never changes.
+    Covers 0 <= n <= limit at least. The only such table in the process:
+    an array("i"), 4 bytes an entry, built in pure Python so that the form
+    count's walk, which reads it one entry at a time as t[n] or n, imports
+    no numpy, while the form count's numpy passes view its buffer without a
+    copy (classno._sieve). Grown on demand and cached for the process
+    lifetime; a larger table replaces the old one whole, so a table a
+    caller holds never changes.
     """
     global _spf_table
     if len(_spf_table) > limit:
         return _spf_table
     size = max(limit + 1, 2 * len(_spf_table), 1 << 16)
-    # The identity, 2^14 entries at a time: fromlist sizes the array once per
-    # list, where array("i", range(size)) grows it entry by entry and took
-    # 26-30 against 16-19 ms for the whole build at 3.65*10^5.
-    spf = array("i")
-    for lo in range(0, size, 1 << 14):
-        spf.fromlist(list(range(lo, min(lo + (1 << 14), size))))
+    spf = array("i", [0]) * size
     for p in reversed(primes_up_to(isqrt(size - 1))):  # smaller primes overwrite
         spf[p * p :: p] = array("i", [p]) * len(range(p * p, size, p))
     _spf_table = spf
@@ -504,9 +501,9 @@ def factorize(m: int) -> Factorization:
     square root. Primality of the larger ones is certified by is_prime at
     every split. Raises BudgetError if rho exceeds the current
     Limits.rho_budget iterations (the sieve's work is not counted), never
-    returns a wrong or incomplete factorization. An m past the proven primality range whose
-    cofactor after trial division stays past it fails at once: the trial
-    primes are stripped by gcd with their product first.
+    returns a wrong or incomplete factorization. A cofactor past the proven
+    primality range raises OutOfRangeError at its first is_prime test,
+    before any rho step, naming m and the cofactor.
 
     Every m >= 10^8 is remembered for the process once factored, with the
     rho iterations it took, 0 when trial division, is_prime and the power
@@ -528,13 +525,6 @@ def factorize(m: int) -> Factorization:
                                 f"testing the cofactor {decimal(v)} for primality", is_prime, v)
 
     small = gcd(m, _TRIAL_PRODUCT) if m >= 10**8 else 0  # product of the trial primes dividing m
-    if m >= MR_PROVEN_BOUND:
-        n, g = m, small
-        while g > 1:
-            n //= g
-            g = gcd(n, g)
-        if n >= MR_PROVEN_BOUND:
-            is_prime_cofactor(n)  # raises the OutOfRangeError rho's first test would
     n = m
     exps: dict[int, int] = {}
     # below 10^8 the scan ends by p^2 > n; above, it visits only the primes in small

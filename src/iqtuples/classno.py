@@ -9,15 +9,16 @@ multiplicative and a numpy sieve builds it over the whole a-range at once.
 Above M, the last eighth of the range, only the a with R(a) > 0 are looked
 at: b is solved mod 2a by CRT over the factorization of 2a, and the forms
 with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
-in one numpy pass over all of them, a shorter one walked a by a. The
-sieve of R and the tail pass read their primes and smallest prime factors
-from one numpy table held for the process (_sieve); the walk reads arith's
-pure-Python array("i") table, so that it imports no numpy. Below
-|D| = SIEVE_FROM nothing is sieved. The walk tests gcd(a, b, c) = 1 form
-by form, an independent check on the local rule, and on request lists the
-forms of every a, within one a in the CRT order of the roots. Counts are
-remembered for the process. An independent Dirichlet evaluator of the
-class number formula cross-checks fundamental D.
+in one numpy pass over all of them, a shorter one walked a by a. All
+three read smallest prime factors from arith's one array("i") table: the
+walk entry by entry, so that it imports no numpy, and the sieve of R and
+the tail pass through a numpy view of its buffer, with the primes read
+off it once per table (_sieve). Below |D| = SIEVE_FROM nothing is
+sieved. The walk tests gcd(a, b, c) = 1 form by form, an independent
+check on the local rule, and on request lists the forms of every a,
+within one a in the CRT order of the roots. Counts are remembered for
+the process. An independent Dirichlet evaluator of the class number
+formula cross-checks fundamental D.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _roots_mod_2a(D: int, a: int, spf: Sequence[int], cache: dict[int, list[int]
     if not roots:
         return []
     while rest > 1:
-        p = spf[rest]
+        p = spf[rest] or rest  # a prime reads 0
         e = 0
         while rest % p == 0:
             rest //= p
@@ -216,6 +217,7 @@ def _walk(D: int, a_values, a_max: int):
     In the CRT order of the roots within one a: each root b in [0, 2a) is
     moved into (-a, a] and kept when c > a, or when c = a and b >= 0, and
     when gcd(a, b, c) = 1. a_values is increasing and ends at or below a_max.
+    Each a is factored by arith's smallest-prime-factor table, without numpy.
     """
     spf = arith.smallest_prime_factor_table(a_max)
     cache: dict[int, list[int]] = {}
@@ -230,33 +232,27 @@ def _walk(D: int, a_values, a_max: int):
                 yield a, b, c
 
 
-_held_sieve: tuple = ((), ())  # (spf, primes), numpy arrays once first asked for
+_view: tuple = (None, None, None)  # (arith's table, a numpy view of it, its primes), once asked for
 
 
 def _sieve(m: int):
-    """(spf, primes): spf[n] the smallest prime factor of n, primes those <= m.
+    """(spf, primes): arith.smallest_prime_factor_table(m) seen by numpy, and the primes <= m.
 
-    spf is int32 and covers 0..m at least, primes int64. It equals arith's
-    smallest_prime_factor_table, which _walk keeps, as reading a numpy table
-    one entry at a time is slower. The sieve of R and the tail pass both ask
-    for a_max, so a count builds one table. Held for the process and grown
-    on demand; a larger table replaces the old one whole, so arrays a caller
-    holds never change.
+    spf is an int32 view of that table's buffer, not a copy: spf[n] is the
+    smallest prime factor of a composite n and 0 for primes, 0 and 1; it
+    covers 0..m at least. primes (int64) are read off it once per table and
+    held until arith replaces the table, which leaves a view or primes a
+    caller holds as they were. The sieve of R and the tail pass both ask
+    for a_max, so a count reads the primes once at most.
     """
     import numpy as np
 
-    global _held_sieve
-    spf, primes = _held_sieve
-    if len(spf) <= m:
-        size = max(m + 1, 2 * len(spf), 1 << 16)
-        n = np.arange(size, dtype=np.int32)
-        spf = n.copy()
-        for p in range(2, isqrt(size - 1) + 1):
-            if spf[p] == p:  # no smaller prime divides p
-                view = spf[p * p :: p]
-                np.minimum(view, p, out=view)
-        primes = np.flatnonzero(spf == n)[2:]  # 0 and 1 are their own entries too
-        _held_sieve = (spf, primes)
+    global _view
+    table = arith.smallest_prime_factor_table(m)
+    if _view[0] is not table:
+        spf = np.frombuffer(table, dtype=np.intc)
+        _view = (table, spf, np.flatnonzero(spf == 0)[2:])  # 0 and 1 read 0 too
+    _, spf, primes = _view
     return spf, primes[: np.searchsorted(primes, m, side="right")]
 
 
@@ -285,11 +281,11 @@ def _root_counts(D: int, a_max: int):
     R[0] = 0. R is multiplicative, R(p^e) the number of _primitive_roots:
     by _power_counts at 2 and the odd p | D, each laid over the multiples of
     p^e in turn so that the exact power decides, and 1 + (D/p) for the other
-    odd p. The primes are _sieve(a_max)'s, and the Legendre symbols come from
-    Euler's criterion over all odd ones at once, by arith._pow_mod. Each
-    factor is multiplied into the multiples of its prime by slicing, except
-    that the large primes, whose squares exceed a_max, go in by their
-    multiples j*p, one j at a time.
+    odd p. The primes are those read off arith's table by _sieve(a_max),
+    and the Legendre symbols come from Euler's criterion over all odd ones
+    at once, by arith._pow_mod. Each factor is multiplied into the
+    multiples of its prime by slicing, except that the large primes, whose
+    squares exceed a_max, go in by their multiples j*p, one j at a time.
     """
     import numpy as np
 
@@ -418,8 +414,9 @@ def _tail_count(D: int, tail) -> int:
     """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count.
 
     tail is an increasing int64 array of a in (M, a_max] with R(a) > 0, all
-    counted in one numpy pass. Each a = 2^v * u is factored through the
-    smallest prime factors of _sieve, one odd prime power q of u per level,
+    counted in one numpy pass. Each a = 2^v * u is factored through
+    _sieve's view of arith's smallest-prime-factor table, where a prime
+    reads 0 and stands for itself, one odd prime power q of u per level,
     smallest first. The roots mod a q = p^e with e > 1 or p | D come from
     _primitive_roots, once per D and q; for the other q = p they are
     +-sqrt(D) mod p, from _sqrt_mod_split once per prime. Each array row
@@ -454,7 +451,8 @@ def _tail_count(D: int, tail) -> int:
     act = np.flatnonzero(rest > 1)
     while act.size:
         left = rest[act]
-        p = spf[left].astype(np.int64)
+        p = spf[left]
+        p = np.where(p == 0, left, p)  # a prime reads 0
         q = p.copy()
         left //= p
         more = np.flatnonzero(left % p == 0)
@@ -475,7 +473,7 @@ def _tail_count(D: int, tail) -> int:
     exact_q = np.unique(np.concatenate([q[~sp] for _, _, q, sp in levels] + [low[:0]]))
     exact = []
     for q in exact_q.tolist():
-        p, e = int(spf[q]), 1
+        p, e = int(spf[q]) or q, 1
         while p**e < q:
             e += 1
         exact.append(_primitive_roots(D, p, e))

@@ -422,6 +422,13 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"invalid input: a result has more than {sys.get_int_max_str_digits()} digits, "
+              "Python's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -49,13 +49,9 @@ class TestFactorize:
         with pytest.raises(OutOfRangeError, match=f"^factoring a {m.bit_length()}-bit integer: "):
             arith.factorize(m)
 
-    def test_huge_cofactor_fails_before_trial_division(self, monkeypatch):
-        class Untouchable:
-            def __iter__(self):
-                raise AssertionError("trial division ran")
-
+    def test_huge_cofactor_fails_before_rho(self, monkeypatch):
         m = 2**5 * 3 * 9973**2 * (10**30 + 57)  # 10^30 + 57 has no factor below 10^4
-        monkeypatch.setattr(arith, "_TRIAL_PRIMES", Untouchable())
+        monkeypatch.setattr(arith, "_brent_rho", _untouchable)
         with pytest.raises(OutOfRangeError, match=f"^factoring {m}: testing the cofactor "
                                                   f"{10**30 + 57} for primality: "):
             arith.factorize(m)
@@ -409,10 +405,12 @@ class TestPrimesUpTo:
 
 class TestSmallestPrimeFactorTable:
     def test_matches_trial_division(self):
+        # a composite reads its smallest prime factor; primes, 0 and 1 read 0
         t = arith.smallest_prime_factor_table(70_000)  # past the 1 << 16 minimum size
-        assert len(t) > 70_000
+        assert len(t) > 70_000 and t[0] == t[1] == 0
         for n in range(2, 70_001):
-            assert t[n] == trial_factorize(n)[0][0], n
+            p = trial_factorize(n)[0][0]
+            assert t[n] == (0 if p == n else p), n
 
     def test_held_table_survives_growth(self):
         held = arith.smallest_prime_factor_table(100)
@@ -434,7 +432,7 @@ class TestSmallestPrimeFactorTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(t) == 300_001 and t[299_999] == 7 and t[299_993] == 299_993
+        assert len(t) == 300_001 and t[299_999] == 7 and t[299_993] == 0  # 299 993 is prime
         assert peak < 3 * 10**6, peak
 
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from math import gcd, isqrt
 
 import numpy as np
@@ -326,23 +327,43 @@ class TestSieve:
 
 
 class TestHeldSieve:
-    def test_equals_arith_tables(self, monkeypatch):
-        # from an empty hold, across the growth past 2^16 and to 7*10^4
-        monkeypatch.setattr(classno, "_held_sieve", ((), ()))
-        for m in list(range(101)) + [2**16 - 1, 2**16, 70_000]:
+    def test_views_arith_table(self, monkeypatch):
+        # from an empty table, across the growth past 2^16 and to 3*10^5
+        monkeypatch.setattr(arith, "_spf_table", array("i"))
+        for m in list(range(101)) + [2**16 - 1, 2**16, 70_000, 300_000]:
             spf, primes = classno._sieve(m)
             assert len(spf) > m and spf.dtype == np.int32 and primes.dtype == np.int64
-            assert spf[: m + 1].tolist() == list(arith.smallest_prime_factor_table(m)[: m + 1]), m
+            assert np.shares_memory(spf, arith.smallest_prime_factor_table(m)), m
             assert primes.tolist() == arith.primes_up_to(m), m
 
+    def test_primes_are_read_once_per_table(self, monkeypatch):
+        monkeypatch.setattr(arith, "_spf_table", array("i"))
+        held = classno._sieve(100)[1].base
+        assert held is not None and classno._sieve(60_000)[1].base is held
+        grown = classno._sieve(2**16)[1].base
+        assert grown is not held and classno._sieve(1000)[1].base is grown
+
     def test_held_arrays_survive_growth(self, monkeypatch):
-        monkeypatch.setattr(classno, "_held_sieve", ((), ()))
+        monkeypatch.setattr(arith, "_spf_table", array("i"))
         spf, primes = classno._sieve(100)
         copies = spf.copy(), primes.copy()
         grown, more = classno._sieve(2 * len(spf))
         assert len(grown) > 2 * len(spf)
         assert (spf == copies[0]).all() and (primes == copies[1]).all()
         assert (grown[: len(spf)] == spf).all() and (more[: len(primes)] == primes).all()
+
+    def test_count_after_the_table_grows(self, monkeypatch):
+        # the first count reads the primes off a table of 2^16; the second
+        # grows it to 2^17, so the primes are read again, off the new table
+        monkeypatch.setattr(arith, "_spf_table", array("i"))
+        first, second = -4 * 10**9 + 1, -4 * 10**10
+        h = classno.class_number_forms(first).h
+        held = classno._sieve(0)[1].base
+        assert len(arith.smallest_prime_factor_table(0)) == 2**16
+        assert classno.class_number_forms(second).h == _walk_h(second)
+        assert len(arith.smallest_prime_factor_table(0)) == 2**17
+        assert classno._sieve(0)[1].base is not held
+        assert h == _walk_h(first)
 
 
 def _tail(D):

@@ -17,6 +17,10 @@ def run(capsys, *argv):
     return code, out, err
 
 
+TOO_LONG = (f"invalid input: a result has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)\n")
+
+
 class TestClassnum:
     def test_field_radicand(self, capsys):
         code, out, _ = run(capsys, "classnum", "-d", "-31")
@@ -109,6 +113,13 @@ class TestScalarCommands:
         assert code == 3
         assert "invalid input" in err
 
+    def test_too_long_a_lehmer_number_exits_3(self, capsys):
+        # L_30000(5, 1) has more digits than Python will print
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "lehmer", "-a", "5", "-b", "1", "-t", "30000",
+                                 "--format", fmt)
+            assert (code, out, err) == (3, "", TOO_LONG), fmt
+
 
 class TestLrnSolve:
     def test_structured_json_lines(self, capsys):
@@ -125,6 +136,14 @@ class TestLrnSolve:
         code, _, err = run(capsys, "lrn-solve", "-d", "7", "-l", "11", "--z-max", "3",
                            "--method", "both")
         assert code == 0
+
+    def test_too_long_a_solution_exits_3(self, capsys):
+        # past z = 1433 a solution has more digits than Python will print (at
+        # ell = 3 past z = 18 020); the shorter ones before it are not printed either
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "lrn-solve", "-d", "5", "-l", "1000081", "--z-max", "1450",
+                                 "--format", fmt)
+            assert (code, out, err) == (3, "", TOO_LONG), fmt
 
     def test_sf_budget_bounds_the_class_number(self, capsys):
         code, out, err = run(capsys, "lrn-solve", "-d", "1000000000001", "-l", "3", "--z-max", "1")
@@ -440,7 +459,7 @@ class TestHarness:
             assert (code, out, err) == (3, "", f"invalid input: {want}\n"), argv
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        # as when the held sieve or pi_tuple's primes do not fit; nothing is allocated
+        # as when the spf table or pi_tuple's primes do not fit; nothing is allocated
         def sieve(m):
             raise MemoryError(f"Unable to allocate 43.0 GiB for an array with shape ({m},)")
 
@@ -456,6 +475,15 @@ class TestHarness:
         code, out, err = run(capsys, "tuples", "-n", "3", "-m", "100000000000", "-k", "2")
         assert code == 2 and out == ""
         assert err == "budget exhausted: out of memory: an allocation failed\n"
+
+    def test_only_the_conversion_limit_is_caught(self, monkeypatch):
+        # any other ValueError is a fault of the program, not of the input
+        def lehmer_number(p, t):
+            raise ValueError("not a conversion")
+
+        monkeypatch.setattr(cli.lehmer, "lehmer_number", lehmer_number)
+        with pytest.raises(ValueError, match="^not a conversion$"):
+            cli.main(["lehmer", "-a", "5", "-b", "1", "-t", "3"])
 
     def test_walked_counts_import_no_numpy(self):
         # numpy doubles a fresh interpreter's start-up, so a walked count or a
