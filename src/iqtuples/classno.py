@@ -5,20 +5,22 @@ The main counter counts the primitive reduced positive-definite forms
 condition on b at each prime of a (_primitive_roots). For a up to M, the
 largest a with 4a^2 < |D|, every root b of b^2 = D (mod 4a) in (-a, a]
 gives c > a, so the forms number R(a), the primitive roots b mod 2a; R is
-multiplicative and a numpy sieve builds it over the whole a-range at once.
-Above M, the last eighth of the range, only the a with R(a) > 0 are looked
-at: b is solved mod 2a by CRT over the factorization of 2a, and the forms
-with c < a are dropped. A tail of TAIL_PASS_FROM such a or more is counted
-in one numpy pass over all of them, a shorter one walked a by a. All
-three read smallest prime factors from arith's one array("i") table: the
-walk entry by entry, so that it imports no numpy, and the sieve of R and
-the tail pass through a numpy view of its buffer, with the primes read
-off it once per table (_sieve). Below |D| = SIEVE_FROM nothing is
-sieved. The walk tests gcd(a, b, c) = 1 form by form, an independent
-check on the local rule, and on request lists the forms of every a,
-within one a in the CRT order of the roots. Counts are remembered for
-the process. An independent Dirichlet evaluator of the class number
-formula cross-checks fundamental D.
+multiplicative and is sieved over the whole a-range at once: on a Python
+list below |D| = SIEVE_FROM (_root_list), by numpy from there on
+(_root_counts). Above M, the last eighth of the range, only the a with
+R(a) > 0 are looked at: b is solved mod 2a by CRT over the factorization
+of 2a, and the forms with c < a are dropped. A tail of TAIL_PASS_FROM such
+a or more is counted in one numpy pass over all of them, a shorter one
+walked a by a; below SIEVE_FROM every tail is shorter, so a count there
+imports no numpy. All of them read smallest prime factors from arith's
+one array("i") table: the list sieve and the walk entry by entry, the
+numpy sieve of R and the tail pass through a numpy view of its buffer,
+with the primes read off it once per table (_sieve). The walk tests
+gcd(a, b, c) = 1 form by form, an independent check on the local rule,
+and on request lists the forms of every a, within one a in the CRT order
+of the roots. Counts are remembered for the process. An independent
+Dirichlet evaluator of the class number formula cross-checks fundamental
+D.
 """
 
 from __future__ import annotations
@@ -39,12 +41,17 @@ DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
 
-# Below this |D| a form count walks every a: the sieve's fixed numpy cost
-# exceeds the whole walk there. Per call, over 150 D = 0, 1 (mod 4) drawn
-# from |D| in [x, x + 1500], the walk against the sieve took 312 against
-# 363 us at x = 20 000, 401 against 418 at 30 000, 506 against 435 at
-# 40 000 and 529 against 470 at 50 000 (CPython 3.11, 2-core x86-64 VM).
-SIEVE_FROM = 40_000
+# Below this |D| R is sieved on a Python list, as numpy's fixed cost per
+# call exceeds the list's whole work there. Per warm count, list against
+# numpy, best of 3 per D, over 150 D = 0, 1 (mod 4) drawn from |D| in
+# [x, 1.05x] and run alternately in one process: 56-64 against 134-156 us
+# at x = 10^4, 134-167 against 215-273 at 10^5, 304-323 against 330-345 at
+# 10^6, 391-417 against 393-425 at 1.5*10^6, 434-538 against 428-545 at
+# 2*10^6 and 460-635 against 433-630 at 2.5*10^6, over three seeds
+# (CPython 3.11, 2-core x86-64 VM). It stays below 3.7*10^6: from there
+# a_max - M, the longest a tail can be, reaches TAIL_PASS_FROM, and below
+# it no count imports numpy.
+SIEVE_FROM = 2_000_000
 
 # A tail of fewer a than this (the a above M with R(a) > 0) is walked, as
 # the numpy pass's fixed cost exceeds the walk there. Per count, over 900
@@ -273,6 +280,39 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
             break
         q, e = q * p, e + 1
     return out
+
+
+def _root_list(D: int, a_max: int) -> list[int]:
+    """_root_counts(D, a_max).tolist(), built on a Python list without numpy.
+
+    The same rule: _power_counts laid over the multiples at 2 and at each
+    odd p | D, and 1 + (D/p) for the other odd primes p, the entries 0 of
+    arith's table from 3 on, by one pow(D % p, p >> 1, p) each. An inert p
+    zeroes its multiples and a split p doubles them, by slicing.
+    """
+    spf = arith.smallest_prime_factor_table(a_max)
+    R = [1] * (a_max + 1)
+    R[0] = 0
+    exact = [2]
+    for p in range(3, a_max + 1, 2):
+        if spf[p]:
+            continue
+        chi = pow(D % p, p >> 1, p)
+        if chi == 1:
+            R[p::p] = [r + r for r in R[p::p]]
+        elif chi:
+            R[p::p] = [0] * (a_max // p)
+        else:
+            exact.append(p)
+    for p in exact:
+        counts = list(dropwhile(lambda qn: qn[1] == 1, _power_counts(D, p, a_max)))
+        if counts:  # from the first count that is not 1, over the multiples of its q
+            q0 = counts[0][0]
+            at = [1] * (a_max // q0)
+            for q, n in counts:
+                at[q // q0 - 1 :: q // q0] = [n] * (a_max // q)
+            R[q0::q0] = [r * n for r, n in zip(R[q0::q0], at)]
+    return R
 
 
 def _root_counts(D: int, a_max: int):
@@ -535,23 +575,28 @@ def _reduced_count(D: int) -> int:
     gives c > a, so the forms with first coefficient a number R(a) and the
     sieve counts them. Above M only the a with R(a) > 0 are looked at: a
     tail of at least TAIL_PASS_FROM of them is counted by _tail_count in one
-    numpy pass, a shorter one walked. Below |D| = SIEVE_FROM every a is
-    walked and nothing sieved.
+    numpy pass, a shorter one walked. Below |D| = SIEVE_FROM, R is the
+    Python list of _root_list and every tail is shorter than TAIL_PASS_FROM,
+    so the count imports no numpy.
     """
-    a_max = isqrt(-D // 3)
+    a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
     if -D < SIEVE_FROM:
-        return sum(1 for _ in _walk(D, range(1, a_max + 1), a_max))
-    import numpy as np
-
-    R = _root_counts(D, a_max)
-    M = isqrt((-D - 1) // 4)
-    head = int(R[1 : M + 1].sum(dtype=np.int64))
-    log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    tail = np.flatnonzero(R[M + 1 :]) + (M + 1)
-    if len(tail) >= TAIL_PASS_FROM:
-        h = _tail_count(D, tail)
+        R = _root_list(D, a_max)
+        head = sum(R[1 : M + 1])
+        tail = [a for a in range(M + 1, a_max + 1) if R[a]]
     else:
-        h = sum(1 for _ in _walk(D, tail.tolist(), a_max))
+        import numpy as np
+
+        R = _root_counts(D, a_max)
+        head = int(R[1 : M + 1].sum(dtype=np.int64))
+        tail = np.flatnonzero(R[M + 1 :]) + (M + 1)
+        if len(tail) < TAIL_PASS_FROM:
+            tail = tail.tolist()
+    log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
+    if isinstance(tail, list):
+        h = sum(1 for _ in _walk(D, tail, a_max))
+    else:
+        h = _tail_count(D, tail)
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 

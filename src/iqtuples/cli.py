@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache  # parsing keeps no state, and building costs more than a small command
-def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
-    """(the whole parser, the shared flags alone with their defaults, each subcommand's parser by name)."""
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict, dict]:
+    """(the whole parser, the shared flags alone, each subcommand's parser by name, the shared defaults)."""
     shared = _Parser(prog="iqtuples", add_help=False)
     _add_common(shared, suppress=False)
     p = _Parser(prog="iqtuples", description=__doc__, parents=[shared])
@@ -353,7 +353,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
     c.add_argument("-t", type=int, help="check membership at this index")
     c.add_argument("-a", type=int)
     c.add_argument("-b", type=int)
-    return p, shared, sub.choices
+    return p, shared, sub.choices, vars(shared.parse_args([]))
 
 
 def parse_argv(argv: list[str]) -> argparse.Namespace:
@@ -362,17 +362,18 @@ def parse_argv(argv: list[str]) -> argparse.Namespace:
     argv is split at the first subcommand name. No shared flag takes a
     subcommand name as its value, so in a valid argv that name is the
     subcommand. The tokens before it, which may only be shared flags, are
-    parsed with their defaults, and the tokens after it by that
-    subcommand's own parser into the same Namespace. Where argv names no
-    subcommand, or either part is refused, the whole parser parses argv,
-    so usage, --help and every usage error read as they always have.
+    parsed with their defaults (a fresh copy of the defaults when there are
+    none), and the tokens after it by that subcommand's own parser into the
+    same Namespace. Where argv names no subcommand, or either part is
+    refused, the whole parser parses argv, so usage, --help and every usage
+    error read as they always have.
     """
-    parser, shared, commands = _parsers()
+    parser, shared, commands, defaults = _parsers()
     i = next((i for i, token in enumerate(argv) if token in commands), None)
     if i is None:
         return parser.parse_args(argv)
     try:
-        args = shared.parse_args(argv[:i])
+        args = shared.parse_args(argv[:i]) if i else argparse.Namespace(**defaults)
         args.command = argv[i]
         return commands[argv[i]].parse_args(argv[i + 1:], args)
     except _UsageError:

@@ -96,18 +96,33 @@ def solve_brute(inst: LrnInstance) -> list[LrnSolution]:
 
 
 def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
-    """Coprime positive (a, b) with a^2 + d*b^2 = ell^s, ordered by a."""
-    target = ell**s
-    out = []
-    b = 1
-    while d * b * b < target:
-        rest = target - d * b * b
-        a = isqrt(rest)
-        if a * a == rest and a >= 1 and gcd(a, b) == 1:
-            out.append((a, b))
-        b += 1
-    out.sort()
-    return out
+    """Coprime positive (a, b) with a^2 + d*b^2 = ell^s, ordered by a.
+
+    By Cornacchia's algorithm. Such a b is prime to m = ell^s, so a/b mod m
+    is a square root of -d mod m, and each root r gives at most one
+    solution: a is the first remainder below sqrt(m) in Euclid's algorithm
+    on (m, r). The roots are taken mod each prime power p^(e*s) of m by
+    classno._sqrt_mod_prime_power and joined by CRT: at most 2^k of them
+    for k primes of ell, as gcd(ell, 2d) = 1. A root and its negative may
+    give the same solution.
+    """
+    m = ell**s
+    roots, mod = [0], 1
+    for p, e in arith.factorize(ell).factors:
+        q = p ** (e * s)
+        inv = pow(mod, -1, q)
+        roots = [r0 + mod * ((r1 - r0) * inv % q)
+                 for r0 in roots for r1 in classno._sqrt_mod_prime_power(-d, p, e * s)]
+        mod *= q
+    out = set()
+    for r in roots:
+        x, a = m, r
+        while a * a >= m:
+            x, a = a, x % a
+        b = isqrt((m - a * a) // d)
+        if a * a + d * b * b == m and gcd(a, b) == 1:
+            out.add((a, b))
+    return sorted(out)
 
 
 def solve_structured(inst: LrnInstance) -> list[LrnSolution]:

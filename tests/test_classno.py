@@ -139,7 +139,7 @@ class TestClassNumberForms:
             res = classno.class_number_forms(D, with_forms=True)
             want = brute_reduced_forms(D)
             assert {(f.a, f.b, f.c) for f in res.reduced_forms} == want, D
-            # below SIEVE_FROM the h-only count walks every a too
+            # and the h-only count, from the list of R below SIEVE_FROM
             assert classno.class_number_forms(D).h == len(want), D
 
     def test_enumeration_completeness_sampled(self):
@@ -152,9 +152,9 @@ class TestClassNumberForms:
     def test_nonfundamental_equals_order_formula(self, monkeypatch):
         # h*(f^2 D0) = h(D0) f prod_{p | f} (1 - (D0/p)/p) / (w(D0)/2) (Cox,
         # Primes of the Form x^2 + ny^2, Thm 7.24), h(D0) by Dirichlet, on
-        # the walk, the sieve with the tail pass and the sieve with the tail
-        # walked: every non-fundamental D to -12 000 (-40 000 by default,
-        # all walked), 40 sampled f^2 D0 to 5*10^10, large primes q with
+        # the list of R, the sieve with the tail pass and the sieve with the
+        # tail walked: every non-fundamental D to -12 000 (-40 000 by default,
+        # all on the list of R), 40 sampled f^2 D0 to 5*10^10, large primes q with
         # q^2 | D, and D = 7^2 u with u a nonzero square mod 7, which has
         # R(7) = 0 and R(49) = 5
         big = [-3 * 10007**2, -4 * 99991**2, -28 * 10007**2, -108 * 10007**2,
@@ -324,6 +324,56 @@ class TestSieve:
         assert walked and all(M < a <= a_max and roots_mod_2a(D, a, spf, {}) for a in walked)
         assert len(walked) < (a_max - M) // 2
         assert h == _walk_h(D)
+
+
+class TestRootList:
+    def test_equals_root_counts_to_1e4(self):
+        for D in range(-3, -10_001, -1):
+            if D % 4 in (0, 1):
+                a_max = isqrt(-D // 3)
+                assert classno._root_list(D, a_max) == classno._root_counts(D, a_max).tolist(), D
+
+    def test_equals_root_counts_sampled(self):
+        # |D| log-uniform up to 4 * SIEVE_FROM, and D with p^2 | D, 2^v | D and
+        # D = 49u with u a nonzero square mod 7 (R(7) = 0, R(49) = 5)
+        rng = random.Random(18)
+        top = 4 * classno.SIEVE_FROM
+        Ds = [-rng.randrange(10**4, int(10 ** rng.uniform(4.1, np.log10(top)))) for _ in range(300)]
+        Ds = [D if D % 4 in (0, 1) else 4 * (D // 4) for D in Ds]
+        for p in (3, 5, 7, 11, 13, 29, 97, 401):
+            D = -3 * p * p * rng.randrange(1, top // (12 * p * p))
+            Ds.append(D if D % 4 in (0, 1) else 4 * D)
+        Ds += [-(2**v) * rng.randrange(1, top >> v) for v in range(2, 22)]
+        Ds += [49 * u for u in (-3, -20_011) + tuple(range(-(top // 49), -(top // 49) + 28))
+               if u % 7 in (1, 2, 4) and u % 4 in (0, 1)]
+        assert sum(D % 49 == 0 and D // 49 % 7 in (1, 2, 4) for D in Ds) >= 5
+        for D in Ds:
+            assert D % 4 in (0, 1) and -top <= D < 0, D
+            a_max = isqrt(-D // 3)
+            assert classno._root_list(D, a_max) == classno._root_counts(D, a_max).tolist(), D
+
+    def test_tails_below_sieve_from_are_walked(self):
+        # a tail holds at most a_max - M a, which grows as 0.077 sqrt|D|
+        longest = max(isqrt(n // 3) - isqrt((n - 1) // 4)
+                      for n in range(classno.SIEVE_FROM - 10**4, classno.SIEVE_FROM))
+        assert longest < classno.TAIL_PASS_FROM
+
+    def test_counts_equal_the_walk_across_sieve_from(self, monkeypatch):
+        # below SIEVE_FROM the walk is given the tail alone, the a > M with R(a) > 0
+        rng = random.Random(19)
+        walk, given = classno._walk, []
+        monkeypatch.setattr(classno, "_walk", lambda D, a_values, a_max: given.append(
+            (D, list(a_values))) or walk(D, a_values, a_max))
+        Ds = [-rng.randrange(classno.SIEVE_FROM // 2, 2 * classno.SIEVE_FROM) for _ in range(40)]
+        Ds += [-classno.SIEVE_FROM - k for k in range(-4, 4)]
+        for D in [D if D % 4 in (0, 1) else 4 * (D // 4) for D in Ds]:
+            given.clear()
+            h = classno._reduced_count(D)
+            a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
+            if -D < classno.SIEVE_FROM:
+                R = classno._root_list(D, a_max)
+                assert given == [(D, [a for a in range(M + 1, a_max + 1) if R[a]])], D
+            assert h == len(list(walk(D, range(1, a_max + 1), a_max))), D
 
 
 class TestHeldSieve:

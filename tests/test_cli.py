@@ -467,10 +467,10 @@ class TestHarness:
             raise MemoryError()  # as a bytearray too large for the address space
 
         monkeypatch.setattr(classno, "_sieve", sieve)
-        code, out, err = run(capsys, "classnum", "-D", "-400003")
+        code, out, err = run(capsys, "classnum", "-D", "-4000003")  # above SIEVE_FROM
         assert code == 2 and out == ""
         assert err == ("budget exhausted: out of memory: Unable to allocate 43.0 GiB "
-                       "for an array with shape (365,)\n")
+                       "for an array with shape (1154,)\n")
         monkeypatch.setattr(arith, "primes_up_to", primes_up_to)
         code, out, err = run(capsys, "tuples", "-n", "3", "-m", "100000000000", "-k", "2")
         assert code == 2 and out == ""
@@ -486,10 +486,11 @@ class TestHarness:
             cli.main(["lehmer", "-a", "5", "-b", "1", "-t", "3"])
 
     def test_walked_counts_import_no_numpy(self):
-        # numpy doubles a fresh interpreter's start-up, so a walked count or a
-        # construction without --verify must not import it
+        # numpy doubles a fresh interpreter's start-up, so a count below
+        # SIEVE_FROM, a listing or a construction without --verify must not import it
+        below = next(D for D in range(1 - classno.SIEVE_FROM, 0) if D % 4 in (0, 1))
         script = ("import sys\nfrom iqtuples import cli\n"
-                  "for argv in (['classnum', '-D', '-23'], "
+                  f"for argv in (['classnum', '-D', '-23'], ['classnum', '-D', '{below}'], "
                   "['classnum', '-D', '-39999', '--with-forms'], "
                   "['quadruple', '-n', '3', '-p', '3', '-k', '2']):\n"
                   "    assert cli.main(argv) == 0, argv\n"
@@ -640,6 +641,18 @@ class TestParseArgv:
                 want = _parse(whole, argv)
                 assert isinstance(want, dict), (argv, want)
                 assert _parse(cli.parse_argv, argv) == want, argv
+
+    def test_defaults_are_a_fresh_copy(self):
+        # with nothing before the subcommand the shared defaults are copied,
+        # not parsed, and no two calls share a Namespace
+        whole = cli.build_parser().parse_args
+        for before in ([], ["--format", "json"]):
+            argv = before + ["classnum", "-D", "-123451", "--method", "dirichlet"]
+            first, second = cli.parse_argv(argv), cli.parse_argv(argv)
+            assert first == second == whole(argv) and first is not second, argv
+            first.format, first.verbose = "csv", True
+            assert cli.parse_argv(argv) == second == whole(argv), argv
+        assert cli._parsers()[3] == vars(cli._parsers()[1].parse_args([]))
 
     def test_refused_argv_reads_as_before(self, capsys):
         for argv in (

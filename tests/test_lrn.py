@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -121,6 +121,37 @@ class TestStructured:
         for s in sols[::37] + sols[-1:]:
             assert s.decomposition.expand(5) == (s.x, s.y)
             assert s.x * s.x + 5 * s.y * s.y == 3**s.z
+
+    def test_base_solutions_equal_the_scan(self):
+        # Cornacchia against a scan of every b with d*b^2 < ell^s, ell prime,
+        # a prime power or a product of two primes; 658 solutions in all
+        def scan(d, ell, s):
+            target, out = ell**s, []
+            for b in range(1, isqrt(target // d) + 1):
+                rest = target - d * b * b
+                a = isqrt(rest)
+                if a >= 1 and a * a == rest and gcd(a, b) == 1:
+                    out.append((a, b))
+            return sorted(out)
+
+        found = []
+        for d in range(2, 21):
+            for ell in range(3, 100, 2):
+                if gcd(ell, 2 * d) == 1:
+                    for s in (1, 2, 3):
+                        want = scan(d, ell, s)
+                        assert lrn._base_solutions(d, ell, s) == want, (d, ell, s)
+                        found += [ell] * len(want)
+        assert len(found) == 658 and {9, 15, 27, 91} <= set(found)
+
+    def test_base_solutions_for_a_large_prime(self):
+        # the scan would take about 4*10^11 steps at s = 2
+        ell = 1000000000061
+        assert lrn._base_solutions(5, ell, 1) == [(449616, 399461)]
+        assert lrn._base_solutions(5, ell, 2) == [(595690905149, 359208113952)]
+        sols = lrn.solve_structured(LrnInstance(5, ell, 20))
+        assert [s.z for s in sols] == list(range(1, 21))
+        assert all(s.x * s.x + 5 * s.y * s.y == ell**s.z for s in sols)
 
 
 class TestDecomposition:
