@@ -2,16 +2,22 @@
 
 Everything here works on plain Python integers (arbitrary precision) and is
 deterministic: the same input always produces the same output, and no routine
-ever trades correctness for speed.
+ever trades correctness for speed. The members of a tuple are values
+x^2 - 4N of one quadratic, so inside member_sieve(4N) square-free parts of
+such values come from one reduction of 4N modulo the primes up to 10^6
+rather than from factorize; the answer is the same either way.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import gcd, isqrt, log2, prod
 
 from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
@@ -555,14 +561,159 @@ def factorize(m: int) -> Factorization:
     return out
 
 
+class _MemberSieve:
+    """The primes in (10^4, bound] that divide x^2 - 4N, for every square x^2 < 10^4.
+
+    A prime q > x^2 divides x^2 - 4N exactly when 4N mod q = x^2, so one
+    reduction of 4N finds them for every such x at once. The pairs (x^2, q)
+    are held as two int arrays, squares and primes, ordered by x^2 and then
+    q (about 40 pairs, 0.7 KB where a dict of tuples takes 5 KB); above is
+    the least prime past bound. A plain class: a frozen dataclass would add
+    about 1 ms to every command's import of this module.
+    """
+
+    __slots__ = ("four_n", "bound", "above", "squares", "primes")
+
+    def __init__(self, four_n: int, bound: int, above: int, squares: array, primes: array):
+        self.four_n, self.bound, self.above = four_n, bound, above
+        self.squares, self.primes = squares, primes
+
+    def divisors(self, x2: int) -> array:
+        """The primes in (10^4, bound] dividing x2 - 4N, in increasing order."""
+        return self.primes[bisect_left(self.squares, x2):bisect_right(self.squares, x2)]
+
+
+# Largest prime the member sieve reduces 4N by: B = min(this, cube root of 4N).
+# construct seed 1's 390 items, run in one process (2-core VM, CPython 3.11.7,
+# median of 7), took 1.38 s without the sieve, 1.15 s with B capped at 2^18
+# and 0.97 s at 10^6. Past 2^20 the int64 reduction could overflow.
+MEMBER_SIEVE_BOUND = 10**6
+# Below this 4N no sieve is built: a member's cofactor past 10^4 is then
+# below 10^12, so its smaller prime is below 10^6 and rho splits it within
+# about 10^3 steps, and certify's tuples (4N <= 2*10^11) decompose as before.
+_MEMBER_SIEVE_FROM = 10**12
+_MEMBER_SIEVE: ContextVar[_MemberSieve | None] = ContextVar("member_sieve", default=None)
+_sieve_memo: dict[int, _MemberSieve] = {}  # 4N -> its sieve, for every 4N sieved
+_sieve_tables: tuple = ()  # (B, the primes in (10^4, B], 2^40 mod each) for the largest B asked
+
+
+def _sieve_primes(bound: int):
+    """The primes q in (10^4, bound] and 2^40 mod q, as int32 arrays viewing the held tables.
+
+    A numpy sieve of Eratosthenes, held for the process and rebuilt only
+    when a larger bound is asked for.
+    """
+    import numpy as np
+
+    global _sieve_tables
+    if not _sieve_tables or _sieve_tables[0] < bound:
+        flags = np.ones(bound + 1, dtype=bool)
+        for p in _TRIAL_PRIMES:
+            if p * p > bound:
+                break
+            flags[p * p :: p] = False
+        Q = (np.flatnonzero(flags[10_001:]) + 10_001).astype(np.int32)
+        _sieve_tables = (bound, Q, ((1 << 40) % Q.astype(np.int64)).astype(np.int32))
+    _, Q, shift = _sieve_tables
+    end = int(np.searchsorted(Q, bound, side="right"))
+    return Q[:end], shift[:end]
+
+
+def _member_sieve(four_n: int) -> _MemberSieve:
+    """The sieve of 4N, 10^12 <= 4N < MR_PROVEN_BOUND, from one int64 reduction.
+
+    4N mod q = ((4N >> 40)(2^40 mod q) + (4N mod 2^40)) mod q; as 4N <
+    MR_PROVEN_BOUND < 2^82 and q <= MEMBER_SIEVE_BOUND < 2^20, the sum stays
+    under 2^62 + 2^40 < 2^63.
+    """
+    import numpy as np
+
+    bound = min(MEMBER_SIEVE_BOUND, int(four_n ** (1 / 3)))
+    Q, shift = _sieve_primes(bound)
+    r = shift.astype(np.int64)
+    r *= four_n >> 40
+    r += four_n & ((1 << 40) - 1)
+    r %= Q
+    near = np.flatnonzero(r < 10_000)
+    root = np.rint(np.sqrt(r[near]))
+    hit = near[root * root == r[near]]
+    pairs = sorted(zip(r[hit].tolist(), Q[hit].tolist()))
+    above = (bound + 1) | 1
+    while not is_prime(above):
+        above += 2
+    return _MemberSieve(four_n, bound, above, array("i", [x2 for x2, _ in pairs]),
+                        array("i", [q for _, q in pairs]))
+
+
+@contextmanager
+def member_sieve(four_n: int):
+    """Within the block, squarefree_decompose(x^2 - 4N) for x^2 < 10^4 uses one sieve of 4N.
+
+    The sieve gives the primes in (10^4, B] that divide each such member,
+    B = min(MEMBER_SIEVE_BOUND, cube root of 4N), so that its cofactor v
+    has no prime up to B. Below P^3, P the least prime past B, v is then
+    1, a prime, a prime square or a product of two primes: a perfect
+    square or square-free, with no rho and no is_prime. From P^3 up v is
+    factorized. The sieve is built only for 10^12 <= 4N < MR_PROVEN_BOUND
+    and only once numpy is loaded, as importing it would cost a one-shot
+    command more than the sieve saves; each 4N sieved is remembered for the
+    process (MEMO_SIZE at most). Other numbers decompose as outside the
+    block, and every decomposition is the same either way.
+    """
+    sieve = _sieve_memo.get(four_n)
+    if sieve is None and _MEMBER_SIEVE_FROM <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
+        sieve = _member_sieve(four_n)
+        _remember(_sieve_memo, four_n, sieve)
+    token = _MEMBER_SIEVE.set(sieve)
+    try:
+        yield
+    finally:
+        _MEMBER_SIEVE.reset(token)
+
+
+def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
+    """Pairwise coprime square-free b and exponents e, |m| = prod(b^e), or None.
+
+    None unless the member sieve in effect covers m, that is m = x^2 - 4N
+    with x^2 < 10^4 a square. Then the primes below 10^4 are found by trial
+    division and those in (10^4, B] by the sieve, each divided out to its
+    exponent; the cofactor is settled as member_sieve says.
+    """
+    sieve = _MEMBER_SIEVE.get()
+    if sieve is None:
+        return None
+    x2 = m + sieve.four_n
+    if not 0 <= x2 < 10_000 or isqrt(x2) ** 2 != x2:
+        return None
+    v = -m
+    parts = []
+    for p in chain(_primes_dividing(gcd(v, _TRIAL_PRODUCT)), sieve.divisors(x2)):
+        e = 0
+        while v % p == 0:
+            v //= p
+            e += 1
+        parts.append((p, e))
+    if v >= sieve.above**3:
+        parts += factorize(v).factors
+    elif v > 1:  # a prime, a prime square or two distinct primes, all past B
+        r = isqrt(v)
+        parts.append((r, 2) if r * r == v else (v, 1))
+    return parts
+
+
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
-    """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m)."""
+    """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m).
+
+    From the factorization of |m|, or inside member_sieve from its sieve
+    when that covers m.
+    """
     if m == 0:
         raise DomainError("squarefree_decompose requires m != 0")
     if abs(m) == 1:
         return SquarefreeDecomposition(m, m, 1)
+    parts = _sieved_parts(m)
     s, f = 1, 1
-    for p, e in factorize(abs(m)).factors:
+    for p, e in factorize(abs(m)).factors if parts is None else parts:
         if e % 2:
             s *= p
         f *= p ** (e // 2)

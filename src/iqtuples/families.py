@@ -8,10 +8,14 @@ hypothesis checks) then satisfy the exact identities
     d + 4     = 4*(1 - ell^n)
     d + 4*p^2 = 4*(p^2 - ell^n)
 
-and every member's field class number is divisible by n. Constructors
-populate radicands and square-free parts; verify_tuple computes the class
-numbers and the divisibility verdicts. Records serialize to a versioned
-JSON-lines schema and a flat CSV layout.
+and every member's field class number is divisible by n. With N = ell^n,
+so that d = -4N, every radicand is a value of g(x) = x^2 - 4N: d = g(0),
+d + 1 = g(1), d + 4 = g(2) and d + 4p^2 = g(2p). A prime q > x^2 divides
+g(x) exactly when 4N mod q = x^2, so the builder decomposes all members
+inside one arith.member_sieve of 4N. Constructors populate radicands and
+square-free parts; verify_tuple computes the class numbers and the
+divisibility verdicts. Records serialize to a versioned JSON-lines schema
+and a flat CSV layout.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import logging
 from dataclasses import dataclass, field
 
 from . import arith, classno, lrn
-from .errors import BudgetError, DomainError, HypothesisCheck, HypothesisRejection, labelled
+from .errors import (BudgetError, DomainError, HypothesisCheck, HypothesisRejection,
+                     OutOfRangeError, labelled)
 
 log = logging.getLogger(__name__)
 
@@ -100,11 +105,14 @@ def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
 def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) -> FamilyTuple:
     """The tuple of the given kind that n, k and the odd primes determine.
 
-    The only path from parameters to a FamilyTuple. Each prime gets
+    The only path from parameters to a FamilyTuple. ell^n is formed once,
+    after lrn.ell_power's size cap, and d = -4*ell^n. Each prime gets
     Theorem 3.1's hypotheses from lrn.theorem31_hypotheses, whose
     decomposition of 4(p^2 - ell^n) = d + 4p^2 is the prime's member. A
     prime that fails a check raises HypothesisRejection, or with lenient is
-    dropped with a warning.
+    dropped with a warning. Every member is x^2 - 4*ell^n for x = 0, 1, 2
+    and 2p, so all of them are decomposed inside one arith.member_sieve of
+    4*ell^n.
     """
     _check_nk(n, k)
     shape_ok = {"quadruple": len(primes) == 1, "quintuple": primes == [3, 5], "pi_tuple": True}
@@ -117,35 +125,39 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
             raise DomainError(f"p must be an odd prime, got {p}")
     if any(p >= q for p, q in zip(primes, primes[1:])):
         raise DomainError(f"the primes must be increasing, got {primes}")
-    kn = k**n
-    ell, d = 4 * kn - 1, 4 * (1 - 4 * kn) ** n
+    # bits(ell) > n*(bits(k) - 1), so past this ell^n is past the cap too: refuse before k^n
+    if n * n * (k.bit_length() - 1) > lrn.POWER_CAP_BITS:
+        raise OutOfRangeError(f"ell^n = (4*k^n - 1)^n has over n^2*(bits(k) - 1) = "
+                              f"{n * n * (k.bit_length() - 1)} bits, past the cap of "
+                              f"{lrn.POWER_CAP_BITS}")
+    ell = 4 * k**n - 1
+    elln = lrn.ell_power(ell, n)
+    d = -4 * elln  # = 4*(1 - 4*k^n)^n, as n is odd
     checks: list[HypothesisCheck] = []
     warnings: list[str] = []
     kept: list[tuple[int, arith.SquarefreeDecomposition]] = []
-    for p in primes:
-        pchecks, dec = labelled(lambda: f"decomposing the radicand at offset {4 * p * p}",
-                                lrn.theorem31_hypotheses, ell, n, p)
-        checks.extend(pchecks)
-        bad = next((c for c in pchecks if not c.ok), None)
-        if bad is None:
-            kept.append((p, dec))
-        elif lenient:
-            warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
-            log.warning("%s n=%d k=%d: %s", kind, n, k, warnings[-1])
-        else:
-            raise HypothesisRejection(bad.check, bad.detail)
-    theorem_b = _theorem_b_check(n, ell)
-    if not theorem_b.ok:
-        raise HypothesisRejection(theorem_b.check, theorem_b.detail)
-    checks = [theorem_b] + checks if kind == "pi_tuple" else checks + [theorem_b]
-    p_list = [p for p, _ in kept]
-    if not _identities_hold(n, k, d, p_list):
-        raise ArithmeticError(f"construction identities failed for n={n}, k={k}")
-    decs = [(off, labelled(lambda: f"decomposing the radicand at offset {off}",
-                           arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
+    with arith.member_sieve(-d):
+        for p in primes:
+            pchecks, dec = labelled(lambda: f"decomposing the radicand at offset {4 * p * p}",
+                                    lrn.theorem31_hypotheses, ell, n, p, elln)
+            checks.extend(pchecks)
+            bad = next((c for c in pchecks if not c.ok), None)
+            if bad is None:
+                kept.append((p, dec))
+            elif lenient:
+                warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
+                log.warning("%s n=%d k=%d: %s", kind, n, k, warnings[-1])
+            else:
+                raise HypothesisRejection(bad.check, bad.detail)
+        theorem_b = _theorem_b_check(n, ell)
+        if not theorem_b.ok:
+            raise HypothesisRejection(theorem_b.check, theorem_b.detail)
+        checks = [theorem_b] + checks if kind == "pi_tuple" else checks + [theorem_b]
+        decs = [(off, labelled(lambda: f"decomposing the radicand at offset {off}",
+                               arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
     decs += [(4 * p * p, dec) for p, dec in kept]
     members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in decs]
-    return FamilyTuple(kind, n, k, p_list, ell, d, members, checks, warnings)
+    return FamilyTuple(kind, n, k, [p for p, _ in kept], ell, d, members, checks, warnings)
 
 
 def quadruple(n: int, p: int, k: int) -> FamilyTuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from . import arith, classno, lehmer
-from .errors import DomainError, HypothesisCheck, decimal, labelled
+from .errors import DomainError, HypothesisCheck, OutOfRangeError, labelled
 
 log = logging.getLogger(__name__)
 
@@ -261,26 +261,41 @@ def _trace_t5(d: int) -> dict:
     }
 
 
+# ell^n is refused, before it is formed, when n*bits(ell) exceeds this: its
+# radicands would lie far past arith.MR_PROVEN_BOUND (about 2^81.5), where
+# is_prime refuses every cofactor, while forming the power alone can take
+# seconds (ell = 4*2^6001 - 1 to the 6001st has 36 million bits).
+POWER_CAP_BITS = 200
+
+
+def ell_power(ell: int, n: int) -> int:
+    """ell^n, or OutOfRangeError before it is formed when n*bits(ell) > POWER_CAP_BITS."""
+    if n * ell.bit_length() > POWER_CAP_BITS:
+        raise OutOfRangeError(f"ell^n has up to n*bits(ell) = {n * ell.bit_length()} bits, "
+                              f"past the cap of {POWER_CAP_BITS}")
+    return ell**n
+
+
 def theorem31_hypotheses(
-    ell: int, n: int, p: int
+    ell: int, n: int, p: int, elln: int
 ) -> tuple[list[HypothesisCheck], arith.SquarefreeDecomposition | None]:
     """Theorem 3.1's hypotheses on p, in order, up to the first that fails.
 
-    gcd(ell, p) = 1, then p^2 < ell^n; once both hold, 4*(p^2 - ell^n) is
-    decomposed (for ell = 4*k^n - 1 it is the tuple member d + 4p^2), and
-    d' = -s, s its square-free part. Last comes p != +-1 (mod d'), waived
-    for p in {3, 5}, which need only (ell, n) != (3, 3). Returns the checks
-    made and the decomposition, None when a check before it failed.
-    ell = 3 (mod 4) is the caller's to check: it holds for every tuple.
+    elln is ell^n, formed once by the caller (ell_power). gcd(ell, p) = 1,
+    then p^2 < ell^n; once both hold, 4*(p^2 - ell^n) is decomposed (for
+    ell = 4*k^n - 1 it is the tuple member d + 4p^2), and d' = -s, s its
+    square-free part. Last comes p != +-1 (mod d'), waived for p in
+    {3, 5}, which need only (ell, n) != (3, 3). Returns the checks made and
+    the decomposition, None when a check before it failed. ell = 3 (mod 4)
+    is the caller's to check: it holds for every tuple.
     """
     g = gcd(ell, p)
     checks = [HypothesisCheck(f"gcd(ell, {p}) = 1", g == 1, f"gcd({ell}, {p}) = {g}")]
     if g != 1:
         return checks, None
-    elln = ell**n
     ok = p * p < elln
     checks.append(HypothesisCheck(f"{p}^2 < ell^n", ok,
-                                  f"{p * p} {'<' if ok else '>='} {decimal(elln)}"))
+                                  f"{p * p} {'<' if ok else '>='} {elln}"))
     if not ok:
         return checks, None
     dec = arith.squarefree_decompose(4 * (p * p - elln))
@@ -321,8 +336,9 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
     )
     if not ok:
         return report
-    checks, dec = labelled(lambda: f"decomposing 4(p^2 - ell^n) = {decimal(4 * (p * p - ell**n))}",
-                           theorem31_hypotheses, ell, n, p)
+    elln = ell_power(ell, n)
+    checks, dec = labelled(lambda: f"decomposing 4(p^2 - ell^n) = {4 * (p * p - elln)}",
+                           theorem31_hypotheses, ell, n, p, elln)
     report.hypotheses += checks
     if dec is not None:
         # 4*(p^2 - ell^n) = -d * (2r)^2, and the decomposition is unique

@@ -10,8 +10,9 @@ from iqtuples import arith, classno  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start every test with no factorization or form count remembered."""
+    """Start every test with no factorization, member sieve or form count remembered."""
     arith._factor_memo.clear()
+    arith._sieve_memo.clear()
     classno._h_memo.clear()
 
 

@@ -1,7 +1,8 @@
 import random
+import sys
 import tracemalloc
 from array import array
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -230,10 +231,11 @@ class TestFactorizeMemo:
             assert arith.factorize(n) is arith._factor_memo[n][0]
 
     def test_tuple_built_twice_still_obeys_the_budget(self):
-        families.quintuple(7, 2)
+        # d + 100 at (5, 5) keeps 1001387 * 50771867830517 past the member sieve
+        families.quintuple(5, 5)
         assert arith._factor_memo
         with pytest.raises(BudgetError), arith.limits(rho_budget=1):
-            families.quintuple(7, 2)
+            families.quintuple(5, 5)
 
     def test_every_factorization_from_1e8_is_remembered(self, monkeypatch):
         # trial division finishes these, or leaves a prime cofactor past 10^8,
@@ -355,6 +357,118 @@ class TestSquarefree:
         for m in rng.sample(range(2, 10**6), 10**4):
             s = arith.squarefree_decompose(m).s
             assert all(e == 1 for _, e in trial_factorize(abs(s))), m
+
+
+def _sympy_decompose(m: int) -> tuple[int, int]:
+    sympy = pytest.importorskip("sympy")
+    s, f = 1, 1
+    for p, e in sympy.factorint(abs(m)).items():
+        s *= p ** (e % 2)
+        f *= p ** (e // 2)
+    return (s if m > 0 else -s), f
+
+
+class TestMemberSieve:
+    # the x^2 of the members d, d + 1, d + 4 and d + 4p^2 for every odd p <= 47
+    SQUARES = [0, 1, 4] + [4 * p * p for p in sieve_primes(47)[1:]]
+
+    def test_divisors_equal_trial_division(self):
+        # one Python int remainder per prime, on both sides of B = 10^6 and up
+        # to the int64 limit of the reduction
+        primes = sieve_primes(10**6 + 100)
+        for four_n in (10**12, 10**15 + 7, 999 * 10**15, 4 * 511**7, 10**18 + 9,
+                       arith.MR_PROVEN_BOUND - 1):
+            sieve = arith._member_sieve(four_n)
+            assert sieve.bound == 10**6 or sieve.bound**3 <= four_n < (sieve.bound + 2) ** 3
+            want: dict[int, tuple[int, ...]] = {}
+            for q in primes:
+                if 10**4 < q <= sieve.bound:
+                    r = four_n % q
+                    if r < 10**4 and isqrt(r) ** 2 == r:
+                        want[r] = want.get(r, ()) + (q,)
+            got = {x2: tuple(sieve.divisors(x2)) for x2 in range(10**4) if isqrt(x2) ** 2 == x2}
+            assert {x2: qs for x2, qs in got.items() if qs} == want, four_n
+            assert sieve.above == next(q for q in primes if q > sieve.bound)
+
+    def test_tuple_members_equal_sympy(self):
+        # (n, k) with 10^12 <= 4*ell^n < MR_PROVEN_BOUND: the first and last k
+        # at n = 3, k = 54 and 55 on both sides of B = 10^6, and n = 5 and 7
+        nks = [(3, 12), (3, 13), (3, 31), (3, 54), (3, 55), (3, 100), (3, 151), (3, 200),
+               (3, 286), (5, 3), (5, 4), (5, 5), (5, 6), (7, 2)]
+        for n, k in nks:
+            four_n = 4 * (4 * k**n - 1) ** n
+            assert 10**12 <= four_n < arith.MR_PROVEN_BOUND
+            with arith.member_sieve(four_n):
+                for x2 in self.SQUARES:
+                    d = arith.squarefree_decompose(x2 - four_n)
+                    assert (d.s, d.f) == _sympy_decompose(x2 - four_n), (n, k, x2)
+            assert four_n in arith._sieve_memo  # the sieve, not factorize, found them
+
+    def test_cofactors_around_the_bounds(self, monkeypatch):
+        # Members -M with 4N = M + x^2 >= 10^18, so B = 10^6 (or the float
+        # cube root just below it) and the least prime past it is P = 1000003.
+        # Each M is a power of 2 times v = 999983^e * u, the primes of u just
+        # above B or around B^2 and B^3; u is factorized from P^3 up, never below.
+        below_b, P, P2, P3 = 999983, 1000003, 1000033, 1000037
+        below_b2, above_b2 = 999999999989, 1000000000039
+        below_b3, above_b3 = 999999999999999989, 1000000000000000003
+        below_p2, below_p3 = 1000005999943, 1000009000026999979  # primes just below P^2, P^3
+        factorized = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda m: factorized.append(m) or factorize(m))
+        cases = [  # (e, u, whether u is factorized)
+            (1, 1, False), (0, P, False), (0, P * P, False), (0, P * P2, False),
+            (1, P * P, False), (2, P, False), (2, P2 * P2, False),
+            (0, below_b2, False), (0, above_b2, False), (1, P * below_b2, False),
+            (0, P * above_b2, False), (0, below_b3, False), (0, above_b3, False),
+            (1, below_p3, False), (1, P * below_p2, False), (0, P**3, True), (1, P**3, True),
+            (0, P * P * P2, True), (0, P * P2 * P3, True), (0, P * P2 * P3 * P3, True),
+            (0, P * above_b3, True), (0, above_b2**2, True),
+        ]
+        for i, (e, u, factors) in enumerate(cases):
+            x2 = self.SQUARES[i % len(self.SQUARES)]
+            v = below_b**e * u
+            M = v << max(0, 61 - v.bit_length())
+            assert 10**18 <= M + x2 < arith.MR_PROVEN_BOUND
+            factorized.clear()
+            with arith.member_sieve(M + x2):
+                d = arith.squarefree_decompose(-M)
+            assert (d.s, d.f) == _sympy_decompose(-M), (e, u)
+            assert factorized == ([u] if factors else []), (e, u)
+
+    def test_cube_root_bound_below_1e6(self):
+        # 4N = 99991 * 100003^2 + 36 has its cube root between the two primes:
+        # 99991 is sieved, 100003 is the least prime past B and stays a square
+        four_n = 99991 * 100003**2 + 36
+        with arith.member_sieve(four_n):
+            d = arith.squarefree_decompose(36 - four_n)
+        assert (d.s, d.f) == (-99991, 100003)
+        sieve = arith._sieve_memo[four_n]
+        assert 99991 <= sieve.bound < 100003 == sieve.above
+        assert list(sieve.divisors(36)) == [99991]
+
+    def test_built_only_in_range_with_numpy_loaded(self, monkeypatch):
+        # certify's 4*ell^n stays at or below 2*10^11; 4*127^5, at (5, 2), is its largest
+        families.quintuple(5, 2)
+        for four_n in (10**12 - 1, arith.MR_PROVEN_BOUND):
+            with arith.member_sieve(four_n):
+                assert arith._MEMBER_SIEVE.get() is None
+        monkeypatch.delitem(sys.modules, "numpy")
+        with arith.member_sieve(10**15):
+            assert arith._MEMBER_SIEVE.get() is None
+        assert not arith._sieve_memo
+        monkeypatch.undo()
+        with arith.member_sieve(10**15):
+            assert arith._MEMBER_SIEVE.get() is arith._sieve_memo[10**15]
+        assert arith._MEMBER_SIEVE.get() is None
+
+    def test_one_sieve_per_tuple(self, monkeypatch):
+        built = []
+        member_sieve = arith._member_sieve
+        monkeypatch.setattr(arith, "_member_sieve", lambda n: built.append(n) or member_sieve(n))
+        for _ in range(2):
+            families.pi_tuple(5, 47, 5, "lenient")
+        assert built == [4 * 12499**5]
 
 
 class TestKronecker:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -175,20 +176,30 @@ class TestThm31:
         assert code == 3 and out == ""
         assert err.startswith(f"invalid input: testing p = {p} for primality: ")
 
-    def test_too_long_to_print_power_is_named_by_size(self, capsys):
-        # 7^6001 has more decimal digits than Python converts to a string
+    def test_power_past_the_cap_is_refused(self, capsys):
+        # 7^6001 would have 16849 bits, more decimal digits than Python prints
         code, out, err = run(capsys, "thm31", "-l", "7", "-n", "6001", "-p", "3")
         assert code == 3 and out == ""
-        assert err.startswith("invalid input: decomposing 4(p^2 - ell^n) = a 16849-bit integer: ")
-        assert "Traceback" not in err
+        assert err == "invalid input: ell^n has up to n*bits(ell) = 18003 bits, past the cap of 200\n"
+        # at the cap ell^n is formed, and its radicand's cofactor is what is refused
+        ell = (1 << 39) + 3  # n*bits(ell) = 5*40
+        code, out, err = run(capsys, "thm31", "-l", str(ell), "-n", "5", "-p", "3")
+        assert code == 3 and out == ""
+        assert err.startswith(f"invalid input: decomposing 4(p^2 - ell^n) = {4 * (9 - ell**5)}: ")
 
 
 class TestTuples:
-    def test_too_long_to_print_radicand_is_named_by_size(self, capsys):
-        code, out, err = run(capsys, "quadruple", "-n", "2001", "-k", "2", "-p", "3")
+    def test_power_past_the_cap_exits_at_once(self, capsys):
+        # ell^n would have 36 million bits; forming it took 13 s, twice
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quadruple", "-n", "6001", "-k", "2", "-p", "3")
+        assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
-        assert err.startswith("invalid input: decomposing the radicand at offset 36: ")
-        assert "-bit integer" in err and "Traceback" not in err
+        assert err == ("invalid input: ell^n = (4*k^n - 1)^n has over n^2*(bits(k) - 1) = "
+                       "36012001 bits, past the cap of 200\n")
+        code, out, err = run(capsys, "quintuple", "-n", "13", "-k", "3")  # ell has 23 bits
+        assert code == 3 and out == ""
+        assert err == "invalid input: ell^n has up to n*bits(ell) = 299 bits, past the cap of 200\n"
 
     def test_quintuple_verify_json(self, capsys):
         code, out, _ = run(capsys, "quintuple", "-n", "3", "-k", "2", "--verify",
@@ -244,7 +255,8 @@ class TestTuples:
         assert err.startswith("invalid input: decomposing the radicand at offset 36: ")
 
     def test_rho_budget_bounds_construction(self, capsys):
-        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "7", "-k", "2")
+        # d + 100 keeps a cofactor past the member sieve that only rho splits
+        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "5", "-k", "5")
         assert code == 2
         assert out == "" and "budget exhausted" in err
 
@@ -487,9 +499,12 @@ class TestHarness:
 
     def test_walked_counts_import_no_numpy(self):
         # numpy doubles a fresh interpreter's start-up, so a count below
-        # SIEVE_FROM, a listing or a construction without --verify must not import it
+        # SIEVE_FROM, a listing or a construction without --verify must not
+        # import it, nor may the member sieve of a 4*ell^n past 10^12
         below = next(D for D in range(1 - classno.SIEVE_FROM, 0) if D % 4 in (0, 1))
         script = ("import sys\nfrom iqtuples import cli\n"
+                  "assert cli.main(['quintuple', '-n', '3', '-k', '151']) == 1\n"  # 3 | ell
+                  "assert cli.main(['quadruple', '-n', '3', '-p', '3', '-k', '30']) == 0\n"
                   f"for argv in (['classnum', '-D', '-23'], ['classnum', '-D', '{below}'], "
                   "['classnum', '-D', '-39999', '--with-forms'], "
                   "['quadruple', '-n', '3', '-p', '3', '-k', '2']):\n"
@@ -501,14 +516,15 @@ class TestHarness:
         assert done.returncode == 0, done.stderr
 
     def test_remembered_factorization_obeys_rho_budget(self, capsys):
-        assert run(capsys, "quintuple", "-n", "7", "-k", "2")[0] == 0
-        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "7", "-k", "2")
+        assert run(capsys, "quintuple", "-n", "5", "-k", "5")[0] == 0
+        code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "5", "-k", "5")
         assert code == 2 and out == "" and err.startswith("budget exhausted: ")
 
     def test_verify_batch_splits_each_radicand_once(self, capsys, tmp_path, monkeypatch):
-        # at (n, k) = (3, 16) offsets 0, 1 and 4 are common to every p, and
-        # the offset-1 radicand needs rho (so does p = 11's own member)
-        records = [families.to_json_line(families.quadruple(3, p, 16)) for p in (5, 7, 11, 13)]
+        # at (n, k) = (3, 100) offsets 0, 1 and 4 are common to every p, and
+        # the offset-1 radicand keeps 2693237 * 442106202089 past the member
+        # sieve for rho to split (so does p = 11's own member)
+        records = [families.to_json_line(families.quadruple(3, p, 100)) for p in (5, 7, 11, 13)]
         split = []
         brent_rho = arith._brent_rho
 

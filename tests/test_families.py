@@ -111,9 +111,10 @@ class TestQuintuple:
         assert set(t5.offsets) == set(t3.offsets) | set(tp5.offsets)
 
     def test_rho_budget_reaches_construction(self):
-        # d + 1 = 1 - 4*511^7 needs Pollard rho to split
+        # d + 100 = 4*(25 - 12499^5) keeps 1001387 * 50771867830517, past the
+        # member sieve's primes and its cube, for Pollard rho to split
         with limits(rho_budget=1), pytest.raises(BudgetError):
-            quintuple(7, 2)
+            quintuple(5, 5)
 
 
 class TestPiTuple:

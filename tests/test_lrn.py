@@ -3,7 +3,7 @@ from math import gcd, isqrt
 import pytest
 
 from iqtuples import families, lrn
-from iqtuples.errors import DomainError
+from iqtuples.errors import DomainError, OutOfRangeError
 from iqtuples.lrn import Decomposition, LrnInstance
 
 
@@ -239,6 +239,12 @@ class TestTheorem31:
         assert t5["possible"] is False
         assert t5["min_family_value"] == 0
         assert t5["max_candidate"] == -4 * 318
+
+    def test_power_cap_is_on_n_times_the_bits_of_ell(self):
+        ell = (1 << 39) + 3  # 40 bits: n*bits(ell) = 5*40 is the cap itself
+        assert lrn.ell_power(ell, 5) == ell**5
+        with pytest.raises(OutOfRangeError, match=r"n\*bits\(ell\) = 201 bits, past the cap of 200$"):
+            lrn.ell_power((1 << 66) + 3, 3)
 
     def test_tuple_checks_are_theorem31s(self):
         # for ell = 4k^n - 1, thm31 runs exactly the checks a quadruple runs on p,
