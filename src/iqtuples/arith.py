@@ -48,8 +48,11 @@ class Limits:
 
     rho_budget bounds the Pollard-rho iterations of one factorize() call. A
     cofactor that rho has not split after QS_AFTER of them goes once to the
-    quadratic sieve, whose work the budget does not count, so a budget below
-    QS_AFTER never reaches the sieve. A negative budget raises DomainError.
+    quadratic sieve, whose work the budget does not count; a cofactor that
+    member_sieve has cleared of every prime up to B is charged QS_AFTER
+    iterations at once and goes to the sieve before any rho step. Either
+    way a budget below QS_AFTER never reaches the sieve. A negative budget
+    raises DomainError.
     """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
@@ -242,7 +245,9 @@ def _perfect_power(v: int) -> tuple[int, int] | None:
 # of seed 1, run in one process (2-core VM, CPython 3.11.7), took 5.5-6.1 s
 # without the sieve and 2.2-2.7 s with it at every hand-off from 512 to 4096
 # iterations, a flat optimum; replaying the recorded rho calls with the
-# hand-off after H iterations gave its minimum at H = 1024 and 2048.
+# hand-off after H iterations gave its minimum at H = 1024 and 2048. A
+# cofactor the member sieve cleared up to B rarely splits within them, so it
+# is charged them and goes to the sieve first (_split).
 QS_AFTER = 1024
 
 # Cofactor bit length -> (primes in the factor base, half-width M of the sieve
@@ -371,23 +376,23 @@ def _quadratic_sieve(n: int) -> int | None:
             if p != q:
                 sieve[a::p] += lp
                 sieve[b::p] += lp
-        xs = (np.flatnonzero(sieve > thresh) - M).tolist()
-        if not xs:
+        xs = np.flatnonzero(sieve > thresh) - M
+        if not xs.size:
             continue
-        V = np.array([(A * x + 2 * B) * x + C for x in xs], dtype=np.int64)
+        V = (A * xs + 2 * B) * xs + C  # int64: |Q(x)| < 2^62 by the check above
         rem = np.abs(V)
-        E = np.zeros((len(xs), len(primes) + 1), dtype=np.int8)
+        E = np.zeros((xs.size, len(primes) + 1), dtype=np.int8)
         E[:, 0] = V < 0
         i, j = np.nonzero(rem[:, None] % P == 0)  # every (x, p) with p | Q(x), p once
         pj = P[j]
         while i.size:
-            np.add.at(E, (i, j + 1), 1)
+            E[i, j + 1] += 1  # the pairs (i, j) are distinct, so no index repeats
             np.floor_divide.at(rem, i, pj)
             again = rem[i] % pj == 0
             i, j, pj = i[again], j[again], pj[again]
         smooth = np.flatnonzero(rem < large).tolist()
-        for c, r in zip(smooth, rem[smooth].tolist()):
-            rel = ((A * xs[c] + B) % n, q, E[c].copy())
+        for c, x, r in zip(smooth, xs[smooth].tolist(), rem[smooth].tolist()):
+            rel = ((A * x + B) % n, q, E[c].copy())
             if r > 1:
                 if r not in partials:
                     partials[r] = rel
@@ -434,18 +439,19 @@ def _qs_divisor(n: int, primes: list[int], relations: list, used: int) -> int:
     return g if 1 < g < n else 0
 
 
-def _brent_rho(n: int, budget: list[int]) -> int:
+def _brent_rho(n: int, budget: list[int], hand_off: bool = True) -> int:
     """One nontrivial factor of composite odd n, Brent's cycle variant.
 
     The polynomial constant c is stepped deterministically (1, 2, 3, ...) so
     repeated runs factor identically. budget is a single-element mutable
-    iteration counter shared across a factorization. Once QS_AFTER of its
-    iterations went to n, n is handed to _quadratic_sieve once; if that
-    finds no divisor, rho goes on where it stopped.
+    iteration counter shared across a factorization. With hand_off, once
+    QS_AFTER of its iterations went to n, n is handed to _quadratic_sieve
+    once; if that finds no divisor, rho goes on where it stopped. Without
+    it (the sieve already failed on n) rho runs alone.
     """
     if n % 2 == 0:
         return 2
-    qs_at = budget[0] - QS_AFTER  # the sieve runs when the budget falls to this
+    qs_at = budget[0] - QS_AFTER if hand_off else -1  # the sieve runs when the budget falls to this
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -487,9 +493,15 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 
 
 def _primes_dividing(g: int):
-    """The trial primes dividing g, a divisor of their product, in increasing order."""
+    """The trial primes dividing g, a divisor of their product, in increasing order.
+
+    Once p^2 > g, what is left of g is 1 or one trial prime, so the scan
+    stops there.
+    """
     for p in _TRIAL_PRIMES:
-        if g == 1:
+        if p * p > g:
+            if g > 1:
+                yield g
             return
         if g % p == 0:
             g //= p
@@ -509,7 +521,10 @@ def factorize(m: int) -> Factorization:
     Limits.rho_budget iterations (the sieve's work is not counted), never
     returns a wrong or incomplete factorization. A cofactor past the proven
     primality range raises OutOfRangeError at its first is_prime test,
-    before any rho step, naming m and the cofactor.
+    before any rho step, naming m and the cofactor. factorize always gives
+    rho its QS_AFTER iterations first; only the cofactor of a tuple member
+    that member_sieve cleared is charged them and goes to the sieve at once
+    (_split).
 
     Every m >= 10^8 is remembered for the process once factored, with the
     rho iterations it took, 0 when trial division, is_prime and the power
@@ -521,6 +536,17 @@ def factorize(m: int) -> Factorization:
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
+    return _factorize(m, False)
+
+
+def _factorize(m: int, sieved: bool) -> Factorization:
+    """factorize(m); sieved says that the member sieve has cleared m of every prime up to B.
+
+    A sieved m is the cofactor _sieved_parts leaves, and every composite
+    cofactor found in it goes to _split as sieved: both parts of a split
+    keep that property. The memo is shared, and holds the iterations of
+    whichever route factored m first.
+    """
     rho_budget = _LIMITS.get().rho_budget
     hit = _factor_memo.get(m)
     if hit is not None and hit[1] <= rho_budget:
@@ -552,13 +578,32 @@ def factorize(m: int) -> Factorization:
             log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), v, *power)
             stack.append((power[0], e * power[1]))
             continue
-        g = _brent_rho(v, budget)
+        g = _split(v, budget, sieved)
         stack.append((g, e))
         stack.append((v // g, e))
     out = Factorization(m, tuple(sorted(exps.items())))
     if m >= 10**8:
         _remember(_factor_memo, m, (out, rho_budget - budget[0]))
     return out
+
+
+def _split(v: int, budget: list[int], sieved: bool) -> int:
+    """A proper divisor of v: composite, no perfect power, no prime below 10^4.
+
+    Rho first, which hands v to the quadratic sieve after QS_AFTER
+    iterations. A sieved v has no prime up to B, where those iterations
+    split almost nothing (9 of 120 cofactors over construct seed 1, each
+    with its smaller prime below 4.2*10^6), so it is charged QS_AFTER
+    iterations at once, raising BudgetError as rho would have, and goes
+    to the sieve before any rho step; only if that finds nothing does rho
+    run, without a second hand-off.
+    """
+    if not sieved:
+        return _brent_rho(v, budget)
+    budget[0] -= QS_AFTER
+    if budget[0] < 0:
+        raise BudgetError(f"rho iteration budget exhausted factoring {v}")
+    return _quadratic_sieve(v) or _brent_rho(v, budget, hand_off=False)
 
 
 class _MemberSieve:
@@ -654,11 +699,14 @@ def member_sieve(four_n: int):
     has no prime up to B. Below P^3, P the least prime past B, v is then
     1, a prime, a prime square or a product of two primes: a perfect
     square or square-free, with no rho and no is_prime. From P^3 up v is
-    factorized. The sieve is built only for 10^12 <= 4N < MR_PROVEN_BOUND
-    and only once numpy is loaded, as importing it would cost a one-shot
-    command more than the sieve saves; each 4N sieved is remembered for the
-    process (MEMO_SIZE at most). Other numbers decompose as outside the
-    block, and every decomposition is the same either way.
+    factorized; having no prime up to B, where rho's first QS_AFTER
+    iterations find most factors, it is charged those iterations and goes
+    to the quadratic sieve before any rho step. The sieve is built only
+    for 10^12 <= 4N < MR_PROVEN_BOUND and only once numpy is loaded, as
+    importing it would cost a one-shot command more than the sieve saves;
+    each 4N sieved is remembered for the process (MEMO_SIZE at most). Other
+    numbers decompose as outside the block, and every decomposition is the
+    same either way.
     """
     sieve = _sieve_memo.get(four_n)
     if sieve is None and _MEMBER_SIEVE_FROM <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
@@ -677,7 +725,9 @@ def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
     None unless the member sieve in effect covers m, that is m = x^2 - 4N
     with x^2 < 10^4 a square. Then the primes below 10^4 are found by trial
     division and those in (10^4, B] by the sieve, each divided out to its
-    exponent; the cofactor is settled as member_sieve says.
+    exponent; the cofactor is settled as member_sieve says, and one from
+    P^3 up is factorized as sieved: charged QS_AFTER rho iterations, it goes
+    to the quadratic sieve before any rho step.
     """
     sieve = _MEMBER_SIEVE.get()
     if sieve is None:
@@ -694,7 +744,7 @@ def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
             e += 1
         parts.append((p, e))
     if v >= sieve.above**3:
-        parts += factorize(v).factors
+        parts += _factorize(v, True).factors
     elif v > 1:  # a prime, a prime square or two distinct primes, all past B
         r = isqrt(v)
         parts.append((r, 2) if r * r == v else (v, 1))

@@ -18,7 +18,7 @@ def empty_memos():
 
 @pytest.fixture
 def large_proofs(monkeypatch):
-    """Each value from 10^8 up that _brent_rho or is_prime is called on, in order."""
+    """Each value from 10^8 up that _split or is_prime is called on, in order."""
     seen = []
 
     def recording(real):
@@ -28,6 +28,6 @@ def large_proofs(monkeypatch):
             return real(n, *rest)
         return call
 
-    monkeypatch.setattr(arith, "_brent_rho", recording(arith._brent_rho))
+    monkeypatch.setattr(arith, "_split", recording(arith._split))
     monkeypatch.setattr(arith, "is_prime", recording(arith.is_prime))
     return seen

@@ -141,6 +141,14 @@ class TestFactorizeOracle:
         assert tested
 
 
+class TestPrimesDividing:
+    def test_equals_the_full_scan(self):
+        # the scan stops once p^2 exceeds what is left of g, which is then 1 or a prime
+        for g in [1, 2 * 9973, 9967 * 9973, 3 * 5 * 7 * 9973] + sieve_primes(10**4):
+            full = [p for p in arith._TRIAL_PRIMES if g % p == 0]
+            assert list(arith._primes_dividing(g)) == full, g
+
+
 def _grid_multiplier(n: int) -> int:
     """Knuth-Schroeppel's k scored over the whole (k, p) grid for this n alone."""
     primes = sieve_primes(113)[1:]
@@ -414,8 +422,9 @@ class TestMemberSieve:
         below_b3, above_b3 = 999999999999999989, 1000000000000000003
         below_p2, below_p3 = 1000005999943, 1000009000026999979  # primes just below P^2, P^3
         factorized = []
-        factorize = arith.factorize
-        monkeypatch.setattr(arith, "factorize", lambda m: factorized.append(m) or factorize(m))
+        factorize = arith._factorize
+        monkeypatch.setattr(arith, "_factorize",
+                            lambda m, sieved: factorized.append(m) or factorize(m, sieved))
         cases = [  # (e, u, whether u is factorized)
             (1, 1, False), (0, P, False), (0, P * P, False), (0, P * P2, False),
             (1, P * P, False), (2, P, False), (2, P2 * P2, False),
@@ -469,6 +478,50 @@ class TestMemberSieve:
         for _ in range(2):
             families.pi_tuple(5, 47, 5, "lenient")
         assert built == [4 * 12499**5]
+
+
+class TestSievedCofactors:
+    # d + 100 at (n, k) = (5, 5) leaves this cofactor past the member sieve
+    V = 1001387 * 50771867830517
+    FOUR_N = 4 * 12499**5
+
+    def test_the_quadratic_sieve_comes_before_any_rho_step(self, monkeypatch):
+        calls = []
+        sieve, rho = arith._quadratic_sieve, arith._brent_rho
+        monkeypatch.setattr(arith, "_quadratic_sieve",
+                            lambda n: calls.append(("qs", n)) or sieve(n))
+        monkeypatch.setattr(arith, "_brent_rho",
+                            lambda n, *rest, **kw: calls.append(("rho", n)) or rho(n, *rest, **kw))
+        families.quintuple(5, 5)
+        assert (self.FOUR_N - 100) % self.V == 0
+        assert ("qs", self.V) in calls and ("rho", self.V) not in calls
+        assert arith._factor_memo[self.V][1] == arith.QS_AFTER  # the charge, recorded
+
+    def test_the_charge_obeys_the_budget(self):
+        with arith.limits(rho_budget=arith.QS_AFTER - 1):
+            with pytest.raises(BudgetError, match=f"factoring {self.V}$"):
+                families.quintuple(5, 5)
+        assert self.V not in arith._factor_memo
+        with arith.limits(rho_budget=arith.QS_AFTER):
+            families.quintuple(5, 5)
+        assert arith._factor_memo[self.V][0].factors == ((1001387, 1), (50771867830517, 1))
+
+    def test_rho_alone_when_the_sieve_finds_nothing(self, monkeypatch):
+        # each cleared cofactor is offered to the quadratic sieve once; rho
+        # then splits it with no second hand-off
+        asked = []
+        monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
+        P, P2, P3, above_b3 = 1000003, 1000033, 1000037, 1000000000000000003
+        cases = [(self.FOUR_N, x2 - self.FOUR_N) for x2 in TestMemberSieve.SQUARES]
+        for u in (P**3, P * P * P2, P * P2 * P3, P * above_b3):
+            M = u << max(0, 61 - u.bit_length())  # 4N = M, the member -M at x = 0
+            cases.append((M, -M))
+        for four_n, m in cases:
+            with arith.member_sieve(four_n):
+                d = arith.squarefree_decompose(m)
+            assert (d.s, d.f) == _sympy_decompose(m), m
+        assert self.V in asked and P * P2 * P3 in asked
+        assert len(asked) == len(set(asked))
 
 
 class TestKronecker:

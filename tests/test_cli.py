@@ -523,16 +523,16 @@ class TestHarness:
     def test_verify_batch_splits_each_radicand_once(self, capsys, tmp_path, monkeypatch):
         # at (n, k) = (3, 100) offsets 0, 1 and 4 are common to every p, and
         # the offset-1 radicand keeps 2693237 * 442106202089 past the member
-        # sieve for rho to split (so does p = 11's own member)
+        # sieve to split (so does p = 11's own member)
         records = [families.to_json_line(families.quadruple(3, p, 100)) for p in (5, 7, 11, 13)]
         split = []
-        brent_rho = arith._brent_rho
+        split_one = arith._split
 
-        def recording(n, budget):
+        def recording(n, budget, sieved):
             split.append(n)
-            return brent_rho(n, budget)
+            return split_one(n, budget, sieved)
 
-        monkeypatch.setattr(arith, "_brent_rho", recording)
+        monkeypatch.setattr(arith, "_split", recording)
         alone, alone_splits, alone_total = [], Counter(), 0
         for i, line in enumerate(records):
             arith._factor_memo.clear()

@@ -1,0 +1,146 @@
+"""Replay the quadratic sieve's inputs from a benchmark run on two checkouts.
+
+    python3 tools/split_replay.py --base CHECKOUT [--root CHECKOUT]
+                                  [--workload construct] [--seed 1] [--seconds 30]
+                                  [--steps 12]
+
+First it records every cofactor that arith._quadratic_sieve receives while
+the workload's items run once through iqtuples.cli.main in this process,
+the way tools/output_digest.py runs them (--root's src/ and perfbench/,
+by default the checkout holding this file). Then one long-lived
+interpreter per checkout imports that checkout's iqtuples, runs the
+sieve once over all the cofactors untimed, and the two take turns: at
+each step each side times one pass over all of them, the side going first
+alternating from step to step. It prints each side's minimum and median
+pass time and the median over the steps of root's time over base's,
+and exits 1 if the two sides return a different divisor for any
+cofactor, in any pass.
+
+Why alternate: the speed of the host can drift by 1.5x within a run, and
+QS-only passes of identical code ranged from 0.25 to 0.37 s; two passes
+taken back to back share the host's state, so their ratio varies far less
+than either time does. Nothing is written: no bytecode is cached.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def record(root: Path, workload: str, seed: int, seconds: int) -> list[int]:
+    """The distinct cofactors _quadratic_sieve receives over the workload, in order."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+    import numpy  # noqa: F401  the benchmark worker imports it before any item
+
+    import iqtuples
+    from iqtuples import arith, classno, cli
+    import worker
+    import workloads
+
+    if Path(iqtuples.__file__).resolve().parent != root / "src" / "iqtuples":
+        raise SystemExit(f"iqtuples imported from {iqtuples.__file__}, not from {root}")
+    logging.getLogger().addHandler(logging.NullHandler())  # cli's basicConfig then stays silent
+    logging.getLogger().setLevel(logging.CRITICAL)
+    seen: dict[int, None] = {}
+    sieve = arith._quadratic_sieve
+
+    def recording(n):
+        seen[n] = None
+        return sieve(n)
+
+    arith._quadratic_sieve = recording
+    for item in workloads.GENERATORS[workload](seed, seconds).items:
+        if workload == "sweep":
+            worker._sweep_window(cli, classno, workloads, item.window)
+        else:
+            worker._call(cli, item.argv, item.stdin)
+    return list(seen)
+
+
+def serve(root: Path) -> None:
+    """Read the cofactors, then time one pass over them for every line read; reply in JSON."""
+    sys.path.insert(0, str(root / "src"))
+    import numpy  # noqa: F401
+
+    from iqtuples import arith
+
+    logging.getLogger().setLevel(logging.CRITICAL)
+    ns = json.loads(sys.stdin.readline())
+    for n in ns:  # warm-up: the multiplier table and numpy's first calls
+        arith._quadratic_sieve(n)
+    for _ in sys.stdin:
+        start = time.perf_counter()
+        divisors = [arith._quadratic_sieve(n) for n in ns]
+        elapsed = time.perf_counter() - start
+        print(json.dumps({"seconds": elapsed, "divisors": divisors}), flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True)
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--workload", default="construct")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--steps", type=int, default=12)
+    args = ap.parse_args(argv)
+    sys.dont_write_bytecode = True
+    sides = {"base": args.base.resolve(), "root": args.root.resolve()}
+    ns = record(sides["root"], args.workload, args.seed, args.seconds)
+    if not ns:
+        print(f"{args.workload} seed {args.seed}: the quadratic sieve was never called")
+        return 0
+    bits = sorted(n.bit_length() for n in ns)
+    print(f"{args.workload} seed {args.seed}: {len(ns)} cofactors, {bits[0]}-{bits[-1]} bits",
+          flush=True)
+    procs = {side: subprocess.Popen([sys.executable, "-B", __file__, "--serve", str(path)],
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for side, path in sides.items()}
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    divisors: dict[str, list] = {}
+    mismatch = False
+    try:
+        for proc in procs.values():
+            proc.stdin.write(json.dumps(ns) + "\n")
+            proc.stdin.flush()
+        for step in range(args.steps):
+            for side in ("base", "root") if step % 2 == 0 else ("root", "base"):
+                procs[side].stdin.write("run\n")
+                procs[side].stdin.flush()
+                reply = json.loads(procs[side].stdout.readline())
+                times[side].append(reply["seconds"])
+                first = divisors.setdefault(side, reply["divisors"])
+                mismatch |= reply["divisors"] != first
+        mismatch |= divisors["base"] != divisors["root"]
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait(timeout=60)
+    for side, path in sides.items():
+        print(f"{side} {path}: min {min(times[side]):.3f} s, "
+              f"median {statistics.median(times[side]):.3f} s over {args.steps} passes")
+    ratios = [r / b for b, r in zip(times["base"], times["root"])]
+    print(f"median per-step ratio root/base: {statistics.median(ratios):.3f} "
+          f"(range {min(ratios):.3f}-{max(ratios):.3f})")
+    if mismatch:
+        differ = sum(b != r for b, r in zip(divisors["base"], divisors["root"]))
+        print(f"divisors differ: {differ} of {len(ns)} cofactors between the sides, "
+              f"or between passes of one side")
+        return 1
+    print("divisors: identical on both sides in every pass")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--serve"]:  # one side's interpreter, started by main
+        serve(Path(sys.argv[2]).resolve())
+    else:
+        sys.exit(main())
