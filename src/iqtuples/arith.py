@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from itertools import chain
-from math import gcd, isqrt, log2, prod
+from math import gcd, inf, isqrt, log2, prod
 
 from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
 
@@ -46,13 +46,8 @@ MR_WITNESS_SETS = (
 class Limits:
     """Budgets for every computation in the context; set with ``limits``.
 
-    rho_budget bounds the Pollard-rho iterations of one factorize() call. A
-    cofactor that rho has not split after QS_AFTER of them goes once to the
-    quadratic sieve, whose work the budget does not count; a cofactor that
-    member_sieve has cleared of every prime up to B is charged QS_AFTER
-    iterations at once and goes to the sieve before any rho step. Either
-    way a budget below QS_AFTER never reaches the sieve. A negative budget
-    raises DomainError.
+    rho_budget bounds the Pollard-rho iterations of one factorize() call,
+    charged as _split says. A negative budget raises DomainError.
     """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
@@ -164,8 +159,8 @@ def primes_up_to(m: int) -> list[int]:
 _TRIAL_PRIMES = primes_up_to(10_000)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _spf_table = array("i")
-# m -> (its Factorization, the rho iterations it took, 0 if rho never ran), for every m >= 10^8
-_factor_memo: dict[int, tuple[Factorization, int]] = {}
+# (m, sieved) -> (its Factorization, the rho iterations it took, 0 if rho never ran), m >= 10^8
+_factor_memo: dict[tuple[int, bool], tuple[Factorization, int]] = {}
 
 
 def smallest_prime_factor_table(limit: int) -> array:
@@ -219,6 +214,49 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
+def sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
+    """All x in [0, p^e) with x^2 = D (mod p^e), p prime and e >= 1, sorted.
+
+    Writing D = p^v * u with u a unit, the roots are y * p^(v/2) plus
+    multiples of p^(e - v/2), y running over the roots of y^2 = u (mod
+    p^(e-v)): +-r for odd p, and for p = 2 also +-r + 2^(e-v-1) once
+    e - v >= 3.
+    """
+    pe = p**e
+    D %= pe
+    if D == 0:
+        return list(range(0, pe, p ** ((e + 1) // 2)))
+    v = 0
+    while D % p == 0:
+        D //= p
+        v += 1
+    if v % 2:
+        return []
+    eu = e - v
+    peu = p**eu
+    if p == 2:
+        if D % (1 << min(eu, 3)) != 1:  # an odd square is 1 mod 8
+            return []
+        r = 1
+        for i in range(3, eu):  # r^2 = D (mod 2^i) lifts to r or r + 2^(i-1)
+            if (r * r - D) % (2 << i):
+                r += 1 << (i - 1)
+    else:
+        r = sqrt_mod_prime(D, p)
+        if r is None:
+            return []
+        pk = p
+        while pk < peu:  # Newton's step doubles the exponent
+            pk = min(pk * pk, peu)
+            r = (r - (r * r - D) * pow(2 * r, -1, pk)) % pk
+    units = {r, peu - r}
+    if p == 2 and eu >= 3:
+        units |= {(y + (peu >> 1)) % peu for y in units}
+    half = p ** (v // 2)
+    stride = peu * half
+    return sorted(y * half + t * stride for y in units for t in range(half))
+
+
 def _perfect_power(v: int) -> tuple[int, int] | None:
     """(r, k) with v = r**k for the first k in 2, 3, 5 that fits, else None.
 
@@ -238,16 +276,15 @@ def _perfect_power(v: int) -> tuple[int, int] | None:
     return None
 
 
-# Rho iterations one cofactor gets before the quadratic sieve is tried on it.
-# Within this many, rho splits a cofactor whose smaller prime is below about
-# 10^6; past that, the sieve (1-17 ms from 35 to 76 bits) is cheaper than
-# rho's sqrt(p) steps of about 1 us each. The 390 construct benchmark items
-# of seed 1, run in one process (2-core VM, CPython 3.11.7), took 5.5-6.1 s
-# without the sieve and 2.2-2.7 s with it at every hand-off from 512 to 4096
-# iterations, a flat optimum; replaying the recorded rho calls with the
-# hand-off after H iterations gave its minimum at H = 1024 and 2048. A
-# cofactor the member sieve cleared up to B rarely splits within them, so it
-# is charged them and goes to the sieve first (_split).
+# Rho iterations charged to a cofactor before the quadratic sieve is tried on
+# it, in the order _split alone keeps. Within this many, rho splits a
+# cofactor whose smaller prime is below about 10^6; past that, the sieve
+# (1-17 ms from 35 to 76 bits) is cheaper than rho's sqrt(p) steps of about
+# 1 us each. The 390 construct benchmark items of seed 1, run in one process
+# (2-core VM, CPython 3.11.7), took 5.5-6.1 s without the sieve and 2.2-2.7 s
+# with it at every hand-off from 512 to 4096 iterations, a flat optimum;
+# replaying the recorded rho calls with the hand-off after H iterations gave
+# its minimum at H = 1024 and 2048.
 QS_AFTER = 1024
 
 # Cofactor bit length -> (primes in the factor base, half-width M of the sieve
@@ -361,9 +398,7 @@ def _quadratic_sieve(n: int) -> int | None:
         while not (pow(kn % q, (q - 1) // 2, q) == 1 and is_prime(q)):
             q += 4
         A = q * q
-        t = pow(kn, (q + 1) // 4, q)
-        B = (t + q * ((kn - t * t) // q * pow(2 * t, -1, q) % q)) % A
-        B = min(B, A - B)
+        B = sqrt_mod_prime_power(kn, q, 2)[0]
         C = (B * B - kn) // A
         if A * M * M + 2 * B * M + abs(C) >= 1 << 62:  # |Q(x)| would not fit an int64
             break
@@ -439,19 +474,24 @@ def _qs_divisor(n: int, primes: list[int], relations: list, used: int) -> int:
     return g if 1 < g < n else 0
 
 
-def _brent_rho(n: int, budget: list[int], hand_off: bool = True) -> int:
-    """One nontrivial factor of composite odd n, Brent's cycle variant.
+def _spend(budget: list[int], k: int, n: int) -> None:
+    """Charge k rho iterations on n to budget, a one-element counter; raise once it is overdrawn."""
+    budget[0] -= k
+    if budget[0] < 0:
+        raise BudgetError(f"rho iteration budget exhausted factoring {n}")
+
+
+def _brent_rho(n: int, budget: list[int], cap: float = inf) -> int:
+    """One nontrivial factor of composite odd n by Brent's cycle variant, or 0 after cap iterations.
 
     The polynomial constant c is stepped deterministically (1, 2, 3, ...) so
-    repeated runs factor identically. budget is a single-element mutable
-    iteration counter shared across a factorization. With hand_off, once
-    QS_AFTER of its iterations went to n, n is handed to _quadratic_sieve
-    once; if that finds no divisor, rho goes on where it stopped. Without
-    it (the sieve already failed on n) rho runs alone.
+    repeated runs factor identically. Each iteration is charged to budget,
+    shared across a factorization; the last chunk is clipped so that a call
+    spends at most cap of them.
     """
     if n % 2 == 0:
         return 2
-    qs_at = budget[0] - QS_AFTER if hand_off else -1  # the sieve runs when the budget falls to this
+    left = cap
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -464,28 +504,25 @@ def _brent_rho(n: int, budget: list[int], hand_off: bool = True) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                step = min(128, r - k)
+                step = min(128, r - k, left)
+                if not step:
+                    return 0
                 for _ in range(step):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget[0] -= step
-                if budget[0] < 0:
-                    raise BudgetError(f"rho iteration budget exhausted factoring {n}")
-                if budget[0] <= qs_at:
-                    qs_at = -1
-                    g = _quadratic_sieve(n)
-                    if g:
-                        return g
+                _spend(budget, step, n)
+                left -= step
                 g = gcd(q, n)
                 k += 128
             r <<= 1
         if g == n:
             g = 1
             while g == 1:
+                if not left:
+                    return 0
                 ys = (ys * ys + c) % n
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetError(f"rho iteration budget exhausted factoring {n}")
+                _spend(budget, 1, n)
+                left -= 1
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
@@ -512,27 +549,24 @@ def factorize(m: int) -> Factorization:
     """Prime factorization of m >= 2.
 
     Trial division by primes below 10^4, then, for each composite cofactor
-    left, an exact test for a square, cube or fifth power, and Brent-Pollard
-    rho, which hands the cofactor to a quadratic sieve once QS_AFTER of its
-    iterations went to it. No prime below 10^4 divides a cofactor, so one
-    below 10^8 is prime: a composite would have a prime factor up to its
-    square root. Primality of the larger ones is certified by is_prime at
-    every split. Raises BudgetError if rho exceeds the current
-    Limits.rho_budget iterations (the sieve's work is not counted), never
-    returns a wrong or incomplete factorization. A cofactor past the proven
-    primality range raises OutOfRangeError at its first is_prime test,
-    before any rho step, naming m and the cofactor. factorize always gives
-    rho its QS_AFTER iterations first; only the cofactor of a tuple member
-    that member_sieve cleared is charged them and goes to the sieve at once
-    (_split).
+    left, an exact test for a square, cube or fifth power, and _split, which
+    orders Brent-Pollard rho and a quadratic sieve. No prime below 10^4
+    divides a cofactor, so one below 10^8 is prime: a composite would have
+    a prime factor up to its square root. Primality of the larger ones is
+    certified by is_prime at every split. Raises BudgetError if rho exceeds
+    the current Limits.rho_budget iterations, never returns a wrong or
+    incomplete factorization. A cofactor past the proven primality range
+    raises OutOfRangeError at its first is_prime test, before any rho step,
+    naming m and the cofactor.
 
-    Every m >= 10^8 is remembered for the process once factored, with the
-    rho iterations it took, 0 when trial division, is_prime and the power
-    test finished it (MEMO_SIZE numbers at most, the oldest dropped first);
-    below 10^8 trial division alone decides, and nothing is kept. A
-    remembered m is answered at once only while those iterations fit the
-    current rho_budget; otherwise it is factored again, and rho, being
-    deterministic, raises the BudgetError the first call would have.
+    Every m >= 10^8 is remembered for the process once factored, by m and
+    route (see _factorize), with the rho iterations it took, 0 when trial
+    division, is_prime and the power test finished it (MEMO_SIZE entries at
+    most, the oldest dropped first); below 10^8 trial division alone
+    decides, and nothing is kept. A remembered m is answered at once only
+    while those iterations fit the current rho_budget; otherwise it is
+    factored again, and rho, being deterministic, raises the BudgetError
+    the first call would have.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
@@ -544,11 +578,12 @@ def _factorize(m: int, sieved: bool) -> Factorization:
 
     A sieved m is the cofactor _sieved_parts leaves, and every composite
     cofactor found in it goes to _split as sieved: both parts of a split
-    keep that property. The memo is shared, and holds the iterations of
-    whichever route factored m first.
+    keep that property. The memo is keyed by (m, sieved): the sieved route
+    charges QS_AFTER where plain rho may split m in fewer, so an entry of
+    one route would answer a budget the other would raise on.
     """
     rho_budget = _LIMITS.get().rho_budget
-    hit = _factor_memo.get(m)
+    hit = _factor_memo.get((m, sieved))
     if hit is not None and hit[1] <= rho_budget:
         return hit[0]
 
@@ -583,27 +618,29 @@ def _factorize(m: int, sieved: bool) -> Factorization:
         stack.append((v // g, e))
     out = Factorization(m, tuple(sorted(exps.items())))
     if m >= 10**8:
-        _remember(_factor_memo, m, (out, rho_budget - budget[0]))
+        _remember(_factor_memo, (m, sieved), (out, rho_budget - budget[0]))
     return out
 
 
 def _split(v: int, budget: list[int], sieved: bool) -> int:
     """A proper divisor of v: composite, no perfect power, no prime below 10^4.
 
-    Rho first, which hands v to the quadratic sieve after QS_AFTER
-    iterations. A sieved v has no prime up to B, where those iterations
-    split almost nothing (9 of 120 cofactors over construct seed 1, each
-    with its smaller prime below 4.2*10^6), so it is charged QS_AFTER
-    iterations at once, raising BudgetError as rho would have, and goes
-    to the sieve before any rho step; only if that finds nothing does rho
-    run, without a second hand-off.
+    The one place that orders the factoring steps: rho capped at QS_AFTER
+    iterations, then the quadratic sieve once, then rho from c = 1 on
+    whatever budget is left. A sieved v has no prime up to B, where those
+    first iterations split almost nothing (9 of 120 cofactors over
+    construct seed 1, each with its smaller prime below 4.2*10^6), so it is
+    charged QS_AFTER at once in place of running them. Either way the
+    sieve runs only once QS_AFTER iterations are charged, and its own work
+    is not charged.
     """
-    if not sieved:
-        return _brent_rho(v, budget)
-    budget[0] -= QS_AFTER
-    if budget[0] < 0:
-        raise BudgetError(f"rho iteration budget exhausted factoring {v}")
-    return _quadratic_sieve(v) or _brent_rho(v, budget, hand_off=False)
+    if sieved:
+        _spend(budget, QS_AFTER, v)
+    else:
+        g = _brent_rho(v, budget, QS_AFTER)
+        if g:
+            return g
+    return _quadratic_sieve(v) or _brent_rho(v, budget)
 
 
 class _MemberSieve:
@@ -699,12 +736,10 @@ def member_sieve(four_n: int):
     has no prime up to B. Below P^3, P the least prime past B, v is then
     1, a prime, a prime square or a product of two primes: a perfect
     square or square-free, with no rho and no is_prime. From P^3 up v is
-    factorized; having no prime up to B, where rho's first QS_AFTER
-    iterations find most factors, it is charged those iterations and goes
-    to the quadratic sieve before any rho step. The sieve is built only
-    for 10^12 <= 4N < MR_PROVEN_BOUND and only once numpy is loaded, as
-    importing it would cost a one-shot command more than the sieve saves;
-    each 4N sieved is remembered for the process (MEMO_SIZE at most). Other
+    factorized as sieved (_split). The sieve is built only for 10^12 <= 4N
+    < MR_PROVEN_BOUND and only once numpy is loaded, as importing it would
+    cost a one-shot command more than the sieve saves; each 4N sieved is
+    remembered for the process (MEMO_SIZE at most). Other
     numbers decompose as outside the block, and every decomposition is the
     same either way.
     """
@@ -726,8 +761,7 @@ def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
     with x^2 < 10^4 a square. Then the primes below 10^4 are found by trial
     division and those in (10^4, B] by the sieve, each divided out to its
     exponent; the cofactor is settled as member_sieve says, and one from
-    P^3 up is factorized as sieved: charged QS_AFTER rho iterations, it goes
-    to the quadratic sieve before any rho step.
+    P^3 up is factorized as sieved (_split).
     """
     sieve = _MEMBER_SIEVE.get()
     if sieve is None:

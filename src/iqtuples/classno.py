@@ -113,56 +113,13 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
-    """All x in [0, p^e) with x^2 = D (mod p^e), p prime and e >= 1, sorted.
-
-    Writing D = p^v * u with u a unit, the roots are y * p^(v/2) plus
-    multiples of p^(e - v/2), y running over the roots of y^2 = u (mod
-    p^(e-v)): +-r for odd p, and for p = 2 also +-r + 2^(e-v-1) once
-    e - v >= 3.
-    """
-    pe = p**e
-    D %= pe
-    if D == 0:
-        return list(range(0, pe, p ** ((e + 1) // 2)))
-    v = 0
-    while D % p == 0:
-        D //= p
-        v += 1
-    if v % 2:
-        return []
-    eu = e - v
-    peu = p**eu
-    if p == 2:
-        if D % (1 << min(eu, 3)) != 1:  # an odd square is 1 mod 8
-            return []
-        r = 1
-        for i in range(3, eu):  # r^2 = D (mod 2^i) lifts to r or r + 2^(i-1)
-            if (r * r - D) % (2 << i):
-                r += 1 << (i - 1)
-    else:
-        r = arith.sqrt_mod_prime(D, p)
-        if r is None:
-            return []
-        pk = p
-        while pk < peu:  # Newton's step doubles the exponent
-            pk = min(pk * pk, peu)
-            r = (r - (r * r - D) * pow(2 * r, -1, pk)) % pk
-    units = {r, peu - r}
-    if p == 2 and eu >= 3:
-        units |= {(y + (peu >> 1)) % peu for y in units}
-    half = p ** (v // 2)
-    stride = peu * half
-    return sorted(y * half + t * stride for y in units for t in range(half))
-
-
 def _two_adic_roots(D: int, v: int) -> list[int]:
     """The x in [0, 2^(v+1)) with x^2 = D (mod 2^(v+2)), sorted.
 
     These are the roots mod 2^(v+2) below 2^(v+1), half of them: a root
     stays one when 2^(v+1) is added, as 2^(v+2) divides 2^(v+2)*x + 2^(2v+2).
     """
-    roots = _sqrt_mod_prime_power(D, 2, v + 2)
+    roots = arith.sqrt_mod_prime_power(D, 2, v + 2)
     return roots[: len(roots) // 2]
 
 
@@ -177,7 +134,7 @@ def _primitive_roots(D: int, p: int, e: int) -> list[int]:
     if p == 2:
         roots, mod = _two_adic_roots(D, e), 8 << e
     else:
-        roots, mod = _sqrt_mod_prime_power(D, p, e), p ** (e + 1)
+        roots, mod = arith.sqrt_mod_prime_power(D, p, e), p ** (e + 1)
     if D % p == 0 and e:  # else p | x would mean p | D, or p does not divide a
         roots = [x for x in roots if x % p or (x * x - D) % mod]
     return roots
@@ -208,7 +165,7 @@ def _roots_mod_2a(D: int, a: int, spf: Sequence[int], cache: dict[int, list[int]
         q = p**e
         rs = cache.get(q)
         if rs is None:
-            rs = _sqrt_mod_prime_power(D, p, e)
+            rs = arith.sqrt_mod_prime_power(D, p, e)
             cache[q] = rs
         if not rs:
             return []

@@ -49,12 +49,16 @@ def _emit(records: list[dict], fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
+def _check_line(c: dict) -> str:
+    """One hypothesis check of a record, as a line of text output."""
+    return f"  check {c['check']}: {'ok' if c['ok'] else 'FAILED'} ({c['detail']})"
+
+
 def _tuple_text(rec: dict) -> list[str]:
     lines = [
         f"{rec['kind']} n={rec['n']} k={rec['k']} ell={rec['ell']} d={rec['d']}"
     ]
-    for c in rec["hypotheses"]:
-        lines.append(f"  check {c['check']}: {'ok' if c['ok'] else 'FAILED'} ({c['detail']})")
+    lines += map(_check_line, rec["hypotheses"])
     for w in rec["warnings"]:
         lines.append(f"  warning: {w}")
     for m in rec["members"]:
@@ -192,14 +196,11 @@ def _cmd_thm31(args) -> int:
         "accepted": rep.accepted, "rejection": rep.rejection, "branch": rep.branch,
         "d": rep.d, "r": rep.r, "h": rep.h, "verdict": rep.verdict,
         "anomaly": rep.anomaly,
-        "hypotheses": [
-            {"check": c.check, "ok": c.ok, "detail": c.detail} for c in rep.hypotheses
-        ],
+        "hypotheses": [dict(vars(c)) for c in rep.hypotheses],
         "trace": rep.trace,
     }
     lines = [f"(ell, n, p) = ({rep.ell}, {rep.n}, {rep.p})"]
-    for c in rep.hypotheses:
-        lines.append(f"  check {c.check}: {'ok' if c.ok else 'FAILED'} ({c.detail})")
+    lines += map(_check_line, rec["hypotheses"])
     if rep.accepted:
         lines.append(f"  d = {rep.d}, r = {rep.r} (ell^n - p^2 = d*r^2), branch: {rep.branch}")
         lines.append(f"  h*(-4d) = h*({-4 * rep.d}) = {rep.h}")

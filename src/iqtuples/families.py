@@ -238,9 +238,7 @@ def to_json_dict(t: FamilyTuple) -> dict:
         "ell": t.ell,
         "d": t.d,
         "p_list": list(t.p_list),
-        "hypotheses": [
-            {"check": c.check, "ok": c.ok, "detail": c.detail} for c in t.hypotheses
-        ],
+        "hypotheses": [dict(vars(c)) for c in t.hypotheses],
         "warnings": list(t.warnings),
         "members": [
             {

@@ -102,7 +102,7 @@ def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
     is a square root of -d mod m, and each root r gives at most one
     solution: a is the first remainder below sqrt(m) in Euclid's algorithm
     on (m, r). The roots are taken mod each prime power p^(e*s) of m by
-    classno._sqrt_mod_prime_power and joined by CRT: at most 2^k of them
+    arith.sqrt_mod_prime_power and joined by CRT: at most 2^k of them
     for k primes of ell, as gcd(ell, 2d) = 1. A root and its negative may
     give the same solution.
     """
@@ -112,7 +112,7 @@ def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
         q = p ** (e * s)
         inv = pow(mod, -1, q)
         roots = [r0 + mod * ((r1 - r0) * inv % q)
-                 for r0 in roots for r1 in classno._sqrt_mod_prime_power(-d, p, e * s)]
+                 for r0 in roots for r1 in arith.sqrt_mod_prime_power(-d, p, e * s)]
         mod *= q
     out = set()
     for r in roots:

@@ -182,7 +182,7 @@ class TestQuadraticSieve:
         asked = []
         monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
         assert [arith.factorize(m) for m in ms] == with_sieve
-        assert len(asked) == 4  # 10007 falls to rho at once
+        assert asked == ms[:4]  # each offered once; 10007 falls to rho at once
 
     def test_returns_a_proper_divisor(self):
         # and nothing for a perfect power, which no congruence of squares splits
@@ -207,21 +207,41 @@ class TestQuadraticSieve:
         spent = []
         brent_rho = arith._brent_rho
 
-        def counting(n, budget):
+        def counting(n, budget, *rest):
             before = budget[0]
             try:
-                return brent_rho(n, budget)
+                return brent_rho(n, budget, *rest)
             finally:
                 spent.append(before - budget[0])
 
         monkeypatch.setattr(arith, "_brent_rho", counting)
         assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
-        assert arith.QS_AFTER <= sum(spent) < 2 * arith.QS_AFTER  # the sieve split it
-        assert arith._factor_memo[self.N][1] == sum(spent)
+        assert sum(spent) == arith.QS_AFTER  # the sieve split it
+        assert arith._factor_memo[self.N, False][1] == sum(spent)
         with pytest.raises(BudgetError), arith.limits(rho_budget=sum(spent) - 1):
             arith.factorize(self.N)
         with arith.limits(rho_budget=sum(spent)):
-            assert arith.factorize(self.N) is arith._factor_memo[self.N][0]
+            assert arith.factorize(self.N) is arith._factor_memo[self.N, False][0]
+
+    def test_the_plain_route_hands_off_after_exactly_qs_after(self):
+        with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
+            arith.factorize(self.N)
+        assert not arith._factor_memo
+        with arith.limits(rho_budget=arith.QS_AFTER):
+            assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
+        assert arith._factor_memo[self.N, False][1] == arith.QS_AFTER
+
+
+class TestBrentRho:
+    N = TestQuadraticSieve.N
+
+    def test_a_cap_is_spent_exactly(self):
+        # past the first chunks of 1 + 2 + ... + 512 = 1023 steps, the chunks
+        # are 128 long; the last one is clipped to the cap
+        for cap in (1, 2, 127, 1000, 1023, 1024, 1151, 5000):
+            budget = [10**6]
+            assert arith._brent_rho(self.N, budget, cap) == 0
+            assert budget == [10**6 - cap], cap
 
 
 class TestFactorizeMemo:
@@ -229,14 +249,14 @@ class TestFactorizeMemo:
         # test_budget_error_is_raised in the other order: remembered first
         n = 99991 * 99989
         assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
-        assert n in arith._factor_memo
+        assert (n, False) in arith._factor_memo
         with pytest.raises(BudgetError), arith.limits(rho_budget=1):
             arith.factorize(n)
-        spent = arith._factor_memo[n][1]
+        spent = arith._factor_memo[n, False][1]
         with pytest.raises(BudgetError), arith.limits(rho_budget=spent - 1):
             arith.factorize(n)
         with arith.limits(rho_budget=spent):  # exactly the iterations it took
-            assert arith.factorize(n) is arith._factor_memo[n][0]
+            assert arith.factorize(n) is arith._factor_memo[n, False][0]
 
     def test_tuple_built_twice_still_obeys_the_budget(self):
         # d + 100 at (5, 5) keeps 1001387 * 50771867830517 past the member sieve
@@ -257,12 +277,12 @@ class TestFactorizeMemo:
             assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
         assert arith.factorize(10007**3).factors == ((10007, 3),)
         assert arith.factorize(10009**6).factors == ((10009, 6),)
-        assert list(arith._factor_memo) == list(above)  # below 10^8 nothing is kept
+        assert list(arith._factor_memo) == [(m, False) for m in above]  # below 10^8 nothing is kept
         assert all(spent == 0 for _, spent in arith._factor_memo.values())
         monkeypatch.setattr(arith, "is_prime", _untouchable)
         with arith.limits(rho_budget=0):
             for m in above:
-                assert arith.factorize(m) is arith._factor_memo[m][0]
+                assert arith.factorize(m) is arith._factor_memo[m, False][0]
 
     def test_a_repeated_tuple_proves_nothing_again(self, large_proofs):
         families.quintuple(3, 150)
@@ -278,9 +298,9 @@ class TestFactorizeMemo:
         for m in ms:
             arith.factorize(m)
             assert len(arith._factor_memo) <= 3
-        assert list(arith._factor_memo) == ms[2:]
+        assert [m for m, _ in arith._factor_memo] == ms[2:]
         assert arith.factorize(ms[0]).factors == ((10007, 1), (10009, 1))
-        assert list(arith._factor_memo) == ms[3:] + ms[:1]
+        assert [m for m, _ in arith._factor_memo] == ms[3:] + ms[:1]
 
 
 class TestIsPrime:
@@ -495,16 +515,35 @@ class TestSievedCofactors:
         families.quintuple(5, 5)
         assert (self.FOUR_N - 100) % self.V == 0
         assert ("qs", self.V) in calls and ("rho", self.V) not in calls
-        assert arith._factor_memo[self.V][1] == arith.QS_AFTER  # the charge, recorded
+        assert arith._factor_memo[self.V, True][1] == arith.QS_AFTER  # the charge, recorded
 
     def test_the_charge_obeys_the_budget(self):
         with arith.limits(rho_budget=arith.QS_AFTER - 1):
             with pytest.raises(BudgetError, match=f"factoring {self.V}$"):
                 families.quintuple(5, 5)
-        assert self.V not in arith._factor_memo
+        assert (self.V, True) not in arith._factor_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
             families.quintuple(5, 5)
-        assert arith._factor_memo[self.V][0].factors == ((1001387, 1), (50771867830517, 1))
+        assert arith._factor_memo[self.V, True][0].factors == ((1001387, 1), (50771867830517, 1))
+
+    def test_the_memo_keeps_the_routes_apart(self):
+        # plain rho splits P^2 * P2 in fewer than QS_AFTER iterations, where
+        # the sieved route charges QS_AFTER: the plain entry must not answer
+        # a sieved request that a fresh run refuses
+        u = 1000003**2 * 1000033
+        M = u << (61 - u.bit_length())  # 4N = M, the member -M at x = 0, cleared to 10^6
+        arith.factorize(u)
+        spent = arith._factor_memo[u, False][1]
+        assert 0 < spent < arith.QS_AFTER
+        with arith.member_sieve(M), arith.limits(rho_budget=spent):
+            with pytest.raises(BudgetError, match=f"factoring {u}$"):
+                arith.squarefree_decompose(-M)
+            assert arith.factorize(u) is arith._factor_memo[u, False][0]
+        assert (u, True) not in arith._factor_memo
+        with arith.member_sieve(M), arith.limits(rho_budget=arith.QS_AFTER):
+            d = arith.squarefree_decompose(-M)
+        assert (d.s, d.f) == _sympy_decompose(-M)
+        assert arith._factor_memo[u, True][1] == arith.QS_AFTER
 
     def test_rho_alone_when_the_sieve_finds_nothing(self, monkeypatch):
         # each cleared cofactor is offered to the quadratic sieve once; rho

@@ -25,7 +25,7 @@ class TestSqrtModInternals:
                 for x in range(pe):
                     roots.setdefault(x * x % pe, []).append(x)
                 for D in range(-2 * pe, 2 * pe):
-                    got = classno._sqrt_mod_prime_power(D, p, e)
+                    got = arith.sqrt_mod_prime_power(D, p, e)
                     assert got == roots.get(D % pe, []), (p, e, D)
                 e, pe = e + 1, pe * p
 
@@ -41,7 +41,7 @@ class TestSqrtModInternals:
                 if i % 2:  # every other D is a square mod 2^e, often an even one
                     y = rng.randrange(1, m) << rng.randrange(e // 2 + 1)
                     D = y * y % m - m * rng.randrange(1, 10**6)
-                got = classno._sqrt_mod_prime_power(D, 2, e)
+                got = arith.sqrt_mod_prime_power(D, 2, e)
                 assert got == sorted(set(got)) and all((r * r - D) % m == 0 for r in got), (e, D)
                 if i < 8:
                     assert len(got) == int(np.count_nonzero(squares == D % m)), (e, D)

@@ -560,9 +560,9 @@ class TestHarness:
         split = []
         brent_rho = arith._brent_rho
 
-        def recording(n, budget):
+        def recording(n, budget, *rest):
             split.append(n)
-            return brent_rho(n, budget)
+            return brent_rho(n, budget, *rest)
 
         monkeypatch.setattr(arith, "_brent_rho", recording)
         code, out, _ = run(capsys, "quadruple", "-n", "3", "-p", "5", "-k", "10", "--verify",
