@@ -3,9 +3,9 @@
 Everything here works on plain Python integers (arbitrary precision) and is
 deterministic: the same input always produces the same output, and no routine
 ever trades correctness for speed. The members of a tuple are values
-x^2 - 4N of one quadratic, so inside member_sieve(4N) square-free parts of
-such values come from one reduction of 4N modulo the primes up to 10^6
-rather than from factorize; the answer is the same either way.
+x^2 - 4N of one quadratic, so decompose_member(4N, x) takes the square-free
+parts of those with x^2 < 10^4 from one reduction of 4N modulo the primes
+up to 10^6 rather than from factorize; the answer is the same either way.
 """
 
 from __future__ import annotations
@@ -576,7 +576,7 @@ def factorize(m: int) -> Factorization:
 def _factorize(m: int, sieved: bool) -> Factorization:
     """factorize(m); sieved says that the member sieve has cleared m of every prime up to B.
 
-    A sieved m is the cofactor _sieved_parts leaves, and every composite
+    A sieved m is the cofactor decompose_member leaves, and every composite
     cofactor found in it goes to _split as sieved: both parts of a split
     keep that property. The memo is keyed by (m, sieved): the sieved route
     charges QS_AFTER where plain rho may split m in fewer, so an entry of
@@ -654,10 +654,10 @@ class _MemberSieve:
     about 1 ms to every command's import of this module.
     """
 
-    __slots__ = ("four_n", "bound", "above", "squares", "primes")
+    __slots__ = ("bound", "above", "squares", "primes")
 
-    def __init__(self, four_n: int, bound: int, above: int, squares: array, primes: array):
-        self.four_n, self.bound, self.above = four_n, bound, above
+    def __init__(self, bound: int, above: int, squares: array, primes: array):
+        self.bound, self.above = bound, above
         self.squares, self.primes = squares, primes
 
     def divisors(self, x2: int) -> array:
@@ -674,7 +674,6 @@ MEMBER_SIEVE_BOUND = 10**6
 # below 10^12, so its smaller prime is below 10^6 and rho splits it within
 # about 10^3 steps, and certify's tuples (4N <= 2*10^11) decompose as before.
 _MEMBER_SIEVE_FROM = 10**12
-_MEMBER_SIEVE: ContextVar[_MemberSieve | None] = ContextVar("member_sieve", default=None)
 _sieve_memo: dict[int, _MemberSieve] = {}  # 4N -> its sieve, for every 4N sieved
 _sieve_tables: tuple = ()  # (B, the primes in (10^4, B], 2^40 mod each) for the largest B asked
 
@@ -723,52 +722,44 @@ def _member_sieve(four_n: int) -> _MemberSieve:
     above = (bound + 1) | 1
     while not is_prime(above):
         above += 2
-    return _MemberSieve(four_n, bound, above, array("i", [x2 for x2, _ in pairs]),
+    return _MemberSieve(bound, above, array("i", [x2 for x2, _ in pairs]),
                         array("i", [q for _, q in pairs]))
 
 
-@contextmanager
-def member_sieve(four_n: int):
-    """Within the block, squarefree_decompose(x^2 - 4N) for x^2 < 10^4 uses one sieve of 4N.
+def _sieve_of(four_n: int) -> _MemberSieve | None:
+    """The sieve of 4N, or None when none is built for it.
 
-    The sieve gives the primes in (10^4, B] that divide each such member,
-    B = min(MEMBER_SIEVE_BOUND, cube root of 4N), so that its cofactor v
-    has no prime up to B. Below P^3, P the least prime past B, v is then
-    1, a prime, a prime square or a product of two primes: a perfect
-    square or square-free, with no rho and no is_prime. From P^3 up v is
-    factorized as sieved (_split). The sieve is built only for 10^12 <= 4N
-    < MR_PROVEN_BOUND and only once numpy is loaded, as importing it would
-    cost a one-shot command more than the sieve saves; each 4N sieved is
-    remembered for the process (MEMO_SIZE at most). Other
-    numbers decompose as outside the block, and every decomposition is the
-    same either way.
+    Built only for 10^12 <= 4N < MR_PROVEN_BOUND and only once numpy is
+    loaded, as importing it would cost a one-shot command more than the
+    sieve saves; each 4N sieved is remembered for the process (MEMO_SIZE
+    at most).
     """
     sieve = _sieve_memo.get(four_n)
     if sieve is None and _MEMBER_SIEVE_FROM <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
         sieve = _member_sieve(four_n)
         _remember(_sieve_memo, four_n, sieve)
-    token = _MEMBER_SIEVE.set(sieve)
-    try:
-        yield
-    finally:
-        _MEMBER_SIEVE.reset(token)
+    return sieve
 
 
-def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
-    """Pairwise coprime square-free b and exponents e, |m| = prod(b^e), or None.
+def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
+    """squarefree_decompose(x^2 - 4N), from the sieve of 4N when x^2 < 10^4 and it is built.
 
-    None unless the member sieve in effect covers m, that is m = x^2 - 4N
-    with x^2 < 10^4 a square. Then the primes below 10^4 are found by trial
-    division and those in (10^4, B] by the sieve, each divided out to its
-    exponent; the cofactor is settled as member_sieve says, and one from
-    P^3 up is factorized as sieved (_split).
+    Every radicand of a tuple is such a member: d, d + 1, d + 4 and d + 4p^2
+    are x = 0, 1, 2 and 2p with 4N = -d. The sieve gives the primes in
+    (10^4, B] dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of
+    4N), and those below 10^4 come by trial division, each divided out to
+    its exponent. The cofactor v left has no prime up to B. Below P^3, P
+    the least prime past B, v is then 1, a prime, a prime square or a
+    product of two primes: a perfect square or square-free, with no rho and
+    no is_prime. From P^3 up v is factorized as sieved (_split). Without
+    the sieve (see _sieve_of), or for x^2 >= 10^4, the member goes to
+    squarefree_decompose; the decomposition is the same either way.
     """
-    sieve = _MEMBER_SIEVE.get()
+    x2 = x * x
+    m = x2 - four_n
+    sieve = _sieve_of(four_n) if x2 < 10_000 else None
     if sieve is None:
-        return None
-    x2 = m + sieve.four_n
-    if not 0 <= x2 < 10_000 or isqrt(x2) ** 2 != x2:
-        return None
+        return squarefree_decompose(m)
     v = -m
     parts = []
     for p in chain(_primes_dividing(gcd(v, _TRIAL_PRODUCT)), sieve.divisors(x2)):
@@ -782,28 +773,26 @@ def _sieved_parts(m: int) -> list[tuple[int, int]] | None:
     elif v > 1:  # a prime, a prime square or two distinct primes, all past B
         r = isqrt(v)
         parts.append((r, 2) if r * r == v else (v, 1))
-    return parts
+    return _from_parts(m, parts)
 
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
-    """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m).
-
-    From the factorization of |m|, or inside member_sieve from its sieve
-    when that covers m.
-    """
+    """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m), from factorize(|m|)."""
     if m == 0:
         raise DomainError("squarefree_decompose requires m != 0")
     if abs(m) == 1:
         return SquarefreeDecomposition(m, m, 1)
-    parts = _sieved_parts(m)
+    return _from_parts(m, factorize(abs(m)).factors)
+
+
+def _from_parts(m: int, parts) -> SquarefreeDecomposition:
+    """The decomposition of m from pairwise coprime square-free b and exponents e, |m| = prod(b^e)."""
     s, f = 1, 1
-    for p, e in factorize(abs(m)).factors if parts is None else parts:
+    for p, e in parts:
         if e % 2:
             s *= p
         f *= p ** (e // 2)
-    if m < 0:
-        s = -s
-    return SquarefreeDecomposition(m, s, f)
+    return SquarefreeDecomposition(m, s if m > 0 else -s, f)
 
 
 def kronecker(D: int, n: int) -> int:

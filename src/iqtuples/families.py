@@ -11,18 +11,18 @@ hypothesis checks) then satisfy the exact identities
 and every member's field class number is divisible by n. With N = ell^n,
 so that d = -4N, every radicand is a value of g(x) = x^2 - 4N: d = g(0),
 d + 1 = g(1), d + 4 = g(2) and d + 4p^2 = g(2p). A prime q > x^2 divides
-g(x) exactly when 4N mod q = x^2, so the builder decomposes all members
-inside one arith.member_sieve of 4N. Constructors populate radicands and
-square-free parts; verify_tuple computes the class numbers and the
-divisibility verdicts. Records serialize to a versioned JSON-lines schema
-and a flat CSV layout.
+g(x) exactly when 4N mod q = x^2, so the builder decomposes every member
+by arith.decompose_member(4N, x), which shares one sieve of 4N among them.
+Constructors populate radicands and square-free parts; verify_tuple
+computes the class numbers and the divisibility verdicts. Records
+serialize to a versioned JSON-lines schema and a flat CSV layout.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import arith, classno, lrn
 from .errors import (BudgetError, DomainError, HypothesisCheck, HypothesisRejection,
@@ -36,14 +36,11 @@ STATUS_PENDING = "pending"
 STATUS_VERIFIED = "verified"
 STATUS_BUDGET = "unverified (budget)"
 
-CSV_FIELDS = [
-    "kind", "n", "k", "ell", "d", "offset", "radicand",
-    "squarefree_part", "cofactor", "class_number", "divisible", "status",
-]
-
 
 @dataclass
 class FamilyMember:
+    """One member; its field order is the key order of its JSON record and CSV columns."""
+
     offset: int
     radicand: int
     squarefree_part: int
@@ -51,6 +48,9 @@ class FamilyMember:
     class_number: int | None = None
     divisible: bool | None = None
     status: str = STATUS_PENDING
+
+
+CSV_FIELDS = ["kind", "n", "k", "ell", "d", *(f.name for f in fields(FamilyMember))]
 
 
 @dataclass
@@ -111,8 +111,7 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     decomposition of 4(p^2 - ell^n) = d + 4p^2 is the prime's member. A
     prime that fails a check raises HypothesisRejection, or with lenient is
     dropped with a warning. Every member is x^2 - 4*ell^n for x = 0, 1, 2
-    and 2p, so all of them are decomposed inside one arith.member_sieve of
-    4*ell^n.
+    and 2p, and each is decomposed by arith.decompose_member(4*ell^n, x).
     """
     _check_nk(n, k)
     shape_ok = {"quadruple": len(primes) == 1, "quintuple": primes == [3, 5], "pi_tuple": True}
@@ -136,25 +135,24 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     checks: list[HypothesisCheck] = []
     warnings: list[str] = []
     kept: list[tuple[int, arith.SquarefreeDecomposition]] = []
-    with arith.member_sieve(-d):
-        for p in primes:
-            pchecks, dec = labelled(lambda: f"decomposing the radicand at offset {4 * p * p}",
-                                    lrn.theorem31_hypotheses, ell, n, p, elln)
-            checks.extend(pchecks)
-            bad = next((c for c in pchecks if not c.ok), None)
-            if bad is None:
-                kept.append((p, dec))
-            elif lenient:
-                warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
-                log.warning("%s n=%d k=%d: %s", kind, n, k, warnings[-1])
-            else:
-                raise HypothesisRejection(bad.check, bad.detail)
-        theorem_b = _theorem_b_check(n, ell)
-        if not theorem_b.ok:
-            raise HypothesisRejection(theorem_b.check, theorem_b.detail)
-        checks = [theorem_b] + checks if kind == "pi_tuple" else checks + [theorem_b]
-        decs = [(off, labelled(lambda: f"decomposing the radicand at offset {off}",
-                               arith.squarefree_decompose, d + off)) for off in (0, 1, 4)]
+    for p in primes:
+        pchecks, dec = labelled(lambda: f"decomposing the radicand at offset {4 * p * p}",
+                                lrn.theorem31_hypotheses, ell, n, p, elln)
+        checks.extend(pchecks)
+        bad = next((c for c in pchecks if not c.ok), None)
+        if bad is None:
+            kept.append((p, dec))
+        elif lenient:
+            warnings.append(f"dropped p = {p}: {bad.check} ({bad.detail})")
+            log.warning("%s n=%d k=%d: %s", kind, n, k, warnings[-1])
+        else:
+            raise HypothesisRejection(bad.check, bad.detail)
+    theorem_b = _theorem_b_check(n, ell)
+    if not theorem_b.ok:
+        raise HypothesisRejection(theorem_b.check, theorem_b.detail)
+    checks = [theorem_b] + checks if kind == "pi_tuple" else checks + [theorem_b]
+    decs = [(x * x, labelled(lambda: f"decomposing the radicand at offset {x * x}",
+                             arith.decompose_member, -d, x)) for x in (0, 1, 2)]
     decs += [(4 * p * p, dec) for p, dec in kept]
     members = [FamilyMember(off, d + off, dec.s, dec.f) for off, dec in decs]
     return FamilyTuple(kind, n, k, [p for p, _ in kept], ell, d, members, checks, warnings)
@@ -240,18 +238,7 @@ def to_json_dict(t: FamilyTuple) -> dict:
         "p_list": list(t.p_list),
         "hypotheses": [dict(vars(c)) for c in t.hypotheses],
         "warnings": list(t.warnings),
-        "members": [
-            {
-                "offset": m.offset,
-                "radicand": m.radicand,
-                "squarefree_part": m.squarefree_part,
-                "cofactor": m.cofactor,
-                "class_number": m.class_number,
-                "divisible": m.divisible,
-                "status": m.status,
-            }
-            for m in t.members
-        ],
+        "members": [dict(vars(m)) for m in t.members],
         "all_divisible": t.all_divisible,
     }
 
@@ -297,14 +284,5 @@ def from_json_dict(rec: dict) -> FamilyTuple:
 
 
 def to_csv_rows(t: FamilyTuple) -> list[list]:
-    """One row per member, columns CSV_FIELDS."""
-    return [
-        [
-            t.kind, t.n, t.k, t.ell, t.d, m.offset, m.radicand,
-            m.squarefree_part, m.cofactor,
-            "" if m.class_number is None else m.class_number,
-            "" if m.divisible is None else m.divisible,
-            m.status,
-        ]
-        for m in t.members
-    ]
+    """One row per member, columns CSV_FIELDS; csv writes a None as an empty field."""
+    return [[t.kind, t.n, t.k, t.ell, t.d, *vars(m).values()] for m in t.members]

@@ -282,9 +282,10 @@ def theorem31_hypotheses(
     """Theorem 3.1's hypotheses on p, in order, up to the first that fails.
 
     elln is ell^n, formed once by the caller (ell_power). gcd(ell, p) = 1,
-    then p^2 < ell^n; once both hold, 4*(p^2 - ell^n) is decomposed (for
-    ell = 4*k^n - 1 it is the tuple member d + 4p^2), and d' = -s, s its
-    square-free part. Last comes p != +-1 (mod d'), waived for p in
+    then p^2 < ell^n; once both hold, 4*(p^2 - ell^n) = (2p)^2 - 4*ell^n is
+    decomposed by arith.decompose_member(4*ell^n, 2p), the route the tuple
+    builder takes for its member d + 4p^2 (ell = 4*k^n - 1), and d' = -s, s
+    its square-free part. Last comes p != +-1 (mod d'), waived for p in
     {3, 5}, which need only (ell, n) != (3, 3). Returns the checks made and
     the decomposition, None when a check before it failed. ell = 3 (mod 4)
     is the caller's to check: it holds for every tuple.
@@ -298,7 +299,7 @@ def theorem31_hypotheses(
                                   f"{p * p} {'<' if ok else '>='} {elln}"))
     if not ok:
         return checks, None
-    dec = arith.squarefree_decompose(4 * (p * p - elln))
+    dec = arith.decompose_member(4 * elln, 2 * p)
     if p in (3, 5):
         checks.append(HypothesisCheck(
             f"(ell, n) != (3, 3) for p = {p}", (ell, n) != (3, 3),

@@ -7,7 +7,7 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
-from iqtuples import arith, families
+from iqtuples import arith, families, lrn
 from iqtuples.errors import BudgetError, DomainError, OutOfRangeError
 
 from oracles import sieve_primes, trial_factorize, trial_is_prime
@@ -397,8 +397,8 @@ def _sympy_decompose(m: int) -> tuple[int, int]:
 
 
 class TestMemberSieve:
-    # the x^2 of the members d, d + 1, d + 4 and d + 4p^2 for every odd p <= 47
-    SQUARES = [0, 1, 4] + [4 * p * p for p in sieve_primes(47)[1:]]
+    # the x of the members d, d + 1, d + 4 and d + 4p^2 for every odd p <= 47
+    XS = [0, 1, 2] + [2 * p for p in sieve_primes(47)[1:]]
 
     def test_divisors_equal_trial_division(self):
         # one Python int remainder per prime, on both sides of B = 10^6 and up
@@ -426,10 +426,9 @@ class TestMemberSieve:
         for n, k in nks:
             four_n = 4 * (4 * k**n - 1) ** n
             assert 10**12 <= four_n < arith.MR_PROVEN_BOUND
-            with arith.member_sieve(four_n):
-                for x2 in self.SQUARES:
-                    d = arith.squarefree_decompose(x2 - four_n)
-                    assert (d.s, d.f) == _sympy_decompose(x2 - four_n), (n, k, x2)
+            for x in self.XS:
+                d = arith.decompose_member(four_n, x)
+                assert (d.s, d.f) == _sympy_decompose(x * x - four_n), (n, k, x)
             assert four_n in arith._sieve_memo  # the sieve, not factorize, found them
 
     def test_cofactors_around_the_bounds(self, monkeypatch):
@@ -455,13 +454,12 @@ class TestMemberSieve:
             (0, P * above_b3, True), (0, above_b2**2, True),
         ]
         for i, (e, u, factors) in enumerate(cases):
-            x2 = self.SQUARES[i % len(self.SQUARES)]
+            x = self.XS[i % len(self.XS)]
             v = below_b**e * u
             M = v << max(0, 61 - v.bit_length())
-            assert 10**18 <= M + x2 < arith.MR_PROVEN_BOUND
+            assert 10**18 <= M + x * x < arith.MR_PROVEN_BOUND
             factorized.clear()
-            with arith.member_sieve(M + x2):
-                d = arith.squarefree_decompose(-M)
+            d = arith.decompose_member(M + x * x, x)
             assert (d.s, d.f) == _sympy_decompose(-M), (e, u)
             assert factorized == ([u] if factors else []), (e, u)
 
@@ -469,8 +467,7 @@ class TestMemberSieve:
         # 4N = 99991 * 100003^2 + 36 has its cube root between the two primes:
         # 99991 is sieved, 100003 is the least prime past B and stays a square
         four_n = 99991 * 100003**2 + 36
-        with arith.member_sieve(four_n):
-            d = arith.squarefree_decompose(36 - four_n)
+        d = arith.decompose_member(four_n, 6)
         assert (d.s, d.f) == (-99991, 100003)
         sieve = arith._sieve_memo[four_n]
         assert 99991 <= sieve.bound < 100003 == sieve.above
@@ -480,16 +477,15 @@ class TestMemberSieve:
         # certify's 4*ell^n stays at or below 2*10^11; 4*127^5, at (5, 2), is its largest
         families.quintuple(5, 2)
         for four_n in (10**12 - 1, arith.MR_PROVEN_BOUND):
-            with arith.member_sieve(four_n):
-                assert arith._MEMBER_SIEVE.get() is None
+            assert arith._sieve_of(four_n) is None
         monkeypatch.delitem(sys.modules, "numpy")
-        with arith.member_sieve(10**15):
-            assert arith._MEMBER_SIEVE.get() is None
+        assert arith._sieve_of(10**15) is None
         assert not arith._sieve_memo
         monkeypatch.undo()
-        with arith.member_sieve(10**15):
-            assert arith._MEMBER_SIEVE.get() is arith._sieve_memo[10**15]
-        assert arith._MEMBER_SIEVE.get() is None
+        assert arith._sieve_of(10**15) is arith._sieve_memo[10**15]
+        # squarefree_decompose reads no sieve: the member x = 6 takes the plain route
+        arith.squarefree_decompose(36 - 10**15)
+        assert (10**15 - 36, False) in arith._factor_memo
 
     def test_one_sieve_per_tuple(self, monkeypatch):
         built = []
@@ -535,15 +531,33 @@ class TestSievedCofactors:
         arith.factorize(u)
         spent = arith._factor_memo[u, False][1]
         assert 0 < spent < arith.QS_AFTER
-        with arith.member_sieve(M), arith.limits(rho_budget=spent):
+        with arith.limits(rho_budget=spent):
             with pytest.raises(BudgetError, match=f"factoring {u}$"):
-                arith.squarefree_decompose(-M)
+                arith.decompose_member(M, 0)
             assert arith.factorize(u) is arith._factor_memo[u, False][0]
         assert (u, True) not in arith._factor_memo
-        with arith.member_sieve(M), arith.limits(rho_budget=arith.QS_AFTER):
-            d = arith.squarefree_decompose(-M)
+        with arith.limits(rho_budget=arith.QS_AFTER):
+            d = arith.decompose_member(M, 0)
         assert (d.s, d.f) == _sympy_decompose(-M)
         assert arith._factor_memo[u, True][1] == arith.QS_AFTER
+
+    def test_thm31_takes_the_member_route(self, monkeypatch):
+        # theorem31_hypotheses decomposes 4(p^2 - ell^n) = (2p)^2 - 4*ell^n as
+        # the builder's member x = 2p, so at (5, 5) with p = 5 it meets d +
+        # 100's cleared cofactor V, not the whole radicand, and no rho step
+        rho = []
+        brent_rho = arith._brent_rho
+        monkeypatch.setattr(arith, "_brent_rho",
+                            lambda n, *rest: rho.append(n) or brent_rho(n, *rest))
+        checks, dec = lrn.theorem31_hypotheses(12499, 5, 5, 12499**5)
+        assert all(c.ok for c in checks) and (dec.s, dec.f) == _sympy_decompose(100 - self.FOUR_N)
+        assert arith._factor_memo[self.V, True][1] == arith.QS_AFTER
+        assert (self.FOUR_N - 100, False) not in arith._factor_memo
+        assert rho == []
+        arith._factor_memo.clear()
+        with arith.limits(rho_budget=arith.QS_AFTER - 1):
+            with pytest.raises(BudgetError, match=f"factoring {self.V}$"):
+                lrn.theorem31_hypotheses(12499, 5, 5, 12499**5)
 
     def test_rho_alone_when_the_sieve_finds_nothing(self, monkeypatch):
         # each cleared cofactor is offered to the quadratic sieve once; rho
@@ -551,14 +565,13 @@ class TestSievedCofactors:
         asked = []
         monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
         P, P2, P3, above_b3 = 1000003, 1000033, 1000037, 1000000000000000003
-        cases = [(self.FOUR_N, x2 - self.FOUR_N) for x2 in TestMemberSieve.SQUARES]
+        cases = [(self.FOUR_N, x) for x in TestMemberSieve.XS]
         for u in (P**3, P * P * P2, P * P2 * P3, P * above_b3):
             M = u << max(0, 61 - u.bit_length())  # 4N = M, the member -M at x = 0
-            cases.append((M, -M))
-        for four_n, m in cases:
-            with arith.member_sieve(four_n):
-                d = arith.squarefree_decompose(m)
-            assert (d.s, d.f) == _sympy_decompose(m), m
+            cases.append((M, 0))
+        for four_n, x in cases:
+            d = arith.decompose_member(four_n, x)
+            assert (d.s, d.f) == _sympy_decompose(x * x - four_n), (four_n, x)
         assert self.V in asked and P * P2 * P3 in asked
         assert len(asked) == len(set(asked))
 

@@ -520,6 +520,23 @@ class TestHarness:
         code, out, err = run(capsys, "--rho-budget", "1", "quintuple", "-n", "5", "-k", "5")
         assert code == 2 and out == "" and err.startswith("budget exhausted: ")
 
+    def test_a_small_rho_budget_holds_only_with_numpy_loaded(self, capsys):
+        # d + 36 at (n, k) = (5, 5) keeps 36739225052363 = 4986169 * 7368227
+        # past trial division. With numpy loaded the member sieve finds both
+        # primes and no rho step runs; a one-shot command has no numpy, so
+        # no sieve, and rho needs more than 1023 iterations to split it
+        import numpy  # noqa: F401
+
+        argv = ["quadruple", "-n", "5", "-p", "3", "-k", "5", "--rho-budget", "1023"]
+        assert run(capsys, *argv)[0] == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "iqtuples", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("budget exhausted: rho iteration budget exhausted "
+                               "factoring 36739225052363\n")
+
     def test_verify_batch_splits_each_radicand_once(self, capsys, tmp_path, monkeypatch):
         # at (n, k) = (3, 100) offsets 0, 1 and 4 are common to every p, and
         # the offset-1 radicand keeps 2693237 * 442106202089 past the member

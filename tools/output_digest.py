@@ -27,15 +27,15 @@ import sys
 from pathlib import Path
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workloads", nargs="+", default=["certify", "sweep", "construct"])
-    ap.add_argument("--seconds", type=int, default=30)
-    args = ap.parse_args(argv)
-    root = args.root.resolve()
-    sys.dont_write_bytecode = True
+def runner(root: Path):
+    """A function running a workload's items the way perfbench/worker.py does, on root's code.
+
+    Imports numpy first, then root's iqtuples and perfbench modules, and
+    silences logging. The function returned, run(workload, seed, seconds),
+    gives each item's (exit code, stdout) in order: `verify` items fed
+    their stdin, `sweep` windows counted D by D. Raises SystemExit when
+    iqtuples does not come from root.
+    """
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import numpy  # noqa: F401  the benchmark worker imports it before any item
@@ -46,22 +46,39 @@ def main(argv=None) -> int:
     import workloads
 
     if Path(iqtuples.__file__).resolve().parent != root / "src" / "iqtuples":
-        print(f"iqtuples imported from {iqtuples.__file__}, not from {root}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"iqtuples imported from {iqtuples.__file__}, not from {root}")
     logging.getLogger().addHandler(logging.NullHandler())  # cli's basicConfig then stays silent
     logging.getLogger().setLevel(logging.CRITICAL)
+
+    def run(workload: str, seed: int, seconds: int) -> list[tuple[int, str]]:
+        out = []
+        for item in workloads.GENERATORS[workload](seed, seconds).items:
+            if workload == "sweep":
+                out.append(worker._sweep_window(cli, classno, workloads, item.window))
+            else:
+                out.append(worker._call(cli, item.argv, item.stdin))
+        return out
+
+    return run
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--workloads", nargs="+", default=["certify", "sweep", "construct"])
+    ap.add_argument("--seconds", type=int, default=30)
+    args = ap.parse_args(argv)
+    sys.dont_write_bytecode = True
+    run = runner(args.root.resolve())
     for name in args.workloads:
         for seed in args.seeds:
-            items = workloads.GENERATORS[name](seed, args.seconds).items
-            digest, nonzero = hashlib.sha256(), 0
-            for item in items:
-                if name == "sweep":
-                    rc, out = worker._sweep_window(cli, classno, workloads, item.window)
-                else:
-                    rc, out = worker._call(cli, item.argv, item.stdin)
-                nonzero += rc != 0
+            results = run(name, seed, args.seconds)
+            digest = hashlib.sha256()
+            for rc, out in results:
                 digest.update(f"{rc}\n{len(out)}\n{out}".encode())
-            print(f"{name} seed {seed}: {len(items)} items, {nonzero} nonzero exits, "
+            nonzero = sum(rc != 0 for rc, _ in results)
+            print(f"{name} seed {seed}: {len(results)} items, {nonzero} nonzero exits, "
                   f"sha256 {digest.hexdigest()}", flush=True)
     return 0
 

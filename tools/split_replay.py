@@ -6,8 +6,8 @@
 
 First it records every cofactor that arith._quadratic_sieve receives while
 the workload's items run once through iqtuples.cli.main in this process,
-the way tools/output_digest.py runs them (--root's src/ and perfbench/,
-by default the checkout holding this file). Then one long-lived
+by tools/output_digest.py's runner (--root's src/ and perfbench/, by
+default the checkout holding this file). Then one long-lived
 interpreter per checkout imports that checkout's iqtuples, runs the
 sieve once over all the cofactors untimed, and the two take turns: at
 each step each side times one pass over all of them, the side going first
@@ -36,19 +36,11 @@ from pathlib import Path
 
 def record(root: Path, workload: str, seed: int, seconds: int) -> list[int]:
     """The distinct cofactors _quadratic_sieve receives over the workload, in order."""
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import output_digest  # beside this file; imported once main has turned bytecode off
 
-    import numpy  # noqa: F401  the benchmark worker imports it before any item
+    run = output_digest.runner(root)
+    from iqtuples import arith
 
-    import iqtuples
-    from iqtuples import arith, classno, cli
-    import worker
-    import workloads
-
-    if Path(iqtuples.__file__).resolve().parent != root / "src" / "iqtuples":
-        raise SystemExit(f"iqtuples imported from {iqtuples.__file__}, not from {root}")
-    logging.getLogger().addHandler(logging.NullHandler())  # cli's basicConfig then stays silent
-    logging.getLogger().setLevel(logging.CRITICAL)
     seen: dict[int, None] = {}
     sieve = arith._quadratic_sieve
 
@@ -57,11 +49,7 @@ def record(root: Path, workload: str, seed: int, seconds: int) -> list[int]:
         return sieve(n)
 
     arith._quadratic_sieve = recording
-    for item in workloads.GENERATORS[workload](seed, seconds).items:
-        if workload == "sweep":
-            worker._sweep_window(cli, classno, workloads, item.window)
-        else:
-            worker._call(cli, item.argv, item.stdin)
+    run(workload, seed, seconds)
     return list(seen)
 
 
