@@ -2,10 +2,11 @@
 
 Everything here works on plain Python integers (arbitrary precision) and is
 deterministic: the same input always produces the same output, and no routine
-ever trades correctness for speed. The members of a tuple are values
-x^2 - 4N of one quadratic, so decompose_member(4N, x) takes the square-free
-parts of those with x^2 < 10^4 from one reduction of 4N modulo the primes
-up to 10^6 rather than from factorize; the answer is the same either way.
+ever trades correctness for speed. squarefree_decompose and decompose_member
+share one rule (_decompose): a cofactor with no prime below P is settled
+below P^3 by one isqrt, with no full factorization. A tuple's members are
+values x^2 - 4N, so decompose_member(4N, x) with x^2 < 10^4 also divides by
+the primes up to 10^6 that one reduction of 4N finds, which raises P.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 from math import gcd, inf, isqrt, log2, prod
 
 from .errors import BudgetError, DomainError, OutOfRangeError, decimal, labelled
@@ -47,7 +48,9 @@ class Limits:
     """Budgets for every computation in the context; set with ``limits``.
 
     rho_budget bounds the Pollard-rho iterations of one factorize() call,
-    charged as _split says. A negative budget raises DomainError.
+    charged as _split says; _brent_rho charges only its gcd-chunk steps,
+    about a third of the squarings it runs. A decomposition whose cofactor
+    is below 10007^3 takes no rho step. A negative budget raises DomainError.
     """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
@@ -158,6 +161,14 @@ def primes_up_to(m: int) -> list[int]:
 
 _TRIAL_PRIMES = primes_up_to(10_000)
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+
+
+def _prime_past(b: int) -> int:
+    """The least prime above b >= 2."""
+    return next(q for q in count(b + 1 | 1, 2) if is_prime(q))
+
+
+_PAST_TRIAL = _prime_past(10_000)  # 10007, the least prime trial division leaves
 _spf_table = array("i")
 # (m, sieved) -> (its Factorization, the rho iterations it took, 0 if rho never ran), m >= 10^8
 _factor_memo: dict[tuple[int, bool], tuple[Factorization, int]] = {}
@@ -545,6 +556,23 @@ def _primes_dividing(g: int):
             yield p
 
 
+def _trial_divide(m: int, more=()) -> tuple[int, dict[int, int]]:
+    """(v, {p: e}): m >= 1 divided by its primes below 10^4, then by those of more.
+
+    Below 10^8 the scan runs over the trial primes, above only over those
+    that one gcd with their product names; more lists primes past 10^4 that
+    divide m, increasing. The scan stops once p^2 exceeds v, then 1 or a prime.
+    """
+    exps: dict[int, int] = {}
+    for p in chain(_TRIAL_PRIMES if m < 10**8 else _primes_dividing(gcd(m, _TRIAL_PRODUCT)), more):
+        if p * p > m:
+            break
+        while m % p == 0:
+            exps[p] = exps.get(p, 0) + 1
+            m //= p
+    return m, exps
+
+
 def factorize(m: int) -> Factorization:
     """Prime factorization of m >= 2.
 
@@ -576,7 +604,7 @@ def factorize(m: int) -> Factorization:
 def _factorize(m: int, sieved: bool) -> Factorization:
     """factorize(m); sieved says that the member sieve has cleared m of every prime up to B.
 
-    A sieved m is the cofactor decompose_member leaves, and every composite
+    A sieved m is the cofactor _decompose leaves with a sieve, and every composite
     cofactor found in it goes to _split as sieved: both parts of a split
     keep that property. The memo is keyed by (m, sieved): the sieved route
     charges QS_AFTER where plain rho may split m in fewer, so an entry of
@@ -591,16 +619,7 @@ def _factorize(m: int, sieved: bool) -> Factorization:
         return labelled(lambda: f"factoring {decimal(m)}: "
                                 f"testing the cofactor {decimal(v)} for primality", is_prime, v)
 
-    small = gcd(m, _TRIAL_PRODUCT) if m >= 10**8 else 0  # product of the trial primes dividing m
-    n = m
-    exps: dict[int, int] = {}
-    # below 10^8 the scan ends by p^2 > n; above, it visits only the primes in small
-    for p in _TRIAL_PRIMES if m < 10**8 else _primes_dividing(small):
-        if p * p > n:
-            break  # no prime up to sqrt(n) divides n, so n is 1 or a prime below 10^8
-        while n % p == 0:
-            exps[p] = exps.get(p, 0) + 1
-            n //= p
+    n, exps = _trial_divide(m)
     budget = [rho_budget]
     stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
     while stack:
@@ -670,10 +689,6 @@ class _MemberSieve:
 # median of 7), took 1.38 s without the sieve, 1.15 s with B capped at 2^18
 # and 0.97 s at 10^6. Past 2^20 the int64 reduction could overflow.
 MEMBER_SIEVE_BOUND = 10**6
-# Below this 4N no sieve is built: a member's cofactor past 10^4 is then
-# below 10^12, so its smaller prime is below 10^6 and rho splits it within
-# about 10^3 steps, and certify's tuples (4N <= 2*10^11) decompose as before.
-_MEMBER_SIEVE_FROM = 10**12
 _sieve_memo: dict[int, _MemberSieve] = {}  # 4N -> its sieve, for every 4N sieved
 _sieve_tables: tuple = ()  # (B, the primes in (10^4, B], 2^40 mod each) for the largest B asked
 
@@ -701,7 +716,7 @@ def _sieve_primes(bound: int):
 
 
 def _member_sieve(four_n: int) -> _MemberSieve:
-    """The sieve of 4N, 10^12 <= 4N < MR_PROVEN_BOUND, from one int64 reduction.
+    """The sieve of 4N < MR_PROVEN_BOUND, from one int64 reduction.
 
     4N mod q = ((4N >> 40)(2^40 mod q) + (4N mod 2^40)) mod q; as 4N <
     MR_PROVEN_BOUND < 2^82 and q <= MEMBER_SIEVE_BOUND < 2^20, the sum stays
@@ -719,76 +734,64 @@ def _member_sieve(four_n: int) -> _MemberSieve:
     root = np.rint(np.sqrt(r[near]))
     hit = near[root * root == r[near]]
     pairs = sorted(zip(r[hit].tolist(), Q[hit].tolist()))
-    above = (bound + 1) | 1
-    while not is_prime(above):
-        above += 2
-    return _MemberSieve(bound, above, array("i", [x2 for x2, _ in pairs]),
+    return _MemberSieve(bound, _prime_past(bound), array("i", [x2 for x2, _ in pairs]),
                         array("i", [q for _, q in pairs]))
 
 
 def _sieve_of(four_n: int) -> _MemberSieve | None:
     """The sieve of 4N, or None when none is built for it.
 
-    Built only for 10^12 <= 4N < MR_PROVEN_BOUND and only once numpy is
-    loaded, as importing it would cost a one-shot command more than the
-    sieve saves; each 4N sieved is remembered for the process (MEMO_SIZE
-    at most).
+    Built only where it can hold a prime, 10007^3 <= 4N < MR_PROVEN_BOUND,
+    and once numpy is loaded, as importing it would cost a one-shot command
+    more than the sieve saves; each 4N sieved is remembered (MEMO_SIZE at most).
     """
     sieve = _sieve_memo.get(four_n)
-    if sieve is None and _MEMBER_SIEVE_FROM <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
+    if sieve is None and _PAST_TRIAL**3 <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
         sieve = _member_sieve(four_n)
         _remember(_sieve_memo, four_n, sieve)
     return sieve
 
 
 def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
-    """squarefree_decompose(x^2 - 4N), from the sieve of 4N when x^2 < 10^4 and it is built.
+    """squarefree_decompose(x^2 - 4N), using the sieve of 4N when x^2 < 10^4 and it is built.
 
     Every radicand of a tuple is such a member: d, d + 1, d + 4 and d + 4p^2
-    are x = 0, 1, 2 and 2p with 4N = -d. The sieve gives the primes in
-    (10^4, B] dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of
-    4N), and those below 10^4 come by trial division, each divided out to
-    its exponent. The cofactor v left has no prime up to B. Below P^3, P
-    the least prime past B, v is then 1, a prime, a prime square or a
-    product of two primes: a perfect square or square-free, with no rho and
-    no is_prime. From P^3 up v is factorized as sieved (_split). Without
-    the sieve (see _sieve_of), or for x^2 >= 10^4, the member goes to
-    squarefree_decompose; the decomposition is the same either way.
+    are x = 0, 1, 2 and 2p with 4N = -d. The sieve gives the primes in (10^4, B]
+    dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of 4N), for
+    _decompose's rule. Without the sieve (see _sieve_of), or for x^2 >= 10^4,
+    the member goes to squarefree_decompose; the result is the same either way.
     """
     x2 = x * x
-    m = x2 - four_n
     sieve = _sieve_of(four_n) if x2 < 10_000 else None
-    if sieve is None:
-        return squarefree_decompose(m)
-    v = -m
-    parts = []
-    for p in chain(_primes_dividing(gcd(v, _TRIAL_PRODUCT)), sieve.divisors(x2)):
-        e = 0
-        while v % p == 0:
-            v //= p
-            e += 1
-        parts.append((p, e))
-    if v >= sieve.above**3:
-        parts += _factorize(v, True).factors
-    elif v > 1:  # a prime, a prime square or two distinct primes, all past B
-        r = isqrt(v)
-        parts.append((r, 2) if r * r == v else (v, 1))
-    return _from_parts(m, parts)
+    return _decompose(x2 - four_n, sieve, x2) if sieve else squarefree_decompose(x2 - four_n)
 
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
-    """Split nonzero m as s * f**2 with s square-free, sign(s) = sign(m), from factorize(|m|)."""
+    """Split nonzero m as s * f**2 with s square-free and sign(s) = sign(m), by _decompose's rule."""
     if m == 0:
         raise DomainError("squarefree_decompose requires m != 0")
-    if abs(m) == 1:
-        return SquarefreeDecomposition(m, m, 1)
-    return _from_parts(m, factorize(abs(m)).factors)
+    return _decompose(m)
 
 
-def _from_parts(m: int, parts) -> SquarefreeDecomposition:
-    """The decomposition of m from pairwise coprime square-free b and exponents e, |m| = prod(b^e)."""
+def _decompose(m: int, sieve: _MemberSieve | None = None, x2: int = 0) -> SquarefreeDecomposition:
+    """The decomposition of m != 0, the member x2 - 4N of sieve when one is given.
+
+    The one rule for every number: |m| is trial-divided below 10^4 and by
+    the sieve's primes for x2, leaving a cofactor v with no prime below P,
+    the least prime past 10^4 (10007) or, with a sieve, past B. Below P^3, v
+    is 1, a prime, a prime square or two distinct primes: a perfect square
+    or square-free, settled by one isqrt with no rho and no is_prime. From
+    P^3 up, a sieved v is factorized as sieved (_split), and otherwise
+    factorize(|m|) takes the whole of m, keeping its memo key and messages.
+    """
+    v, exps = _trial_divide(abs(m), sieve.divisors(x2) if sieve else ())
+    if v >= (sieve.above if sieve else _PAST_TRIAL) ** 3:
+        exps.update(_factorize(v, True).factors if sieve else factorize(abs(m)).factors)
+    elif v > 1:
+        r = isqrt(v)
+        exps.update([(r, 2) if r * r == v else (v, 1)])
     s, f = 1, 1
-    for p, e in parts:
+    for p, e in exps.items():
         if e % 2:
             s *= p
         f *= p ** (e // 2)

@@ -84,17 +84,13 @@ def _check_nk(n: int, k: int) -> None:
         raise DomainError(f"k must be an integer >= 2, got {k}")
 
 
-def _identities_hold(n: int, k: int, d: int, p_list: list[int]) -> bool:
-    kn = k**n
-    ell = 4 * kn - 1
-    if d != 4 * (1 - 4 * kn) ** n:
-        return False
-    elln = ell**n
-    if d + 1 != 1 - 4 * elln:
-        return False
-    if d + 4 != 4 * (1 - elln):
-        return False
-    return all(d + 4 * p * p == 4 * (p * p - elln) for p in p_list)
+def _identities_hold(t: FamilyTuple) -> bool:
+    """Whether t's ell, d, offsets and radicands are the ones its n, k and p_list determine."""
+    ell = 4 * t.k**t.n - 1
+    d = -4 * lrn.ell_power(ell, t.n)
+    offsets = [0, 1, 4] + [4 * p * p for p in t.p_list]
+    return ((t.ell, t.d, t.offsets) == (ell, d, offsets)
+            and all(m.radicand == d + m.offset for m in t.members))
 
 
 def _theorem_b_check(n: int, ell: int) -> HypothesisCheck:
@@ -194,14 +190,15 @@ def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
 def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     """Fill in class numbers and divisibility verdicts for every member.
 
-    Re-checks the construction identities first, then verifies members in
-    offset order. A member whose form count raises BudgetError (its
+    Re-checks first that ell, d, the offsets and every radicand d + offset
+    are those n, k and p_list determine, then verifies members in offset
+    order. A member whose form count raises BudgetError (its
     |square-free part| exceeds the current Limits.sf_budget) is marked
     unverified. Each square-free part is taken as _build derived it, so its
     field discriminant (s, or 4s unless s = 1 mod 4) needs no factoring.
     Returns the same tuple with members completed.
     """
-    if not _identities_hold(t.n, t.k, t.d, t.p_list):
+    if not _identities_hold(t):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
     for m in sorted(t.members, key=lambda m: m.offset):
         if m.radicand != m.squarefree_part * m.cofactor**2:

@@ -380,6 +380,31 @@ class TestSquarefree:
             assert (d.s > 0) == (m > 0)
             assert d.f >= 1
 
+    def test_no_rho_below_the_cube_of_10007(self):
+        # -255808047896 = -8 * 33641 * 950507: the cofactor is two primes
+        # below 10007^3, which one isqrt settles with no rho step
+        with arith.limits(rho_budget=0):
+            d = arith.squarefree_decompose(-255808047896)
+        assert (d.s, d.f) == (-63952011974, 2)
+
+    def test_cofactors_around_the_cube_of_10007(self, monkeypatch):
+        # v is what trial division below 10^4 leaves; factorize sees m
+        # exactly when v >= 10007^3
+        P = 10007
+        factorized = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda m: factorized.append(m) or factorize(m))
+        cases = [(P * 10009, False), (P * P, False), (999999999989, False),
+                 (P * 100140043, False), (P**3, True), (P * P * 10009, True)]
+        assert P * 100140043 < P**3 and arith.is_prime(100140043) and arith.is_prime(999999999989)
+        for v, factors in cases:
+            for small in (1, 2, 12, 3 * 5 * 7 * 9973, 8 * 9973**2):
+                for m in (small * v, -small * v):
+                    factorized.clear()
+                    d = arith.squarefree_decompose(m)
+                    assert (d.s, d.f) == _sympy_decompose(m), m
+                    assert factorized == ([abs(m)] if factors else []), m
+
     def test_s_is_squarefree_by_refactoring(self):
         rng = random.Random(2024)
         for m in rng.sample(range(2, 10**6), 10**4):
@@ -483,9 +508,19 @@ class TestMemberSieve:
         assert not arith._sieve_memo
         monkeypatch.undo()
         assert arith._sieve_of(10**15) is arith._sieve_memo[10**15]
-        # squarefree_decompose reads no sieve: the member x = 6 takes the plain route
-        arith.squarefree_decompose(36 - 10**15)
-        assert (10**15 - 36, False) in arith._factor_memo
+        # squarefree_decompose reads no sieve: the member x = 3, whose cofactor
+        # 718321 * 2131907 is past 10007^3, takes the plain route
+        monkeypatch.setattr(arith, "_sieve_of", _untouchable)
+        d = arith.squarefree_decompose(9 - 10**15)
+        assert (d.s, d.f) == _sympy_decompose(9 - 10**15)
+        assert (10**15 - 9, False) in arith._factor_memo
+        assert not any(sieved for _, sieved in arith._factor_memo)
+
+    def test_built_only_where_it_can_hold_a_prime(self):
+        # below 10007^3 the cube root B is below 10007, the least prime past 10^4
+        for four_n in (10**12, 10**12 + 4, 10007**3 - 1):
+            assert arith._sieve_of(four_n) is None
+        assert 10007 <= arith._sieve_of(10008**3).bound < arith._sieve_of(10008**3).above
 
     def test_one_sieve_per_tuple(self, monkeypatch):
         built = []

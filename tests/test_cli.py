@@ -18,6 +18,10 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _untouchable(*args):
+    raise AssertionError("called")
+
+
 TOO_LONG = (f"invalid input: a result has more than {sys.get_int_max_str_digits()} digits, "
             "Python's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)\n")
 
@@ -571,22 +575,35 @@ class TestHarness:
         assert Counter(split) == alone_splits
         assert len(split) < alone_total
 
-    def test_verify_splits_a_member_cofactor_once(self, capsys, monkeypatch):
+    def test_verify_factors_nothing_once_built(self, capsys, monkeypatch):
         # the member at offset 4 has radicand -255808047896 = 8 * -31976005987
-        # and square-free part -63952011974 = 2 * -31976005987
-        split = []
-        brent_rho = arith._brent_rho
+        # and square-free part -63952011974 = 2 * -31976005987; verify_tuple
+        # takes each square-free part as built and splits nothing again
+        verify_tuple = families.verify_tuple
 
-        def recording(n, budget, *rest):
-            split.append(n)
-            return brent_rho(n, budget, *rest)
+        def verify_unfactored(t):
+            monkeypatch.setattr(arith, "_factorize", _untouchable)
+            monkeypatch.setattr(arith, "_brent_rho", _untouchable)
+            return verify_tuple(t)
 
-        monkeypatch.setattr(arith, "_brent_rho", recording)
+        monkeypatch.setattr(families, "verify_tuple", verify_unfactored)
         code, out, _ = run(capsys, "quadruple", "-n", "3", "-p", "5", "-k", "10", "--verify",
                            "--format", "json")
         assert code == 0
-        assert -63952011974 in (m["squarefree_part"] for m in json.loads(out)["members"])
-        assert split.count(31976005987) == 1
+        rec = json.loads(out)
+        assert rec["all_divisible"] is True
+        assert -63952011974 in (m["squarefree_part"] for m in rec["members"])
+
+    def test_no_rho_below_the_cube_of_10007(self, capsys):
+        # 4N = 2.56*10^11: every member's cofactor past trial division is
+        # below 10007^3, so one isqrt settles it, with numpy loaded or not
+        argv = ["quadruple", "-n", "3", "-p", "5", "-k", "10", "--rho-budget", "0"]
+        assert run(capsys, *argv)[0] == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "iqtuples", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_verbose_names_sieve_and_power_splits(self, capsys, caplog):
         sieved = "61887126757805598613499"  # 149383678981 * 414283054079

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iqtuples import arith, families
+from iqtuples import arith, classno, families
 from iqtuples.arith import limits
 from iqtuples.classno import field_class_number
 from iqtuples.errors import BudgetError, DomainError, HypothesisRejection
@@ -191,12 +191,12 @@ class TestVerifyTuple:
             with pytest.raises(DomainError):
                 quadruple(n, 3, k)
 
-    def test_negative_divisibility_detected(self):
-        # hand-built tuple, radicand -15 has h = 2, not divisible by 3
-        t = FamilyTuple(
-            "quadruple", 3, 2, [3], 31, -119164,
-            [FamilyMember(0, -15, -15, 1)],
-        )
+    def test_negative_divisibility_detected(self, monkeypatch):
+        # a built tuple's offset-0 member (s = -31) counted as radicand -15,
+        # whose h = 2 is not divisible by 3
+        t = quadruple(3, 3, 2)
+        forms = classno.class_number_forms
+        monkeypatch.setattr(classno, "class_number_forms", lambda D: forms(-15 if D == -31 else D))
         verify_tuple(t)
         assert t.members[0].class_number == 2
         assert t.members[0].divisible is False
@@ -225,6 +225,21 @@ class TestVerifyTuple:
     def test_broken_member_decomposition_detected(self):
         t = quadruple(3, 3, 2)
         t.members[0].cofactor = 5
+        with pytest.raises(ArithmeticError):
+            verify_tuple(t)
+
+    @pytest.mark.parametrize("mutate", [
+        # Q(sqrt(-23)) is no member of the tuple, and h(-23) = 3 would pass
+        lambda t: t.members.__setitem__(1, FamilyMember(1, -23, -23, 1)),
+        lambda t: setattr(t.members[3], "offset", 4 * 49),
+        lambda t: t.members.pop(),
+        lambda t: t.members.append(FamilyMember(4 * 49, t.d + 4 * 49, t.d + 4 * 49, 1)),
+        lambda t: setattr(t, "ell", t.ell + 4),
+        lambda t: setattr(t, "p_list", [5]),
+    ])
+    def test_every_radicand_is_rechecked(self, mutate):
+        t = quadruple(3, 3, 2)
+        mutate(t)
         with pytest.raises(ArithmeticError):
             verify_tuple(t)
 
