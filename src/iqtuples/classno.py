@@ -20,7 +20,9 @@ gcd(a, b, c) = 1 form by form, an independent check on the local rule,
 and on request lists the forms of every a, within one a in the CRT order
 of the roots. Counts are remembered for the process. An independent
 Dirichlet evaluator of the class number formula cross-checks fundamental
-D.
+D, for |D| <= DIRICHLET_LIMIT: it splits the character at the largest odd
+prime q of D and counts the squares mod q by residue class mod |D|/q, so
+none of its arrays is as long as |D| (class_number_dirichlet).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import BudgetError, DomainError
 
 log = logging.getLogger(__name__)
 
-# The Dirichlet oracle evaluates a character sum of length |D|/2; cap it.
+# The Dirichlet oracle sums a character over |D|/2 residues; cap it.
 DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
@@ -123,18 +125,19 @@ def _two_adic_roots(D: int, v: int) -> list[int]:
     return roots[: len(roots) // 2]
 
 
-def _primitive_roots(D: int, p: int, e: int) -> list[int]:
+def _primitive_roots(D: int, p: int, e: int, roots: list[int] | None = None) -> list[int]:
     """The roots mod p^e (2^(e+1) at p = 2) of primitive forms, p^e exactly dividing a.
 
-    For odd p, the x with x^2 = D (mod p^e); for p = 2, _two_adic_roots(D, e).
-    When e >= 1, the x with p | x and p | c are dropped: those with p^(e+1)
+    For odd p, the x with x^2 = D (mod p^e); for p = 2, _two_adic_roots(D, e):
+    these are roots, unless a caller that has them already gives them. When
+    e >= 1, the x with p | x and p | c are dropped: those with p^(e+1)
     (2^(e+3) at p = 2) dividing x^2 - D, as p | x gives b^2 = x^2 modulo
     that power.
     """
     if p == 2:
-        roots, mod = _two_adic_roots(D, e), 8 << e
+        roots, mod = _two_adic_roots(D, e) if roots is None else roots, 8 << e
     else:
-        roots, mod = arith.sqrt_mod_prime_power(D, p, e), p ** (e + 1)
+        roots, mod = arith.sqrt_mod_prime_power(D, p, e) if roots is None else roots, p ** (e + 1)
     if D % p == 0 and e:  # else p | x would mean p | D, or p does not divide a
         roots = [x for x in roots if x % p or (x * x - D) % mod]
     return roots
@@ -228,14 +231,28 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
     root mod p^e, nor mod any higher power. While p^e | D a zero may precede
     a nonzero count (D = p^2 u, u a nonzero square mod p: R(p) = 0 and
     R(p^2) = p - 2).
+
+    Each power's roots are lifted from the last power's: x in [0, span) to
+    the x + k*span (k < p) that are roots mod nxt, the next modulus (at 2,
+    from _two_adic_roots(D, e) to those of e + 1). At odd p, Newton's step
+    gives the one lift of an x prime to p; an x = 0 (mod p) lifts to every
+    k or to none, as (x + k*span)^2 = x^2 (mod nxt).
     """
+    roots = _two_adic_roots(D, 1) if p == 2 else arith.sqrt_mod_prime_power(D, p, 1)
     out, q, e = [], p, 1
     while q <= a_max:
-        n = len(_primitive_roots(D, p, e))
+        n = len(_primitive_roots(D, p, e, roots))
         out.append((q, n))
-        if n == 0 and D % q:
+        if n == 0 and D % q or q > a_max // p:
             break
-        q, e = q * p, e + 1
+        span, nxt = (2 * q, 8 * q) if p == 2 else (q, p * q)
+        lifted = []
+        for x in roots:
+            if p > 2 and x % p:
+                lifted.append((x - (x * x - D) * pow(2 * x, -1, nxt)) % nxt)
+            elif x % p or (x * x - D) % nxt == 0:
+                lifted += [y for y in range(x, p * span, span) if (y * y - D) % nxt == 0]
+        roots, q, e = lifted, q * p, e + 1
     return out
 
 
@@ -618,53 +635,78 @@ def _fill_periodic(out, table) -> None:
         n += k
 
 
-# i taken at once while a Legendre table is built: int64 blocks of 128 KB.
-# Over the 480 D of the sweep benchmark's seed 1, in one process, blocks of
-# 2^16 took 28 % more minor page faults than one buffer of p / 2 entries
-# (22 715 against 17 676) and blocks of 2^14 took 3 114 (2-core x86-64 VM,
-# CPython 3.11, glibc malloc); the sweep's item_p50_ms followed the faults.
+# i taken at once while the squares mod p are formed, for a Legendre table
+# or for the oracle's count of squares by residue class: int64 blocks of
+# 128 KB. Over the 480 D of the sweep benchmark's seed 1, in one process,
+# blocks of 2^16 took 28 % more minor page faults than one buffer of p / 2
+# entries (22 715 against 17 676) and blocks of 2^14 took 3 114 (2-core
+# x86-64 VM, CPython 3.11, glibc malloc); the sweep's item_p50_ms followed
+# the faults.
 _LEGENDRE_BLOCK = 1 << 14
 
 
-def _legendre_table(p: int):
-    """The int8 table t with t[r] = (r/p) for 0 <= r < p, p an odd prime.
+def _square_blocks(p: int):
+    """The i^2 mod p for 0 < i <= (p - 1)/2, p an odd prime: each nonzero square once.
 
-    The nonzero squares mod p are the i^2 mod p for 0 < i <= p // 2. They
-    are taken _LEGENDRE_BLOCK i at a time: the i^2 sit in one int64 buffer
-    and are reduced in place as sq - p * (sq // p), as numpy divides by one
-    scalar without a hardware division per element, which an int64 % pays.
-    So two buffers of 128 KB, whatever p, are live beside the table.
-    Exact for p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
+    _LEGENDRE_BLOCK i at a time, the i^2 sit in one int64 buffer and are
+    reduced in place as sq - p * (sq // p), as numpy divides by one scalar
+    without a hardware division per element, which an int64 % pays. Each
+    block is yielded as int32, where the callers' passes over it run faster.
+    So two int64 buffers of 128 KB, whatever p, are live at once. Exact for
+    p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
     """
     import numpy as np
 
-    legendre = np.full(p, -1, dtype=np.int8)
     half = p // 2 + 1
-    for lo in range(0, half, _LEGENDRE_BLOCK):
+    for lo in range(1, half, _LEGENDRE_BLOCK):
         sq = np.arange(lo, min(lo + _LEGENDRE_BLOCK, half), dtype=np.int64)
         sq *= sq
         q = sq // p
         q *= p
         sq -= q
-        legendre[sq] = 1
+        yield sq.astype(np.int32)
+
+
+def _legendre_table(p: int):
+    """The int8 table t with t[r] = (r/p) for 0 <= r < p, p an odd prime, from _square_blocks."""
+    import numpy as np
+
+    legendre = np.full(p, -1, dtype=np.int8)
     legendre[0] = 0
+    for sq in _square_blocks(p):
+        legendre[sq] = 1
     return legendre
+
+
+# (D/a) for 0 <= a < 8 at the 2-part prime discriminants -4, 8 and -8
+_TWO_PART = {-4: [0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1], -8: [0, 1, 0, 1, 0, -1, 0, -1]}
 
 
 def class_number_dirichlet(D: int) -> ClassNumberResult:
     """Class number of a fundamental D < 0 by the half-range Dirichlet formula.
 
-        h = sum_{0 < a < |D|/2} (D/a) / (2 - (D/2))
+        h = S / (2 - (D/2)),  S = sum_{0 < a <= A} (D/a),  A = (|D| - 1) // 2
 
     for D < -4, and h = 1 for D = -3 and D = -4. D is split into prime
     discriminants through one factorization, which also decides whether D
-    is fundamental. The character (D/a) on 0 <= a <= |D|/2 is the product
-    of one int8 residue table per factor, each repeated to length |D|/2 + 1
-    by copying the filled prefix onto the rest, with no index array. The
-    table of an odd p marks the squares i^2 mod p, 0 <= i <= p // 2, reduced
-    by a floor division by p (_legendre_table). Every intermediate is exact,
-    as |D| <= 10^6 is enforced: i <= 5 * 10^5, so i^2 < 2^38.
-    Independent of the form-counting path by construction.
+    is fundamental. No array grows with |D|. With q the largest odd prime
+    of D and m1 = |D|/q, (D/a) = chi1(a) (a/q), chi1 the product of the
+    other prime discriminants' characters, of period m1: one int8 residue
+    table each (_legendre_table for an odd p), repeated by copying the
+    filled prefix onto the rest. Writing a = qj + r with (Q0, R0) =
+    divmod(A, q), and t_c = c * (q^-1 mod m1) mod m1,
+
+        S = chi1(q) sum_{c < m1} [(C1[t_c + Q0 + 1] - C1[t_c]) X0[c]
+                                  + (C1[t_c + Q0] - C1[t_c]) X1[c]],
+
+    C1 the prefix sums of chi1 over its m1 + Q0 + 1 entries (int32), and
+    X_h[c] the sum of (r/q) over 0 < r < q with r = c (mod m1) and [r > R0]
+    = h: twice the squares i^2 mod q (0 < i <= (q - 1)/2) in that class and
+    side, one np.bincount per block of _square_blocks, minus all its
+    residues. Only the min(m1, q) classes c < q hold any r, so the arrays
+    over c are no longer than sqrt(|D|). For |D| = q prime S = 2 #{i : i^2
+    mod q <= A} - A; D = -8 reads its 8-entry table. Exact as |D| <= 10^6
+    is enforced. Independent of the form-counting path by construction.
     """
     import numpy as np
 
@@ -690,18 +732,45 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
         )
     if D in (-3, -4):
         return ClassNumberResult(D, 1, "dirichlet")
-    # 0 <= a <= |D|/2: (D/0) = 0, and (D/a) = 0 at a = |D|/2 when |D| is even
-    tables = [_legendre_table(p) for p in odd_primes]
-    if rem != 1:
-        tables.append(np.array({-4: [0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
-                                -8: [0, 1, 0, 1, 0, -1, 0, -1]}[rem], dtype=np.int8))
-    chi = np.empty(absD // 2 + 1, dtype=np.int8)
-    _fill_periodic(chi, tables[0])
-    factor = np.empty_like(chi)
-    for table in tables[1:]:
-        _fill_periodic(factor, table)
-        chi *= factor
-    S = int(chi.sum(dtype=np.int64))
+    A = (absD - 1) // 2
+    if not odd_primes:  # D = -8
+        S = sum(_TWO_PART[rem][1 : A + 1])
+    elif absD == odd_primes[0]:
+        S = -A
+        for sq in _square_blocks(absD):
+            S += 2 * int(np.count_nonzero(sq <= A))
+    else:
+        q = odd_primes.pop()
+        m1 = absD // q
+        Q0, R0 = divmod(A, q)
+        tables = [_legendre_table(p) for p in odd_primes]
+        if rem != 1:
+            tables.append(np.array(_TWO_PART[rem], dtype=np.int8))
+        chi1 = np.empty(m1 + Q0, dtype=np.int8)
+        _fill_periodic(chi1, tables[0])
+        factor = np.empty_like(chi1)
+        for table in tables[1:]:
+            _fill_periodic(factor, table)
+            chi1 *= factor
+        C1 = np.zeros(m1 + Q0 + 1, dtype=np.int32)
+        np.cumsum(chi1, dtype=np.int32, out=C1[1:])
+        k = min(m1, q)  # the classes c holding some 0 < r < q
+        squares = np.zeros(2 * k, dtype=np.int64)  # at 2c + [r > R0]
+        for sq in _square_blocks(q):
+            key = sq // m1
+            key *= -2 * m1
+            key += sq
+            key += sq
+            key += sq > R0
+            squares += np.bincount(key, minlength=2 * k)
+        c = np.arange(k)
+        total = (q - 1 - c) // m1 + 1  # the r in [0, q) and in [0, R0] with r = c (mod m1)
+        low = (R0 - c) // m1 + 1
+        total[0] -= 1  # r = 0
+        low[0] -= 1
+        t = c * pow(q, -1, m1) % m1
+        S = int(chi1[q % m1]) * int((C1[t + Q0 + 1] - C1[t]) @ (2 * squares[0::2] - low)
+                                    + (C1[t + Q0] - C1[t]) @ (2 * squares[1::2] - total + low))
     den = 2 - arith.kronecker(D, 2)
     if S <= 0 or S % den != 0:
         raise ArithmeticError(f"character sum {S} is inconsistent for D = {D}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, fields
+from math import isqrt
 
 from . import arith, classno, lrn
 from .errors import (BudgetError, DomainError, HypothesisCheck, HypothesisRejection,
@@ -192,16 +193,21 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
 
     Re-checks first that ell, d, the offsets and every radicand d + offset
     are those n, k and p_list determine, then verifies members in offset
-    order. A member whose form count raises BudgetError (its
+    order. Each member's (s, f) is derived again, as _build derived it, by
+    arith.decompose_member(-d, x) with x^2 its offset, and a member whose s
+    or f differs raises ArithmeticError. The sieve of -d and every
+    factorization from 10^8 up are remembered from the build (at most
+    arith.MEMO_SIZE), so while they are, this repeats trial division but
+    takes no rho step. The field discriminant is then s, or 4s unless
+    s = 1 mod 4. A member whose form count raises BudgetError (its
     |square-free part| exceeds the current Limits.sf_budget) is marked
-    unverified. Each square-free part is taken as _build derived it, so its
-    field discriminant (s, or 4s unless s = 1 mod 4) needs no factoring.
-    Returns the same tuple with members completed.
+    unverified. Returns the same tuple with members completed.
     """
     if not _identities_hold(t):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
     for m in sorted(t.members, key=lambda m: m.offset):
-        if m.radicand != m.squarefree_part * m.cofactor**2:
+        dec = arith.decompose_member(-t.d, isqrt(m.offset))
+        if (m.squarefree_part, m.cofactor) != (dec.s, dec.f):
             raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
         s = m.squarefree_part
         try:

@@ -583,7 +583,8 @@ class TestDirichlet:
             assert table.tolist() == [e if e < 2 else e - p for e in euler], p
 
     def test_legendre_table_across_block_boundaries(self):
-        # p // 2 + 1 = 2^16 ends on a block boundary, and the next prime spills past it
+        # p // 2 + 1 = 2^16: the squares of i = 1..p // 2 end one short of the
+        # fourth block boundary, and the next prime's spill past it
         after = next(n for n in range(131073, 10**6, 2) if trial_is_prime(n))
         assert trial_is_prime(131071) and (131071 // 2 + 1) % classno._LEGENDRE_BLOCK == 0
         assert after // 2 + 1 > 2**16
@@ -620,6 +621,36 @@ class TestDirichlet:
         for Ds in kinds.values():
             for D in Ds:
                 assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_peak_memory_does_not_grow_with_d(self):
+        # |D| = 999983 is prime: the squares mod |D| are counted 2^14 at a time,
+        # and no table of |D| entries is built (a table and |D|/2 + 1 character
+        # values took 2 MB). -994840 = -8 * 5 * 7 * 11 * 17 * 19 has the longest
+        # chi1 under the limit, m1 + Q0 = 78539 entries for q = 19
+        for D, h in ((-999983, 1171), (-994840, 256)):
+            classno.class_number_dirichlet(D)  # numpy's first-use allocations, outside the count
+            tracemalloc.start()
+            try:
+                got = classno.class_number_dirichlet(D).h
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == h and peak < 10**6, (D, peak)
+
+    def test_square_blocks_on_and_past_a_block_boundary(self):
+        # q = 65537 has (q - 1)/2 = 2 blocks of squares exactly, q = 65539 one
+        # square more; both as the largest prime of D, and 65539 on its own
+        assert 65537 // 2 == 2 * classno._LEGENDRE_BLOCK
+        for q in (65537, 65539):
+            assert trial_is_prime(q)
+            blocks = list(classno._square_blocks(q))
+            assert [len(b) for b in blocks[:2]] == [classno._LEGENDRE_BLOCK] * 2
+            squares = np.concatenate(blocks).tolist()
+            assert squares == [i * i % q for i in range(1, q // 2 + 1)], q
+            assert len(set(squares)) == q // 2, q
+        for D, h in ((-3 * 65537, 138), (-8 * 65537, 224), (-65539, 57)):
+            assert classno.is_fundamental_discriminant(D)
+            assert classno.class_number_dirichlet(D).h == h == classno.class_number_forms(D).h, D
 
     def test_fill_periodic(self):
         table = np.array([0, 1, -1, -1, 1], dtype=np.int8)

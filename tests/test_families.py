@@ -228,6 +228,19 @@ class TestVerifyTuple:
         with pytest.raises(ArithmeticError):
             verify_tuple(t)
 
+    @pytest.mark.parametrize("s, f", [(-119164, 1), (-29791, 2)])
+    def test_every_square_free_part_is_rederived(self, s, f):
+        # radicand = s * f^2 holds for both, but s is not square-free: the form
+        # count would give h = 186 or 93, the class numbers of orders, where
+        # the field Q(sqrt(-31)) has h = 3
+        t = quadruple(3, 3, 2)
+        m0 = t.members[0]
+        assert (m0.radicand, m0.squarefree_part, m0.cofactor) == (-119164, -31, 62)
+        m0.squarefree_part, m0.cofactor = s, f
+        assert m0.radicand == s * f * f
+        with pytest.raises(ArithmeticError, match="offset 0 has a broken decomposition"):
+            verify_tuple(t)
+
     @pytest.mark.parametrize("mutate", [
         # Q(sqrt(-23)) is no member of the tuple, and h(-23) = 3 would pass
         lambda t: t.members.__setitem__(1, FamilyMember(1, -23, -23, 1)),
