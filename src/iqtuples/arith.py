@@ -6,7 +6,8 @@ ever trades correctness for speed. squarefree_decompose and decompose_member
 share one rule (_decompose): a cofactor with no prime below P is settled
 below P^3 by one isqrt, with no full factorization. A tuple's members are
 values x^2 - 4N, so decompose_member(4N, x) with x^2 < 10^4 also divides by
-the primes up to 10^6 that one reduction of 4N finds, which raises P.
+the primes up to 10^6 that one reduction of 4N finds, which raises P, and
+remembers every member it settles without factorizing.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class Limits:
 
 _LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())
 
-# Entries each process-lifetime memo keeps (factorize's here, classno's
-# h-only form counts); past it the oldest entry goes. Running all 390 items
-# of the construct benchmark in one process leaves 758 factorizations.
+# Entries each process-lifetime memo keeps (factorize's, the member sieves and
+# members here, classno's h-only form counts); past it the oldest entry goes.
+# Running all 390 items of the construct benchmark in one process leaves 758
+# factorizations and 1140 members.
 MEMO_SIZE = 1 << 14
 
 
@@ -690,6 +692,8 @@ class _MemberSieve:
 # and 0.97 s at 10^6. Past 2^20 the int64 reduction could overflow.
 MEMBER_SIEVE_BOUND = 10**6
 _sieve_memo: dict[int, _MemberSieve] = {}  # 4N -> its sieve, for every 4N sieved
+# (4N, x^2) -> the decomposition of x^2 - 4N, for each member settled with no factorize
+_member_memo: dict[tuple[int, int], SquarefreeDecomposition] = {}
 _sieve_tables: tuple = ()  # (B, the primes in (10^4, B], 2^40 mod each) for the largest B asked
 
 
@@ -760,21 +764,45 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
     dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of 4N), for
     _decompose's rule. Without the sieve (see _sieve_of), or for x^2 >= 10^4,
     the member goes to squarefree_decompose; the result is the same either way.
+
+    A member settled with no factorize, and so with no rho charge, is
+    remembered for the process under (4N, x^2) (MEMO_SIZE at most, the
+    oldest dropped first), and a repeat skips the sieve lookup and the trial
+    division. With the sieve that is every member whose cofactor _decompose
+    settles below P^3; without it, every member below 10007^3, where no
+    cofactor can reach P^3 (telling the others apart would need their
+    cofactor). The key holds 4N, not only the member, because the same
+    member reached from another 4N has another sieve, or none, and could
+    need a factorization there. A factorized member is not kept here: its
+    factorization sits in _factor_memo under that memo's budget rule, so a
+    remembered member never lets a smaller rho_budget pass where a fresh
+    call would raise.
     """
     x2 = x * x
+    hit = _member_memo.get((four_n, x2))
+    if hit is not None:
+        return hit
+    m = x2 - four_n
     sieve = _sieve_of(four_n) if x2 < 10_000 else None
-    return _decompose(x2 - four_n, sieve, x2) if sieve else squarefree_decompose(x2 - four_n)
+    if sieve:
+        out, factored = _decompose(m, sieve, x2)
+    else:
+        out, factored = squarefree_decompose(m), abs(m) >= _PAST_TRIAL**3
+    if not factored:
+        _remember(_member_memo, (four_n, x2), out)
+    return out
 
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
     """Split nonzero m as s * f**2 with s square-free and sign(s) = sign(m), by _decompose's rule."""
     if m == 0:
         raise DomainError("squarefree_decompose requires m != 0")
-    return _decompose(m)
+    return _decompose(m)[0]
 
 
-def _decompose(m: int, sieve: _MemberSieve | None = None, x2: int = 0) -> SquarefreeDecomposition:
-    """The decomposition of m != 0, the member x2 - 4N of sieve when one is given.
+def _decompose(m: int, sieve: _MemberSieve | None = None,
+               x2: int = 0) -> tuple[SquarefreeDecomposition, bool]:
+    """(the decomposition of m != 0, whether it factorized), m the member x2 - 4N of a sieve given.
 
     The one rule for every number: |m| is trial-divided below 10^4 and by
     the sieve's primes for x2, leaving a cofactor v with no prime below P,
@@ -785,7 +813,8 @@ def _decompose(m: int, sieve: _MemberSieve | None = None, x2: int = 0) -> Square
     factorize(|m|) takes the whole of m, keeping its memo key and messages.
     """
     v, exps = _trial_divide(abs(m), sieve.divisors(x2) if sieve else ())
-    if v >= (sieve.above if sieve else _PAST_TRIAL) ** 3:
+    factored = v >= (sieve.above if sieve else _PAST_TRIAL) ** 3
+    if factored:
         exps.update(_factorize(v, True).factors if sieve else factorize(abs(m)).factors)
     elif v > 1:
         r = isqrt(v)
@@ -795,7 +824,7 @@ def _decompose(m: int, sieve: _MemberSieve | None = None, x2: int = 0) -> Square
         if e % 2:
             s *= p
         f *= p ** (e // 2)
-    return SquarefreeDecomposition(m, s if m > 0 else -s, f)
+    return SquarefreeDecomposition(m, s if m > 0 else -s, f), factored
 
 
 def kronecker(D: int, n: int) -> int:

@@ -484,7 +484,9 @@ def _tail_count(D: int, tail) -> int:
         root_at[p[sp]] = 1
     split_p = np.flatnonzero(root_at)
     root_at[split_p] = _sqrt_mod_split(D % split_p, split_p)
-    exact_q = np.unique(np.concatenate([q[~sp] for _, _, q, sp in levels] + [low[:0]]))
+    # sorted, repeats dropped: np.unique would import numpy.ma on its first call
+    exact_q = np.sort(np.concatenate([q[~sp] for _, _, q, sp in levels] + [low[:0]]))
+    exact_q = exact_q[np.diff(exact_q, prepend=-1) != 0]
     exact = []
     for q in exact_q.tolist():
         p, e = int(spf[q]) or q, 1

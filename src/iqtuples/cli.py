@@ -85,7 +85,6 @@ def _tuple_exit(t: families.FamilyTuple, verified: bool) -> int:
 
 
 def _emit_tuple(t: families.FamilyTuple, fmt: str, header: bool = True) -> None:
-    rec = families.to_json_dict(t)
     if fmt == "csv":
         w = csv.writer(sys.stdout)
         if header:
@@ -95,7 +94,7 @@ def _emit_tuple(t: families.FamilyTuple, fmt: str, header: bool = True) -> None:
     elif fmt == "json":
         print(families.to_json_line(t))
     else:
-        for line in _tuple_text(rec):
+        for line in _tuple_text(families.to_json_dict(t)):
             print(line)
 
 

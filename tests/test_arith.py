@@ -6,6 +6,8 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from iqtuples import arith, families, lrn
 from iqtuples.errors import BudgetError, DomainError, OutOfRangeError
@@ -609,6 +611,60 @@ class TestSievedCofactors:
             assert (d.s, d.f) == _sympy_decompose(x * x - four_n), (four_n, x)
         assert self.V in asked and P * P2 * P3 in asked
         assert len(asked) == len(set(asked))
+
+
+class TestMemberMemo:
+    # the x = 2p past the member sieve's squares, x^2 >= 10^4
+    PLAIN_XS = [2 * p for p in sieve_primes(200) if p >= 53]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(3, 21).flatmap(lambda k: st.integers(10**k // 4, 10 ** (k + 1) // 4)),
+           st.one_of(st.integers(0, 99), st.sampled_from(PLAIN_XS)))
+    def test_a_hit_equals_a_fresh_decomposition(self, monkeypatch, n, x):
+        # 4N log-uniform in [10^3, 10^22): sieved from 10007^3 up when x^2 < 10^4
+        four_n, x2 = 4 * n, x * x
+        assume(x2 != four_n)
+        arith._member_memo.clear()
+        arith._factor_memo.clear()
+        factorized = []
+        real = arith._factorize
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_factorize", lambda m, sieved: factorized.append(m) or real(m, sieved))
+            first = arith.decompose_member(four_n, x)
+        kept = arith._member_memo.get((four_n, x2))
+        sieved = x2 < 10**4 and four_n >= 10007**3
+        # kept exactly when nothing was factorized, but for the plain route from 10007^3 up
+        assert (kept is not None) == (not factorized and (sieved or abs(x2 - four_n) < 10007**3))
+        with monkeypatch.context() as mp:
+            if kept is not None:
+                mp.setattr(arith, "_sieve_of", _untouchable)
+                mp.setattr(arith, "_trial_divide", _untouchable)
+            again = arith.decompose_member(four_n, x)
+        assert again is (kept or again)
+        assert first == again == arith.squarefree_decompose(x2 - four_n)
+
+    def test_a_factorized_member_still_meets_the_budget(self):
+        # d + 100 at (n, k) = (5, 5), from construct: its cleared cofactor
+        # needs the quadratic sieve, charged QS_AFTER
+        four_n, V = TestSievedCofactors.FOUR_N, TestSievedCofactors.V
+        d = arith.decompose_member(four_n, 10)
+        assert (d.s, d.f) == _sympy_decompose(100 - four_n)
+        assert arith._factor_memo[V, True][1] == arith.QS_AFTER
+        assert (four_n, 100) not in arith._member_memo
+        with arith.limits(rho_budget=arith.QS_AFTER - 1):
+            with pytest.raises(BudgetError, match=f"factoring {V}$"):
+                arith.decompose_member(four_n, 10)
+            # the members settled without factoring still answer at any budget
+            assert arith.decompose_member(four_n, 0) is arith._member_memo[four_n, 0]
+
+    def test_size_bound_drops_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(arith, "MEMO_SIZE", 3)
+        keys = [(4 * 31**3, x * x) for x in range(6)]
+        for four_n, x2 in keys:
+            arith.decompose_member(four_n, isqrt(x2))
+            assert len(arith._member_memo) <= 3
+        assert list(arith._member_memo) == keys[3:]
 
 
 class TestKronecker:

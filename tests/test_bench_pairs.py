@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import summarise  # noqa: E402
+from bench_pairs import schedule, summarise  # noqa: E402
 
 
 def test_lower_is_better():
@@ -49,3 +49,15 @@ def test_rejects_unpaired_or_unknown():
         summarise([1.0], [1.0], "lower")
     with pytest.raises(ValueError):
         summarise([1.0, 2.0], [1.0, 2.0], "smaller")
+
+
+def test_schedule_runs_consecutive_seeds_from_the_first():
+    assert schedule(11, 4) == [(11, ("change", "parent")), (12, ("parent", "change")),
+                               (13, ("change", "parent")), (14, ("parent", "change"))]
+    assert [seed for seed, _ in schedule(1, 10)] == list(range(1, 11))
+
+
+def test_odd_pairs_run_the_change_first_whatever_the_first_seed():
+    # the first pair runs the change first even from an even seed
+    assert schedule(2, 3) == [(2, ("change", "parent")), (3, ("parent", "change")),
+                              (4, ("change", "parent"))]

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from math import gcd, isqrt
@@ -496,6 +499,18 @@ class TestTailPass:
             assert ((s * s - D) % split == 0).all(), D
             seen |= set((split % 8).tolist())
         assert seen == {1, 3, 5, 7}
+
+    def test_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, 7-17 ms that a one-shot
+        # count would pay for nothing
+        script = ("import sys\nfrom iqtuples import classno\n"
+                  "passes, count = [], classno._tail_count\n"
+                  "classno._tail_count = lambda *args: passes.append(1) or count(*args)\n"
+                  "assert classno.class_number_forms(-40000000003).h == 29199\n"
+                  "assert passes and 'numpy' in sys.modules and 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classno.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_tail_pass_from_the_cut(self, monkeypatch, caplog):
         # from the cut up the pass runs and walks nothing; both log alike

@@ -1,12 +1,15 @@
 """Alternating benchmark pairs of a parent checkout and this one, per end-to-end metric.
 
-    python3 tools/bench_pairs.py --base CHECKOUT --workload W [--pairs 10]
+    python3 tools/bench_pairs.py --base CHECKOUT --workload W [--pairs 10] [--first-seed 1]
 
-Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
-once from the parent checkout --base and once from the checkout holding
-this file (the change), each from its own root directory; S is
-BENCHMARK.json's run_seconds. Odd pairs run the change first, even pairs
-the parent, so neither side always follows the other. Each run's last
+Pairs run the seeds F, F + 1, ..., F + pairs - 1, F being --first-seed, so
+that a claim can be checked again on seeds not looked at while the change
+was written. The pair of seed i runs
+`perfbench/run.py --workload W --seed i --seconds S --trace 0` once from
+the parent checkout --base and once from the checkout holding this file
+(the change), each from its own root directory; S is BENCHMARK.json's
+run_seconds. Odd pairs (the first, third, ...) run the change first, even
+pairs the parent, so neither side always follows the other. Each run's last
 stdout line is its JSON result; a run that fails or is not correct stops
 the series with exit 1. After each pair one line shows both sides' values.
 
@@ -59,6 +62,12 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def schedule(first_seed: int, pairs: int) -> list[tuple[int, tuple[str, str]]]:
+    """(seed, the sides in running order) for each pair: odd pairs run the change first."""
+    return [(first_seed + i, ("change", "parent") if i % 2 == 0 else ("parent", "change"))
+            for i in range(pairs)]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced run.py result from checkout: {metric: value}. Raises RuntimeError on failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -77,12 +86,13 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.base.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for seed in range(1, args.pairs + 1):
-        for side in ("change", "parent") if seed % 2 else ("parent", "change"):
+    for seed, order in schedule(args.first_seed, args.pairs):
+        for side in order:
             try:
                 runs[side].append(run_once(sides[side], args.workload, seed, bench["run_seconds"]))
             except RuntimeError as e:
@@ -91,7 +101,8 @@ def main(argv=None) -> int:
         print(f"pair {seed}: " + ", ".join(f"{name} {runs['parent'][-1][name]:.3f} -> "
                                            f"{value:.3f}" for name, value in runs["change"][-1].items()),
               flush=True)
-    print(f"\n{args.workload}, {args.pairs} pairs: parent {sides['parent']}, change {ROOT}\n")
+    print(f"\n{args.workload}, {args.pairs} pairs from seed {args.first_seed}: "
+          f"parent {sides['parent']}, change {ROOT}\n")
     print("| workload | metric | parent median [q1–q3] | change median [q1–q3] | median change "
           "| change won | gap / parent IQR |")
     print("|---|---|---|---|---|---|---|")
