@@ -6,14 +6,14 @@ ever trades correctness for speed. squarefree_decompose and decompose_member
 share one rule (_decompose): a cofactor with no prime below P is settled
 below P^3 by one isqrt, with no full factorization. A tuple's members are
 values x^2 - 4N, so decompose_member(4N, x) with x^2 < 10^4 also divides by
-the primes up to 10^6 that one reduction of 4N finds, which raises P, and
-remembers every member it settles without factorizing.
+the primes up to 10^6 that one reduction of 4N finds, which raises P. That
+sieve depends on 4N alone, never on what the process has imported, and
+decompose_member remembers every member it settles without factorizing.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -51,7 +51,10 @@ class Limits:
     rho_budget bounds the Pollard-rho iterations of one factorize() call,
     charged as _split says; _brent_rho charges only its gcd-chunk steps,
     about a third of the squarings it runs. A decomposition whose cofactor
-    is below 10007^3 takes no rho step. A negative budget raises DomainError.
+    is below P^3 takes no rho step, P being 10007 or, for a sieved member,
+    the least prime past the member sieve's bound; as that sieve depends on
+    4N alone, whether a budget suffices depends on the arguments alone. A
+    negative budget raises DomainError.
     """
 
     rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
@@ -745,12 +748,12 @@ def _member_sieve(four_n: int) -> _MemberSieve:
 def _sieve_of(four_n: int) -> _MemberSieve | None:
     """The sieve of 4N, or None when none is built for it.
 
-    Built only where it can hold a prime, 10007^3 <= 4N < MR_PROVEN_BOUND,
-    and once numpy is loaded, as importing it would cost a one-shot command
-    more than the sieve saves; each 4N sieved is remembered (MEMO_SIZE at most).
+    Built wherever it can hold a prime, 10007^3 <= 4N < MR_PROVEN_BOUND,
+    whatever the process has imported, so a one-shot command there imports
+    numpy. Each 4N sieved is remembered (MEMO_SIZE at most).
     """
     sieve = _sieve_memo.get(four_n)
-    if sieve is None and _PAST_TRIAL**3 <= four_n < MR_PROVEN_BOUND and "numpy" in sys.modules:
+    if sieve is None and _PAST_TRIAL**3 <= four_n < MR_PROVEN_BOUND:
         sieve = _member_sieve(four_n)
         _remember(_sieve_memo, four_n, sieve)
     return sieve
@@ -763,15 +766,12 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
     are x = 0, 1, 2 and 2p with 4N = -d. The sieve gives the primes in (10^4, B]
     dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of 4N), for
     _decompose's rule. Without the sieve (see _sieve_of), or for x^2 >= 10^4,
-    the member goes to squarefree_decompose; the result is the same either way.
+    _decompose takes the member alone; the result is the same either way.
 
     A member settled with no factorize, and so with no rho charge, is
     remembered for the process under (4N, x^2) (MEMO_SIZE at most, the
     oldest dropped first), and a repeat skips the sieve lookup and the trial
-    division. With the sieve that is every member whose cofactor _decompose
-    settles below P^3; without it, every member below 10007^3, where no
-    cofactor can reach P^3 (telling the others apart would need their
-    cofactor). The key holds 4N, not only the member, because the same
+    division. The key holds 4N, not only the member, because the same
     member reached from another 4N has another sieve, or none, and could
     need a factorization there. A factorized member is not kept here: its
     factorization sits in _factor_memo under that memo's budget rule, so a
@@ -782,12 +782,7 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
     hit = _member_memo.get((four_n, x2))
     if hit is not None:
         return hit
-    m = x2 - four_n
-    sieve = _sieve_of(four_n) if x2 < 10_000 else None
-    if sieve:
-        out, factored = _decompose(m, sieve, x2)
-    else:
-        out, factored = squarefree_decompose(m), abs(m) >= _PAST_TRIAL**3
+    out, factored = _decompose(x2 - four_n, _sieve_of(four_n) if x2 < 10_000 else None, x2)
     if not factored:
         _remember(_member_memo, (four_n, x2), out)
     return out
@@ -795,8 +790,6 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
     """Split nonzero m as s * f**2 with s square-free and sign(s) = sign(m), by _decompose's rule."""
-    if m == 0:
-        raise DomainError("squarefree_decompose requires m != 0")
     return _decompose(m)[0]
 
 
@@ -811,7 +804,10 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
     or square-free, settled by one isqrt with no rho and no is_prime. From
     P^3 up, a sieved v is factorized as sieved (_split), and otherwise
     factorize(|m|) takes the whole of m, keeping its memo key and messages.
+    m = 0 raises DomainError.
     """
+    if m == 0:
+        raise DomainError("a square-free decomposition requires m != 0")
     v, exps = _trial_divide(abs(m), sieve.divisors(x2) if sieve else ())
     factored = v >= (sieve.above if sieve else _PAST_TRIAL) ** 3
     if factored:

@@ -232,7 +232,11 @@ def _cmd_verify(args) -> int:
                 line = line.decode() if isinstance(line, bytes) else line
                 if not line.strip():
                     continue
-                t = families.verify_tuple(families.from_json_dict(json.loads(line)))
+                try:
+                    record = json.loads(line)
+                except RecursionError as e:  # nested deeper than the decoder's stack
+                    raise ValueError(e) from None
+                t = families.verify_tuple(families.from_json_dict(record))
             except ValueError as e:
                 raise DomainError(f"line {lineno}: {e}") from None
             _emit_tuple(t, args.format, header)

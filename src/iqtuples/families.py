@@ -196,11 +196,11 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     order. Each member's (s, f) is derived again, as _build derived it, by
     arith.decompose_member(-d, x) with x^2 its offset, and a member whose s
     or f differs raises ArithmeticError. The members the build settled
-    without factorizing, and every factorization from 10^8 up, are
-    remembered from the build (at most arith.MEMO_SIZE each), so while they
-    are, a settled member costs one lookup and a factorized one its trial
-    division but no rho step. Either way each member is compared with this
-    process's own derivation, never with one read from a record. The field
+    without factorizing, sieved or not, and every factorization from 10^8
+    up, are remembered from the build (at most arith.MEMO_SIZE each), so
+    while they are, a settled member costs one lookup and a factorized one
+    its trial division but no rho step. Either way each member is compared
+    with this process's own derivation, never with one read from a record. The field
     discriminant is then s, or 4s unless s = 1 mod 4. A member whose form
     count raises BudgetError (its |square-free part| exceeds the current
     Limits.sf_budget) is marked unverified. Returns the same tuple with

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -500,16 +502,24 @@ class TestMemberSieve:
         assert 99991 <= sieve.bound < 100003 == sieve.above
         assert list(sieve.divisors(36)) == [99991]
 
-    def test_built_only_in_range_with_numpy_loaded(self, monkeypatch):
+    def test_built_only_in_range_whatever_is_imported(self, monkeypatch):
         # certify's 4*ell^n stays at or below 2*10^11; 4*127^5, at (5, 2), is its largest
         families.quintuple(5, 2)
         for four_n in (10**12 - 1, arith.MR_PROVEN_BOUND):
             assert arith._sieve_of(four_n) is None
-        monkeypatch.delitem(sys.modules, "numpy")
-        assert arith._sieve_of(10**15) is None
         assert not arith._sieve_memo
-        monkeypatch.undo()
-        assert arith._sieve_of(10**15) is arith._sieve_memo[10**15]
+        sieve = arith._sieve_of(10**15)
+        assert sieve is arith._sieve_memo[10**15]
+        # a fresh interpreter, which has not imported numpy, builds the same sieve
+        script = ("import sys\nfrom iqtuples import arith\n"
+                  "assert 'numpy' not in sys.modules\n"
+                  "s = arith._sieve_of(10**15)\n"
+                  "print(s.bound, s.above, list(s.squares), list(s.primes))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arith.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split(" ", 2) == [str(sieve.bound), str(sieve.above),
+                                            f"{list(sieve.squares)} {list(sieve.primes)}\n"]
         # squarefree_decompose reads no sieve: the member x = 3, whose cofactor
         # 718321 * 2131907 is past 10007^3, takes the plain route
         monkeypatch.setattr(arith, "_sieve_of", _untouchable)
@@ -633,9 +643,8 @@ class TestMemberMemo:
             mp.setattr(arith, "_factorize", lambda m, sieved: factorized.append(m) or real(m, sieved))
             first = arith.decompose_member(four_n, x)
         kept = arith._member_memo.get((four_n, x2))
-        sieved = x2 < 10**4 and four_n >= 10007**3
-        # kept exactly when nothing was factorized, but for the plain route from 10007^3 up
-        assert (kept is not None) == (not factorized and (sieved or abs(x2 - four_n) < 10007**3))
+        # kept exactly when nothing was factorized, on either route
+        assert (kept is not None) == (not factorized)
         with monkeypatch.context() as mp:
             if kept is not None:
                 mp.setattr(arith, "_sieve_of", _untouchable)
@@ -665,6 +674,10 @@ class TestMemberMemo:
         for four_n, x2 in keys:
             arith.decompose_member(four_n, isqrt(x2))
             assert len(arith._member_memo) <= 3
+        assert list(arith._member_memo) == keys[3:]
+        # the zero member x^2 = 4N is refused, as squarefree_decompose(0) is, and not kept
+        with pytest.raises(DomainError, match="requires m != 0"):
+            arith.decompose_member(4 * 10**6, 2000)
         assert list(arith._member_memo) == keys[3:]
 
 

@@ -11,20 +11,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SEED_1 = [
+DIGESTS = [  # seeds 1, 2 and 3 of each workload, as --seeds 1 2 3 prints them
     "certify seed 1: 173 items, 0 nonzero exits, "
     "sha256 b10a77554f0dff97daa5f07035fb22e9fa80edf3737455bf0ccf3014c409230f",
+    "certify seed 2: 173 items, 0 nonzero exits, "
+    "sha256 70ad3a78090592a2507f989dea7092bcd3560edcb2a102339fb853c7f6792f22",
+    "certify seed 3: 173 items, 0 nonzero exits, "
+    "sha256 91d11e22e6f09eaa09c59e9232035ee9353fe35c6e3c9d659219ee3282de59b3",
     "sweep seed 1: 120 items, 0 nonzero exits, "
     "sha256 50875ba4eb37eeea4221987af1d12af1a26a2d5c79a6ad94084a91acd6f1aba2",
+    "sweep seed 2: 120 items, 0 nonzero exits, "
+    "sha256 5991aed9af99b4c458ffd193956f3ad63e46803971a8a8cdafdafcabaf71b303",
+    "sweep seed 3: 120 items, 0 nonzero exits, "
+    "sha256 4db4166baa7b5c9f126ecb6cd59e6dc5c3fcfff4f46bb7e834caf7f3f93ae9eb",
     "construct seed 1: 390 items, 0 nonzero exits, "
     "sha256 a2126bf15094b3d3dece09e0f593275f920273f7bacebf16d4b870b120fc01fc",
+    "construct seed 2: 390 items, 0 nonzero exits, "
+    "sha256 b53b6bcff24992c8c1ad947e2db0ea16be9d08579ecfc7c1f24dd18f18b7cf9a",
+    "construct seed 3: 390 items, 0 nonzero exits, "
+    "sha256 9b2c11f942eb9c7ed5004bcc81bca4f408c5c06f93ebb777a593c38703ec8edc",
 ]
 
 
 def test_workload_output_is_unchanged():
     # in a subprocess: the runner silences root logging for the whole process
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), "--seeds", "1"],
-                          env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                           "--seeds", "1", "2", "3"], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == SEED_1
+    assert done.stdout.splitlines() == DIGESTS

@@ -152,9 +152,10 @@ class TestPiTuple:
 
     def test_each_radicand_is_decomposed_once(self, monkeypatch):
         # the congruence check reads d' off the member d + 4p^2 = -4(ell^n - p^2)
+        assert not arith._member_memo
         seen = []
-        real = arith.squarefree_decompose
-        monkeypatch.setattr(arith, "squarefree_decompose", lambda m: seen.append(m) or real(m))
+        real = arith._decompose
+        monkeypatch.setattr(arith, "_decompose", lambda m, *rest: seen.append(m) or real(m, *rest))
         t = pi_tuple(3, 12, 2)
         assert sorted(seen) == sorted(m.radicand for m in t.members)
         detail = next(c.detail for c in t.hypotheses if c.check == "11 != +-1 (mod d')")
