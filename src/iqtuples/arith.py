@@ -32,14 +32,19 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_BOUND = 3317044064679887385961981
 # (bound, witnesses): the bound is the least strong pseudoprime to these
 # witnesses, so below it they prove primality (Pomerance, Selfridge and
-# Wagstaff 1980 for {2, 3}; Jaeschke 1993 for the first 7 primes; Jiang and
-# Deng 2014 for the first 9). is_prime takes the first row whose bound
-# exceeds m.
+# Wagstaff 1980 for the first 2 to 4 primes; Jaeschke 1993 for the first 5
+# to 7; Jiang and Deng 2014 for the first 9; Sorenson and Webster 2017 for
+# the first 12 and 13). is_prime takes the first row whose bound exceeds m.
 MR_WITNESS_SETS = (
     (2047, MR_WITNESSES[:1]),
     (1373653, MR_WITNESSES[:2]),
+    (25326001, MR_WITNESSES[:3]),
+    (3215031751, MR_WITNESSES[:4]),
+    (2152302898747, MR_WITNESSES[:5]),
+    (3474749660383, MR_WITNESSES[:6]),
     (341550071728321, MR_WITNESSES[:7]),
     (3825123056546413051, MR_WITNESSES[:9]),
+    (318665857834031151167461, MR_WITNESSES[:12]),
     (MR_PROVEN_BOUND, MR_WITNESSES),
 )
 
@@ -84,8 +89,16 @@ def _remember(memo: dict, key, value) -> None:
 
 @contextmanager
 def limits(**changes: int):
-    """Within the block, replace the named fields of the current Limits."""
-    token = _LIMITS.set(replace(_LIMITS.get(), **changes))
+    """Within the block, replace the named fields of the current Limits.
+
+    Where every named field already has its value, the current Limits stays
+    in force and no context is entered: no new Limits is built or checked.
+    """
+    current = _LIMITS.get()
+    if all(getattr(current, name) == value for name, value in changes.items()):
+        yield
+        return
+    token = _LIMITS.set(replace(current, **changes))
     try:
         yield
     finally:

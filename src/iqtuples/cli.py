@@ -3,6 +3,14 @@
 Data goes to stdout, diagnostics to stderr. Exit status: 0 on success,
 1 on a hypothesis rejection (or a failed verification), 2 on resource
 budget exhaustion, 3 on usage errors.
+
+argparse defines the command line (build_parser), and its first two
+paragraphs here are the --help description. Each command's fixed cost is
+kept small for callers that run many commands in one process: parse_argv
+reads plain argv from tables built once from the parsers' own actions and
+leaves everything else to the whole parser, the handlers are a table built
+at import, and main touches the logger's level and the budgets only where
+they change.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import csv
 import functools
 import json
 import logging
+import re
 import sys
+from typing import NamedTuple
 
 from . import arith, classno, families, lehmer, lrn
 from .errors import BudgetError, DomainError, HypothesisRejection
@@ -212,14 +222,6 @@ def _cmd_thm31(args) -> int:
     return EXIT_OK if rep.verdict else EXIT_REJECTED
 
 
-def _run_tuple(args, build) -> int:
-    t = build()
-    if args.verify:
-        t = families.verify_tuple(t)
-    _emit_tuple(t, args.format)
-    return _tuple_exit(t, args.verify)
-
-
 def _cmd_verify(args) -> int:
     worst = EXIT_OK
     header = True  # one CSV header, before the first tuple's rows
@@ -290,12 +292,39 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+class _Table(NamedTuple):
+    """What parse_argv reads of one parser's argparse actions."""
+
+    options: dict  # option string -> its store or store_true action
+    required: tuple[str, ...]  # the dests of the options every valid argv gives
+    positional: argparse.Action | None  # an optional positional, verify's file
+    defaults: dict  # the Namespace before any token is read
+    negative: re.Pattern  # values starting with "-" that the parser takes as values
+
+
+def _table(parser: argparse.ArgumentParser, defaults: dict) -> _Table:
+    """parser's table over defaults; only the actions listed here are read, the rest go to argparse."""
+    options, required, positional, own = {}, [], None, {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            own.setdefault(action.dest, action.default)  # as argparse: the first action's default
+        if type(action) in (argparse._StoreAction, argparse._StoreTrueAction) and action.nargs != "?":
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.append(action.dest)
+        elif not action.option_strings and action.nargs == "?":
+            positional = action
+    # a parser with options like "-1" reads "-1" as an option, never as a value
+    assert not parser._has_negative_number_optionals
+    return _Table(options, tuple(required), positional, {**defaults, **own},
+                  parser._negative_number_matcher)
+
+
 @functools.cache  # parsing keeps no state, and building costs more than a small command
-def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict, dict]:
-    """(the whole parser, the shared flags alone, each subcommand's parser by name, the shared defaults)."""
-    shared = _Parser(prog="iqtuples", add_help=False)
-    _add_common(shared, suppress=False)
-    p = _Parser(prog="iqtuples", description=__doc__, parents=[shared])
+def _parsers() -> tuple[argparse.ArgumentParser, _Table, dict[str, _Table]]:
+    """(the whole parser, its table of the shared flags, each subcommand's table by name)."""
+    p = _Parser(prog="iqtuples", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    _add_common(p, suppress=False)
     common = _Parser(add_help=False)
     _add_common(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -357,60 +386,116 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict, 
     c.add_argument("-t", type=int, help="check membership at this index")
     c.add_argument("-a", type=int)
     c.add_argument("-b", type=int)
-    return p, shared, sub.choices, vars(shared.parse_args([]))
+    top = _table(p, {})
+    return p, top, {name: _table(c, {**top.defaults, "command": name})
+                    for name, c in sub.choices.items()}
+
+
+def _from_tables(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace of argv when only `flag value` and `flag` tokens of the tables make it, else None."""
+    _, top, commands = _parsers()
+    table, given, file = top, {}, None
+    tokens = iter(argv)
+    for token in tokens:
+        action = table.options.get(token)
+        if action is None:
+            if table is top and token in commands:
+                table = commands[token]
+            elif table.positional and file is None and token[:1] not in ("", "-"):
+                file = token
+            else:
+                return None
+        elif action.nargs == 0:  # store_true
+            given[action.dest] = action.const
+        else:
+            value = next(tokens, "-")
+            if value[:1] == "-" and not table.negative.match(value):
+                return None  # argparse reads it as an option, or it is missing
+            try:
+                value = action.type(value) if action.type else value
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action.dest] = value
+    if table is top or not all(dest in given for dest in table.required):
+        return None
+    args = argparse.Namespace(**table.defaults)
+    vars(args).update(given)
+    if table.positional:  # last, so that no file is left open when argv is refused
+        try:
+            setattr(args, table.positional.dest,
+                    table.positional.type(table.positional.default if file is None else file))
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    return args
 
 
 def parse_argv(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsing each token once.
+    """build_parser().parse_args(argv), read from tables of the parsers' own actions where it can be.
 
-    argv is split at the first subcommand name. No shared flag takes a
-    subcommand name as its value, so in a valid argv that name is the
-    subcommand. The tokens before it, which may only be shared flags, are
-    parsed with their defaults (a fresh copy of the defaults when there are
-    none), and the tokens after it by that subcommand's own parser into the
-    same Namespace. Where argv names no subcommand, or either part is
-    refused, the whole parser parses argv, so usage, --help and every usage
-    error read as they always have.
+    The tables, built once, map each option string of the shared flags and
+    of each subcommand parser to its action: dest, type, choices,
+    store_true, required. An argv made only of their `flag value` and
+    `flag` tokens, the subcommand name and verify's file becomes the
+    Namespace directly: argparse's defaults, each value through its type
+    and choices, the last of a repeated flag winning, and verify's file (or
+    its default "-") through its type. A value starting with "-" is read
+    only where argparse's negative-number rule takes it as a value.
+    Anything else (abbreviations, --opt=value, --, -h, a value its type or
+    choices refuse, a missing required flag, an unknown token) goes to the
+    whole parser, which returns the same Namespace or raises its own usage
+    error, so --help and every `usage error:` read as that parser words them.
     """
-    parser, shared, commands, defaults = _parsers()
-    i = next((i for i, token in enumerate(argv) if token in commands), None)
-    if i is None:
-        return parser.parse_args(argv)
-    try:
-        args = shared.parse_args(argv[:i]) if i else argparse.Namespace(**defaults)
-        args.command = argv[i]
-        return commands[argv[i]].parse_args(argv[i + 1:], args)
-    except _UsageError:
-        parser.parse_args(argv)  # raises the whole parser's own message
-        raise
+    args = _from_tables(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _run_tuple(args, t: families.FamilyTuple) -> int:
+    if args.verify:
+        t = families.verify_tuple(t)
+    _emit_tuple(t, args.format)
+    return _tuple_exit(t, args.verify)
+
+
+_HANDLERS = {
+    "classnum": _cmd_classnum,
+    "squarefree": _cmd_squarefree,
+    "lehmer": _cmd_lehmer,
+    "pdiv": _cmd_pdiv,
+    "lrn-solve": _cmd_lrn_solve,
+    "thm31": _cmd_thm31,
+    "quadruple": lambda a: _run_tuple(a, families.quadruple(a.n, a.p, a.k)),
+    "quintuple": lambda a: _run_tuple(a, families.quintuple(a.n, a.k)),
+    "tuples": lambda a: _run_tuple(a, families.pi_tuple(a.n, a.m, a.k, a.mode)),
+    "verify": _cmd_verify,
+    "tables": _cmd_tables,
+}
+_LOG = logging.getLogger("iqtuples")
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit status. Arguments, logging and budgets are set per call.
+
+    The `iqtuples` logger's level is set only when -v asks for another
+    level than it has (setLevel clears every logger's level cache), and a
+    budget context is entered only where a budget differs from the one in
+    force (see arith.limits).
+    """
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     # basicConfig is a no-op once the root logger has a handler, so -v sets
-    # the package logger's level on every call instead
+    # the package logger's level instead
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("iqtuples").setLevel(logging.INFO if args.verbose else logging.WARNING)
-    handlers = {
-        "classnum": _cmd_classnum,
-        "squarefree": _cmd_squarefree,
-        "lehmer": _cmd_lehmer,
-        "pdiv": _cmd_pdiv,
-        "lrn-solve": _cmd_lrn_solve,
-        "thm31": _cmd_thm31,
-        "quadruple": lambda a: _run_tuple(a, lambda: families.quadruple(a.n, a.p, a.k)),
-        "quintuple": lambda a: _run_tuple(a, lambda: families.quintuple(a.n, a.k)),
-        "tuples": lambda a: _run_tuple(a, lambda: families.pi_tuple(a.n, a.m, a.k, a.mode)),
-        "verify": _cmd_verify,
-        "tables": _cmd_tables,
-    }
+    level = logging.INFO if args.verbose else logging.WARNING
+    if _LOG.level != level:
+        _LOG.setLevel(level)
     try:
         with arith.limits(rho_budget=args.rho_budget, sf_budget=args.sf_budget):
-            return handlers[args.command](args)
+            return _HANDLERS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

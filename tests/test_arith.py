@@ -341,16 +341,33 @@ class TestIsPrime:
                         assert arith._strong_probable_prime(m, witnesses) == want, (bound, m)
 
     def test_strong_pseudoprimes_at_the_bounds(self):
-        # the least strong pseudoprime to the first k primes, for k = 1..9
+        # the least strong pseudoprime to the first k primes, for k = 1..9, 12 and 13
         least = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
                  6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
-                 9: 3825123056546413051}
+                 9: 3825123056546413051, 12: 318665857834031151167461,
+                 13: arith.MR_PROVEN_BOUND}
         for k, m in least.items():
             assert arith._strong_probable_prime(m, arith.MR_WITNESSES[:k]), m
-            assert not arith.is_prime(m), m
+            if m < arith.MR_PROVEN_BOUND:
+                assert not arith.is_prime(m), m
         sets = arith.MR_WITNESS_SETS
-        assert [bound for bound, _ in sets[:-1]] == [least[len(ws)] for _, ws in sets[:-1]]
+        assert [bound for bound, _ in sets] == [least[len(ws)] for _, ws in sets]
+        assert [len(ws) for _, ws in sets] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
         assert sets[-1] == (arith.MR_PROVEN_BOUND, arith.MR_WITNESSES)
+
+    def test_each_row_bound_is_a_composite_its_witnesses_pass(self):
+        # each bound is a strong pseudoprime to its own row, and is_prime,
+        # which takes that row just below it, agrees with sympy around it
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        for bound, witnesses in arith.MR_WITNESS_SETS:
+            assert not sympy.isprime(bound), bound
+            assert arith._strong_probable_prime(bound, witnesses), bound
+            near = [*range(bound - 200, bound + 200)] + [rng.randrange(bound // 2, bound) for _ in range(300)]
+            for m in near:
+                if m < arith.MR_PROVEN_BOUND:
+                    assert arith.is_prime(m) == sympy.isprime(m), m
+            assert sum(map(sympy.isprime, near)) > 5, bound  # the sample holds primes too
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -475,6 +477,47 @@ class TestHarness:
                                 for r in caplog.records))
         assert progress[0] == 0 and progress[1] > 0 and progress[2] == 0
 
+    def test_verbose_is_set_from_the_argv_whatever_the_logger_had(self, capsys, caplog, monkeypatch):
+        # main sets the iqtuples logger's level only when it differs from the
+        # one asked for, comparing with the logger's own level: a level set
+        # between two calls, by any other code, is undone
+        logger = logging.getLogger("iqtuples")
+        for order in (["-v", ""], ["", "-v"], ["", "", "-v", "-v", ""]):
+            for flags in order:
+                for had in (logging.NOTSET, logging.INFO, logging.WARNING):
+                    logger.setLevel(had)
+                    caplog.clear()
+                    assert run(capsys, "classnum", "-D", "-23", *flags.split())[0] == 0
+                    told = [r for r in caplog.records if r.levelname == "INFO"]
+                    assert bool(told) == (flags == "-v"), (order, flags, had)
+                    assert logger.level == (logging.INFO if flags else logging.WARNING)
+        # an unchanged level is not set again
+        monkeypatch.setattr(logger, "setLevel", _untouchable)
+        assert run(capsys, "classnum", "-D", "-23")[0] == 0
+
+    def test_a_budget_holds_for_its_own_command_only(self, capsys, monkeypatch):
+        # |D| = 23 is past --sf-budget 10. A command's budgets are entered
+        # where they differ from the ones in force, compared with those, so
+        # none leaks into the next command or into the caller's context
+        default = arith.Limits()
+        for budget, code in ((None, 0), ("10", 2), (None, 0), ("10", 2), ("10", 2), (None, 0)):
+            flags = () if budget is None else ("--sf-budget", budget)
+            assert run(capsys, "classnum", "-D", "-23", *flags)[0] == code, flags
+            assert arith._LIMITS.get() == default
+            with arith.limits(sf_budget=10):
+                assert run(capsys, "classnum", "-D", "-23", *flags)[0] == code, flags
+                assert arith._LIMITS.get().sf_budget == 10
+            with arith.limits(sf_budget=23):
+                assert run(capsys, "classnum", "-D", "-23", "--sf-budget", "22")[0] == 2
+        # the budgets in force are not built or checked again
+        built = []
+        monkeypatch.setattr(arith, "replace", lambda limits, **changes: built.append(changes)
+                            or dataclasses.replace(limits, **changes))
+        assert run(capsys, "classnum", "-D", "-23")[0] == 0
+        assert built == []
+        assert run(capsys, "classnum", "-D", "-23", "--sf-budget", "10")[0] == 2
+        assert built == [{"rho_budget": default.rho_budget, "sf_budget": 10}]
+
     def test_negative_budgets_are_bad_input(self, capsys):
         for argv, want in (
             (["--sf-budget", "-1", "classnum", "-D", "-23"], "sf_budget must be >= 0, got -1"),
@@ -680,36 +723,97 @@ class TestParseArgv:
         ["verify"],
         ["tables", "-t", "7", "-a", "14", "-b", "-22"],
     )
-    # shared flags, spelt out, abbreviated, with = and with a value like a negative number
-    SHARED = ([], ["--format", "json"], ["--rho-budget", "1000", "-v"], ["--sf-budget=99"],
-              ["--form", "csv"], ["--rho", "-5"], ["--verbose", "--sf-budget", "7", "--format", "text"])
+    # shared flags as the tables read them: spelt out, repeated (the last one
+    # wins) and with a value like a negative number
+    SHARED = ([], ["--format", "json"], ["--rho-budget", "1000", "-v"], ["--rho-budget", "-5"],
+              ["--verbose", "--sf-budget", "7", "--format", "text"],
+              ["--format", "csv", "-v", "--format", "json", "--verbose"])
+    # shared flags the tables leave to the whole parser: abbreviated, or with =
+    WHOLE = (["--sf-budget=99"], ["--form", "csv"], ["--rho", "-5"], ["--verb"])
+    # every argv shape the benchmark workloads send (perfbench/workloads.py
+    # and worker.py's sweep windows)
+    WORKLOADS = (
+        ["quadruple", "-n", "3", "-p", "5", "-k", "2", "--verify", "--format", "json"],
+        ["quintuple", "-n", "3", "-k", "2", "--verify", "--format", "json"],
+        ["tuples", "-n", "3", "-m", "13", "-k", "2", "--mode", "lenient", "--verify",
+         "--format", "json"],
+        ["verify", "--format", "json"],
+        ["thm31", "-l", "7", "-n", "3", "-p", "5", "--format", "json"],
+        ["classnum", "-D", "-123451", "--method", "dirichlet", "--format", "json"],
+        ["classnum", "-D", "-123451", "--method", "forms", "--format", "json"],
+        ["tuples", "-n", "3", "-m", "13", "-k", "12", "--mode", "strict", "--format", "json"],
+        ["quintuple", "-n", "3", "-k", "13", "--format", "json"],
+        ["quadruple", "-n", "3", "-p", "3", "-k", "12", "--format", "json"],
+    )
 
     def test_equals_the_whole_parser(self, tmp_path, monkeypatch):
         src = tmp_path / "in.jsonl"
         src.write_text("")
-        commands = self.COMMANDS + (["verify", str(src)],)
+        commands = self.COMMANDS + self.WORKLOADS + (["verify", str(src)], ["verify", "-v", str(src)])
         assert {c[0] for c in commands} == set(cli._parsers()[2])
         whole = cli.build_parser().parse_args
+        tabled = [b + c + a for b in self.SHARED for c in commands for a in self.SHARED]
+        by_whole = [b + c + a for b in self.SHARED + self.WHOLE for c in commands
+                   for a in self.SHARED + self.WHOLE if b in self.WHOLE or a in self.WHOLE]
+        # past "--" every token is an argument, a shared flag too
+        by_whole += [b + ["verify", "--", str(src)] for b in self.SHARED + self.WHOLE]
+        wants = [(argv, _parse(whole, argv)) for argv in tabled + by_whole]
+        assert all(isinstance(want, dict) for _, want in wants)
+        for argv, want in wants[len(tabled):]:
+            assert cli._from_tables(argv) is None, argv
+            assert _parse(cli.parse_argv, argv) == want, argv
         monkeypatch.setattr(cli.build_parser(), "parse_args", _whole_parser_unused)
-        for before in self.SHARED:
-            # past "--" every token is an argument, a shared flag too
-            for argv in [before + c + after for c in commands for after in self.SHARED] + [
-                    before + ["verify", "--", str(src)]]:
+        for argv, want in wants[:len(tabled)]:
+            assert _parse(cli.parse_argv, argv) == want, argv
+
+    def test_values_at_argparse_edges(self, capsys):
+        # argparse reads " -3", "-3\n" (its negative-number pattern ends in $)
+        # and "-١٢" (\d is any Unicode digit) as values, and int() takes
+        # them, as it takes "1_000"; "-0x10", "--5" and "-1_000" are options
+        # to argparse, so the flag before them has no value. Each reads as
+        # the whole parser reads it; the tables answer the values argparse takes
+        whole = cli.build_parser().parse_args
+        taken = (" -3", "-3\n", "-١٢", "1_000", "-7")
+        for value in taken + ("-0x10", "--5", "-1_000", "-", "", "-.5", "1.5", "0x10", "-3 "):
+            for argv in (["classnum", "-D", value], ["--rho-budget", value, "classnum", "-D", "-3"],
+                         ["classnum", "-D", "-3", "--sf-budget", value, "--format", "json"]):
                 want = _parse(whole, argv)
-                assert isinstance(want, dict), (argv, want)
                 assert _parse(cli.parse_argv, argv) == want, argv
+                assert (cli._from_tables(argv) is not None) == (value in taken), argv
+                if value in taken:
+                    assert isinstance(want, dict), argv
+        # a repeated flag: the last one wins, both in the tables and argparse
+        argv = ["classnum", "-D", "-3", "--method", "dirichlet", "-D", "-7", "--method", "forms"]
+        assert vars(cli._from_tables(argv)) == vars(whole(argv))
+        assert (whole(argv).D, whole(argv).method) == (-7, "forms")
+        # -h after a valid command prints the subcommand's help and exits 0
+        for argv in (["classnum", "-D", "-3", "-h"], ["verify", "--format", "json", "--help"]):
+            assert cli._from_tables(argv) is None
+            with pytest.raises(SystemExit) as parsed:
+                whole(argv)
+            want = capsys.readouterr().out
+            with pytest.raises(SystemExit) as ran:
+                cli.main(argv)
+            assert parsed.value.code == ran.value.code == 0, argv
+            assert capsys.readouterr().out == want and want.startswith("usage: iqtuples"), argv
+
+    def test_verify_without_a_file_reads_stdin(self, monkeypatch):
+        # the default "-" passes through FileType when the command runs, as in argparse
+        argv = ["verify", "--format", "json"]
+        for stdin in (io.StringIO(""), io.StringIO("")):
+            monkeypatch.setattr("sys.stdin", stdin)
+            args = cli._from_tables(argv)
+            assert args.file is stdin and vars(args) == vars(cli.build_parser().parse_args(argv))
 
     def test_defaults_are_a_fresh_copy(self):
-        # with nothing before the subcommand the shared defaults are copied,
-        # not parsed, and no two calls share a Namespace
+        # no two calls share a Namespace, nor one with the tables' defaults
         whole = cli.build_parser().parse_args
         for before in ([], ["--format", "json"]):
             argv = before + ["classnum", "-D", "-123451", "--method", "dirichlet"]
             first, second = cli.parse_argv(argv), cli.parse_argv(argv)
             assert first == second == whole(argv) and first is not second, argv
-            first.format, first.verbose = "csv", True
+            first.format, first.verbose, first.d = "csv", True, 5
             assert cli.parse_argv(argv) == second == whole(argv), argv
-        assert cli._parsers()[3] == vars(cli._parsers()[1].parse_args([]))
 
     def test_refused_argv_reads_as_before(self, capsys):
         for argv in (

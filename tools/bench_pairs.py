@@ -16,16 +16,23 @@ the series with exit 1. After each pair one line shows both sides' values.
 Then, for each end-to-end metric of BENCHMARK.json, one Markdown table
 row: the parent and change medians with their quartiles, the median
 change in per cent, the number of pairs the change won (by the metric's
-`better`), and the gap of the medians over the parent's quartile
-distance, signed so that a positive number favours the change. Quartiles
-are statistics.quantiles(method="inclusive"). The tool writes no file;
-the runs may cache bytecode in each checkout's __pycache__.
+`better`), the gap of the medians over the parent's quartile distance,
+signed so that a positive number favours the change, and a verdict:
+`gain` where the change won at least nine tenths of the pairs and the gap
+exceeds the parent's quartile distance, `worse` where the change median
+is worse than the parent's by more than the metric's `bound`, else blank.
+Quartiles are statistics.quantiles(method="inclusive"). The tool writes no
+file, and the runs write no bytecode (PYTHONDONTWRITEBYTECODE=1), so no run
+leaves .pyc files that would move a later run's setup_s or peak_rss_mb.
+Bytecode a checkout already holds is still read: compare fresh exports
+(git archive) of both sides, as the benchmark's own runs do.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -34,8 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summarise(parent: list[float], change: list[float], better: str) -> dict:
-    """One metric over paired runs: medians and quartiles, wins, and the gap over the parent's IQR.
+def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric over paired runs: medians and quartiles, wins, the gap over the parent's IQR, a verdict.
 
     parent[i] and change[i] are pair i's values. "parent" and "change" are
     (median, q1, q3). "wins" counts the pairs the change won: a lower value
@@ -44,6 +51,10 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
     is the parent median minus the change median over the parent's q3 - q1,
     negated for "higher", so that it is positive when the change is better;
     with an IQR of 0 it is +-inf, or 0 if the medians are equal too.
+    "verdict" is "gain" when the change won at least nine tenths of the
+    pairs and gap_iqr exceeds 1, "worse" when the change median is worse
+    than the parent's by more than bound (a fraction of the parent median),
+    else "".
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two equally long lists of at least two values")
@@ -53,12 +64,21 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
     (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(xs, n=4, method="inclusive")
                                   for xs in (parent, change))
     gap, iqr = sign * (pm - cm), p3 - p1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    gap_iqr = gap / iqr if iqr else 0.0 if gap == 0 else gap * float("inf")
+    if 10 * wins >= 9 * len(parent) and gap_iqr > 1:
+        verdict = "gain"
+    elif -gap > bound * abs(pm):
+        verdict = "worse"
+    else:
+        verdict = ""
     return {
         "parent": (pm, p1, p3),
         "change": (cm, c1, c3),
-        "wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "wins": wins,
         "ratio": cm / pm - 1 if pm else float("nan"),
-        "gap_iqr": gap / iqr if iqr else 0.0 if gap == 0 else gap * float("inf"),
+        "gap_iqr": gap_iqr,
+        "verdict": verdict,
     }
 
 
@@ -72,7 +92,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced run.py result from checkout: {metric: value}. Raises RuntimeError on failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1]) if done.returncode == 0 and lines else {}
     if not result.get("correct") or result.get("failed"):
@@ -104,16 +125,16 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs from seed {args.first_seed}: "
           f"parent {sides['parent']}, change {ROOT}\n")
     print("| workload | metric | parent median [q1–q3] | change median [q1–q3] | median change "
-          "| change won | gap / parent IQR |")
-    print("|---|---|---|---|---|---|---|")
+          "| change won | gap / parent IQR | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         s = summarise([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      metric["better"])
+                      metric["better"], metric["bound"])
         (pm, p1, p3), (cm, c1, c3) = s["parent"], s["change"]
         print(f"| `{args.workload}` | `{name}` | {pm:.3f} [{p1:.3f}–{p3:.3f}] | "
               f"{cm:.3f} [{c1:.3f}–{c3:.3f}] | {s['ratio']:+.1%} | {s['wins']}/{args.pairs} | "
-              f"{s['gap_iqr']:+.2f} |")
+              f"{s['gap_iqr']:+.2f} | {s['verdict']} |")
     return 0
 
 
