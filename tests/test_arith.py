@@ -202,6 +202,80 @@ class TestQuadraticSieve:
         assert n.bit_length() > arith._QS_PARAMS[-1][0]
         assert arith._quadratic_sieve(n) is None
 
+    # Seeded semiprimes with both primes above 10^4, six in each _QS_PARAMS
+    # row (up to 45, 55, 65, 73 and 82 bits), and the divisor the sieve
+    # returned for each before elimination pivoted on the highest bit and the
+    # factor base came from the root table.
+    PINNED = (
+        (16951360853591, 8415497),
+        (7643011239887, 7630901),
+        (1103426389493, 7016083),
+        (9240025138129, 304127),
+        (2034079334681, 111218729),
+        (25995599537639, 264379057),
+        (15298873294289509, 11671039),
+        (269222166171659, 58309),
+        (79383563539853, 9663301),
+        (162827890100017, 264806869),
+        (260436968781631, 18651557),
+        (314761207767119, 1244501),
+        (15358054506154692539, 6460736749),
+        (7809217710074809129, 443627311),
+        (63138040904651819, 254729),
+        (481329467007982289, 417708839),
+        (468729192408906593, 1026539551),
+        (39306330461163721, 1046247929),
+        (841452653624039691139, 130905053),
+        (552541892705237259401, 3295334925331),
+        (113097721089934611731, 30422179409),
+        (6611946478639940706137, 1715360283997),
+        (93521582310805952551, 2401836769),
+        (209869474375016594491, 11428753162493),
+        (158605911576941668631783, 702090091),
+        (1217622976155233106105313, 404290824991),
+        (901853587301908399099927, 4234974127),
+        (36559160917805940099181, 1368138215585957),
+        (2947054081151987498689993, 11697185133587867),
+        (65998915004784863627917, 4751113793),
+    )
+
+    def test_divisors_equal_the_pinned_ones(self):
+        rows = [b for b, _, _ in arith._QS_PARAMS]
+        per_row = [sum(lo < n.bit_length() <= hi for n, _ in self.PINNED)
+                   for lo, hi in zip([40] + rows, rows)]
+        assert per_row == [6] * 5
+        for n, g in self.PINNED:
+            p = min(g, n // g)
+            assert n % g == 0 and p > 10**4 and arith.is_prime(p) and arith.is_prime(n // p)
+        for _ in range(2):  # and the same again: nothing a call leaves behind moves the next
+            assert [(n, arith._quadratic_sieve(n)) for n, _ in self.PINNED] == list(self.PINNED)
+
+    def test_root_table_follows_eulers_criterion(self):
+        odd, offsets, roots = arith._qs_root_table()
+        primes = sieve_primes(2047)[1:]
+        assert odd.tolist() == primes and len(primes) == 308
+        assert roots.dtype == np.int16 and roots.size == sum(primes) == 289174
+        assert offsets.tolist() == [sum(primes[:i]) for i in range(len(primes))]
+        for p, o in zip(primes, offsets.tolist()):
+            entries = roots[o:o + p].tolist()
+            assert entries[0] == 0
+            for r, t in zip(range(1, p), entries[1:]):
+                if pow(r, (p - 1) // 2, p) == p - 1:
+                    assert t == -1, (p, r)
+                else:
+                    assert 0 <= t <= p // 2 and t * t % p == r, (p, r, t)
+        assert arith._qs_root_table()[2] is roots  # built once
+
+    def test_a_factor_base_past_the_table_gives_none(self, monkeypatch):
+        n = self.N
+        odd, offsets, roots = arith._qs_root_table()
+        kn = arith._qs_multiplier(n) * n
+        fits = sum(int(roots[o + kn % p]) >= 0 for p, o in zip(odd.tolist(), offsets.tolist()))
+        for size in (fits + 2, 400):  # 2 and the residues below 2^11 are one short, or far short
+            monkeypatch.setattr(arith, "_QS_PARAMS", ((82, size, 1 << 12),))
+            assert arith._quadratic_sieve(n) is None
+        assert arith.factorize(n).factors == ((149383678981, 1), (414283054079, 1))  # rho's
+
     def test_a_budget_below_the_hand_off_raises_without_the_sieve(self, monkeypatch):
         monkeypatch.setattr(arith, "_quadratic_sieve", _untouchable)
         with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):

@@ -12,9 +12,11 @@ interpreter per checkout imports that checkout's iqtuples, runs the
 sieve once over all the cofactors untimed, and the two take turns: at
 each step each side times one pass over all of them, the side going first
 alternating from step to step. It prints each side's minimum and median
-pass time and the median over the steps of root's time over base's,
-and exits 1 if the two sides return a different divisor for any
-cofactor, in any pass.
+pass time and the median over the steps of root's time over base's. It
+exits 1, with one line for each, if a side's divisors differ between its
+own passes, if the two sides return a different divisor for any
+cofactor, or if any divisor g of a cofactor n is not a proper one
+(1 < g < n and n % g == 0); None, the sieve giving up, is not checked.
 
 Why alternate: the speed of the host can drift by 1.5x within a run, and
 QS-only passes of identical code ranged from 0.25 to 0.37 s; two passes
@@ -71,6 +73,61 @@ def serve(root: Path) -> None:
         print(json.dumps({"seconds": elapsed, "divisors": divisors}), flush=True)
 
 
+def check(ns: list[int], passes: dict[str, list[list]]) -> list[str]:
+    """One line for each thing wrong with the divisors; empty when there is nothing.
+
+    passes[side] holds one list per pass of that side, the divisor or None
+    returned for each cofactor of ns. Named, with a count and the first
+    cofactor: a side whose passes differ from its first one, the cofactors
+    whose first-pass divisors differ between the sides, and a side's
+    divisors g of a cofactor n with not (1 < g < n and n % g == 0).
+    """
+    problems = []
+    for side, runs in passes.items():
+        moved = [n for i, n in enumerate(ns) if any(run[i] != runs[0][i] for run in runs)]
+        if moved:
+            problems.append(f"{side}: divisors differ between its own passes on {len(moved)} of "
+                            f"{len(ns)} cofactors, the first {moved[0]}")
+        bad = sorted({(i, g) for run in runs for i, g in enumerate(run)
+                      if g is not None and not (1 < g < ns[i] and ns[i] % g == 0)})
+        if bad:
+            i, g = bad[0]
+            problems.append(f"{side}: {len(bad)} divisors are not proper divisors of their "
+                            f"cofactor, the first {g} of {ns[i]}")
+    first = {side: runs[0] for side, runs in passes.items()}
+    differ = [i for i, (b, r) in enumerate(zip(first["base"], first["root"])) if b != r]
+    if differ:
+        i = differ[0]
+        problems.append(f"the sides differ on {len(differ)} of {len(ns)} cofactors, the first "
+                        f"{ns[i]}: base {first['base'][i]}, root {first['root'][i]}")
+    return problems
+
+
+def replay(ns: list[int], sides: dict[str, Path], steps: int) -> tuple[dict, dict]:
+    """({side: pass times}, {side: each pass's divisors}) from one interpreter per side, alternating."""
+    procs = {side: subprocess.Popen([sys.executable, "-B", __file__, "--serve", str(path)],
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for side, path in sides.items()}
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    passes: dict[str, list[list]] = {side: [] for side in sides}
+    try:
+        for proc in procs.values():
+            proc.stdin.write(json.dumps(ns) + "\n")
+            proc.stdin.flush()
+        for step in range(steps):
+            for side in ("base", "root") if step % 2 == 0 else ("root", "base"):
+                procs[side].stdin.write("run\n")
+                procs[side].stdin.flush()
+                reply = json.loads(procs[side].stdout.readline())
+                times[side].append(reply["seconds"])
+                passes[side].append(reply["divisors"])
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait(timeout=60)
+    return times, passes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
@@ -89,39 +146,17 @@ def main(argv=None) -> int:
     bits = sorted(n.bit_length() for n in ns)
     print(f"{args.workload} seed {args.seed}: {len(ns)} cofactors, {bits[0]}-{bits[-1]} bits",
           flush=True)
-    procs = {side: subprocess.Popen([sys.executable, "-B", __file__, "--serve", str(path)],
-                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-             for side, path in sides.items()}
-    times: dict[str, list[float]] = {side: [] for side in sides}
-    divisors: dict[str, list] = {}
-    mismatch = False
-    try:
-        for proc in procs.values():
-            proc.stdin.write(json.dumps(ns) + "\n")
-            proc.stdin.flush()
-        for step in range(args.steps):
-            for side in ("base", "root") if step % 2 == 0 else ("root", "base"):
-                procs[side].stdin.write("run\n")
-                procs[side].stdin.flush()
-                reply = json.loads(procs[side].stdout.readline())
-                times[side].append(reply["seconds"])
-                first = divisors.setdefault(side, reply["divisors"])
-                mismatch |= reply["divisors"] != first
-        mismatch |= divisors["base"] != divisors["root"]
-    finally:
-        for proc in procs.values():
-            proc.stdin.close()
-            proc.wait(timeout=60)
+    times, passes = replay(ns, sides, args.steps)
     for side, path in sides.items():
         print(f"{side} {path}: min {min(times[side]):.3f} s, "
               f"median {statistics.median(times[side]):.3f} s over {args.steps} passes")
     ratios = [r / b for b, r in zip(times["base"], times["root"])]
     print(f"median per-step ratio root/base: {statistics.median(ratios):.3f} "
           f"(range {min(ratios):.3f}-{max(ratios):.3f})")
-    if mismatch:
-        differ = sum(b != r for b, r in zip(divisors["base"], divisors["root"]))
-        print(f"divisors differ: {differ} of {len(ns)} cofactors between the sides, "
-              f"or between passes of one side")
+    problems = check(ns, passes)
+    for line in problems:
+        print(f"divisors: {line}")
+    if problems:
         return 1
     print("divisors: identical on both sides in every pass")
     return 0
