@@ -877,3 +877,34 @@ class TestPowMod:
         got = arith._pow_mod(base, (P - 1) >> 1, P)
         want = [[pow(b, (p - 1) // 2, p) for b, p in zip(row, P.tolist())] for row in base.tolist()]
         assert got.tolist() == want
+
+    def test_every_exponent_length_at_the_largest_modulus(self):
+        # each bit length from 1 to 31 as the longest exponent, so that every
+        # remainder of the window width starts the loop; x = m - 1 and the
+        # random x near m give the largest products
+        rng = np.random.default_rng(31)
+        m = 2**31 - 1
+        for bits in range(1, 32):
+            e = np.concatenate([[1 << (bits - 1), (1 << bits) - 1, 0, 1],
+                                rng.integers(0, 1 << bits, 60)]).astype(np.int64)
+            x = np.concatenate([[m - 1] * 4, rng.integers(m - 2**20, m, 60)]).astype(np.int64)
+            got = arith._pow_mod(x, e, np.array(m, dtype=np.int64))
+            assert got.dtype == np.int64 and got.shape == (64,), bits
+            assert got.tolist() == [pow(a, b, m) for a, b in zip(x.tolist(), e.tolist())], bits
+
+    def test_broadcast_as_the_square_root_search_uses_it(self):
+        # _sqrt_mod_split's search: a (k, 8) block of bases, one exponent and
+        # modulus per row as a (k, 1) column
+        rng = np.random.default_rng(8)
+        P = np.array([p for p in arith.primes_up_to(200000) if p % 8 == 1][-300:], dtype=np.int64)
+        Pk = P[:, None]
+        base = rng.integers(0, 2**31, (len(P), 8)) % Pk
+        got = arith._pow_mod(base, Pk >> 1, Pk)
+        assert got.dtype == np.int64 and got.shape == (300, 8)
+        want = [[pow(b, p >> 1, p) for b in row] for row, p in zip(base.tolist(), P.tolist())]
+        assert got.tolist() == want
+        # and the exponent the wider operand: one base per row
+        got = arith._pow_mod(base[:, :1], np.arange(8, dtype=np.int64) + Pk - 8, Pk)
+        assert got.dtype == np.int64 and got.shape == (300, 8)
+        assert got.tolist() == [[pow(row[0], p - 8 + j, p) for j in range(8)]
+                                for row, p in zip(base.tolist(), P.tolist())]

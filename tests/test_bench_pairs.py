@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import schedule, summarise  # noqa: E402
+from bench_pairs import layer_rows, quartiles, schedule, summarise  # noqa: E402
 
 
 def test_lower_is_better():
@@ -101,3 +101,61 @@ def test_runs_write_no_bytecode(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     assert bench_pairs.run_once(tmp_path, "sweep", 3, 30) == {"wall_s": 1.0}
     assert seen[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen[0]["cwd"] == tmp_path
+
+
+def test_quartiles_of_one_value_are_that_value():
+    assert quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert quartiles([1.0, 2.0, 3.0, 4.0]) == (2.5, 1.75, 3.25)
+
+
+def test_layer_rows_give_medians_quartiles_and_the_change_without_a_verdict():
+    metrics = [{"name": "classno.self_s", "unit": "s", "better": "lower"},
+               {"name": "arith.factorize.calls", "unit": "count", "better": "lower"},
+               {"name": "cli.self_s", "unit": "s", "better": "lower"}]
+    parent = [{"classno.self_s": x, "arith.factorize.calls": 0} for x in (0.2, 0.1, 0.4, 0.3)]
+    change = [{"classno.self_s": x, "arith.factorize.calls": 0} for x in (0.1, 0.15, 0.05, 0.2)]
+    rows = layer_rows("certify", metrics, parent, change)
+    assert rows[0] == ("| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] "
+                       "| median change |")
+    assert rows[1] == "|---|---|---|---|---|---|"
+    assert rows[2] == "| `certify` | `classno.self_s` | s | 0.25 [0.175–0.325] | 0.125 [0.0875–0.1625] | -50.0% |"
+    assert rows[3] == "| `certify` | `arith.factorize.calls` | count | 0 [0–0] | 0 [0–0] |  |"  # no ratio of 0
+    assert rows[4] == "| `certify` | `cli.self_s` | s | — | — |  |"  # reported by no run
+    assert len(rows) == 5 and not any("gain" in r or "worse" in r for r in rows)
+
+
+def test_trace_runs_one_traced_run_per_side_per_pair(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout, seed, trace))
+        side = 1.0 if checkout == tmp_path.resolve() else 0.8
+        return {"classno.self_s": side} if trace else {m: side for m in
+                                                       ("wall_s", "item_p50_ms", "item_p90_ms",
+                                                        "setup_s", "peak_rss_mb")}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", "3",
+                             "--first-seed", "5", "--trace"]) == 0
+    untraced, traced = calls[:6], calls[6:]
+    assert [c[2] for c in untraced] == [False] * 6 and [c[2] for c in traced] == [True] * 6
+    assert [c[:2] for c in traced] == [c[:2] for c in untraced]  # the same seeds in the same order
+    out = capsys.readouterr().out
+    assert "| `certify` | `classno.self_s` | s | 1 [1–1] | 0.8 [0.8–0.8] | -20.0% |" in out
+    calls.clear()
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", "2"]) == 0
+    assert [c[2] for c in calls] == [False] * 4 and "classno.self_s" not in capsys.readouterr().out
+
+
+def test_a_traced_run_asks_run_py_for_the_trace(monkeypatch, tmp_path):
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = '{"correct": true, "failed": 0, "metrics": {"classno.self_s": {"value": 0.2}}}\n'
+        stderr = ""
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw: seen.append(cmd) or Done())
+    assert bench_pairs.run_once(tmp_path, "certify", 1, 30, trace=True) == {"classno.self_s": 0.2}
+    bench_pairs.run_once(tmp_path, "certify", 1, 30)
+    assert seen[0][-2:] == ["--trace", "1"] and seen[1][-2:] == ["--trace", "0"]

@@ -500,6 +500,36 @@ class TestTailPass:
             seen |= set((split % 8).tolist())
         assert seen == {1, 3, 5, 7}
 
+    def test_sqrt_mod_split_high_two_adic_order_and_every_class_mod_32(self):
+        # Cipolla on p = 1 (mod 8) with 2^16, 2^18, 2^20 and 2^20 dividing p - 1,
+        # and primes below 2^20 from every odd class mod 32, 40 squares each
+        rng = np.random.default_rng(32)
+        below = np.array(arith.primes_up_to(1 << 20)[1:], dtype=np.int64)
+        p = np.concatenate([[65537, 786433, 5767169, 7340033]]
+                           + [rng.choice(below[below % 32 == c], 12) for c in range(1, 32, 2)])
+        assert set((p % 32).tolist()) == set(range(1, 32, 2))
+        p = np.repeat(p, 40)
+        d = rng.integers(1, 2**31, len(p)) % (p - 1) + 1  # a nonzero residue, squared next
+        d = d * d % p
+        s = classno._sqrt_mod_split(d, p)
+        assert s.dtype == np.int64 and ((s * s - d) % p == 0).all()
+
+    # Three D per decade of |D| from 10^7 to 3e11, drawn by random.Random(30)
+    # log-uniformly and made 1 and 0 (mod 4) in turn, with the counts the
+    # bit-by-bit _pow_mod gave.
+    PINNED = ((-34600435, 1020), (-19462400, 2688), (-10716103, 1456),
+              (-450438759, 16560), (-162184256, 7616), (-180832703, 12388),
+              (-2495733811, 9448), (-4381049432, 17134), (-9745658979, 28488),
+              (-28942297947, 45000), (-98511063492, 74128), (-98304182099, 114840),
+              (-130543794003, 86968), (-108305801052, 50896), (-119199048203, 79732))
+
+    def test_reduced_count_pinned_and_against_the_walk(self, monkeypatch):
+        # each count by the tail pass (forced for every tail) and by the walk,
+        # which takes at most 30 ms a count here
+        for through in (1, 10**9):
+            monkeypatch.setattr(classno, "TAIL_PASS_FROM", through)
+            assert [(D, classno._reduced_count(D)) for D, _ in self.PINNED] == list(self.PINNED)
+
     def test_imports_no_masked_arrays(self):
         # np.unique imports numpy.ma on its first call, 7-17 ms that a one-shot
         # count would pay for nothing

@@ -1,6 +1,6 @@
 """Alternating benchmark pairs of a parent checkout and this one, per end-to-end metric.
 
-    python3 tools/bench_pairs.py --base CHECKOUT --workload W [--pairs 10] [--first-seed 1]
+    python3 tools/bench_pairs.py --base CHECKOUT --workload W [--pairs 10] [--first-seed 1] [--trace]
 
 Pairs run the seeds F, F + 1, ..., F + pairs - 1, F being --first-seed, so
 that a claim can be checked again on seeds not looked at while the change
@@ -21,11 +21,20 @@ signed so that a positive number favours the change, and a verdict:
 `gain` where the change won at least nine tenths of the pairs and the gap
 exceeds the parent's quartile distance, `worse` where the change median
 is worse than the parent's by more than the metric's `bound`, else blank.
-Quartiles are statistics.quantiles(method="inclusive"). The tool writes no
-file, and the runs write no bytecode (PYTHONDONTWRITEBYTECODE=1), so no run
-leaves .pyc files that would move a later run's setup_s or peak_rss_mb.
-Bytecode a checkout already holds is still read: compare fresh exports
-(git archive) of both sides, as the benchmark's own runs do.
+Quartiles are statistics.quantiles(method="inclusive").
+
+With --trace, each pair's seed is then run once more per side, in the
+same order, with `--trace 1`, and a second table shows each per-layer
+metric of BENCHMARK.json: both sides' medians with their quartiles and
+the median change, with no verdict. It shows where a change's time went,
+layer by layer; a per-layer figure comes from one traced pass per run, so
+it is not a measure to claim a gain on.
+
+The tool writes no file, and the runs write no bytecode
+(PYTHONDONTWRITEBYTECODE=1), so no run leaves .pyc files that would move
+a later run's setup_s or peak_rss_mb. Bytecode a checkout already holds
+is still read: compare fresh exports (git archive) of both sides, as the
+benchmark's own runs do.
 """
 
 from __future__ import annotations
@@ -39,6 +48,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(median, q1, q3) of xs, inclusive quartiles; a single value is all three."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, qm, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return qm, q1, q3
 
 
 def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -61,8 +78,7 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     sign = 1 if better == "lower" else -1
-    (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(xs, n=4, method="inclusive")
-                                  for xs in (parent, change))
+    (pm, p1, p3), (cm, c1, c3) = quartiles(parent), quartiles(change)
     gap, iqr = sign * (pm - cm), p3 - p1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     gap_iqr = gap / iqr if iqr else 0.0 if gap == 0 else gap * float("inf")
@@ -82,16 +98,41 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def layer_rows(workload: str, metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
+    """The per-layer Markdown table: a header, then one row per metric of BENCHMARK.json's per_layer.
+
+    parent and change hold each traced run's {metric: value}. A row gives
+    both sides' median [q1–q3] over the runs that report the metric (— for
+    a side where none does) and the change median over the parent median,
+    minus 1, blank where the parent median is 0 or a side is missing.
+    """
+    rows = ["| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] | median change |",
+            "|---|---|---|---|---|---|"]
+    for metric in metrics:
+        name, cells, medians = metric["name"], [], []
+        for runs in (parent, change):
+            xs = [r[name] for r in runs if name in r]
+            if xs:
+                m, q1, q3 = quartiles(xs)
+                cells.append(f"{m:.4g} [{q1:.4g}–{q3:.4g}]")
+                medians.append(m)
+            else:
+                cells.append("—")
+        ratio = f"{medians[1] / medians[0] - 1:+.1%}" if len(medians) == 2 and medians[0] else ""
+        rows.append(f"| `{workload}` | `{name}` | {metric['unit']} | {cells[0]} | {cells[1]} | {ratio} |")
+    return rows
+
+
 def schedule(first_seed: int, pairs: int) -> list[tuple[int, tuple[str, str]]]:
     """(seed, the sides in running order) for each pair: odd pairs run the change first."""
     return [(first_seed + i, ("change", "parent") if i % 2 == 0 else ("parent", "change"))
             for i in range(pairs)]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced run.py result from checkout: {metric: value}. Raises RuntimeError on failure."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool = False) -> dict:
+    """One run.py result from checkout, traced or not: {metric: value}. Raises RuntimeError on failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = done.stdout.splitlines()
@@ -102,26 +143,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def paired_runs(sides: dict[str, Path], workload: str, first_seed: int, pairs: int, seconds: int,
+                trace: bool = False):
+    """Yield (seed, parent result, change result) for each pair, its sides run in schedule's order."""
+    for seed, order in schedule(first_seed, pairs):
+        got = {side: run_once(sides[side], workload, seed, seconds, trace) for side in order}
+        yield seed, got["parent"], got["change"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--trace", action="store_true", help="then one traced run per side per pair")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.base.resolve(), "change": ROOT}
+    series = (sides, args.workload, args.first_seed, args.pairs, bench["run_seconds"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for seed, order in schedule(args.first_seed, args.pairs):
-        for side in order:
-            try:
-                runs[side].append(run_once(sides[side], args.workload, seed, bench["run_seconds"]))
-            except RuntimeError as e:
-                print(f"run failed: {e}", file=sys.stderr)
-                return 1
-        print(f"pair {seed}: " + ", ".join(f"{name} {runs['parent'][-1][name]:.3f} -> "
-                                           f"{value:.3f}" for name, value in runs["change"][-1].items()),
-              flush=True)
+    try:
+        for seed, parent, change in paired_runs(*series):
+            runs["parent"].append(parent)
+            runs["change"].append(change)
+            print(f"pair {seed}: " + ", ".join(f"{name} {parent[name]:.3f} -> {value:.3f}"
+                                               for name, value in change.items()), flush=True)
+    except RuntimeError as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return 1
     print(f"\n{args.workload}, {args.pairs} pairs from seed {args.first_seed}: "
           f"parent {sides['parent']}, change {ROOT}\n")
     print("| workload | metric | parent median [q1–q3] | change median [q1–q3] | median change "
@@ -134,7 +184,17 @@ def main(argv=None) -> int:
         (pm, p1, p3), (cm, c1, c3) = s["parent"], s["change"]
         print(f"| `{args.workload}` | `{name}` | {pm:.3f} [{p1:.3f}–{p3:.3f}] | "
               f"{cm:.3f} [{c1:.3f}–{c3:.3f}] | {s['ratio']:+.1%} | {s['wins']}/{args.pairs} | "
-              f"{s['gap_iqr']:+.2f} | {s['verdict']} |")
+              f"{s['gap_iqr']:+.2f} | {s['verdict']} |", flush=True)
+    if not args.trace:
+        return 0
+    try:
+        traced = list(paired_runs(*series, trace=True))
+    except RuntimeError as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return 1
+    print("\nper layer, one traced run per side and pair:\n")
+    print("\n".join(layer_rows(args.workload, bench["per_layer"], [p for _, p, _ in traced],
+                               [c for _, _, c in traced])))
     return 0
 
 
