@@ -206,7 +206,6 @@ def _cmd_thm31(args) -> int:
         "d": rep.d, "r": rep.r, "h": rep.h, "verdict": rep.verdict,
         "anomaly": rep.anomaly,
         "hypotheses": [dict(vars(c)) for c in rep.hypotheses],
-        "trace": rep.trace,
     }
     lines = [f"(ell, n, p) = ({rep.ell}, {rep.n}, {rep.p})"]
     lines += map(_check_line, rec["hypotheses"])
@@ -270,21 +269,21 @@ def _cmd_tables(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, suppress: bool) -> list[argparse.Action]:
     # Shared flags are valid before or after the subcommand; the subparser
     # copies use SUPPRESS defaults so they never clobber a value given
     # before the subcommand.
     def dflt(value):
         return argparse.SUPPRESS if suppress else value
 
-    p.add_argument("--format", choices=("text", "json", "csv"), default=dflt("text"))
-    p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
-                   help="rho iteration budget of every factorization")
-    p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
-                   help="largest |square-free part| whose class number is counted: "
-                        "|D| up to it for D = 1 (mod 4), up to 4 times it for D = 0 (mod 4)")
-    p.add_argument("-v", "--verbose", action="store_true", default=dflt(False),
-                   help="progress to stderr")
+    return [p.add_argument("--format", choices=("text", "json", "csv"), default=dflt("text")),
+            p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
+                           help="rho iteration budget of every factorization"),
+            p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
+                           help="largest |square-free part| whose class number is counted: "
+                                "|D| up to it for D = 1 (mod 4), up to 4 times it for D = 0 (mod 4)"),
+            p.add_argument("-v", "--verbose", action="store_true", default=dflt(False),
+                           help="progress to stderr")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,103 +291,107 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+# argparse's rule for a token that starts with "-" yet is read as a value, in
+# a parser none of whose option strings match it
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 class _Table(NamedTuple):
-    """What parse_argv reads of one parser's argparse actions."""
+    """What parse_argv reads of one parser's store and store_true actions."""
 
     options: dict  # option string -> its store or store_true action
     required: tuple[str, ...]  # the dests of the options every valid argv gives
     positional: argparse.Action | None  # an optional positional, verify's file
     defaults: dict  # the Namespace before any token is read
-    negative: re.Pattern  # values starting with "-" that the parser takes as values
 
 
-def _table(parser: argparse.ArgumentParser, defaults: dict) -> _Table:
-    """parser's table over defaults; only the actions listed here are read, the rest go to argparse."""
+def _table(actions: list[argparse.Action], defaults: dict) -> _Table:
+    """The table of actions, each a store or store_true action or verify's file, over defaults."""
     options, required, positional, own = {}, [], None, {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+    for action in actions:
+        if action.default is not argparse.SUPPRESS:
             own.setdefault(action.dest, action.default)  # as argparse: the first action's default
-        if type(action) in (argparse._StoreAction, argparse._StoreTrueAction) and action.nargs != "?":
+        if action.option_strings:
             options.update(dict.fromkeys(action.option_strings, action))
             if action.required:
                 required.append(action.dest)
-        elif not action.option_strings and action.nargs == "?":
+        else:
             positional = action
     # a parser with options like "-1" reads "-1" as an option, never as a value
-    assert not parser._has_negative_number_optionals
-    return _Table(options, tuple(required), positional, {**defaults, **own},
-                  parser._negative_number_matcher)
+    assert not any(map(_NEGATIVE_NUMBER.match, options))
+    return _Table(options, tuple(required), positional, {**defaults, **own})
 
 
 @functools.cache  # parsing keeps no state, and building costs more than a small command
 def _parsers() -> tuple[argparse.ArgumentParser, _Table, dict[str, _Table]]:
     """(the whole parser, its table of the shared flags, each subcommand's table by name)."""
     p = _Parser(prog="iqtuples", description="\n\n".join(__doc__.split("\n\n")[:2]))
-    _add_common(p, suppress=False)
+    top = _table(_add_common(p, suppress=False), {})
     common = _Parser(add_help=False)
-    _add_common(common, suppress=True)
+    shared = _add_common(common, suppress=True)  # each parents=[common] subparser holds these objects
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = {}  # name -> the actions its own add_argument calls returned
 
     c = sub.add_parser("classnum", parents=[common],
                        help="class number of a field or discriminant")
-    c.add_argument("-d", type=int, help="square-free radicand of the field")
-    c.add_argument("-D", type=int, help="form discriminant (0 or 1 mod 4)")
-    c.add_argument("--method", choices=("forms", "dirichlet"), default="forms")
-    c.add_argument("--with-forms", action="store_true")
+    commands["classnum"] = [c.add_argument("-d", type=int, help="square-free radicand of the field"),
+                            c.add_argument("-D", type=int, help="form discriminant (0 or 1 mod 4)"),
+                            c.add_argument("--method", choices=("forms", "dirichlet"), default="forms"),
+                            c.add_argument("--with-forms", action="store_true")]
 
     c = sub.add_parser("squarefree", parents=[common], help="square-free decomposition m = s*f^2")
-    c.add_argument("-m", type=int, required=True)
+    commands["squarefree"] = [c.add_argument("-m", type=int, required=True)]
 
     c = sub.add_parser("lehmer", parents=[common], help="Lehmer number for parameters (a, b)")
-    c.add_argument("-a", type=int, required=True)
-    c.add_argument("-b", type=int, required=True)
-    c.add_argument("-t", type=int, required=True, help="index")
+    commands["lehmer"] = [c.add_argument("-a", type=int, required=True),
+                          c.add_argument("-b", type=int, required=True),
+                          c.add_argument("-t", type=int, required=True, help="index")]
 
     c = sub.add_parser("pdiv", parents=[common], help="primitive divisors of a Lehmer number")
-    c.add_argument("-a", type=int, required=True)
-    c.add_argument("-b", type=int, required=True)
-    c.add_argument("-t", type=int, required=True, help="index")
+    commands["pdiv"] = [c.add_argument("-a", type=int, required=True),
+                        c.add_argument("-b", type=int, required=True),
+                        c.add_argument("-t", type=int, required=True, help="index")]
 
     c = sub.add_parser("lrn-solve", parents=[common], help="solve x^2 + d*y^2 = ell^z")
-    c.add_argument("-d", type=int, required=True)
-    c.add_argument("-l", type=int, required=True, help="ell")
-    c.add_argument("--z-max", type=int, required=True)
-    c.add_argument("--method", choices=("structured", "brute", "both"), default="structured")
+    commands["lrn-solve"] = [c.add_argument("-d", type=int, required=True),
+                             c.add_argument("-l", type=int, required=True, help="ell"),
+                             c.add_argument("--z-max", type=int, required=True),
+                             c.add_argument("--method", choices=("structured", "brute", "both"),
+                                            default="structured")]
 
     c = sub.add_parser("thm31", parents=[common], help="verify n | h for Q(sqrt(p^2 - ell^n))")
-    c.add_argument("-l", type=int, required=True, help="ell")
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("-p", type=int, required=True)
+    commands["thm31"] = [c.add_argument("-l", type=int, required=True, help="ell"),
+                         c.add_argument("-n", type=int, required=True),
+                         c.add_argument("-p", type=int, required=True)]
 
     c = sub.add_parser("quadruple", parents=[common], help="construct the offsets {0, 1, 4, 4p^2} tuple")
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--verify", action="store_true")
+    commands["quadruple"] = [c.add_argument("-n", type=int, required=True),
+                             c.add_argument("-p", type=int, required=True),
+                             c.add_argument("-k", type=int, required=True),
+                             c.add_argument("--verify", action="store_true")]
 
     c = sub.add_parser("quintuple", parents=[common], help="construct the offsets {0, 1, 4, 36, 100} tuple")
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--verify", action="store_true")
+    commands["quintuple"] = [c.add_argument("-n", type=int, required=True),
+                             c.add_argument("-k", type=int, required=True),
+                             c.add_argument("--verify", action="store_true")]
 
     c = sub.add_parser("tuples", parents=[common], help="construct the (pi(m)+2)-tuple")
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("-m", type=int, required=True)
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--mode", choices=("strict", "lenient"), default="strict")
-    c.add_argument("--verify", action="store_true")
+    commands["tuples"] = [c.add_argument("-n", type=int, required=True),
+                          c.add_argument("-m", type=int, required=True),
+                          c.add_argument("-k", type=int, required=True),
+                          c.add_argument("--mode", choices=("strict", "lenient"), default="strict"),
+                          c.add_argument("--verify", action="store_true")]
 
     c = sub.add_parser("verify", parents=[common], help="verify tuple JSON lines from a file or stdin")
-    c.add_argument("file", nargs="?", type=argparse.FileType("r"), default="-",
-                   help="JSON-lines file (default stdin)")
+    commands["verify"] = [c.add_argument("file", nargs="?", type=argparse.FileType("r"), default="-",
+                                         help="JSON-lines file (default stdin)")]
 
     c = sub.add_parser("tables", parents=[common], help="dump the defective Lehmer pair tables")
-    c.add_argument("-t", type=int, help="check membership at this index")
-    c.add_argument("-a", type=int)
-    c.add_argument("-b", type=int)
-    top = _table(p, {})
-    return p, top, {name: _table(c, {**top.defaults, "command": name})
-                    for name, c in sub.choices.items()}
+    commands["tables"] = [c.add_argument("-t", type=int, help="check membership at this index"),
+                          c.add_argument("-a", type=int),
+                          c.add_argument("-b", type=int)]
+    return p, top, {name: _table(shared + own, {**top.defaults, "command": name})
+                    for name, own in commands.items()}
 
 
 def _from_tables(argv: list[str]) -> argparse.Namespace | None:
@@ -409,7 +412,7 @@ def _from_tables(argv: list[str]) -> argparse.Namespace | None:
             given[action.dest] = action.const
         else:
             value = next(tokens, "-")
-            if value[:1] == "-" and not table.negative.match(value):
+            if value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
                 return None  # argparse reads it as an option, or it is missing
             try:
                 value = action.type(value) if action.type else value

@@ -6,10 +6,10 @@ over (z, x), and a structured enumeration that builds every solution as
     x + y*sqrt(-d) = eps * (a + mu*b*sqrt(-d))^t,   z = s*t,
 
 from base solutions a^2 + d*b^2 = ell^s with gcd(a, b) = 1 and s dividing
-the form class number h*(-4d). The verifier uses the structured route's
-theory (primitive divisors of Lehmer numbers force t = 1) to certify that
-n divides h*(-4d) where -d is the square-free part of p^2 - ell^n, and
-records each elimination step in a machine-readable trace.
+the form class number h*(-4d). The verifier checks Theorem 3.1's
+hypotheses on (ell, n, p) and then decides whether n divides h*(-4d), -d
+the square-free part of p^2 - ell^n, by one exact form count: the verdict
+is the count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from . import arith, classno, lehmer
+from . import arith, classno
 from .errors import DomainError, HypothesisCheck, OutOfRangeError, labelled
 
 log = logging.getLogger(__name__)
@@ -166,10 +166,10 @@ class Theorem31Report:
     """Outcome of the divisibility verification for (ell, n, p).
 
     When every hypothesis holds the report carries the square-free part d
-    and cofactor r of ell^n - p^2 = d*r^2, the class number h = h*(-4d),
-    the verdict (n divides h), and a trace of the elimination steps. A
-    failed hypothesis leaves verdict None; a false verdict despite valid
-    hypotheses sets anomaly (it would contradict proven theory).
+    and cofactor r of ell^n - p^2 = d*r^2, the class number h = h*(-4d)
+    and the verdict (n divides h). A failed hypothesis leaves verdict None;
+    a false verdict despite valid hypotheses sets anomaly (it would
+    contradict proven theory).
     """
 
     ell: int
@@ -182,7 +182,6 @@ class Theorem31Report:
     h: int | None = None
     verdict: bool | None = None
     anomaly: bool = False
-    trace: dict = field(default_factory=dict)
 
     @property
     def accepted(self) -> bool:
@@ -194,71 +193,6 @@ class Theorem31Report:
             if not c.ok:
                 return c.check
         return None
-
-
-def _trace_t_range() -> dict:
-    """Why the power exponent t can only be 1, 3, or 5.
-
-    |L_t| = 1 for the Lehmer pair attached to a solution, so L_t has no
-    primitive divisor; t > 30 is impossible (Bilu-Hanrot-Voutier), and the
-    pair's parameters (-4db^2, 4p^2) are (0, 0) mod 4, which matches no
-    tabled defective pair at odd t in 7..29 in either sign image.
-    """
-    finite = lehmer.exceptional_tables()["finite"]
-    residues = sorted(
-        {(ea % 4, eb % 4) for entries in finite.values() for ea, eb in entries}
-        | {(-ea % 4, -eb % 4) for entries in finite.values() for ea, eb in entries}
-    )
-    return {
-        "parameters": ["-4*d*b^2", "4*p^2"],
-        "parameters_mod_4": [0, 0],
-        "table_entries_mod_4": residues,
-        "table_match_possible": [0, 0] in [list(r) for r in residues],
-        "conclusion": "t in {1, 3, 5}",
-    }
-
-
-def _trace_t3(d: int, p: int) -> dict:
-    """Eliminate t = 3: p^2 - 3*d*b^2 = +-1 has no integer solution b.
-
-    Checked directly (neither (p^2 - 1)/(3d) nor (p^2 + 1)/(3d) is a
-    perfect square) and by the congruences that prove it in general:
-    with d = 2 (mod 4) and b odd, p^2 - 3*d*b^2 = 3 (mod 4) rules out +1,
-    and p^2 = -1 (mod 3) is impossible, ruling out -1.
-    """
-    out: dict = {"equation": "p^2 - 3*d*b^2 = +-1"}
-    for sign, name in ((1, "plus"), (-1, "minus")):
-        num = p * p - sign
-        entry: dict = {"b_squared_times_3d": num}
-        if num % (3 * d) != 0:
-            entry["integral"] = False
-            entry["solvable"] = False
-        else:
-            b2 = num // (3 * d)
-            entry["integral"] = True
-            entry["square"] = isqrt(b2) ** 2 == b2
-            entry["solvable"] = entry["square"]
-        out[name] = entry
-    # d = 2 (mod 4) and b odd make p^2 - 3*d*b^2 = 3 (mod 4), never +1;
-    # p^2 = -1 (mod 3) would need a square residue of 2, which does not exist.
-    out["mod4_rules_out_plus"] = d % 4 == 2
-    out["mod3_rules_out_minus"] = (p * p) % 3 != 2
-    out["possible"] = out["plus"]["solvable"] or out["minus"]["solvable"]
-    return out
-
-
-def _trace_t5(d: int) -> dict:
-    """Eliminate t = 5: -4*d*b^2 would have to be a Fibonacci or Lucas number.
-
-    F_k and L_k are nonnegative for every k >= 0 (F_0 = 0 is the least),
-    while -4*d*b^2 <= -4d < 0, so no b works.
-    """
-    return {
-        "required": "-4*d*b^2 equals a Fibonacci or Lucas number",
-        "min_family_value": 0,
-        "max_candidate": -4 * d,
-        "possible": -4 * d >= 0,
-    }
 
 
 # ell^n is refused, before it is formed, when n*bits(ell) exceeds this: its
@@ -320,8 +254,8 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
     Hypotheses: ell = 3 (mod 4), gcd(ell, p) = 1, p^2 < ell^n, and either
     p in {3, 5} with (ell, n) != (3, 3), or p incongruent to +-1 mod d.
     Violations produce a report with the failed check named, not an
-    exception. With valid hypotheses the verdict is the computed
-    divisibility; the trace records the t-elimination steps.
+    exception. With valid hypotheses the verdict is the count: h*(-4d) by
+    classno.class_number_forms, and whether n divides it.
     """
     if n <= 1 or n % 2 == 0:
         raise DomainError(f"n must be an odd integer > 1, got {n}")
@@ -348,16 +282,6 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
     if not report.accepted:
         return report
 
-    report.trace["solution"] = {
-        "equation": f"x^2 + {report.d}*y^2 = {ell}^z",
-        "x": p, "y": report.r, "z": n,
-    }
-    report.trace["d_mod_4"] = report.d % 4
-    report.trace["t_range"] = _trace_t_range()
-    report.trace["t3"] = _trace_t3(report.d, p)
-    report.trace["t5"] = _trace_t5(report.d)
-    report.trace["conclusion"] = "t = 1, so n = s divides h*(-4d)"
-
     report.h = classno.class_number_forms(-4 * report.d).h
     report.verdict = report.h % n == 0
     if not report.verdict:
@@ -367,7 +291,4 @@ def theorem31_verify(ell: int, n: int, p: int) -> Theorem31Report:
             "(ell, n, p) = (%d, %d, %d); this contradicts proven theory",
             n, -4 * report.d, report.h, ell, n, p,
         )
-    if report.trace["t3"]["possible"] or report.trace["t5"]["possible"]:
-        report.anomaly = True
-        log.error("t-elimination unexpectedly failed for (%d, %d, %d)", ell, n, p)
     return report

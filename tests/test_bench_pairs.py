@@ -3,10 +3,12 @@
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
 from bench_pairs import layer_rows, quartiles, schedule, summarise  # noqa: E402
@@ -159,3 +161,56 @@ def test_a_traced_run_asks_run_py_for_the_trace(monkeypatch, tmp_path):
     assert bench_pairs.run_once(tmp_path, "certify", 1, 30, trace=True) == {"classno.self_s": 0.2}
     bench_pairs.run_once(tmp_path, "certify", 1, 30)
     assert seen[0][-2:] == ["--trace", "1"] and seen[1][-2:] == ["--trace", "0"]
+
+
+def _rusage_stub(monkeypatch, steps):
+    """getrusage(RUSAGE_CHILDREN) growing by the next of steps (minflt, utime, stime) at each even call."""
+    totals, calls = [0, 0.0, 0.0], []
+
+    def getrusage(who):
+        assert who == bench_pairs.resource.RUSAGE_CHILDREN
+        if len(calls) % 2:  # an "after": the run in between added its step
+            for i, x in enumerate(steps[len(calls) // 2]):
+                totals[i] += x
+        calls.append(who)
+        return SimpleNamespace(ru_minflt=totals[0], ru_utime=totals[1], ru_stime=totals[2])
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", getrusage)
+
+
+def test_each_result_holds_its_own_runs_child_rusage(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds, trace=False: {"wall_s": float(seed)})
+    # pair 1 runs the change first, pair 2 the parent
+    _rusage_stub(monkeypatch, [(100, 0.5, 0.25), (300, 1.5, 0.5), (7, 0.75, 0.125), (9, 2.0, 1.0)])
+    got = list(bench_pairs.paired_runs({"parent": tmp_path, "change": ROOT}, "sweep", 1, 2, 30))
+    assert got == [
+        (1, {"wall_s": 1.0, "ru_minflt": 300, "ru_utime": 1.5, "ru_stime": 0.5},
+         {"wall_s": 1.0, "ru_minflt": 100, "ru_utime": 0.5, "ru_stime": 0.25}),
+        (2, {"wall_s": 2.0, "ru_minflt": 7, "ru_utime": 0.75, "ru_stime": 0.125},
+         {"wall_s": 2.0, "ru_minflt": 9, "ru_utime": 2.0, "ru_stime": 1.0}),
+    ]
+
+
+def test_pair_lines_and_a_table_show_the_child_rusage_without_a_verdict(monkeypatch, capsys, tmp_path):
+    metrics = ("wall_s", "item_p50_ms", "item_p90_ms", "setup_s", "peak_rss_mb")
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        return {m: 1.0 if checkout == tmp_path.resolve() else 0.5 for m in metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    # change, parent; parent, change; change, parent
+    _rusage_stub(monkeypatch, [(3000, 0.5, 0.125), (1000, 1.0, 0.25), (1200, 1.25, 0.25),
+                               (3200, 0.5, 0.125), (3400, 0.75, 0.125), (1100, 1.0, 0.25)])
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "sweep", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1: wall_s 1.000 -> 0.500, ")
+    assert lines[0].endswith(", ru_minflt 1000 -> 3000, ru_utime 1.000 -> 0.500, ru_stime 0.250 -> 0.125")
+    table = lines[lines.index("child processes, per run:") + 2:]
+    assert table == [
+        "| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] | median change |",
+        "|---|---|---|---|---|---|",
+        "| `sweep` | `ru_minflt` | faults | 1100 [1050–1150] | 3200 [3100–3300] | +190.9% |",
+        "| `sweep` | `ru_utime` | s | 1 [1–1.125] | 0.5 [0.5–0.625] | -50.0% |",
+        "| `sweep` | `ru_stime` | s | 0.25 [0.25–0.25] | 0.125 [0.125–0.125] | -50.0% |",
+    ]

@@ -13,11 +13,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = [  # seeds 1, 2 and 3 of each workload, as --seeds 1 2 3 prints them
     "certify seed 1: 173 items, 0 nonzero exits, "
-    "sha256 b10a77554f0dff97daa5f07035fb22e9fa80edf3737455bf0ccf3014c409230f",
+    "sha256 1746082f34121a947166e8dbda0330c4d06fbe129dd1cd4e6f7abce5e7714475",
     "certify seed 2: 173 items, 0 nonzero exits, "
-    "sha256 70ad3a78090592a2507f989dea7092bcd3560edcb2a102339fb853c7f6792f22",
+    "sha256 bd6271654d605dffa179aa09b9650c13f1e3207b1cc9f6d7f2060b5c28ae4bed",
     "certify seed 3: 173 items, 0 nonzero exits, "
-    "sha256 91d11e22e6f09eaa09c59e9232035ee9353fe35c6e3c9d659219ee3282de59b3",
+    "sha256 23476bbafc19ba50b74430500ff8be076654ac9c97268d28e2c083005f65e9b3",
     "sweep seed 1: 120 items, 0 nonzero exits, "
     "sha256 50875ba4eb37eeea4221987af1d12af1a26a2d5c79a6ad94084a91acd6f1aba2",
     "sweep seed 2: 120 items, 0 nonzero exits, "

@@ -1,8 +1,11 @@
+import dataclasses
+import json
+import logging
 from math import gcd, isqrt
 
 import pytest
 
-from iqtuples import families, lrn
+from iqtuples import classno, cli, families, lrn
 from iqtuples.errors import DomainError, OutOfRangeError
 from iqtuples.lrn import Decomposition, LrnInstance
 
@@ -223,22 +226,26 @@ class TestTheorem31:
         with pytest.raises(DomainError):
             lrn.theorem31_verify(7, 3, 2)    # even p
 
-    def test_trace_structure(self):
+    def test_anomaly_only_when_n_does_not_divide_the_count(self, monkeypatch, caplog, capsys):
+        # the verdict is the count; a count n does not divide under valid
+        # hypotheses is the one failure, reported as anomaly with an ERROR
         rep = lrn.theorem31_verify(7, 3, 5)
-        assert rep.trace["solution"] == {
-            "equation": "x^2 + 318*y^2 = 7^z", "x": 5, "y": 1, "z": 3,
-        }
-        assert rep.trace["d_mod_4"] == 2
-        assert rep.trace["t_range"]["table_match_possible"] is False
-        assert rep.trace["t_range"]["parameters_mod_4"] == [0, 0]
-        t3 = rep.trace["t3"]
-        assert t3["possible"] is False
-        assert not t3["plus"]["solvable"] and not t3["minus"]["solvable"]
-        assert t3["mod4_rules_out_plus"] and t3["mod3_rules_out_minus"]
-        t5 = rep.trace["t5"]
-        assert t5["possible"] is False
-        assert t5["min_family_value"] == 0
-        assert t5["max_candidate"] == -4 * 318
+        assert (rep.h, rep.verdict, rep.anomaly) == (12, True, False)
+        count = classno.class_number_forms
+        monkeypatch.setattr(classno, "class_number_forms",
+                            lambda D: dataclasses.replace(count(D), h=count(D).h + 1))
+        with caplog.at_level(logging.ERROR, logger="iqtuples.lrn"):
+            rep = lrn.theorem31_verify(7, 3, 5)
+        assert rep.accepted and (rep.h, rep.verdict, rep.anomaly) == (13, False, True)
+        assert [r.getMessage() for r in caplog.records] == [
+            "verified hypotheses but 3 does not divide h*(-1272) = 13 for "
+            "(ell, n, p) = (7, 3, 5); this contradicts proven theory"]
+        assert not hasattr(rep, "trace")
+        assert cli.main(["thm31", "-l", "7", "-n", "3", "-p", "5", "--format", "json"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["h"], rec["verdict"], rec["anomaly"]) == (13, False, True)
+        assert list(rec) == ["command", "ell", "n", "p", "accepted", "rejection", "branch",
+                             "d", "r", "h", "verdict", "anomaly", "hypotheses"]
 
     def test_power_cap_is_on_n_times_the_bits_of_ell(self):
         ell = (1 << 39) + 3  # 40 bits: n*bits(ell) = 5*40 is the cap itself

@@ -11,7 +11,11 @@ the parent checkout --base and once from the checkout holding this file
 run_seconds. Odd pairs (the first, third, ...) run the change first, even
 pairs the parent, so neither side always follows the other. Each run's last
 stdout line is its JSON result; a run that fails or is not correct stops
-the series with exit 1. After each pair one line shows both sides' values.
+the series with exit 1. Each run also records its child processes' minor
+page faults and user and system CPU seconds (ru_minflt, ru_utime,
+ru_stime): the resource.getrusage(RUSAGE_CHILDREN) deltas around the
+run.py subprocess, which count run.py and every worker it waited for.
+After each pair one line shows both sides' values.
 
 Then, for each end-to-end metric of BENCHMARK.json, one Markdown table
 row: the parent and change medians with their quartiles, the median
@@ -21,10 +25,13 @@ signed so that a positive number favours the change, and a verdict:
 `gain` where the change won at least nine tenths of the pairs and the gap
 exceeds the parent's quartile distance, `worse` where the change median
 is worse than the parent's by more than the metric's `bound`, else blank.
-Quartiles are statistics.quantiles(method="inclusive").
+Quartiles are statistics.quantiles(method="inclusive"). A second table
+gives both sides' medians and quartiles of the page faults and CPU
+seconds, with no verdict: a gain that comes with a swing in page faults
+reads as a heap-layout effect, not as less work.
 
 With --trace, each pair's seed is then run once more per side, in the
-same order, with `--trace 1`, and a second table shows each per-layer
+same order, with `--trace 1`, and a third table shows each per-layer
 metric of BENCHMARK.json: both sides' medians with their quartiles and
 the median change, with no verdict. It shows where a change's time went,
 layer by layer; a per-layer figure comes from one traced pass per run, so
@@ -42,12 +49,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the child rusage fields each run records, in layer_rows' metric form
+RUSAGE = [{"name": "ru_minflt", "unit": "faults"}, {"name": "ru_utime", "unit": "s"},
+          {"name": "ru_stime", "unit": "s"}]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -99,9 +110,9 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
 
 
 def layer_rows(workload: str, metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
-    """The per-layer Markdown table: a header, then one row per metric of BENCHMARK.json's per_layer.
+    """A Markdown table of metrics, BENCHMARK.json's per_layer or RUSAGE: a header, then one row each.
 
-    parent and change hold each traced run's {metric: value}. A row gives
+    parent and change hold each run's {metric: value}. A row gives
     both sides' median [q1–q3] over the runs that report the metric (— for
     a side where none does) and the change median over the parent median,
     minus 1, blank where the parent median is 0 or a side is missing.
@@ -145,9 +156,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool
 
 def paired_runs(sides: dict[str, Path], workload: str, first_seed: int, pairs: int, seconds: int,
                 trace: bool = False):
-    """Yield (seed, parent result, change result) for each pair, its sides run in schedule's order."""
+    """Yield (seed, parent result, change result) for each pair, its sides run in schedule's order.
+
+    A result is run_once's, with the RUSAGE fields' RUSAGE_CHILDREN deltas
+    around it added.
+    """
     for seed, order in schedule(first_seed, pairs):
-        got = {side: run_once(sides[side], workload, seed, seconds, trace) for side in order}
+        got = {}
+        for side in order:
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            got[side] = run_once(sides[side], workload, seed, seconds, trace)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            got[side].update({f["name"]: getattr(after, f["name"]) - getattr(before, f["name"])
+                              for f in RUSAGE})
         yield seed, got["parent"], got["change"]
 
 
@@ -167,8 +188,11 @@ def main(argv=None) -> int:
         for seed, parent, change in paired_runs(*series):
             runs["parent"].append(parent)
             runs["change"].append(change)
-            print(f"pair {seed}: " + ", ".join(f"{name} {parent[name]:.3f} -> {value:.3f}"
-                                               for name, value in change.items()), flush=True)
+            cells = []
+            for name, value in change.items():
+                places = 0 if name == "ru_minflt" else 3  # a count of page faults
+                cells.append(f"{name} {parent[name]:.{places}f} -> {value:.{places}f}")
+            print(f"pair {seed}: " + ", ".join(cells), flush=True)
     except RuntimeError as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
@@ -185,6 +209,8 @@ def main(argv=None) -> int:
         print(f"| `{args.workload}` | `{name}` | {pm:.3f} [{p1:.3f}–{p3:.3f}] | "
               f"{cm:.3f} [{c1:.3f}–{c3:.3f}] | {s['ratio']:+.1%} | {s['wins']}/{args.pairs} | "
               f"{s['gap_iqr']:+.2f} | {s['verdict']} |", flush=True)
+    print("\nchild processes, per run:\n")
+    print("\n".join(layer_rows(args.workload, RUSAGE, runs["parent"], runs["change"])), flush=True)
     if not args.trace:
         return 0
     try:
