@@ -200,17 +200,17 @@ def test_pair_lines_and_a_table_show_the_child_rusage_without_a_verdict(monkeypa
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     # change, parent; parent, change; change, parent
-    _rusage_stub(monkeypatch, [(3000, 0.5, 0.125), (1000, 1.0, 0.25), (1200, 1.25, 0.25),
-                               (3200, 0.5, 0.125), (3400, 0.75, 0.125), (1100, 1.0, 0.25)])
+    _rusage_stub(monkeypatch, [(30000, 0.5, 0.125), (10000, 1.0, 0.25), (12000, 1.25, 0.25),
+                               (32000, 0.5, 0.125), (34000, 0.75, 0.125), (11000, 1.0, 0.25)])
     assert bench_pairs.main(["--base", str(tmp_path), "--workload", "sweep", "--pairs", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("pair 1: wall_s 1.000 -> 0.500, ")
-    assert lines[0].endswith(", ru_minflt 1000 -> 3000, ru_utime 1.000 -> 0.500, ru_stime 0.250 -> 0.125")
+    assert lines[0].endswith(", ru_minflt 10000 -> 30000, ru_utime 1.000 -> 0.500, ru_stime 0.250 -> 0.125")
     table = lines[lines.index("child processes, per run:") + 2:]
     assert table == [
         "| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] | median change |",
         "|---|---|---|---|---|---|",
-        "| `sweep` | `ru_minflt` | faults | 1100 [1050–1150] | 3200 [3100–3300] | +190.9% |",
+        "| `sweep` | `ru_minflt` | faults | 11000 [10500–11500] | 32000 [31000–33000] | +190.9% |",
         "| `sweep` | `ru_utime` | s | 1 [1–1.125] | 0.5 [0.5–0.625] | -50.0% |",
         "| `sweep` | `ru_stime` | s | 0.25 [0.25–0.25] | 0.125 [0.125–0.125] | -50.0% |",
     ]

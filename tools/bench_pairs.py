@@ -116,6 +116,7 @@ def layer_rows(workload: str, metrics: list[dict], parent: list[dict], change: l
     both sides' median [q1–q3] over the runs that report the metric (— for
     a side where none does) and the change median over the parent median,
     minus 1, blank where the parent median is 0 or a side is missing.
+    Values take six significant digits, so that a page-fault count reads whole.
     """
     rows = ["| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] | median change |",
             "|---|---|---|---|---|---|"]
@@ -125,7 +126,7 @@ def layer_rows(workload: str, metrics: list[dict], parent: list[dict], change: l
             xs = [r[name] for r in runs if name in r]
             if xs:
                 m, q1, q3 = quartiles(xs)
-                cells.append(f"{m:.4g} [{q1:.4g}–{q3:.4g}]")
+                cells.append(f"{m:.6g} [{q1:.6g}–{q3:.6g}]")
                 medians.append(m)
             else:
                 cells.append("—")
