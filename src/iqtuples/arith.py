@@ -7,8 +7,8 @@ share one rule (_decompose): a cofactor with no prime below P is settled
 below P^3 by one isqrt, with no full factorization. A tuple's members are
 values x^2 - 4N, so decompose_member(4N, x) with x^2 < 10^4 also divides by
 the primes up to 10^6 that one reduction of 4N finds, which raises P. That
-sieve depends on 4N alone, never on what the process has imported, and
-decompose_member remembers every member it settles without factorizing.
+sieve depends on 4N alone, never on what the process has imported. factorize
+keeps no state; decompose_member remembers each member with its rho charge.
 """
 
 from __future__ import annotations
@@ -73,10 +73,9 @@ class Limits:
 
 _LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())
 
-# Entries each process-lifetime memo keeps (factorize's, the member sieves and
-# members here, classno's h-only form counts); past it the oldest entry goes.
-# Running all 390 items of the construct benchmark in one process leaves 758
-# factorizations and 1140 members.
+# Entries each process-lifetime memo keeps (the member sieves and members here,
+# classno's h-only form counts); past it the oldest entry goes. The 390 items
+# of construct seed 1, run in one process, leave 1437 members.
 MEMO_SIZE = 1 << 14
 
 
@@ -188,8 +187,6 @@ def _prime_past(b: int) -> int:
 
 _PAST_TRIAL = _prime_past(10_000)  # 10007, the least prime trial division leaves
 _spf_table = array("i")
-# (m, sieved) -> (its Factorization, the rho iterations it took, 0 if rho never ran), m >= 10^8
-_factor_memo: dict[tuple[int, bool], tuple[Factorization, int]] = {}
 
 
 def smallest_prime_factor_table(limit: int) -> array:
@@ -683,41 +680,30 @@ def factorize(m: int) -> Factorization:
     the current Limits.rho_budget iterations, never returns a wrong or
     incomplete factorization. A cofactor past the proven primality range
     raises OutOfRangeError at its first is_prime test, before any rho step,
-    naming m and the cofactor.
-
-    Every m >= 10^8 is remembered for the process once factored, by m and
-    route (see _factorize), with the rho iterations it took, 0 when trial
-    division, is_prime and the power test finished it (MEMO_SIZE entries at
-    most, the oldest dropped first); below 10^8 trial division alone
-    decides, and nothing is kept. A remembered m is answered at once only
-    while those iterations fit the current rho_budget; otherwise it is
-    factored again, and rho, being deterministic, raises the BudgetError
-    the first call would have.
+    naming m and the cofactor. Nothing is remembered: the same m always
+    takes the same steps and charges the same rho iterations.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
-    return _factorize(m, False)
+    return _factorize(m, False)[0]
 
 
-def _factorize(m: int, sieved: bool) -> Factorization:
-    """factorize(m); sieved says that the member sieve has cleared m of every prime up to B.
+def _factorize(m: int, sieved: bool) -> tuple[Factorization, int]:
+    """(factorize(m), the rho iterations it charged); sieved: the member sieve cleared m up to B.
 
-    A sieved m is the cofactor _decompose leaves with a sieve, and every composite
-    cofactor found in it goes to _split as sieved: both parts of a split
-    keep that property. The memo is keyed by (m, sieved): the sieved route
-    charges QS_AFTER where plain rho may split m in fewer, so an entry of
-    one route would answer a budget the other would raise on.
+    A sieved m is the cofactor _decompose leaves with a sieve, and every
+    composite cofactor found in it goes to _split as sieved: both parts of a
+    split keep that property. The charge is 0 when trial division, is_prime
+    and the power test finish m. Rho is deterministic and its path does not
+    depend on the budget, so an m and route charge the same each time, and
+    a budget below that charge raises BudgetError whatever ran before.
     """
-    rho_budget = _LIMITS.get().rho_budget
-    hit = _factor_memo.get((m, sieved))
-    if hit is not None and hit[1] <= rho_budget:
-        return hit[0]
-
     def is_prime_cofactor(v: int) -> bool:
         return labelled(lambda: f"factoring {decimal(m)}: "
                                 f"testing the cofactor {decimal(v)} for primality", is_prime, v)
 
     n, exps = _trial_divide(m)
+    rho_budget = _LIMITS.get().rho_budget
     budget = [rho_budget]
     stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
     while stack:
@@ -733,10 +719,7 @@ def _factorize(m: int, sieved: bool) -> Factorization:
         g = _split(v, budget, sieved)
         stack.append((g, e))
         stack.append((v // g, e))
-    out = Factorization(m, tuple(sorted(exps.items())))
-    if m >= 10**8:
-        _remember(_factor_memo, (m, sieved), (out, rho_budget - budget[0]))
-    return out
+    return Factorization(m, tuple(sorted(exps.items()))), rho_budget - budget[0]
 
 
 def _split(v: int, budget: list[int], sieved: bool) -> int:
@@ -788,8 +771,8 @@ class _MemberSieve:
 # and 0.97 s at 10^6. Past 2^20 the int64 reduction could overflow.
 MEMBER_SIEVE_BOUND = 10**6
 _sieve_memo: dict[int, _MemberSieve] = {}  # 4N -> its sieve, for every 4N sieved
-# (4N, x^2) -> the decomposition of x^2 - 4N, for each member settled with no factorize
-_member_memo: dict[tuple[int, int], SquarefreeDecomposition] = {}
+# (4N, x^2) -> (the decomposition of x^2 - 4N, the rho iterations it charged)
+_member_memo: dict[tuple[int, int], tuple[SquarefreeDecomposition, int]] = {}
 _sieve_tables: tuple = ()  # (B, the primes in (10^4, B], 2^40 mod each) for the largest B asked
 
 
@@ -861,24 +844,22 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
     _decompose's rule. Without the sieve (see _sieve_of), or for x^2 >= 10^4,
     _decompose takes the member alone; the result is the same either way.
 
-    A member settled with no factorize, and so with no rho charge, is
-    remembered for the process under (4N, x^2) (MEMO_SIZE at most, the
-    oldest dropped first), and a repeat skips the sieve lookup and the trial
-    division. The key holds 4N, not only the member, because the same
-    member reached from another 4N has another sieve, or none, and could
-    need a factorization there. A factorized member is not kept here: its
-    factorization sits in _factor_memo under that memo's budget rule, so a
-    remembered member never lets a smaller rho_budget pass where a fresh
-    call would raise.
+    Every member decomposed is remembered for the process under (4N, x^2)
+    with the rho iterations its decomposition charged, 0 when nothing was
+    factorized (MEMO_SIZE at most, the oldest dropped first). A repeat is
+    answered from there while that charge fits the current rho_budget;
+    otherwise the member is decomposed again, and rho, being deterministic,
+    raises the BudgetError a fresh process would. The key holds 4N, not
+    only the member, because the same member reached from another 4N has
+    another sieve, or none, and so another route and charge.
     """
     x2 = x * x
     hit = _member_memo.get((four_n, x2))
-    if hit is not None:
-        return hit
-    out, factored = _decompose(x2 - four_n, _sieve_of(four_n) if x2 < 10_000 else None, x2)
-    if not factored:
-        _remember(_member_memo, (four_n, x2), out)
-    return out
+    if hit is not None and hit[1] <= _LIMITS.get().rho_budget:
+        return hit[0]
+    out = _decompose(x2 - four_n, _sieve_of(four_n) if x2 < 10_000 else None, x2)
+    _remember(_member_memo, (four_n, x2), out)
+    return out[0]
 
 
 def squarefree_decompose(m: int) -> SquarefreeDecomposition:
@@ -887,24 +868,25 @@ def squarefree_decompose(m: int) -> SquarefreeDecomposition:
 
 
 def _decompose(m: int, sieve: _MemberSieve | None = None,
-               x2: int = 0) -> tuple[SquarefreeDecomposition, bool]:
-    """(the decomposition of m != 0, whether it factorized), m the member x2 - 4N of a sieve given.
+               x2: int = 0) -> tuple[SquarefreeDecomposition, int]:
+    """(the decomposition of m != 0, its rho charge), m the member x2 - 4N of a sieve given.
 
     The one rule for every number: |m| is trial-divided below 10^4 and by
     the sieve's primes for x2, leaving a cofactor v with no prime below P,
     the least prime past 10^4 (10007) or, with a sieve, past B. Below P^3, v
     is 1, a prime, a prime square or two distinct primes: a perfect square
-    or square-free, settled by one isqrt with no rho and no is_prime. From
-    P^3 up, a sieved v is factorized as sieved (_split), and otherwise
-    factorize(|m|) takes the whole of m, keeping its memo key and messages.
+    or square-free, settled by one isqrt with no rho and no is_prime, and
+    charged 0. From P^3 up, a sieved v is factorized as sieved (_split), and
+    otherwise the whole of |m| is factorized, so that its messages name m.
     m = 0 raises DomainError.
     """
     if m == 0:
         raise DomainError("a square-free decomposition requires m != 0")
     v, exps = _trial_divide(abs(m), sieve.divisors(x2) if sieve else ())
-    factored = v >= (sieve.above if sieve else _PAST_TRIAL) ** 3
-    if factored:
-        exps.update(_factorize(v, True).factors if sieve else factorize(abs(m)).factors)
+    charge = 0
+    if v >= (sieve.above if sieve else _PAST_TRIAL) ** 3:
+        factors, charge = _factorize(v, True) if sieve else _factorize(abs(m), False)
+        exps.update(factors.factors)
     elif v > 1:
         r = isqrt(v)
         exps.update([(r, 2) if r * r == v else (v, 1)])
@@ -913,7 +895,7 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
         if e % 2:
             s *= p
         f *= p ** (e // 2)
-    return SquarefreeDecomposition(m, s if m > 0 else -s, f), factored
+    return SquarefreeDecomposition(m, s if m > 0 else -s, f), charge
 
 
 def kronecker(D: int, n: int) -> int:

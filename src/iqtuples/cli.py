@@ -52,8 +52,9 @@ def _emit(records: list[dict], fmt: str, text_lines: list[str]) -> None:
         fields = list(records[0].keys())
         w = csv.writer(sys.stdout)
         w.writerow(fields)
-        for rec in records:
-            w.writerow([rec.get(f, "") for f in fields])
+        for rec in records:  # a list or dict cell as compact JSON, a scalar as itself
+            w.writerow([json.dumps(v, separators=(",", ":")) if isinstance(v, (list, dict)) else v
+                        for v in (rec.get(f, "") for f in fields)])
     else:
         for line in text_lines:
             print(line)
@@ -278,7 +279,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> list[argparse.Act
 
     return [p.add_argument("--format", choices=("text", "json", "csv"), default=dflt("text")),
             p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
-                           help="rho iteration budget of every factorization"),
+                           help="Pollard-rho iterations each factorization may charge: the steps "
+                                "inside rho's gcd chunks, about a third of its squarings"),
             p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
                            help="largest |square-free part| whose class number is counted: "
                                 "|D| up to it for D = 1 (mod 4), up to 4 times it for D = 0 (mod 4)"),

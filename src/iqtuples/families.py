@@ -195,11 +195,10 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     are those n, k and p_list determine, then verifies members in offset
     order. Each member's (s, f) is derived again, as _build derived it, by
     arith.decompose_member(-d, x) with x^2 its offset, and a member whose s
-    or f differs raises ArithmeticError. The members the build settled
-    without factorizing, sieved or not, and every factorization from 10^8
-    up, are remembered from the build (at most arith.MEMO_SIZE each), so
-    while they are, a settled member costs one lookup and a factorized one
-    its trial division but no rho step. Either way each member is compared
+    or f differs raises ArithmeticError. Every member the build decomposed
+    is remembered with its rho charge (at most arith.MEMO_SIZE), so while
+    it is and that charge fits the current rho_budget, it costs one lookup;
+    otherwise it is decomposed again. Either way each member is compared
     with this process's own derivation, never with one read from a record. The field
     discriminant is then s, or 4s unless s = 1 mod 4. A member whose form
     count raises BudgetError (its |square-free part| exceeds the current

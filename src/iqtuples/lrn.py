@@ -95,8 +95,8 @@ def solve_brute(inst: LrnInstance) -> list[LrnSolution]:
     return out
 
 
-def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
-    """Coprime positive (a, b) with a^2 + d*b^2 = ell^s, ordered by a.
+def _base_solutions(d: int, ell_factors: tuple, s: int) -> list[tuple[int, int]]:
+    """Coprime positive (a, b) with a^2 + d*b^2 = ell^s, ordered by a, ell given by its (p, e).
 
     By Cornacchia's algorithm. Such a b is prime to m = ell^s, so a/b mod m
     is a square root of -d mod m, and each root r gives at most one
@@ -106,14 +106,13 @@ def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
     for k primes of ell, as gcd(ell, 2d) = 1. A root and its negative may
     give the same solution.
     """
-    m = ell**s
-    roots, mod = [0], 1
-    for p, e in arith.factorize(ell).factors:
+    roots, m = [0], 1
+    for p, e in ell_factors:
         q = p ** (e * s)
-        inv = pow(mod, -1, q)
-        roots = [r0 + mod * ((r1 - r0) * inv % q)
+        inv = pow(m, -1, q)
+        roots = [r0 + m * ((r1 - r0) * inv % q)
                  for r0 in roots for r1 in arith.sqrt_mod_prime_power(-d, p, e * s)]
-        mod *= q
+        m *= q
     out = set()
     for r in roots:
         x, a = m, r
@@ -128,19 +127,20 @@ def _base_solutions(d: int, ell: int, s: int) -> list[tuple[int, int]]:
 def solve_structured(inst: LrnInstance) -> list[LrnSolution]:
     """All solutions with z <= z_max, each carrying its power decomposition.
 
-    Base exponents s run over the divisors of h*(-4d) in increasing order,
-    base solutions in increasing a, then powers t and signs; the first
-    decomposition found for an (x, y, z) is the one reported. The power
-    (a + b*sqrt(-d))^t and ell^(s*t) are stepped from t - 1 by one
-    multiplication each, mu = -1 taking the conjugate, so a z_max costs
-    z_max steps per base solution rather than z_max^2 / 2.
+    Base exponents s run over the divisors of h*(-4d) in increasing order
+    (ell is factored once for all), base solutions in increasing a, then
+    powers t and signs; the first decomposition found for an (x, y, z) is
+    the one reported. The power (a + b*sqrt(-d))^t and ell^(s*t) are stepped
+    from t - 1 by one multiplication each, mu = -1 taking the conjugate, so
+    a z_max costs z_max steps per base solution rather than z_max^2 / 2.
     """
     h = classno.class_number_forms(-4 * inst.d).h
     found: dict[tuple[int, int, int], Decomposition] = {}
     divisors = [s for s in range(1, min(h, inst.z_max) + 1) if h % s == 0]
+    ell_factors = arith.factorize(inst.ell).factors
     for s in divisors:
         ell_s = inst.ell**s
-        for a, b in _base_solutions(inst.d, inst.ell, s):
+        for a, b in _base_solutions(inst.d, ell_factors, s):
             X, Y, power = 1, 0, 1  # (a + b*sqrt(-d))^t = X + Y*sqrt(-d), and ell^(s*t)
             for t in range(1, inst.z_max // s + 1):
                 X, Y, power = X * a - Y * b * inst.d, X * b + Y * a, power * ell_s

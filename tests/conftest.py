@@ -10,8 +10,7 @@ from iqtuples import arith, classno  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start every test with no factorization, member sieve, member or form count remembered."""
-    arith._factor_memo.clear()
+    """Start every test with no member sieve, member or form count remembered."""
     arith._sieve_memo.clear()
     arith._member_memo.clear()
     classno._h_memo.clear()

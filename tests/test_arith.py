@@ -182,7 +182,6 @@ class TestQuadraticSieve:
         rng = random.Random(11)
         ms = [_prime(rng, 26) * _prime(rng, 27) for _ in range(4)] + [10007 * _prime(rng, 60)]
         with_sieve = [arith.factorize(m) for m in ms]
-        arith._factor_memo.clear()
         asked = []
         monkeypatch.setattr(arith, "_quadratic_sieve", lambda n: asked.append(n))
         assert [arith.factorize(m) for m in ms] == with_sieve
@@ -281,7 +280,7 @@ class TestQuadraticSieve:
         with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
             arith.factorize(self.N)
 
-    def test_the_memo_records_the_rho_iterations_spent(self, monkeypatch):
+    def test_the_charge_is_the_rho_iterations_spent(self, monkeypatch):
         spent = []
         brent_rho = arith._brent_rho
 
@@ -293,21 +292,20 @@ class TestQuadraticSieve:
                 spent.append(before - budget[0])
 
         monkeypatch.setattr(arith, "_brent_rho", counting)
-        assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
-        assert sum(spent) == arith.QS_AFTER  # the sieve split it
-        assert arith._factor_memo[self.N, False][1] == sum(spent)
-        with pytest.raises(BudgetError), arith.limits(rho_budget=sum(spent) - 1):
+        f, charge = arith._factorize(self.N, False)
+        assert f.factors == ((149383678981, 1), (414283054079, 1))
+        assert charge == sum(spent) == arith.QS_AFTER  # the sieve split it
+        with pytest.raises(BudgetError), arith.limits(rho_budget=charge - 1):
             arith.factorize(self.N)
-        with arith.limits(rho_budget=sum(spent)):
-            assert arith.factorize(self.N) is arith._factor_memo[self.N, False][0]
+        with arith.limits(rho_budget=charge):
+            assert arith._factorize(self.N, False) == (f, charge)
 
     def test_the_plain_route_hands_off_after_exactly_qs_after(self):
         with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
             arith.factorize(self.N)
-        assert not arith._factor_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
-            assert arith.factorize(self.N).factors == ((149383678981, 1), (414283054079, 1))
-        assert arith._factor_memo[self.N, False][1] == arith.QS_AFTER
+            f, charge = arith._factorize(self.N, False)
+        assert f.factors == ((149383678981, 1), (414283054079, 1)) and charge == arith.QS_AFTER
 
 
 class TestBrentRho:
@@ -322,63 +320,35 @@ class TestBrentRho:
             assert budget == [10**6 - cap], cap
 
 
-class TestFactorizeMemo:
-    def test_hit_never_beats_a_smaller_budget(self):
-        # test_budget_error_is_raised in the other order: remembered first
-        n = 99991 * 99989
-        assert arith.factorize(n).factors == ((99989, 1), (99991, 1))
-        assert (n, False) in arith._factor_memo
-        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
-            arith.factorize(n)
-        spent = arith._factor_memo[n, False][1]
-        with pytest.raises(BudgetError), arith.limits(rho_budget=spent - 1):
-            arith.factorize(n)
-        with arith.limits(rho_budget=spent):  # exactly the iterations it took
-            assert arith.factorize(n) is arith._factor_memo[n, False][0]
+class TestFactorizeKeepsNoState:
+    # 99991 * 99989 falls to rho before the hand-off, N to the quadratic sieve after it
+    MS = (99991 * 99989, TestQuadraticSieve.N)
 
-    def test_tuple_built_twice_still_obeys_the_budget(self):
-        # d + 100 at (5, 5) keeps 1001387 * 50771867830517 past the member sieve
-        families.quintuple(5, 5)
-        assert arith._factor_memo
-        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
-            families.quintuple(5, 5)
+    def test_the_charge_is_the_same_whatever_ran_before(self):
+        for m in self.MS:
+            f, charge = arith._factorize(m, False)
+            assert 0 < charge <= arith.QS_AFTER
+            for budget in (charge - 1, 1, charge - 1):  # refused before and after the passes
+                with pytest.raises(BudgetError, match=f"factoring {m}$"), arith.limits(rho_budget=budget):
+                    arith.factorize(m)
+                for ok in (charge, 10**8):
+                    with arith.limits(rho_budget=ok):
+                        assert arith._factorize(m, False) == (f, charge)
+                        assert arith.factorize(m) == f
 
-    def test_every_factorization_from_1e8_is_remembered(self, monkeypatch):
+    def test_no_rho_charges_nothing(self, monkeypatch):
         # trial division finishes these, or leaves a prime cofactor past 10^8,
         # or a power of primes past 10^4 that the root test takes without rho
         monkeypatch.setattr(arith, "_brent_rho", _untouchable)
-        below = (12, 119164, 14891, 9973 * 9967, 99999989)
-        above = (2**90 * 1000003, 2**40 * 3**5 * 9973, 6 * 1000000007, 10007**3,
-                 12 * 10007**5, 10007**4, 10009**6)
-        for m in below + above:
-            f = arith.factorize(m)
-            assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
+        ms = (12, 119164, 14891, 9973 * 9967, 99999989, 2**90 * 1000003, 2**40 * 3**5 * 9973,
+              6 * 1000000007, 10007**3, 12 * 10007**5, 10007**4, 10009**6)
+        with arith.limits(rho_budget=0):
+            for m in ms:
+                f, charge = arith._factorize(m, False)
+                assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
+                assert charge == 0, m
         assert arith.factorize(10007**3).factors == ((10007, 3),)
         assert arith.factorize(10009**6).factors == ((10009, 6),)
-        assert list(arith._factor_memo) == [(m, False) for m in above]  # below 10^8 nothing is kept
-        assert all(spent == 0 for _, spent in arith._factor_memo.values())
-        monkeypatch.setattr(arith, "is_prime", _untouchable)
-        with arith.limits(rho_budget=0):
-            for m in above:
-                assert arith.factorize(m) is arith._factor_memo[m, False][0]
-
-    def test_a_repeated_tuple_proves_nothing_again(self, large_proofs):
-        families.quintuple(3, 150)
-        assert large_proofs
-        large_proofs.clear()
-        families.quintuple(3, 150)
-        assert large_proofs == []
-
-    def test_size_bound_drops_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(arith, "MEMO_SIZE", 3)
-        ms = [p * q for p, q in ((10007, 10009), (10037, 10039), (10061, 10067),
-                                 (10069, 10079), (10091, 10093))]
-        for m in ms:
-            arith.factorize(m)
-            assert len(arith._factor_memo) <= 3
-        assert [m for m, _ in arith._factor_memo] == ms[2:]
-        assert arith.factorize(ms[0]).factors == ((10007, 1), (10009, 1))
-        assert [m for m, _ in arith._factor_memo] == ms[3:] + ms[:1]
 
 
 class TestIsPrime:
@@ -487,8 +457,9 @@ class TestSquarefree:
         # exactly when v >= 10007^3
         P = 10007
         factorized = []
-        factorize = arith.factorize
-        monkeypatch.setattr(arith, "factorize", lambda m: factorized.append(m) or factorize(m))
+        factorize = arith._factorize
+        monkeypatch.setattr(arith, "_factorize",
+                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
         cases = [(P * 10009, False), (P * P, False), (999999999989, False),
                  (P * 100140043, False), (P**3, True), (P * P * 10009, True)]
         assert P * 100140043 < P**3 and arith.is_prime(100140043) and arith.is_prime(999999999989)
@@ -498,7 +469,7 @@ class TestSquarefree:
                     factorized.clear()
                     d = arith.squarefree_decompose(m)
                     assert (d.s, d.f) == _sympy_decompose(m), m
-                    assert factorized == ([abs(m)] if factors else []), m
+                    assert factorized == ([(abs(m), False)] if factors else []), m
 
     def test_s_is_squarefree_by_refactoring(self):
         rng = random.Random(2024)
@@ -614,10 +585,13 @@ class TestMemberSieve:
         # squarefree_decompose reads no sieve: the member x = 3, whose cofactor
         # 718321 * 2131907 is past 10007^3, takes the plain route
         monkeypatch.setattr(arith, "_sieve_of", _untouchable)
+        factorized = []
+        factorize = arith._factorize
+        monkeypatch.setattr(arith, "_factorize",
+                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
         d = arith.squarefree_decompose(9 - 10**15)
         assert (d.s, d.f) == _sympy_decompose(9 - 10**15)
-        assert (10**15 - 9, False) in arith._factor_memo
-        assert not any(sieved for _, sieved in arith._factor_memo)
+        assert factorized == [(10**15 - 9, False)]
 
     def test_built_only_where_it_can_hold_a_prime(self):
         # below 10007^3 the cube root B is below 10007, the least prime past 10^4
@@ -649,50 +623,54 @@ class TestSievedCofactors:
         families.quintuple(5, 5)
         assert (self.FOUR_N - 100) % self.V == 0
         assert ("qs", self.V) in calls and ("rho", self.V) not in calls
-        assert arith._factor_memo[self.V, True][1] == arith.QS_AFTER  # the charge, recorded
+        assert arith._member_memo[self.FOUR_N, 100][1] == arith.QS_AFTER  # the charge, recorded
 
     def test_the_charge_obeys_the_budget(self):
         with arith.limits(rho_budget=arith.QS_AFTER - 1):
             with pytest.raises(BudgetError, match=f"factoring {self.V}$"):
                 families.quintuple(5, 5)
-        assert (self.V, True) not in arith._factor_memo
+        assert (self.FOUR_N, 100) not in arith._member_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
             families.quintuple(5, 5)
-        assert arith._factor_memo[self.V, True][0].factors == ((1001387, 1), (50771867830517, 1))
+            f, charge = arith._factorize(self.V, True)
+        assert f.factors == ((1001387, 1), (50771867830517, 1)) and charge == arith.QS_AFTER
+        assert arith._member_memo[self.FOUR_N, 100][1] == charge
 
-    def test_the_memo_keeps_the_routes_apart(self):
+    def test_the_routes_charge_apart(self):
         # plain rho splits P^2 * P2 in fewer than QS_AFTER iterations, where
-        # the sieved route charges QS_AFTER: the plain entry must not answer
-        # a sieved request that a fresh run refuses
+        # the sieved route charges QS_AFTER: a budget that the plain route
+        # meets still refuses the member
         u = 1000003**2 * 1000033
         M = u << (61 - u.bit_length())  # 4N = M, the member -M at x = 0, cleared to 10^6
-        arith.factorize(u)
-        spent = arith._factor_memo[u, False][1]
+        f, spent = arith._factorize(u, False)
         assert 0 < spent < arith.QS_AFTER
+        assert arith._factorize(u, True) == (f, arith.QS_AFTER)
         with arith.limits(rho_budget=spent):
             with pytest.raises(BudgetError, match=f"factoring {u}$"):
                 arith.decompose_member(M, 0)
-            assert arith.factorize(u) is arith._factor_memo[u, False][0]
-        assert (u, True) not in arith._factor_memo
+            assert arith.factorize(u) == f
+        assert (M, 0) not in arith._member_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
             d = arith.decompose_member(M, 0)
         assert (d.s, d.f) == _sympy_decompose(-M)
-        assert arith._factor_memo[u, True][1] == arith.QS_AFTER
+        assert arith._member_memo[M, 0] == (d, arith.QS_AFTER)
 
     def test_thm31_takes_the_member_route(self, monkeypatch):
         # theorem31_hypotheses decomposes 4(p^2 - ell^n) = (2p)^2 - 4*ell^n as
         # the builder's member x = 2p, so at (5, 5) with p = 5 it meets d +
         # 100's cleared cofactor V, not the whole radicand, and no rho step
-        rho = []
-        brent_rho = arith._brent_rho
+        rho, factorized = [], []
+        brent_rho, factorize = arith._brent_rho, arith._factorize
         monkeypatch.setattr(arith, "_brent_rho",
                             lambda n, *rest: rho.append(n) or brent_rho(n, *rest))
+        monkeypatch.setattr(arith, "_factorize",
+                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
         checks, dec = lrn.theorem31_hypotheses(12499, 5, 5, 12499**5)
         assert all(c.ok for c in checks) and (dec.s, dec.f) == _sympy_decompose(100 - self.FOUR_N)
-        assert arith._factor_memo[self.V, True][1] == arith.QS_AFTER
-        assert (self.FOUR_N - 100, False) not in arith._factor_memo
+        assert factorized == [(self.V, True)]
+        assert arith._member_memo[self.FOUR_N, 100] == (dec, arith.QS_AFTER)
         assert rho == []
-        arith._factor_memo.clear()
+        arith._member_memo.clear()
         with arith.limits(rho_budget=arith.QS_AFTER - 1):
             with pytest.raises(BudgetError, match=f"factoring {self.V}$"):
                 lrn.theorem31_hypotheses(12499, 5, 5, 12499**5)
@@ -727,49 +705,83 @@ class TestMemberMemo:
         four_n, x2 = 4 * n, x * x
         assume(x2 != four_n)
         arith._member_memo.clear()
-        arith._factor_memo.clear()
-        factorized = []
+        charges = []
         real = arith._factorize
-        with monkeypatch.context() as mp:
-            mp.setattr(arith, "_factorize", lambda m, sieved: factorized.append(m) or real(m, sieved))
-            first = arith.decompose_member(four_n, x)
-        kept = arith._member_memo.get((four_n, x2))
-        # kept exactly when nothing was factorized, on either route
-        assert (kept is not None) == (not factorized)
-        with monkeypatch.context() as mp:
-            if kept is not None:
-                mp.setattr(arith, "_sieve_of", _untouchable)
-                mp.setattr(arith, "_trial_divide", _untouchable)
-            again = arith.decompose_member(four_n, x)
-        assert kept is None or again is kept
-        assert first == again == arith.squarefree_decompose(x2 - four_n)
 
-    def test_a_factorized_member_still_meets_the_budget(self):
+        def factorize(m, sieved):
+            out = real(m, sieved)
+            charges.append(out[1])
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_factorize", factorize)
+            first = arith.decompose_member(four_n, x)
+        # kept, factorized or not, with the charge of its one factorization or 0
+        assert len(charges) <= 1
+        assert arith._member_memo[four_n, x2] == (first, sum(charges))
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_sieve_of", _untouchable)
+            mp.setattr(arith, "_trial_divide", _untouchable)
+            mp.setattr(arith, "_factorize", _untouchable)
+            with arith.limits(rho_budget=sum(charges)):
+                again = arith.decompose_member(four_n, x)
+        assert again is first
+        assert first == arith.squarefree_decompose(x2 - four_n)
+
+    def test_a_factorized_member_still_meets_the_budget(self, monkeypatch):
         # d + 100 at (n, k) = (5, 5), from construct: its cleared cofactor
-        # needs the quadratic sieve, charged QS_AFTER
-        four_n, V = TestSievedCofactors.FOUR_N, TestSievedCofactors.V
+        # needs the quadratic sieve, charged c = QS_AFTER
+        four_n, c = TestSievedCofactors.FOUR_N, arith.QS_AFTER
+        with pytest.raises(BudgetError) as fresh, arith.limits(rho_budget=c - 1):
+            arith.decompose_member(four_n, 10)
+        assert not arith._member_memo
         d0 = arith.decompose_member(four_n, 0)
         d = arith.decompose_member(four_n, 10)
         assert (d.s, d.f) == _sympy_decompose(100 - four_n)
-        assert arith._factor_memo[V, True][1] == arith.QS_AFTER
-        assert (four_n, 100) not in arith._member_memo
-        with arith.limits(rho_budget=arith.QS_AFTER - 1):
-            with pytest.raises(BudgetError, match=f"factoring {V}$"):
+        assert arith._member_memo[four_n, 100] == (d, c)
+        assert arith._member_memo[four_n, 0] == (d0, 0)
+        with arith.limits(rho_budget=c - 1):
+            with pytest.raises(BudgetError) as again:
                 arith.decompose_member(four_n, 10)
+            assert str(again.value) == str(fresh.value)
             # a member settled without factoring is answered from the memo at any budget
-            assert arith.decompose_member(four_n, 0) is d0 is arith._member_memo[four_n, 0]
+            with arith.limits(rho_budget=0):
+                assert arith.decompose_member(four_n, 0) is d0
+        monkeypatch.setattr(arith, "_factorize", _untouchable)
+        with arith.limits(rho_budget=c):  # the charge fits: answered from the memo
+            assert arith.decompose_member(four_n, 10) is d
+
+    def test_tuple_built_twice_still_obeys_the_budget(self):
+        families.quintuple(5, 5)
+        assert arith._member_memo[TestSievedCofactors.FOUR_N, 100][1] == arith.QS_AFTER
+        with pytest.raises(BudgetError), arith.limits(rho_budget=1):
+            families.quintuple(5, 5)
+
+    def test_a_repeated_tuple_proves_nothing_again(self, large_proofs):
+        families.quintuple(3, 150)
+        assert large_proofs
+        large_proofs.clear()
+        families.quintuple(3, 150)
+        assert large_proofs == []
 
     def test_size_bound_drops_the_oldest(self, monkeypatch):
+        # settled and factorized members share one bound: 4 * 31^3 is below
+        # 10007^3, and the members x = 100 below are -4 times three primes past 10^4
         monkeypatch.setattr(arith, "MEMO_SIZE", 3)
-        keys = [(4 * 31**3, x * x) for x in range(6)]
+        keys = [(4 * 31**3, x * x) for x in range(3)]
+        keys += [(4 * p * q * r + 10**4, 10**4) for p, q, r in
+                 ((10007, 10009, 10037), (10039, 10061, 10067), (10069, 10079, 10091))]
         for four_n, x2 in keys:
             arith.decompose_member(four_n, isqrt(x2))
             assert len(arith._member_memo) <= 3
         assert list(arith._member_memo) == keys[3:]
+        assert all(charge > 0 for _, charge in arith._member_memo.values())
+        arith.decompose_member(4 * 31**3, 0)
+        assert list(arith._member_memo) == keys[4:] + keys[:1]
         # the zero member x^2 = 4N is refused, as squarefree_decompose(0) is, and not kept
         with pytest.raises(DomainError, match="requires m != 0"):
             arith.decompose_member(4 * 10**6, 2000)
-        assert list(arith._member_memo) == keys[3:]
+        assert list(arith._member_memo) == keys[4:] + keys[:1]
 
 
 class TestKronecker:

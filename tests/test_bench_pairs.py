@@ -185,10 +185,10 @@ def test_each_result_holds_its_own_runs_child_rusage(monkeypatch, tmp_path):
     _rusage_stub(monkeypatch, [(100, 0.5, 0.25), (300, 1.5, 0.5), (7, 0.75, 0.125), (9, 2.0, 1.0)])
     got = list(bench_pairs.paired_runs({"parent": tmp_path, "change": ROOT}, "sweep", 1, 2, 30))
     assert got == [
-        (1, {"wall_s": 1.0, "ru_minflt": 300, "ru_utime": 1.5, "ru_stime": 0.5},
-         {"wall_s": 1.0, "ru_minflt": 100, "ru_utime": 0.5, "ru_stime": 0.25}),
-        (2, {"wall_s": 2.0, "ru_minflt": 7, "ru_utime": 0.75, "ru_stime": 0.125},
-         {"wall_s": 2.0, "ru_minflt": 9, "ru_utime": 2.0, "ru_stime": 1.0}),
+        (1, {"parent": {"wall_s": 1.0, "ru_minflt": 300, "ru_utime": 1.5, "ru_stime": 0.5},
+             "change": {"wall_s": 1.0, "ru_minflt": 100, "ru_utime": 0.5, "ru_stime": 0.25}}),
+        (2, {"parent": {"wall_s": 2.0, "ru_minflt": 7, "ru_utime": 0.75, "ru_stime": 0.125},
+             "change": {"wall_s": 2.0, "ru_minflt": 9, "ru_utime": 2.0, "ru_stime": 1.0}}),
     ]
 
 
@@ -214,3 +214,60 @@ def test_pair_lines_and_a_table_show_the_child_rusage_without_a_verdict(monkeypa
         "| `sweep` | `ru_utime` | s | 1 [1–1.125] | 0.5 [0.5–0.625] | -50.0% |",
         "| `sweep` | `ru_stime` | s | 0.25 [0.25–0.25] | 0.125 [0.125–0.125] | -50.0% |",
     ]
+
+
+def test_three_sides_rotate():
+    sides = ("change", "parent", "inert")
+    assert schedule(1, 4, sides) == [(1, ("change", "parent", "inert")), (2, ("parent", "inert", "change")),
+                                     (3, ("inert", "change", "parent")), (4, ("change", "parent", "inert"))]
+
+
+def test_an_inert_side_with_the_same_verdict_reads_layout():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [p - 3 for p in parent]
+    s = summarise(parent, change, "lower", 0.25, inert=[p - 3.5 for p in parent])
+    assert s["verdict"] == "layout" and s["inert"] == (8.5, 7.5, 9.5)
+    assert summarise(parent, change, "lower", 0.25, inert=parent)["verdict"] == "gain"
+    worse = [p * 1.3 for p in parent]
+    assert summarise(parent, worse, "lower", 0.25, inert=worse)["verdict"] == "layout"
+    assert summarise(parent, worse, "lower", 0.25, inert=change)["verdict"] == "worse"  # a gain is not worse
+    assert summarise(parent, parent, "lower", 0.25, inert=change)["verdict"] == ""  # nothing to explain
+
+
+def test_inert_runs_a_third_side_and_adds_its_median(monkeypatch, capsys, tmp_path):
+    base, inert = tmp_path / "parent", tmp_path / "inert"
+    metrics = ("wall_s", "item_p50_ms", "item_p90_ms", "setup_s", "peak_rss_mb")
+    # the change and the inert side both run at half the parent's wall_s;
+    # only the change halves item_p50_ms
+    value = {base.resolve(): {m: 1.0 for m in metrics}, ROOT: dict.fromkeys(metrics, 0.5),
+             inert.resolve(): {**dict.fromkeys(metrics, 1.0), "wall_s": 0.5}}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout, seed))
+        return dict(value[checkout])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    _rusage_stub(monkeypatch, [(1000 * i, 0.5, 0.125) for i in range(1, 10)])
+    assert bench_pairs.main(["--base", str(base), "--workload", "sweep", "--pairs", "3",
+                             "--inert", str(inert)]) == 0
+    order = [ROOT, base.resolve(), inert.resolve()]
+    assert calls == [(c, 1) for c in order] + [(c, 2) for c in order[1:] + order[:1]] \
+        + [(c, 3) for c in order[2:] + order[:2]]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1: wall_s 1.000 -> 0.500 (inert 0.500), ")
+    assert lines[0].endswith(", ru_minflt 2000 -> 1000 (inert 3000), ru_utime 0.500 -> 0.500 (inert 0.500), "
+                             "ru_stime 0.125 -> 0.125 (inert 0.125)")
+    head = lines.index("| workload | metric | parent median [q1–q3] | change median [q1–q3] "
+                       "| inert median [q1–q3] | median change | change won | gap / parent IQR | verdict |")
+    assert lines[head + 1] == "|---|---|---|---|---|---|---|---|---|"
+    assert lines[head + 2] == ("| `sweep` | `wall_s` | 1.000 [1.000–1.000] | 0.500 [0.500–0.500] "
+                               "| 0.500 [0.500–0.500] | -50.0% | 3/3 | +inf | layout |")
+    assert lines[head + 3] == ("| `sweep` | `item_p50_ms` | 1.000 [1.000–1.000] | 0.500 [0.500–0.500] "
+                               "| 1.000 [1.000–1.000] | -50.0% | 3/3 | +inf | gain |")
+    table = lines[lines.index("child processes, per run:") + 2:]
+    assert table[:2] == ["| workload | metric | unit | parent median [q1–q3] | change median [q1–q3] "
+                         "| inert median [q1–q3] | median change |", "|---|---|---|---|---|---|---|"]
+    # parent runs 2000, 4000, 9000; change 1000, 6000, 8000; inert 3000, 5000, 7000
+    assert table[2] == ("| `sweep` | `ru_minflt` | faults | 4000 [3000–6500] | 6000 [3500–7000] "
+                        "| 5000 [4000–6000] | +50.0% |")

@@ -230,6 +230,23 @@ class TestTuples:
         assert lines[0].split(",")[:3] == ["kind", "n", "k"]
         assert len(lines) == 5  # header + 4 members
 
+    def test_csv_list_and_dict_cells_are_json(self, capsys):
+        # each such cell reads back from csv.reader as the JSON record's field
+        cases = [(["thm31", "-l", "7", "-n", "3", "-p", "5"], "hypotheses"),
+                 (["classnum", "-D", "-23", "--with-forms"], "reduced_forms"),
+                 (["tables"], "finite"), (["tables"], "families")]
+        for argv, field in cases:
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            want = json.loads(out)
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            header, row = csv.reader(io.StringIO(out))
+            cells = dict(zip(header, row))
+            assert isinstance(want[field], (list, dict)) and json.loads(cells[field]) == want[field]
+            scalars = [f for f, v in want.items() if not isinstance(v, (list, dict))]
+            assert all(cells[f] == str(want[f] if want[f] is not None else "") for f in scalars), argv
+
     def test_pi_tuple_lenient(self, capsys):
         code, out, _ = run(capsys, "tuples", "-n", "3", "-m", "6", "-k", "4",
                            "--mode", "lenient", "--format", "json")
@@ -606,7 +623,7 @@ class TestHarness:
         monkeypatch.setattr(arith, "_split", recording)
         alone, alone_splits, alone_total = [], Counter(), 0
         for i, line in enumerate(records):
-            arith._factor_memo.clear()
+            arith._member_memo.clear()
             classno._h_memo.clear()
             split.clear()
             src = tmp_path / f"one{i}.jsonl"
@@ -614,7 +631,7 @@ class TestHarness:
             alone.append(run(capsys, "verify", str(src), "--format", "json")[:2])
             alone_splits |= Counter(split)  # the most times one record split each n
             alone_total += len(split)
-        arith._factor_memo.clear()
+        arith._member_memo.clear()
         classno._h_memo.clear()
         split.clear()
         src = tmp_path / "batch.jsonl"
@@ -662,7 +679,6 @@ class TestHarness:
                         (power, f"factoring {power}: the cofactor {10007**3} is a power 10007^3")):
             outs, told = [], []
             for argv in (["squarefree"], ["-v", "squarefree"]):
-                arith._factor_memo.clear()
                 caplog.clear()
                 code, out, _ = run(capsys, *argv, "-m", m)
                 assert code == 0

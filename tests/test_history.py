@@ -1,7 +1,7 @@
 """A command's exit code and stdout do not depend on what the process ran before.
 
-The process keeps four memos (arith._factor_memo, _sieve_memo,
-_member_memo and classno._h_memo), and each command runs under its own
+The process keeps three memos (arith._sieve_memo, _member_memo and
+classno._h_memo), and each command runs under its own
 --rho-budget and --sf-budget. One seeded sequence of commands, each with
 budgets drawn from a small set on both sides of what it needs, is run in
 order, then shuffled in the same process, then with every memo emptied
@@ -43,7 +43,6 @@ RECORDS = (["quintuple", "-n", "3", "-k", "2", "--format", "json"],
 
 
 def _empty_memos():
-    arith._factor_memo.clear()
     arith._sieve_memo.clear()
     arith._member_memo.clear()
     classno._h_memo.clear()

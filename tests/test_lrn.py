@@ -5,7 +5,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from iqtuples import classno, cli, families, lrn
+from iqtuples import arith, classno, cli, families, lrn
 from iqtuples.errors import DomainError, OutOfRangeError
 from iqtuples.lrn import Decomposition, LrnInstance
 
@@ -143,18 +143,29 @@ class TestStructured:
                 if gcd(ell, 2 * d) == 1:
                     for s in (1, 2, 3):
                         want = scan(d, ell, s)
-                        assert lrn._base_solutions(d, ell, s) == want, (d, ell, s)
+                        assert lrn._base_solutions(d, arith.factorize(ell).factors, s) == want, (d, ell, s)
                         found += [ell] * len(want)
         assert len(found) == 658 and {9, 15, 27, 91} <= set(found)
 
     def test_base_solutions_for_a_large_prime(self):
         # the scan would take about 4*10^11 steps at s = 2
         ell = 1000000000061
-        assert lrn._base_solutions(5, ell, 1) == [(449616, 399461)]
-        assert lrn._base_solutions(5, ell, 2) == [(595690905149, 359208113952)]
+        assert lrn._base_solutions(5, ((ell, 1),), 1) == [(449616, 399461)]
+        assert lrn._base_solutions(5, ((ell, 1),), 2) == [(595690905149, 359208113952)]
         sols = lrn.solve_structured(LrnInstance(5, ell, 20))
         assert [s.z for s in sols] == list(range(1, 21))
         assert all(s.x * s.x + 5 * s.y * s.y == ell**s.z for s in sols)
+
+
+    def test_ell_is_factored_once(self, monkeypatch):
+        # h*(-4 * 5) = 2 has base exponents s = 1 and 2; ell = 9 * 1000000000061
+        factored = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda m: factored.append(m) or factorize(m))
+        ell = 9 * 1000000000061
+        sols = lrn.solve_structured(LrnInstance(5, ell, 4))
+        assert factored == [ell]
+        assert sols and all(s.x * s.x + 5 * s.y * s.y == ell**s.z for s in sols)
 
 
 class TestDecomposition:
