@@ -4,7 +4,8 @@ Everything here works on plain Python integers (arbitrary precision) and is
 deterministic: the same input always produces the same output, and no routine
 ever trades correctness for speed. squarefree_decompose and decompose_member
 share one rule (_decompose): a cofactor with no prime below P is settled
-below P^3 by one isqrt, with no full factorization. A tuple's members are
+below P^3 by one isqrt, and from there by one base-2 power that proves it
+square-free or splits it; no prime is proven. A tuple's members are
 values x^2 - 4N, so decompose_member(4N, x) with x^2 < 10^4 also divides by
 the primes up to 10^6 that one reduction of 4N finds, which raises P. That
 sieve depends on 4N alone, never on what the process has imported. factorize
@@ -30,6 +31,12 @@ log = logging.getLogger(__name__)
 # primality test below this bound (Sorenson-Webster).
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_BOUND = 3317044064679887385961981
+# No prime p in (3511, this) has 2^(p-1) = 1 (mod p^2), a base-2 Wieferich
+# prime (Dorais and Klyve, A Wieferich prime search up to 6.7*10^15, J.
+# Integer Seq. 14 (2011), 11.9.2). Every p with p^2 below MR_PROVEN_BOUND is
+# below it, which lets one base-2 power prove a cofactor square-free (_cofactor_parts).
+WIEFERICH_SEARCH_BOUND = 6_700_000_000_000_000
+assert MR_PROVEN_BOUND < WIEFERICH_SEARCH_BOUND**2
 # (bound, witnesses): the bound is the least strong pseudoprime to these
 # witnesses, so below it they prove primality (Pomerance, Selfridge and
 # Wagstaff 1980 for the first 2 to 4 primes; Jaeschke 1993 for the first 5
@@ -53,16 +60,20 @@ MR_WITNESS_SETS = (
 class Limits:
     """Budgets for every computation in the context; set with ``limits``.
 
-    rho_budget bounds the Pollard-rho iterations of one factorize() call,
-    charged as _split says; _brent_rho charges only its gcd-chunk steps,
-    about a third of the squarings it runs. A decomposition whose cofactor
-    is below P^3 takes no rho step, P being 10007 or, for a sieved member,
-    the least prime past the member sieve's bound; as that sieve depends on
-    4N alone, whether a budget suffices depends on the arguments alone. A
-    negative budget raises DomainError.
+    rho_budget bounds the Pollard-rho iterations of one factorize() call or
+    one decomposition, charged as _split says; _brent_rho charges only its
+    gcd-chunk steps, about a third of the squarings it runs. A decomposition
+    whose cofactor is below P^3 takes no rho step, P being 10007 or, for a
+    sieved member, the least prime past the member sieve's bound, and
+    neither does one whose cofactor passes the base-2 power that proves it
+    square-free (Dorais and Klyve's Wieferich search; see
+    WIEFERICH_SEARCH_BOUND). Only the parts that fail that power are split,
+    so a member is never charged more than factorizing its cofactor would
+    be. As the member sieve depends on 4N alone, whether a budget suffices
+    depends on the arguments alone. A negative budget raises DomainError.
     """
 
-    rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call
+    rho_budget: int = 10**8  # Pollard-rho iterations per factorize() call or decomposition
     sf_budget: int = 10**12  # largest |square-free part| whose class number is counted
 
     def __post_init__(self):
@@ -287,10 +298,10 @@ def _perfect_power(v: int) -> tuple[int, int] | None:
     """(r, k) with v = r**k for the first k in 2, 3, 5 that fits, else None.
 
     For v < 2**82 the float k-th root is within 10**-7 of the true one, so
-    rounding it finds r whenever it exists. factorize asks only about v
-    below MR_PROVEN_BOUND < 10**28 with every prime above 10**4, and such a
-    v has no prime to a power above 6: a square, cube or fifth power test
-    finds every perfect power among them.
+    rounding it finds r whenever it exists. factorize and _cofactor_parts
+    ask only about v below MR_PROVEN_BOUND < 10**28 with every prime above
+    10**4, and such a v has no prime to a power above 6: a square, cube or
+    fifth power test finds every perfect power among them.
     """
     r = isqrt(v)
     if r * r == v:
@@ -685,30 +696,24 @@ def factorize(m: int) -> Factorization:
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
-    return _factorize(m, False)[0]
+    return _factorize(m)[0]
 
 
-def _factorize(m: int, sieved: bool) -> tuple[Factorization, int]:
-    """(factorize(m), the rho iterations it charged); sieved: the member sieve cleared m up to B.
+def _factorize(m: int) -> tuple[Factorization, int]:
+    """(factorize(m), the rho iterations it charged).
 
-    A sieved m is the cofactor _decompose leaves with a sieve, and every
-    composite cofactor found in it goes to _split as sieved: both parts of a
-    split keep that property. The charge is 0 when trial division, is_prime
-    and the power test finish m. Rho is deterministic and its path does not
-    depend on the budget, so an m and route charge the same each time, and
-    a budget below that charge raises BudgetError whatever ran before.
+    The charge is 0 when trial division, is_prime and the power test finish
+    m. Rho is deterministic and its path does not depend on the budget, so
+    an m charges the same each time, and a budget below that charge raises
+    BudgetError whatever ran before.
     """
-    def is_prime_cofactor(v: int) -> bool:
-        return labelled(lambda: f"factoring {decimal(m)}: "
-                                f"testing the cofactor {decimal(v)} for primality", is_prime, v)
-
     n, exps = _trial_divide(m)
     rho_budget = _LIMITS.get().rho_budget
     budget = [rho_budget]
     stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
     while stack:
         v, e = stack.pop()
-        if v < 10**8 or is_prime_cofactor(v):  # below 10^8 prime by the trial division
+        if v < 10**8 or _prime_cofactor(m, v):  # below 10^8 prime by the trial division
             exps[v] = exps.get(v, 0) + e
             continue
         power = _perfect_power(v)
@@ -716,10 +721,16 @@ def _factorize(m: int, sieved: bool) -> tuple[Factorization, int]:
             log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), v, *power)
             stack.append((power[0], e * power[1]))
             continue
-        g = _split(v, budget, sieved)
+        g = _split(v, budget, False)
         stack.append((g, e))
         stack.append((v // g, e))
     return Factorization(m, tuple(sorted(exps.items()))), rho_budget - budget[0]
+
+
+def _prime_cofactor(m: int, v: int) -> bool:
+    """is_prime(v) for a cofactor v of m; past its range, an OutOfRangeError naming both."""
+    return labelled(lambda: f"factoring {decimal(m)}: "
+                            f"testing the cofactor {decimal(v)} for primality", is_prime, v)
 
 
 def _split(v: int, budget: list[int], sieved: bool) -> int:
@@ -843,6 +854,11 @@ def decompose_member(four_n: int, x: int) -> SquarefreeDecomposition:
     dividing the member, B = min(MEMBER_SIEVE_BOUND, cube root of 4N), for
     _decompose's rule. Without the sieve (see _sieve_of), or for x^2 >= 10^4,
     _decompose takes the member alone; the result is the same either way.
+    A cofactor from P^3 up is proven square-free by 2^(v-1) = 1 (mod v),
+    which no square of a prime in (10^4, 6.7*10^15) passes (Dorais and
+    Klyve, see WIEFERICH_SEARCH_BOUND), and only a cofactor that fails it
+    is split; no prime of the member is proven, and its charge is never
+    above that of factorizing the cofactor.
 
     Every member decomposed is remembered for the process under (4N, x^2)
     with the rho iterations its decomposition charged, 0 when nothing was
@@ -875,27 +891,98 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
     the sieve's primes for x2, leaving a cofactor v with no prime below P,
     the least prime past 10^4 (10007) or, with a sieve, past B. Below P^3, v
     is 1, a prime, a prime square or two distinct primes: a perfect square
-    or square-free, settled by one isqrt with no rho and no is_prime, and
-    charged 0. From P^3 up, a sieved v is factorized as sieved (_split), and
-    otherwise the whole of |m| is factorized, so that its messages name m.
+    or square-free, settled by one isqrt with no rho, and charged 0. From
+    P^3 up, _cofactor_parts splits v into square-free parts, each proven so
+    by a base-2 power or by that isqrt, and charges only the splits of the
+    parts that fail the power. No prime is proven here: s needs only its
+    square-free parts, and factorize still proves every prime it returns.
     m = 0 raises DomainError.
     """
     if m == 0:
         raise DomainError("a square-free decomposition requires m != 0")
     v, exps = _trial_divide(abs(m), sieve.divisors(x2) if sieve else ())
+    cube = (sieve.above if sieve else _PAST_TRIAL) ** 3
     charge = 0
-    if v >= (sieve.above if sieve else _PAST_TRIAL) ** 3:
-        factors, charge = _factorize(v, True) if sieve else _factorize(abs(m), False)
-        exps.update(factors.factors)
+    if v >= cube:
+        parts, charge = _cofactor_parts(abs(m), v, cube, sieve is not None)
+        exps.update(parts)
     elif v > 1:
-        r = isqrt(v)
-        exps.update([(r, 2) if r * r == v else (v, 1)])
+        exps.update([_below_cube(v, 1)])
     s, f = 1, 1
-    for p, e in exps.items():
+    for q, e in exps.items():
         if e % 2:
-            s *= p
-        f *= p ** (e // 2)
+            s *= q
+        f *= q ** (e // 2)
     return SquarefreeDecomposition(m, s if m > 0 else -s, f), charge
+
+
+def _cofactor_parts(m: int, v: int, cube: int, sieved: bool) -> tuple[dict[int, int], int]:
+    """({q: e} with v = prod(q^e), the q square-free and pairwise coprime; the rho charge).
+
+    v >= cube = P^3 is what _decompose leaves of m, with no prime below P.
+    A part u >= cube with 2^(u-1) = 1 (mod u) is square-free: were p^2 | u,
+    the order of 2 mod p^2 would divide p(p - 1) and u - 1, which p does not
+    divide, so 2^(p-1) = 1 (mod p^2) with 10^4 < p <= sqrt(u) <
+    WIEFERICH_SEARCH_BOUND, and there is no such p. A part that fails the
+    power is composite: a perfect power goes on as its root, any other is
+    split once by _split, sieved or not as v, and each part of it takes the
+    same rule. A part below cube is settled by one isqrt (_below_cube).
+    Each split made is one that factoring v to primes by the same route
+    would make too, on the same part, so the charge never exceeds that
+    factoring's. A v at or past MR_PROVEN_BOUND raises factorize's
+    OutOfRangeError, naming m, before any rho step.
+    """
+    if v >= MR_PROVEN_BOUND:
+        _prime_cofactor(m, v)  # is_prime refuses v
+    rho_budget = _LIMITS.get().rho_budget
+    budget = [rho_budget]
+    parts: dict[int, int] = {}
+    stack = [(v, 1)]  # (part, its exponent in v)
+    while stack:
+        u, e = stack.pop()
+        if u < cube:
+            _merge(parts, *_below_cube(u, e))
+        elif pow(2, u - 1, u) == 1:
+            _merge(parts, u, e)
+        elif (power := _perfect_power(u)) is not None:
+            log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), u, *power)
+            stack.append((power[0], e * power[1]))
+        else:
+            g = _split(u, budget, sieved)
+            stack.append((g, e))
+            stack.append((u // g, e))
+    return parts, rho_budget - budget[0]
+
+
+def _below_cube(u: int, e: int) -> tuple[int, int]:
+    """(q, k) with q^k = u^e and q square-free, for 1 < u < P^3 with no prime below P.
+
+    Such a u is a prime, a prime square or two distinct primes: square-free
+    unless it is a square.
+    """
+    r = isqrt(u)
+    return (r, 2 * e) if r * r == u else (u, e)
+
+
+def _merge(parts: dict[int, int], a: int, e: int) -> None:
+    """Put a^e into parts, {q: k} with the q square-free and pairwise coprime; a is square-free.
+
+    A q with g = gcd(a, q) > 1 becomes g^(k + e) and (q / g)^k, and a / g
+    goes on, so a prime met twice adds its exponents.
+    """
+    while a > 1:
+        for q, k in parts.items():
+            g = gcd(a, q)
+            if g > 1:
+                del parts[q]
+                parts[g] = k + e
+                if q > g:
+                    parts[q // g] = k
+                a //= g
+                break
+        else:
+            parts[a] = e
+            return
 
 
 def kronecker(D: int, n: int) -> int:

@@ -279,8 +279,12 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> list[argparse.Act
 
     return [p.add_argument("--format", choices=("text", "json", "csv"), default=dflt("text")),
             p.add_argument("--rho-budget", type=int, default=dflt(arith.Limits.rho_budget),
-                           help="Pollard-rho iterations each factorization may charge: the steps "
-                                "inside rho's gcd chunks, about a third of its squarings"),
+                           help="Pollard-rho iterations each factorization or square-free "
+                                "decomposition may charge: the steps inside rho's gcd chunks, "
+                                "about a third of its squarings. A cofactor that 2^(v-1) = 1 "
+                                "(mod v) proves square-free (no Wieferich prime in (3511, "
+                                "6.7e15), Dorais-Klyve 2011) charges none, so a member charges "
+                                "at most what factoring it would; factorize proves its primes"),
             p.add_argument("--sf-budget", type=int, default=dflt(arith.Limits.sf_budget),
                            help="largest |square-free part| whose class number is counted: "
                                 "|D| up to it for D = 1 (mod 4), up to 4 times it for D = 0 (mod 4)"),

@@ -81,6 +81,15 @@ def _untouchable(*args):
     raise AssertionError("called")
 
 
+def _watch_cofactor_parts(monkeypatch) -> list:
+    """Each (m, v, sieved) that _decompose hands to _cofactor_parts, its one step from P^3 up."""
+    steps = []
+    real = arith._cofactor_parts
+    monkeypatch.setattr(arith, "_cofactor_parts",
+                        lambda m, v, cube, sieved: steps.append((m, v, sieved)) or real(m, v, cube, sieved))
+    return steps
+
+
 def _prime(rng, bits):
     """A random prime of the given bit length above 10^4."""
     while True:
@@ -292,19 +301,19 @@ class TestQuadraticSieve:
                 spent.append(before - budget[0])
 
         monkeypatch.setattr(arith, "_brent_rho", counting)
-        f, charge = arith._factorize(self.N, False)
+        f, charge = arith._factorize(self.N)
         assert f.factors == ((149383678981, 1), (414283054079, 1))
         assert charge == sum(spent) == arith.QS_AFTER  # the sieve split it
         with pytest.raises(BudgetError), arith.limits(rho_budget=charge - 1):
             arith.factorize(self.N)
         with arith.limits(rho_budget=charge):
-            assert arith._factorize(self.N, False) == (f, charge)
+            assert arith._factorize(self.N) == (f, charge)
 
     def test_the_plain_route_hands_off_after_exactly_qs_after(self):
         with pytest.raises(BudgetError), arith.limits(rho_budget=arith.QS_AFTER - 1):
             arith.factorize(self.N)
         with arith.limits(rho_budget=arith.QS_AFTER):
-            f, charge = arith._factorize(self.N, False)
+            f, charge = arith._factorize(self.N)
         assert f.factors == ((149383678981, 1), (414283054079, 1)) and charge == arith.QS_AFTER
 
 
@@ -326,14 +335,14 @@ class TestFactorizeKeepsNoState:
 
     def test_the_charge_is_the_same_whatever_ran_before(self):
         for m in self.MS:
-            f, charge = arith._factorize(m, False)
+            f, charge = arith._factorize(m)
             assert 0 < charge <= arith.QS_AFTER
             for budget in (charge - 1, 1, charge - 1):  # refused before and after the passes
                 with pytest.raises(BudgetError, match=f"factoring {m}$"), arith.limits(rho_budget=budget):
                     arith.factorize(m)
                 for ok in (charge, 10**8):
                     with arith.limits(rho_budget=ok):
-                        assert arith._factorize(m, False) == (f, charge)
+                        assert arith._factorize(m) == (f, charge)
                         assert arith.factorize(m) == f
 
     def test_no_rho_charges_nothing(self, monkeypatch):
@@ -344,7 +353,7 @@ class TestFactorizeKeepsNoState:
               6 * 1000000007, 10007**3, 12 * 10007**5, 10007**4, 10009**6)
         with arith.limits(rho_budget=0):
             for m in ms:
-                f, charge = arith._factorize(m, False)
+                f, charge = arith._factorize(m)
                 assert f.value() == m and all(arith.is_prime(p) for p, _ in f.factors)
                 assert charge == 0, m
         assert arith.factorize(10007**3).factors == ((10007, 3),)
@@ -453,23 +462,28 @@ class TestSquarefree:
         assert (d.s, d.f) == (-63952011974, 2)
 
     def test_cofactors_around_the_cube_of_10007(self, monkeypatch):
-        # v is what trial division below 10^4 leaves; factorize sees m
-        # exactly when v >= 10007^3
+        # v is what trial division below 10^4 leaves; _cofactor_parts sees
+        # it, plain, exactly when v >= 10007^3, and splits only P^2 * 10009
+        # (P^3 fails the base-2 power and is a cube), with no prime proven
         P = 10007
-        factorized = []
-        factorize = arith._factorize
-        monkeypatch.setattr(arith, "_factorize",
-                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
+        steps = _watch_cofactor_parts(monkeypatch)
+        split = []
+        real_split = arith._split
+        monkeypatch.setattr(arith, "_split", lambda v, *rest: split.append(v) or real_split(v, *rest))
+        monkeypatch.setattr(arith, "is_prime", _untouchable)
         cases = [(P * 10009, False), (P * P, False), (999999999989, False),
                  (P * 100140043, False), (P**3, True), (P * P * 10009, True)]
-        assert P * 100140043 < P**3 and arith.is_prime(100140043) and arith.is_prime(999999999989)
+        assert P * 100140043 < P**3 and trial_is_prime(100140043) and trial_is_prime(999999999989)
         for v, factors in cases:
             for small in (1, 2, 12, 3 * 5 * 7 * 9973, 8 * 9973**2):
                 for m in (small * v, -small * v):
-                    factorized.clear()
-                    d = arith.squarefree_decompose(m)
+                    steps.clear()
+                    split.clear()
+                    d, charge = arith._decompose(m)
                     assert (d.s, d.f) == _sympy_decompose(m), m
-                    assert factorized == ([(abs(m), False)] if factors else []), m
+                    assert steps == ([(abs(m), v, False)] if factors else []), m
+                    assert split == ([v] if v == P * P * 10009 else []), m
+                    assert (charge > 0) == bool(split), m
 
     def test_s_is_squarefree_by_refactoring(self):
         rng = random.Random(2024)
@@ -526,16 +540,16 @@ class TestMemberSieve:
         # Members -M with 4N = M + x^2 >= 10^18, so B = 10^6 (or the float
         # cube root just below it) and the least prime past it is P = 1000003.
         # Each M is a power of 2 times v = 999983^e * u, the primes of u just
-        # above B or around B^2 and B^3; u is factorized from P^3 up, never below.
+        # above B or around B^2 and B^3; u goes to _cofactor_parts, sieved,
+        # from P^3 up, never below, and no prime is proven.
         below_b, P, P2, P3 = 999983, 1000003, 1000033, 1000037
         below_b2, above_b2 = 999999999989, 1000000000039
         below_b3, above_b3 = 999999999999999989, 1000000000000000003
         below_p2, below_p3 = 1000005999943, 1000009000026999979  # primes just below P^2, P^3
-        factorized = []
-        factorize = arith._factorize
-        monkeypatch.setattr(arith, "_factorize",
-                            lambda m, sieved: factorized.append(m) or factorize(m, sieved))
-        cases = [  # (e, u, whether u is factorized)
+        steps = _watch_cofactor_parts(monkeypatch)
+        is_prime = arith.is_prime  # the sieve's own P is proven, below 10^8
+        monkeypatch.setattr(arith, "is_prime", lambda q: is_prime(q) if q < 10**8 else _untouchable())
+        cases = [  # (e, u, whether u reaches _cofactor_parts)
             (1, 1, False), (0, P, False), (0, P * P, False), (0, P * P2, False),
             (1, P * P, False), (2, P, False), (2, P2 * P2, False),
             (0, below_b2, False), (0, above_b2, False), (1, P * below_b2, False),
@@ -549,10 +563,10 @@ class TestMemberSieve:
             v = below_b**e * u
             M = v << max(0, 61 - v.bit_length())
             assert 10**18 <= M + x * x < arith.MR_PROVEN_BOUND
-            factorized.clear()
+            steps.clear()
             d = arith.decompose_member(M + x * x, x)
             assert (d.s, d.f) == _sympy_decompose(-M), (e, u)
-            assert factorized == ([u] if factors else []), (e, u)
+            assert steps == ([(M, u, True)] if factors else []), (e, u)
 
     def test_cube_root_bound_below_1e6(self):
         # 4N = 99991 * 100003^2 + 36 has its cube root between the two primes:
@@ -585,13 +599,10 @@ class TestMemberSieve:
         # squarefree_decompose reads no sieve: the member x = 3, whose cofactor
         # 718321 * 2131907 is past 10007^3, takes the plain route
         monkeypatch.setattr(arith, "_sieve_of", _untouchable)
-        factorized = []
-        factorize = arith._factorize
-        monkeypatch.setattr(arith, "_factorize",
-                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
+        steps = _watch_cofactor_parts(monkeypatch)
         d = arith.squarefree_decompose(9 - 10**15)
         assert (d.s, d.f) == _sympy_decompose(9 - 10**15)
-        assert factorized == [(10**15 - 9, False)]
+        assert steps == [(10**15 - 9, 718321 * 2131907, False)]
 
     def test_built_only_where_it_can_hold_a_prime(self):
         # below 10007^3 the cube root B is below 10007, the least prime past 10^4
@@ -632,8 +643,9 @@ class TestSievedCofactors:
         assert (self.FOUR_N, 100) not in arith._member_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
             families.quintuple(5, 5)
-            f, charge = arith._factorize(self.V, True)
-        assert f.factors == ((1001387, 1), (50771867830517, 1)) and charge == arith.QS_AFTER
+            parts, charge = arith._cofactor_parts(self.FOUR_N - 100, self.V,
+                                                  arith._sieve_of(self.FOUR_N).above ** 3, True)
+        assert parts == {1001387: 1, 50771867830517: 1} and charge == arith.QS_AFTER
         assert arith._member_memo[self.FOUR_N, 100][1] == charge
 
     def test_the_routes_charge_apart(self):
@@ -642,13 +654,14 @@ class TestSievedCofactors:
         # meets still refuses the member
         u = 1000003**2 * 1000033
         M = u << (61 - u.bit_length())  # 4N = M, the member -M at x = 0, cleared to 10^6
-        f, spent = arith._factorize(u, False)
-        assert 0 < spent < arith.QS_AFTER
-        assert arith._factorize(u, True) == (f, arith.QS_AFTER)
+        cube = 1000003**3
+        parts, spent = arith._cofactor_parts(u, u, cube, False)
+        assert parts == {1000003: 2, 1000033: 1} and 0 < spent < arith.QS_AFTER
+        assert arith._cofactor_parts(u, u, cube, True) == (parts, arith.QS_AFTER)
         with arith.limits(rho_budget=spent):
             with pytest.raises(BudgetError, match=f"factoring {u}$"):
                 arith.decompose_member(M, 0)
-            assert arith.factorize(u) == f
+            assert arith._decompose(u) == (arith.SquarefreeDecomposition(u, 1000033, 1000003), spent)
         assert (M, 0) not in arith._member_memo
         with arith.limits(rho_budget=arith.QS_AFTER):
             d = arith.decompose_member(M, 0)
@@ -659,15 +672,14 @@ class TestSievedCofactors:
         # theorem31_hypotheses decomposes 4(p^2 - ell^n) = (2p)^2 - 4*ell^n as
         # the builder's member x = 2p, so at (5, 5) with p = 5 it meets d +
         # 100's cleared cofactor V, not the whole radicand, and no rho step
-        rho, factorized = [], []
-        brent_rho, factorize = arith._brent_rho, arith._factorize
+        rho = []
+        brent_rho = arith._brent_rho
         monkeypatch.setattr(arith, "_brent_rho",
                             lambda n, *rest: rho.append(n) or brent_rho(n, *rest))
-        monkeypatch.setattr(arith, "_factorize",
-                            lambda m, sieved: factorized.append((m, sieved)) or factorize(m, sieved))
+        steps = _watch_cofactor_parts(monkeypatch)
         checks, dec = lrn.theorem31_hypotheses(12499, 5, 5, 12499**5)
         assert all(c.ok for c in checks) and (dec.s, dec.f) == _sympy_decompose(100 - self.FOUR_N)
-        assert factorized == [(self.V, True)]
+        assert steps == [(self.FOUR_N - 100, self.V, True)]
         assert arith._member_memo[self.FOUR_N, 100] == (dec, arith.QS_AFTER)
         assert rho == []
         arith._member_memo.clear()
@@ -706,23 +718,23 @@ class TestMemberMemo:
         assume(x2 != four_n)
         arith._member_memo.clear()
         charges = []
-        real = arith._factorize
+        real = arith._cofactor_parts
 
-        def factorize(m, sieved):
-            out = real(m, sieved)
+        def cofactor_parts(*args):
+            out = real(*args)
             charges.append(out[1])
             return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(arith, "_factorize", factorize)
+            mp.setattr(arith, "_cofactor_parts", cofactor_parts)
             first = arith.decompose_member(four_n, x)
-        # kept, factorized or not, with the charge of its one factorization or 0
+        # kept, split or not, with the charge of its one cofactor step or 0
         assert len(charges) <= 1
         assert arith._member_memo[four_n, x2] == (first, sum(charges))
         with monkeypatch.context() as mp:
             mp.setattr(arith, "_sieve_of", _untouchable)
             mp.setattr(arith, "_trial_divide", _untouchable)
-            mp.setattr(arith, "_factorize", _untouchable)
+            mp.setattr(arith, "_cofactor_parts", _untouchable)
             with arith.limits(rho_budget=sum(charges)):
                 again = arith.decompose_member(four_n, x)
         assert again is first
@@ -747,7 +759,7 @@ class TestMemberMemo:
             # a member settled without factoring is answered from the memo at any budget
             with arith.limits(rho_budget=0):
                 assert arith.decompose_member(four_n, 0) is d0
-        monkeypatch.setattr(arith, "_factorize", _untouchable)
+        monkeypatch.setattr(arith, "_cofactor_parts", _untouchable)
         with arith.limits(rho_budget=c):  # the charge fits: answered from the memo
             assert arith.decompose_member(four_n, 10) is d
 
@@ -782,6 +794,70 @@ class TestMemberMemo:
         with pytest.raises(DomainError, match="requires m != 0"):
             arith.decompose_member(4 * 10**6, 2000)
         assert list(arith._member_memo) == keys[4:] + keys[:1]
+
+
+class TestCofactorParts:
+    # The members of every tuple construct builds: offsets 0, 1 and 4, and
+    # 4p^2 for the odd primes up to CONSTRUCT_M = 13, which hold the
+    # quintuple's and quadruples' p = 3 and 5 (perfbench/workloads.py)
+    CONSTRUCT_NK = [(3, k) for k in range(12, 201)] + [(5, k) for k in range(2, 7)] + [(7, 2)]
+    XS = (0, 1, 2, 6, 10, 14, 18, 22, 26)
+
+    def test_only_two_wieferich_primes_below_2e6(self):
+        # the premise on a range a test covers: trial division to 10^4 must
+        # come first, as 1093^2 and 3511^2 pass the base-2 power
+        assert [p for p in arith.primes_up_to(2 * 10**6) if pow(2, p - 1, p * p) == 1] == [1093, 3511]
+        assert all(pow(2, p * p - 1, p * p) == 1 for p in (1093, 3511))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(10**4, 10**7 - 200), st.integers(10**4, 10**7 - 200))
+    def test_no_square_passes_the_base_2_power(self, a, b):
+        p, q = arith._prime_past(a), arith._prime_past(b)
+        for v in (p * p * q, p**3, p * p * q * q):
+            assert pow(2, v - 1, v) != 1, (p, q)
+
+    def test_any_split_gives_the_oracles_decomposition(self, monkeypatch):
+        # _split stubbed to return each proper divisor of v in turn, then the
+        # least prime of each later part; with the power test and without it
+        p, q, r = 10007, 10009, 10037
+        perfect_power = arith._perfect_power
+        for v in (p * p * q, p**3 * q, p * p * q * q, p * q * r, p**4):
+            exps = dict(trial_factorize(v))
+            divisors = sorted(prod(t**e for t, e in zip(exps, es))
+                              for es in np.ndindex(*(e + 1 for e in exps.values())))[1:-1]
+            for d in divisors:
+                for power in (perfect_power, lambda u: None):
+                    first = [d]
+
+                    def split(u, budget, sieved):
+                        return first.pop() if first else next(t for t in (p, q, r) if u % t == 0)
+
+                    monkeypatch.setattr(arith, "_split", split)
+                    monkeypatch.setattr(arith, "_perfect_power", power)
+                    for m in (v, -12 * v):
+                        dec, charge = arith._decompose(m)
+                        s = prod(t for t, e in trial_factorize(abs(m)) if e % 2)
+                        assert (dec.s, dec.f * dec.f) == ((s if m > 0 else -s), abs(m) // s), (v, d)
+                        assert charge == 0
+                    # only the power test keeps p^4 and p^2 q^2 from _split
+                    assert not first or (power is perfect_power and v in (p**4, p * p * q * q)), (v, d)
+
+    def test_members_equal_their_factorization(self):
+        # the fast route against the independent slow one: every member of a
+        # seeded sample of construct's grid, n = 3 and n > 3 apart, and of the
+        # four (3, k) whose cofactor splits into parts below P^3
+        rng = random.Random(33)
+        nks = rng.sample(self.CONSTRUCT_NK[:189], 10) + rng.sample(self.CONSTRUCT_NK[189:], 3)
+        nks += [(3, 165), (3, 173), (3, 188), (3, 199)]
+        for n, k in nks:
+            four_n = 4 * (4 * k**n - 1) ** n
+            for x in self.XS:
+                dec = arith.decompose_member(four_n, x)
+                s = f = 1
+                for t, e in arith.factorize(four_n - x * x).factors:
+                    s *= t ** (e % 2)
+                    f *= t ** (e // 2)
+                assert (dec.s, dec.f) == (-s, f), (n, k, x)
 
 
 class TestKronecker:

@@ -649,7 +649,7 @@ class TestHarness:
         verify_tuple = families.verify_tuple
 
         def verify_unfactored(t):
-            monkeypatch.setattr(arith, "_factorize", _untouchable)
+            monkeypatch.setattr(arith, "_cofactor_parts", _untouchable)
             monkeypatch.setattr(arith, "_brent_rho", _untouchable)
             return verify_tuple(t)
 

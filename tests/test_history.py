@@ -21,6 +21,10 @@ BIG_RHO, BIG_SF = 10**8, 10**12
 COMMANDS = [
     (["quintuple", "-n", "3", "-k", "2", "--verify"], (0, BIG_RHO), (119162, 119163, BIG_SF)),
     (["quintuple", "-n", "5", "-k", "5", "--format", "json"], (0, 1023, 1024, BIG_RHO), (0,)),  # rho 1024
+    # d + 1's sieved cofactor 6964855437456566603 passes the base-2 power
+    (["quadruple", "-n", "3", "-p", "5", "-k", "67", "--format", "json"], (0, 1, BIG_RHO), (0,)),
+    # d + 196's sieved cofactor 7613657443518780209 splits once, into parts below P^3: rho 1024
+    (["quadruple", "-n", "3", "-p", "7", "-k", "199"], (0, 1023, 1024, BIG_RHO), (0,)),
     (["quadruple", "-n", "3", "-p", "7", "-k", "4", "--verify", "--format", "json"],
      (0,), (66325498, 66325499, BIG_SF)),
     (["tuples", "-n", "3", "-m", "13", "-k", "2", "--mode", "lenient", "--verify"],
