@@ -18,7 +18,8 @@ numpy sieve of R and the tail pass through a numpy view of its buffer,
 with the primes read off it once per table (_sieve). The walk tests
 gcd(a, b, c) = 1 form by form, an independent check on the local rule,
 and on request lists the forms of every a, within one a in the CRT order
-of the roots. Counts are remembered for the process. An independent
+of the roots. Counts are remembered for the process; verify_tuple shares
+its large ones with a child process (counthelper). An independent
 Dirichlet evaluator of the class number formula cross-checks fundamental
 D, for |D| <= DIRICHLET_LIMIT: it splits the character at the largest odd
 prime q of D and counts the squares mod q by residue class mod |D|/q, so
@@ -608,8 +609,10 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     a lists the forms whatever D is. Results without with_forms are
     remembered for the process (at most arith.MEMO_SIZE, oldest dropped
     first), and a D counted before is answered from there, logged at INFO.
-    Every count, remembered or not, first checks that the square-free part
-    of D may fit Limits.sf_budget: |D| <= sf_budget for D = 1 (mod 4), or
+    So are the counts the count helper made for this process
+    (counthelper.count_shared remembers each as it is read). Every
+    count, remembered or not, first checks that the square-free part of D
+    may fit Limits.sf_budget: |D| <= sf_budget for D = 1 (mod 4), or
     4 * sf_budget for D = 0 (mod 4). Past it, it raises BudgetError.
     """
     if D >= 0:
@@ -631,6 +634,14 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
         h = _reduced_count(D)
         arith._remember(_h_memo, D, h)
     return ClassNumberResult(D, h, "form-count")
+
+
+# |D| from which verify_tuple shares a tuple's counts with the count helper,
+# a child process (counthelper): a count there takes 1.3 ms or more, and its
+# trip through the helper's pipes adds about 20 us. Against this threshold,
+# 10^7, 10^9 and 10^10 moved certify's wall_s by -1.1, -0.2 and -0.6 %,
+# within noise (10 benchmark pairs each, 2-core x86-64 VM).
+HELPER_FROM = 10**8
 
 
 def is_fundamental_discriminant(D: int) -> bool:

@@ -188,6 +188,34 @@ def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
     return _build("pi_tuple", n, k, odd_primes, lenient=mode == "lenient")
 
 
+def _check_decomposition(t: FamilyTuple, m: FamilyMember) -> None:
+    """Raise ArithmeticError unless m's (s, f) is arith.decompose_member(-d, x), x^2 its offset."""
+    dec = arith.decompose_member(-t.d, isqrt(m.offset))
+    if (m.squarefree_part, m.cofactor) != (dec.s, dec.f):
+        raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
+
+
+def _count_ahead(t: FamilyTuple, members: list[FamilyMember]) -> None:
+    """Count the members' fresh large D on two cores (counthelper.count_shared), into the memo.
+
+    Fresh large D are those from |D| = classno.HELPER_FROM on that the memo
+    does not hold. With two or more, every member's (s, f) is checked
+    first (_check_decomposition).
+    """
+    fresh = []
+    for m in members:
+        s = m.squarefree_part
+        D = s if s % 4 == 1 else 4 * s
+        if -D >= classno.HELPER_FROM and D not in classno._h_memo:
+            fresh.append(D)
+    if len(fresh) > 1:
+        for m in members:
+            _check_decomposition(t, m)
+        from . import counthelper
+
+        counthelper.count_shared(fresh)
+
+
 def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     """Fill in class numbers and divisibility verdicts for every member.
 
@@ -200,17 +228,30 @@ def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     it is and that charge fits the current rho_budget, it costs one lookup;
     otherwise it is decomposed again. Either way each member is compared
     with this process's own derivation, never with one read from a record. The field
-    discriminant is then s, or 4s unless s = 1 mod 4. A member whose form
-    count raises BudgetError (its |square-free part| exceeds the current
-    Limits.sf_budget) is marked unverified. Returns the same tuple with
-    members completed.
+    discriminant D is then s, or 4s unless s = 1 mod 4, and its count is
+    class_number_forms(D). A member whose form count raises BudgetError
+    (its |square-free part| exceeds the current Limits.sf_budget) is marked
+    unverified. Returns the same tuple with members completed.
+
+    Where 4|d| reaches classno.HELPER_FROM and the tuple has at most
+    arith.MEMO_SIZE members, _count_ahead first counts the D from
+    HELPER_FROM on that the memo does not hold, once every member's (s, f)
+    is checked, largest first on two cores: this process and the count
+    helper (counthelper.count_shared). Their answers are remembered in
+    class_number_forms' memo, where each member's count is then read under
+    the same budget check, so the records are those of the counts made one
+    by one in this process.
     """
     if not _identities_hold(t):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
-    for m in sorted(t.members, key=lambda m: m.offset):
-        dec = arith.decompose_member(-t.d, isqrt(m.offset))
-        if (m.squarefree_part, m.cofactor) != (dec.s, dec.f):
-            raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
+    members = sorted(t.members, key=lambda m: m.offset)
+    # No |D| <= 4|s| < 4|d| reaches HELPER_FROM below it. A tuple adds at most
+    # one count per member to the memo, so within MEMO_SIZE members none
+    # counted ahead is dropped before it is read.
+    if -4 * t.d >= classno.HELPER_FROM and len(members) <= arith.MEMO_SIZE:
+        _count_ahead(t, members)
+    for m in members:
+        _check_decomposition(t, m)
         s = m.squarefree_part
         try:
             m.class_number = classno.class_number_forms(s if s % 4 == 1 else 4 * s).h

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from iqtuples import arith, classno  # noqa: E402
+from iqtuples import arith, classno, counthelper  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +14,14 @@ def empty_memos():
     arith._sieve_memo.clear()
     arith._member_memo.clear()
     classno._h_memo.clear()
+
+
+@pytest.fixture(autouse=True)
+def no_helper_left():
+    """End every test with no count helper: each forks its own, from the code it patched."""
+    yield
+    counthelper._stop_helper()
+    counthelper._helper = None
 
 
 @pytest.fixture

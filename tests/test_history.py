@@ -5,13 +5,14 @@ classno._h_memo), and each command runs under its own
 --rho-budget and --sf-budget. One seeded sequence of commands, each with
 budgets drawn from a small set on both sides of what it needs, is run in
 order, then shuffled in the same process, then with every memo emptied
-before each command; all three runs must agree.
+before each command; all three runs must agree. One command's tuple is
+large enough for the count helper, which then serves the rest of the run.
 """
 
 import io
 import random
 
-from iqtuples import arith, classno, cli
+from iqtuples import arith, classno, cli, counthelper
 
 BIG_RHO, BIG_SF = 10**8, 10**12
 
@@ -20,6 +21,8 @@ BIG_RHO, BIG_SF = 10**8, 10**12
 # noted beside it where that is above 0
 COMMANDS = [
     (["quintuple", "-n", "3", "-k", "2", "--verify"], (0, BIG_RHO), (119162, 119163, BIG_SF)),
+    # four members from |D| = 1.4*10^10 on: the count helper takes a share
+    (["quintuple", "-n", "5", "-k", "2", "--verify"], (0,), (132153477626, 132153477627, BIG_SF)),
     (["quintuple", "-n", "5", "-k", "5", "--format", "json"], (0, 1023, 1024, BIG_RHO), (0,)),  # rho 1024
     # d + 1's sieved cofactor 6964855437456566603 passes the base-2 power
     (["quadruple", "-n", "3", "-p", "5", "-k", "67", "--format", "json"], (0, 1, BIG_RHO), (0,)),
@@ -86,3 +89,4 @@ def test_outputs_do_not_depend_on_history(capsys, monkeypatch):
         assert fresh[i] == in_order[i], call[0]
     # the budgets bracket the costs: some commands pass, some exhaust a budget
     assert {code for code, _ in in_order} >= {0, 2}
+    assert isinstance(counthelper._helper, counthelper._Helper)  # and the count helper served them
