@@ -18,12 +18,13 @@ numpy sieve of R and the tail pass through a numpy view of its buffer,
 with the primes read off it once per table (_sieve). The walk tests
 gcd(a, b, c) = 1 form by form, an independent check on the local rule,
 and on request lists the forms of every a, within one a in the CRT order
-of the roots. Counts are remembered for the process; verify_tuple shares
-its large ones with a child process (counthelper). An independent
-Dirichlet evaluator of the class number formula cross-checks fundamental
-D, for |D| <= DIRICHLET_LIMIT: it splits the character at the largest odd
-prime q of D and counts the squares mod q by residue class mod |D|/q, so
-none of its arrays is as long as |D| (class_number_dirichlet).
+of the roots. Counts are remembered for the process; count_ahead decides
+which of a list's D are counted ahead on two cores, with a child process
+(counthelper), and counts them. An independent Dirichlet evaluator of the
+class number formula cross-checks fundamental D, for |D| <= DIRICHLET_LIMIT:
+it splits the character at the largest odd prime q of D and counts the
+squares mod q by residue class mod |D|/q, so none of its arrays is as long
+as |D| (class_number_dirichlet).
 """
 
 from __future__ import annotations
@@ -601,6 +602,16 @@ def _reduced_count(D: int) -> int:
 _h_memo: dict[int, int] = {}  # D -> h, for the counts made without with_forms
 
 
+def _sf_bound(D: int) -> tuple[int, str]:
+    """The largest |D| whose count Limits.sf_budget allows, and its name.
+
+    The square-free part s of D may be as large as D for D = 1 (mod 4), and
+    as D/4 for D = 0 (mod 4).
+    """
+    budget = arith._LIMITS.get().sf_budget
+    return (budget, "sf_budget") if D % 4 == 1 else (4 * budget, "4 * sf_budget")
+
+
 def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     """h*(D): the number of classes of primitive positive-definite forms.
 
@@ -609,18 +620,15 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     a lists the forms whatever D is. Results without with_forms are
     remembered for the process (at most arith.MEMO_SIZE, oldest dropped
     first), and a D counted before is answered from there, logged at INFO.
-    So are the counts the count helper made for this process
-    (counthelper.count_shared remembers each as it is read). Every
-    count, remembered or not, first checks that the square-free part of D
-    may fit Limits.sf_budget: |D| <= sf_budget for D = 1 (mod 4), or
-    4 * sf_budget for D = 0 (mod 4). Past it, it raises BudgetError.
+    So are the counts made ahead by count_ahead. Every count, remembered or
+    not, first checks that the square-free part of D may fit
+    Limits.sf_budget (_sf_bound); past it, it raises BudgetError.
     """
     if D >= 0:
         raise DomainError(f"discriminant must be negative, got {D}")
     if D % 4 not in (0, 1):
         raise DomainError(f"discriminant must be 0 or 1 mod 4, got {D}")
-    budget = arith._LIMITS.get().sf_budget
-    bound, what = (budget, "sf_budget") if D % 4 == 1 else (4 * budget, "4 * sf_budget")
+    bound, what = _sf_bound(D)
     if -D > bound:
         raise BudgetError(f"form count of D = {D}: |D| exceeds {what} = {bound}")
     if with_forms:
@@ -636,12 +644,32 @@ def class_number_forms(D: int, with_forms: bool = False) -> ClassNumberResult:
     return ClassNumberResult(D, h, "form-count")
 
 
-# |D| from which verify_tuple shares a tuple's counts with the count helper,
+# |D| from which count_ahead shares a list's counts with the count helper,
 # a child process (counthelper): a count there takes 1.3 ms or more, and its
 # trip through the helper's pipes adds about 20 us. Against this threshold,
 # 10^7, 10^9 and 10^10 moved certify's wall_s by -1.1, -0.2 and -0.6 %,
 # within noise (10 benchmark pairs each, 2-core x86-64 VM).
 HELPER_FROM = 10**8
+
+
+def count_ahead(discs: list[int]) -> None:
+    """Count the fresh large D of discs ahead, on two cores, into the memo.
+
+    Fresh large D are those from |D| = HELPER_FROM on that the memo does not
+    hold and whose count sf_budget allows (_sf_bound). With two or more of
+    them and at most arith.MEMO_SIZE discs, so that no count made ahead
+    leaves the memo before class_number_forms reads it, they go largest |D|
+    first to counthelper.count_shared, imported then, so that no other
+    caller compiles it. Otherwise nothing is counted here.
+    """
+    if len(discs) > arith.MEMO_SIZE:
+        return
+    fresh = sorted({D for D in discs
+                    if -D >= HELPER_FROM and D not in _h_memo and -D <= _sf_bound(D)[0]})
+    if len(fresh) > 1:
+        from . import counthelper
+
+        counthelper.count_shared(fresh)
 
 
 def is_fundamental_discriminant(D: int) -> bool:

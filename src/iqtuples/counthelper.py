@@ -1,18 +1,17 @@
-"""The count helper: a child process that counts a share of a tuple's form counts.
+"""The count helper: a child process that counts a share of a list's form counts.
 
-verify_tuple hands count_shared the D of a tuple from |D| =
-classno.HELPER_FROM on that classno's memo does not hold. The helper is
-forked once per process, on the first such tuple with two or more of them
-within Limits.sf_budget, after numpy is imported and classno's tables
-cover the largest D, so it starts with them, shared copy-on-write. It reads one D per line on a pipe and answers
-"D h", h = classno._reduced_count(D), while this process counts the rest
-by classno.class_number_forms; both answers go into classno's memo. The
-helper ignores SIGINT, keeps no file descriptor but its two pipe ends and
-stderr, and leaves by os._exit at EOF on its pipe; this process reaps it at
-exit. Where no helper can run (no os.fork, another live thread, or a
-helper that has died), nothing is shared and every count is made here.
-This module is imported on the first tuple large enough to share, so no
-other command compiles it.
+classno.count_ahead hands count_shared the D it counts ahead, two or more,
+largest |D| first. The helper is forked once per process, on the first
+such list, after numpy is imported and classno's tables cover the largest
+D, so it starts with them, shared copy-on-write. It reads one D per line on
+a pipe and answers "D h", h = classno._reduced_count(D), while this process
+counts the rest by classno.class_number_forms; both answers go into
+classno's memo. The helper ignores SIGINT, keeps no file descriptor but its
+two pipe ends and stderr, and leaves by os._exit at EOF on its pipe; this
+process reaps it at exit. Where no helper can run (no os.fork, another live
+thread, or a helper that has died), nothing is counted here and every
+count is made by class_number_forms when it is asked for. classno imports
+this module on the first list it shares, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -197,35 +196,27 @@ if hasattr(os, "register_at_fork"):
 
 
 def count_shared(discs: list[int]) -> None:
-    """Count the D of discs on two cores, remembering each h in classno's memo.
+    """Count discs, two or more D largest |D| first, on two cores, each h into classno's memo.
 
-    Those D whose count Limits.sf_budget allows (class_number_forms would
-    raise BudgetError for the others) are taken once each, largest |D|
-    first, when there are two or more and a helper runs (_running_helper):
-    the helper is handed the next while it owes fewer than _IN_FLIGHT and
-    at least one is left for this process, which counts the next by
-    classno.class_number_forms and then remembers any answers come.
-    Otherwise nothing is counted here, and class_number_forms counts each D
-    when it is asked for. If the helper has gone (EOF or a broken pipe), it
-    is reaped with a warning, and the D it owed are left for
-    class_number_forms too. On any other exception the helper is stopped,
-    and the exception raised.
+    When a helper runs (_running_helper), it is handed the next D while it
+    owes fewer than _IN_FLIGHT and at least one is left for this process,
+    which counts the next by classno.class_number_forms and then remembers
+    any answers come. Otherwise nothing is counted here. If the helper has
+    gone (EOF or a broken pipe), it is reaped with a warning, and the D it
+    owed are left for class_number_forms. On any other exception the helper
+    is stopped, and the exception raised.
     """
-    budget = arith._LIMITS.get().sf_budget  # as class_number_forms bounds |D|
-    fresh = sorted({D for D in discs if -D <= (budget if D % 4 == 1 else 4 * budget)})
-    if len(fresh) < 2:
-        return
-    helper = _running_helper(isqrt(-fresh[0] // 3))
+    helper = _running_helper(isqrt(-discs[0] // 3))
     if helper is None:
         return
     try:
         i = 0
-        while i < len(fresh) or helper.owed:
-            while helper.owed < _IN_FLIGHT and len(fresh) - i > 1:
-                helper.send(fresh[i])
+        while i < len(discs) or helper.owed:
+            while helper.owed < _IN_FLIGHT and len(discs) - i > 1:
+                helper.send(discs[i])
                 i += 1
-            if i < len(fresh):
-                classno.class_number_forms(fresh[i])
+            if i < len(discs):
+                classno.class_number_forms(discs[i])
                 i += 1
                 helper.collect(wait=False)
             else:

@@ -188,79 +188,46 @@ def pi_tuple(n: int, m: int, k: int, mode: str = "strict") -> FamilyTuple:
     return _build("pi_tuple", n, k, odd_primes, lenient=mode == "lenient")
 
 
-def _check_decomposition(t: FamilyTuple, m: FamilyMember) -> None:
-    """Raise ArithmeticError unless m's (s, f) is arith.decompose_member(-d, x), x^2 its offset."""
-    dec = arith.decompose_member(-t.d, isqrt(m.offset))
-    if (m.squarefree_part, m.cofactor) != (dec.s, dec.f):
-        raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
-
-
-def _count_ahead(t: FamilyTuple, members: list[FamilyMember]) -> None:
-    """Count the members' fresh large D on two cores (counthelper.count_shared), into the memo.
-
-    Fresh large D are those from |D| = classno.HELPER_FROM on that the memo
-    does not hold. With two or more, every member's (s, f) is checked
-    first (_check_decomposition).
-    """
-    fresh = []
-    for m in members:
-        s = m.squarefree_part
-        D = s if s % 4 == 1 else 4 * s
-        if -D >= classno.HELPER_FROM and D not in classno._h_memo:
-            fresh.append(D)
-    if len(fresh) > 1:
-        for m in members:
-            _check_decomposition(t, m)
-        from . import counthelper
-
-        counthelper.count_shared(fresh)
-
-
 def verify_tuple(t: FamilyTuple) -> FamilyTuple:
     """Fill in class numbers and divisibility verdicts for every member.
 
     Re-checks first that ell, d, the offsets and every radicand d + offset
-    are those n, k and p_list determine, then verifies members in offset
-    order. Each member's (s, f) is derived again, as _build derived it, by
-    arith.decompose_member(-d, x) with x^2 its offset, and a member whose s
-    or f differs raises ArithmeticError. Every member the build decomposed
+    are those n, k and p_list determine. Then, in offset order and before
+    any count, each member's (s, f) is derived again, as _build derived it,
+    by arith.decompose_member(-d, x) with x^2 its offset, and a member whose
+    s or f differs raises ArithmeticError. Every member the build decomposed
     is remembered with its rho charge (at most arith.MEMO_SIZE), so while
     it is and that charge fits the current rho_budget, it costs one lookup;
     otherwise it is decomposed again. Either way each member is compared
-    with this process's own derivation, never with one read from a record. The field
-    discriminant D is then s, or 4s unless s = 1 mod 4, and its count is
-    class_number_forms(D). A member whose form count raises BudgetError
-    (its |square-free part| exceeds the current Limits.sf_budget) is marked
-    unverified. Returns the same tuple with members completed.
-
-    Where 4|d| reaches classno.HELPER_FROM and the tuple has at most
-    arith.MEMO_SIZE members, _count_ahead first counts the D from
-    HELPER_FROM on that the memo does not hold, once every member's (s, f)
-    is checked, largest first on two cores: this process and the count
-    helper (counthelper.count_shared). Their answers are remembered in
-    class_number_forms' memo, where each member's count is then read under
-    the same budget check, so the records are those of the counts made one
-    by one in this process.
+    with this process's own derivation, never with one read from a record.
+    The field discriminant D is then s, or 4s unless s = 1 mod 4.
+    classno.count_ahead counts the large D ahead, on two cores where it
+    may, and each member's count is then class_number_forms(D), read from
+    its memo for a D counted ahead, under the same budget check, so the
+    records are those of the counts made one by one in this process. A
+    member whose form count raises BudgetError (its |square-free part|
+    exceeds the current Limits.sf_budget) is marked unverified. Returns the
+    same tuple with members completed.
     """
     if not _identities_hold(t):
         raise ArithmeticError(f"tuple fails its construction identities: {t.kind} n={t.n} k={t.k}")
     members = sorted(t.members, key=lambda m: m.offset)
-    # No |D| <= 4|s| < 4|d| reaches HELPER_FROM below it. A tuple adds at most
-    # one count per member to the memo, so within MEMO_SIZE members none
-    # counted ahead is dropped before it is read.
-    if -4 * t.d >= classno.HELPER_FROM and len(members) <= arith.MEMO_SIZE:
-        _count_ahead(t, members)
+    discs = []
     for m in members:
-        _check_decomposition(t, m)
-        s = m.squarefree_part
+        dec = arith.decompose_member(-t.d, isqrt(m.offset))
+        if (m.squarefree_part, m.cofactor) != (dec.s, dec.f):
+            raise ArithmeticError(f"member at offset {m.offset} has a broken decomposition")
+        discs.append(dec.s if dec.s % 4 == 1 else 4 * dec.s)
+    classno.count_ahead(discs)
+    for m, D in zip(members, discs):
         try:
-            m.class_number = classno.class_number_forms(s if s % 4 == 1 else 4 * s).h
+            m.class_number = classno.class_number_forms(D).h
         except BudgetError as e:
             m.status = STATUS_BUDGET
             m.class_number = None
             m.divisible = None
             log.warning("offset %d: |square-free part| = %d exceeds budget (%s), not verified",
-                        m.offset, abs(s), e)
+                        m.offset, abs(m.squarefree_part), e)
             continue
         m.divisible = m.class_number % t.n == 0
         m.status = STATUS_VERIFIED
@@ -303,7 +270,8 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     fields (class_number, divisible, status, all_divisible) are ignored:
     the members come back pending, for verify_tuple to decide.
     """
-    if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
+    schema = rec.get("schema") if isinstance(rec, dict) else None
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # True == 1.0 == 1 passes !=
         raise DomainError(f"not a schema-{SCHEMA_VERSION} tuple record")
     try:
         kind, n, k, ell, d = (rec[key] for key in ("kind", "n", "k", "ell", "d"))

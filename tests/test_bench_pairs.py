@@ -271,3 +271,16 @@ def test_inert_runs_a_third_side_and_adds_its_median(monkeypatch, capsys, tmp_pa
     # parent runs 2000, 4000, 9000; change 1000, 6000, 8000; inert 3000, 5000, 7000
     assert table[2] == ("| `sweep` | `ru_minflt` | faults | 4000 [3000–6500] | 6000 [3500–7000] "
                         "| 5000 [4000–6000] | +50.0% |")
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3", "two"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(monkeypatch, capsys, tmp_path, pairs):
+    def run_once(*args, **kwargs):
+        raise AssertionError("ran with too few pairs")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as e:
+        bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", pairs])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --pairs" in err

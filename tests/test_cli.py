@@ -323,6 +323,8 @@ class TestVerifyCommand:
             "missing key": json.dumps({k: v for k, v in rec.items() if k != "members"}),
             "wrong type": json.dumps({**rec, "k": "2"}),
             "unknown schema": json.dumps({**rec, "schema": 7}),
+            "boolean schema": json.dumps({**rec, "schema": True}),
+            "float schema": json.dumps({**rec, "schema": 1.0}),
             "identities": json.dumps({**rec, "d": rec["d"] + 8}),
         }
         for why, bad in bad_lines.items():

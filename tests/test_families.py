@@ -229,6 +229,19 @@ class TestVerifyTuple:
         with pytest.raises(ArithmeticError):
             verify_tuple(t)
 
+    def test_every_member_is_checked_before_any_count(self, monkeypatch):
+        # offset 100's cofactor forged: no member is counted, not even the
+        # four before it
+        counts = []
+        reduced_count = classno._reduced_count
+        monkeypatch.setattr(classno, "_reduced_count",
+                            lambda D: counts.append(D) or reduced_count(D))
+        t = quintuple(3, 2)
+        t.members[-1].cofactor += 2
+        with pytest.raises(ArithmeticError, match="offset 100 has a broken decomposition"):
+            verify_tuple(t)
+        assert counts == []
+
     @pytest.mark.parametrize("s, f", [(-119164, 1), (-29791, 2)])
     def test_every_square_free_part_is_rederived(self, s, f):
         # radicand = s * f^2 holds for both, but s is not square-free: the form
@@ -283,10 +296,11 @@ class TestSerialization:
                 "class_number", "divisible", "status",
             ]
 
-    def test_rejects_unknown_schema(self):
+    @pytest.mark.parametrize("schema", [99, True, 1.0])  # True == 1.0 == 1: the type counts too
+    def test_rejects_unknown_schema(self, schema):
         rec = families.to_json_dict(quadruple(3, 3, 2))
-        rec["schema"] = 99
-        with pytest.raises(DomainError):
+        rec["schema"] = schema
+        with pytest.raises(DomainError, match="not a schema-1 tuple record"):
             families.from_json_dict(rec)
 
     @pytest.mark.parametrize("mutate", [
@@ -342,9 +356,10 @@ def _facts(t: FamilyTuple) -> dict:
 
 
 def _claims(rec: dict) -> tuple:
-    """The numbers a record states about its tuple."""
+    """The numbers a record states about its tuple, its schema with its type, as True == 1."""
     members = [(m["offset"], m["radicand"], m["squarefree_part"], m["cofactor"]) for m in rec["members"]]
-    return rec["kind"], rec["n"], rec["k"], rec["ell"], rec["d"], rec["p_list"], members
+    return (type(rec["schema"]), rec["schema"], rec["kind"], rec["n"], rec["k"], rec["ell"],
+            rec["d"], rec["p_list"], members)
 
 
 def _constructed(kind: str, n: int, k: int, p_list: list[int]) -> FamilyTuple:

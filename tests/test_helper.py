@@ -95,20 +95,46 @@ class TestSameRecords:
         assert counthelper._helper.owed == 0
         assert 0 < _helper_counts(caplog) < len(large)  # both processes counted
 
-    def test_budget_and_memo_rules_hold(self, monkeypatch):
-        # the member at offset 1 (|D| = 132153477627) is past this budget: it is
-        # neither shared nor counted, and is marked as the in-process path marks it
+    @pytest.mark.parametrize("budget, D, within", [
+        # offset 1, D = 1 (mod 4): sf_budget bounds |D|
+        (132153477626, -132153477627, False),
+        (132153477627, -132153477627, True),
+        # offset 36, D = 0 (mod 4): sf_budget bounds |D|/4 = 33038369398
+        (33038369397, -132153477592, False),
+        (33038369398, -132153477592, True),
+    ])
+    def test_budget_and_memo_rules_hold(self, monkeypatch, budget, D, within):
+        # quintuple(5, 2)'s member of discriminant D is shared and remembered
+        # exactly when sf_budget allows its count, and is marked as the
+        # in-process path marks it
+        shared = []
+        count_shared = counthelper.count_shared
+        monkeypatch.setattr(counthelper, "count_shared",
+                            lambda discs: (shared.extend(discs), count_shared(discs)))
         want = None
         for threshold in (NOT_SHARED, classno.HELPER_FROM):
             monkeypatch.setattr(classno, "HELPER_FROM", threshold)
             classno._h_memo.clear()
-            with arith.limits(sf_budget=132153477626):
+            with arith.limits(sf_budget=budget):
                 t = verify_tuple(quintuple(5, 2))
-            assert -132153477627 not in classno._h_memo
+            assert (D in classno._h_memo) == within
             got = families.to_json_line(t)
             want = want or got
             assert got == want
-        assert [m.status for m in t.members].count(families.STATUS_BUDGET) == 1
+        assert (D in shared) == within and len(shared) > 1
+        member, = (m for m in t.members if D in (m.squarefree_part, 4 * m.squarefree_part))
+        assert member.status == (families.STATUS_VERIFIED if within else families.STATUS_BUDGET)
+
+    def test_a_forged_member_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a tuple with a forged member")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        t = quintuple(5, 2)
+        t.members[2].cofactor += 2
+        with pytest.raises(ArithmeticError, match="offset 4 has a broken decomposition"):
+            verify_tuple(t)
+        assert counthelper._helper is None and not classno._h_memo
 
     def test_small_tuples_fork_nothing(self, monkeypatch):
         def no_fork():

@@ -206,11 +206,19 @@ def paired_runs(sides: dict[str, Path], workload: str, first_seed: int, pairs: i
         yield seed, got
 
 
+def pair_count(text: str) -> int:
+    """--pairs: an integer of 2 or more, the fewest pairs summarise takes."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"must be 2 or more, got {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--inert", type=Path,
                     help="the parent plus a change that does no work, run as a third side")
