@@ -34,7 +34,7 @@ MR_PROVEN_BOUND = 3317044064679887385961981
 # No prime p in (3511, this) has 2^(p-1) = 1 (mod p^2), a base-2 Wieferich
 # prime (Dorais and Klyve, A Wieferich prime search up to 6.7*10^15, J.
 # Integer Seq. 14 (2011), 11.9.2). Every p with p^2 below MR_PROVEN_BOUND is
-# below it, which lets one base-2 power prove a cofactor square-free (_cofactor_parts).
+# below it, which lets one base-2 power prove a cofactor square-free (_fermat_base_2).
 WIEFERICH_SEARCH_BOUND = 6_700_000_000_000_000
 assert MR_PROVEN_BOUND < WIEFERICH_SEARCH_BOUND**2
 # (bound, witnesses): the bound is the least strong pseudoprime to these
@@ -298,10 +298,10 @@ def _perfect_power(v: int) -> tuple[int, int] | None:
     """(r, k) with v = r**k for the first k in 2, 3, 5 that fits, else None.
 
     For v < 2**82 the float k-th root is within 10**-7 of the true one, so
-    rounding it finds r whenever it exists. factorize and _cofactor_parts
-    ask only about v below MR_PROVEN_BOUND < 10**28 with every prime above
-    10**4, and such a v has no prime to a power above 6: a square, cube or
-    fifth power test finds every perfect power among them.
+    rounding it finds r whenever it exists. _cofactor_parts asks only
+    about v below MR_PROVEN_BOUND < 10**28 with every prime above 10**4,
+    and such a v has no prime to a power above 6: a square, cube or fifth
+    power test finds every perfect power among them.
     """
     r = isqrt(v)
     if r * r == v:
@@ -682,17 +682,17 @@ def _trial_divide(m: int, more=()) -> tuple[int, dict[int, int]]:
 def factorize(m: int) -> Factorization:
     """Prime factorization of m >= 2.
 
-    Trial division by primes below 10^4, then, for each composite cofactor
-    left, an exact test for a square, cube or fifth power, and _split, which
-    orders Brent-Pollard rho and a quadratic sieve. No prime below 10^4
-    divides a cofactor, so one below 10^8 is prime: a composite would have
-    a prime factor up to its square root. Primality of the larger ones is
-    certified by is_prime at every split. Raises BudgetError if rho exceeds
-    the current Limits.rho_budget iterations, never returns a wrong or
-    incomplete factorization. A cofactor past the proven primality range
-    raises OutOfRangeError at its first is_prime test, before any rho step,
-    naming m and the cofactor. Nothing is remembered: the same m always
-    takes the same steps and charges the same rho iterations.
+    Trial division by primes below 10^4, then _cofactor_parts, the loop
+    decompositions run, with is_prime as the test that settles a part: a
+    composite part takes an exact test for a square, cube or fifth power,
+    then _split, which orders Brent-Pollard rho and a quadratic sieve. No
+    prime below 10^4 divides a part, so one below 10^8 is prime. Primality
+    of the larger ones is proven by is_prime, so a base-2 pseudoprime is
+    split. Raises BudgetError if rho exceeds the current Limits.rho_budget
+    iterations, never returns a wrong or incomplete factorization. A
+    cofactor past the proven primality range raises OutOfRangeError before
+    any rho step, naming m and the cofactor. Nothing is remembered: the
+    same m always takes the same steps and charges the same rho iterations.
     """
     if m < 2:
         raise DomainError(f"factorize requires m >= 2, got {m}")
@@ -700,7 +700,7 @@ def factorize(m: int) -> Factorization:
 
 
 def _factorize(m: int) -> tuple[Factorization, int]:
-    """(factorize(m), the rho iterations it charged).
+    """(factorize(m), the rho iterations it charged): trial division, then _cofactor_parts.
 
     The charge is 0 when trial division, is_prime and the power test finish
     m. Rho is deterministic and its path does not depend on the budget, so
@@ -708,23 +708,9 @@ def _factorize(m: int) -> tuple[Factorization, int]:
     BudgetError whatever ran before.
     """
     n, exps = _trial_divide(m)
-    rho_budget = _LIMITS.get().rho_budget
-    budget = [rho_budget]
-    stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in m)
-    while stack:
-        v, e = stack.pop()
-        if v < 10**8 or _prime_cofactor(m, v):  # below 10^8 prime by the trial division
-            exps[v] = exps.get(v, 0) + e
-            continue
-        power = _perfect_power(v)
-        if power is not None:
-            log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), v, *power)
-            stack.append((power[0], e * power[1]))
-            continue
-        g = _split(v, budget, False)
-        stack.append((g, e))
-        stack.append((v // g, e))
-    return Factorization(m, tuple(sorted(exps.items()))), rho_budget - budget[0]
+    parts, charge = _cofactor_parts(m, n, 10**8, lambda u: _prime_cofactor(m, u), False)
+    exps.update(parts)
+    return Factorization(m, tuple(sorted(exps.items()))), charge
 
 
 def _prime_cofactor(m: int, v: int) -> bool:
@@ -893,9 +879,9 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
     is 1, a prime, a prime square or two distinct primes: a perfect square
     or square-free, settled by one isqrt with no rho, and charged 0. From
     P^3 up, _cofactor_parts splits v into square-free parts, each proven so
-    by a base-2 power or by that isqrt, and charges only the splits of the
-    parts that fail the power. No prime is proven here: s needs only its
-    square-free parts, and factorize still proves every prime it returns.
+    by a base-2 power (_fermat_base_2) or by that isqrt, and charges only
+    the splits of the parts that fail the power. No prime is proven here: s
+    needs only its square-free parts, and factorize proves every prime.
     m = 0 raises DomainError.
     """
     if m == 0:
@@ -904,7 +890,7 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
     cube = (sieve.above if sieve else _PAST_TRIAL) ** 3
     charge = 0
     if v >= cube:
-        parts, charge = _cofactor_parts(abs(m), v, cube, sieve is not None)
+        parts, charge = _cofactor_parts(abs(m), v, cube, _fermat_base_2, sieve is not None)
         exps.update(parts)
     elif v > 1:
         exps.update([_below_cube(v, 1)])
@@ -916,33 +902,35 @@ def _decompose(m: int, sieve: _MemberSieve | None = None,
     return SquarefreeDecomposition(m, s if m > 0 else -s, f), charge
 
 
-def _cofactor_parts(m: int, v: int, cube: int, sieved: bool) -> tuple[dict[int, int], int]:
+def _cofactor_parts(m: int, v: int, cut: int, settled, sieved: bool) -> tuple[dict[int, int], int]:
     """({q: e} with v = prod(q^e), the q square-free and pairwise coprime; the rho charge).
 
-    v >= cube = P^3 is what _decompose leaves of m, with no prime below P.
-    A part u >= cube with 2^(u-1) = 1 (mod u) is square-free: were p^2 | u,
-    the order of 2 mod p^2 would divide p(p - 1) and u - 1, which p does not
-    divide, so 2^(p-1) = 1 (mod p^2) with 10^4 < p <= sqrt(u) <
-    WIEFERICH_SEARCH_BOUND, and there is no such p. A part that fails the
-    power is composite: a perfect power goes on as its root, any other is
-    split once by _split, sieved or not as v, and each part of it takes the
-    same rule. A part below cube is settled by one isqrt (_below_cube).
-    Each split made is one that factoring v to primes by the same route
-    would make too, on the same part, so the charge never exceeds that
-    factoring's. A v at or past MR_PROVEN_BOUND raises factorize's
-    OutOfRangeError, naming m, before any rho step.
+    The one cofactor loop. v is what trial division leaves of m, with no
+    prime below P. A part u below cut <= P^3 is settled by one isqrt
+    (_below_cube), one from cut up that passes settled(u) is kept, and one
+    that fails it is composite: a perfect power goes on as its root, any
+    other is split once by _split, sieved or not as v. _factorize passes
+    cut 10^8 and is_prime, so its parts are primes. _decompose passes P^3
+    and _fermat_base_2: were p^2 | u with 2^(u-1) = 1 (mod u), the order of
+    2 mod p^2 would divide p(p - 1) and u - 1, which p does not divide, so
+    2^(p-1) = 1 (mod p^2) with 10^4 < p < WIEFERICH_SEARCH_BOUND, and there
+    is no such p. Every prime passes that power and 10^8 < P^3, so with the
+    same sieved a decomposition's splits are among factorize's, on the same
+    parts, and its charge never exceeds factorize's. A v at or past
+    MR_PROVEN_BOUND raises factorize's OutOfRangeError, naming m, before
+    any rho step.
     """
     if v >= MR_PROVEN_BOUND:
         _prime_cofactor(m, v)  # is_prime refuses v
     rho_budget = _LIMITS.get().rho_budget
     budget = [rho_budget]
     parts: dict[int, int] = {}
-    stack = [(v, 1)]  # (part, its exponent in v)
+    stack = [(v, 1)] if v > 1 else []  # (part, its exponent in v)
     while stack:
         u, e = stack.pop()
-        if u < cube:
+        if u < cut:
             _merge(parts, *_below_cube(u, e))
-        elif pow(2, u - 1, u) == 1:
+        elif settled(u):
             _merge(parts, u, e)
         elif (power := _perfect_power(u)) is not None:
             log.info("factoring %s: the cofactor %d is a power %d^%d", decimal(m), u, *power)
@@ -952,6 +940,11 @@ def _cofactor_parts(m: int, v: int, cube: int, sieved: bool) -> tuple[dict[int, 
             stack.append((g, e))
             stack.append((u // g, e))
     return parts, rho_budget - budget[0]
+
+
+def _fermat_base_2(u: int) -> bool:
+    """2^(u-1) = 1 (mod u), which proves a part u square-free (see _cofactor_parts)."""
+    return pow(2, u - 1, u) == 1
 
 
 def _below_cube(u: int, e: int) -> tuple[int, int]:

@@ -259,8 +259,8 @@ def _cmd_tables(args) -> int:
     for t, fams in tables["families"].items():
         for f in fams:
             lines.append(f"  t = {t}: family {f['form']}")
-    if args.t is not None:
-        if args.a is None or args.b is None:
+    if (args.t, args.a, args.b) != (None, None, None):
+        if None in (args.t, args.a, args.b):
             raise _UsageError("table membership check needs -t, -a and -b together")
         p = lehmer.LehmerParams(args.a, args.b)
         member = lehmer.exceptional_table_lookup(args.t, p)

@@ -125,12 +125,14 @@ def _strip_known(value: int, known: int) -> int:
 
 
 def _primitive_part(p: LehmerParams, n: int) -> int:
-    """The part of |L_n| built from primes not dividing a*b*L_1*...*L_{n-1}."""
-    ln = _lehmer_raw(p.a, p.b, n)
+    """The part of |L_n|, n >= 2, built from primes not dividing a*b*L_1*...*L_{n-1}."""
+    if n < 2:
+        raise DomainError(f"primitive divisors need n >= 2, got {n}")
     known = abs(p.a * p.b)
-    for k in range(1, n):
-        known *= abs(_lehmer_raw(p.a, p.b, k)) or 1
-    return _strip_known(ln, known)
+    for d in range(1, n // 2 + 1):  # gcd(L_k, L_n) = |L_gcd(k, n)|, as gcd(a, q) = 1
+        if n % d == 0:
+            known *= abs(_lehmer_raw(p.a, p.b, d))
+    return _strip_known(_lehmer_raw(p.a, p.b, n), known)
 
 
 def primitive_divisors(p: LehmerParams, n: int) -> frozenset[int]:
@@ -140,8 +142,6 @@ def primitive_divisors(p: LehmerParams, n: int) -> frozenset[int]:
     only the primitive part is ever factored; BudgetError propagates if
     that exceeds the factoring budget.
     """
-    if n < 2:
-        raise DomainError(f"primitive divisors need n >= 2, got {n}")
     residual = _primitive_part(p, n)
     if residual == 1:
         return frozenset()
@@ -154,8 +154,6 @@ def has_primitive_divisor(p: LehmerParams, n: int) -> bool:
     Decided from the gcd-stripped primitive part alone, without factoring,
     so it never hits the factoring budget.
     """
-    if n < 2:
-        raise DomainError(f"primitive divisors need n >= 2, got {n}")
     return _primitive_part(p, n) > 1
 
 

@@ -88,6 +88,21 @@ def lehmer_symbolic(a: int, b: int, n: int) -> int:
     return total // den
 
 
+def lehmer_primitive_part(a: int, b: int, n: int) -> int:
+    """The part of |L_n| prime to a*b*L_1*...*L_{n-1}, by the definition.
+
+    Every earlier term is expanded symbolically and stripped from L_n by
+    repeated gcds, with no use of the sequence's divisibility.
+    """
+    m = abs(lehmer_symbolic(a, b, n))
+    for known in [a * b] + [lehmer_symbolic(a, b, k) for k in range(1, n)]:
+        g = gcd(m, known)
+        while g > 1:
+            m //= g
+            g = gcd(m, known)
+    return m
+
+
 def valid_lehmer_pairs(limit: int) -> list[tuple[int, int]]:
     """All valid parameter pairs with |a|, |b| <= limit."""
     out = []

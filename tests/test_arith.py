@@ -82,11 +82,11 @@ def _untouchable(*args):
 
 
 def _watch_cofactor_parts(monkeypatch) -> list:
-    """Each (m, v, sieved) that _decompose hands to _cofactor_parts, its one step from P^3 up."""
+    """Each (m, v, sieved) given to _cofactor_parts: by factorize, or a decomposition past P^3."""
     steps = []
     real = arith._cofactor_parts
-    monkeypatch.setattr(arith, "_cofactor_parts",
-                        lambda m, v, cube, sieved: steps.append((m, v, sieved)) or real(m, v, cube, sieved))
+    monkeypatch.setattr(arith, "_cofactor_parts", lambda m, v, cut, settled, sieved:
+                        steps.append((m, v, sieved)) or real(m, v, cut, settled, sieved))
     return steps
 
 
@@ -644,7 +644,8 @@ class TestSievedCofactors:
         with arith.limits(rho_budget=arith.QS_AFTER):
             families.quintuple(5, 5)
             parts, charge = arith._cofactor_parts(self.FOUR_N - 100, self.V,
-                                                  arith._sieve_of(self.FOUR_N).above ** 3, True)
+                                                  arith._sieve_of(self.FOUR_N).above ** 3,
+                                                  arith._fermat_base_2, True)
         assert parts == {1001387: 1, 50771867830517: 1} and charge == arith.QS_AFTER
         assert arith._member_memo[self.FOUR_N, 100][1] == charge
 
@@ -655,9 +656,9 @@ class TestSievedCofactors:
         u = 1000003**2 * 1000033
         M = u << (61 - u.bit_length())  # 4N = M, the member -M at x = 0, cleared to 10^6
         cube = 1000003**3
-        parts, spent = arith._cofactor_parts(u, u, cube, False)
+        parts, spent = arith._cofactor_parts(u, u, cube, arith._fermat_base_2, False)
         assert parts == {1000003: 2, 1000033: 1} and 0 < spent < arith.QS_AFTER
-        assert arith._cofactor_parts(u, u, cube, True) == (parts, arith.QS_AFTER)
+        assert arith._cofactor_parts(u, u, cube, arith._fermat_base_2, True) == (parts, arith.QS_AFTER)
         with arith.limits(rho_budget=spent):
             with pytest.raises(BudgetError, match=f"factoring {u}$"):
                 arith.decompose_member(M, 0)
@@ -841,6 +842,26 @@ class TestCofactorParts:
                         assert charge == 0
                     # only the power test keeps p^4 and p^2 q^2 from _split
                     assert not first or (power is perfect_power and v in (p**4, p * p * q * q)), (v, d)
+
+    @pytest.mark.parametrize("m, primes", [(207132481, (10177, 20353)),
+                                           (6323547512449, (10177, 20353, 30529))])
+    def test_a_base_2_pseudoprime_is_split_only_by_factorize(self, monkeypatch, m, primes):
+        # m passes the base-2 power and has no prime below 10^4: 10177 * 20353
+        # lies below 10007^3 and the Carmichael number 10177 * 20353 * 30529
+        # above it. factorize proves primes, so it splits m; a decomposition
+        # keeps m whole, by one isqrt or by the base-2 power, splitting nothing
+        assert pow(2, m - 1, m) == 1
+        multiples = {1: (1, 1), 2: (2, 1), -5: (-5, 1), 12: (3, 2), 9973**2: (1, 9973)}
+        for k in multiples:
+            expected = sorted(trial_factorize(abs(k)) + [(p, 1) for p in primes])
+            assert list(arith.factorize(abs(k) * m).factors) == expected, k
+        monkeypatch.setattr(arith, "_split", _untouchable)
+        steps = _watch_cofactor_parts(monkeypatch)
+        for k, (s, f) in multiples.items():
+            steps.clear()
+            assert arith._decompose(k * m) == (arith.SquarefreeDecomposition(k * m, s * m, f), 0), k
+            # below 10007^3 the isqrt settles m; above it, the cofactor loop's base-2 power
+            assert steps == ([] if m < arith._PAST_TRIAL**3 else [(abs(k) * m, m, False)]), k
 
     def test_members_equal_their_factorization(self):
         # the fast route against the independent slow one: every member of a

@@ -453,6 +453,14 @@ class TestTables:
         assert run(capsys, "tables", "-t", "3", "-a", "3", "-b", "-5", "--k-max", "9")[0] == 3
         assert run(capsys, "tables", "-t", "3", "-a", "3", "-b", "-5", "--u-max", "9")[0] == 3
 
+    @pytest.mark.parametrize("flags", [["-t", "7"], ["-a", "14"], ["-b", "-22"], ["-t", "7", "-a", "14"],
+                                       ["-t", "7", "-b", "-22"], ["-a", "14", "-b", "-22"]])
+    def test_membership_flags_come_together(self, capsys, flags):
+        # any of -t, -a and -b without the others is refused, never a dump of the table
+        code, out, err = run(capsys, "tables", *flags)
+        assert code == 3 and out == ""
+        assert "table membership check needs -t, -a and -b together" in err
+
 
 class TestHarness:
     def test_usage_error_exit_3(self, capsys):

@@ -6,7 +6,7 @@ from iqtuples import lehmer
 from iqtuples.errors import DomainError
 from iqtuples.lehmer import LehmerParams
 
-from oracles import lehmer_symbolic, valid_lehmer_pairs
+from oracles import lehmer_primitive_part, lehmer_symbolic, valid_lehmer_pairs
 
 # finite table of defective parameter pairs at odd indices 7..29
 TABLE = {
@@ -149,6 +149,17 @@ class TestPrimitiveDivisors:
                 assert lehmer.has_primitive_divisor(p, n) == bool(
                     lehmer.primitive_divisors(p, n)
                 ), (a, b, n)
+
+    def test_primitive_part_matches_definition(self):
+        # _primitive_part strips only |ab| and L_d for the proper divisors d
+        # of n; the oracle strips every earlier term
+        rng = random.Random(29)
+        for a, b in rng.sample(valid_lehmer_pairs(30), 150):
+            p = LehmerParams(a, b)
+            for n in range(2, 31):
+                part = lehmer_primitive_part(a, b, n)
+                assert lehmer._primitive_part(p, n) == part, (a, b, n)
+                assert lehmer.has_primitive_divisor(p, n) == (part > 1), (a, b, n)
 
     def test_table_soundness(self):
         for t, pairs in TABLE.items():
