@@ -682,20 +682,6 @@ def is_fundamental_discriminant(D: int) -> bool:
     return m % 4 in (2, 3) and arith.squarefree_decompose(m).f == 1
 
 
-def _fill_periodic(out, table) -> None:
-    """Fill the array out with table repeated, cut off at len(out).
-
-    The table is copied once, then the filled prefix onto the rest, doubling
-    it each time: log2(len(out) / len(table)) copies and no index array.
-    """
-    n = min(len(table), len(out))
-    out[:n] = table[:n]
-    while n < len(out):  # n is a multiple of the period until the last copy
-        k = min(n, len(out) - n)
-        out[n : n + k] = out[:k]
-        n += k
-
-
 # i taken at once while the squares mod p are formed, for a Legendre table
 # or for the oracle's count of squares by residue class: int64 blocks of
 # 128 KB. Over the 480 D of the sweep benchmark's seed 1, in one process,
@@ -753,9 +739,9 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     is fundamental. No array grows with |D|. With q the largest odd prime
     of D and m1 = |D|/q, (D/a) = chi1(a) (a/q), chi1 the product of the
     other prime discriminants' characters, of period m1: one int8 residue
-    table each (_legendre_table for an odd p), repeated by copying the
-    filled prefix onto the rest. Writing a = qj + r with (Q0, R0) =
-    divmod(A, q), and t_c = c * (q^-1 mod m1) mod m1,
+    table each (_legendre_table for an odd p), tiled over m1 + A/q entries
+    and multiplied into chi1, which starts at ones. Writing a = qj + r with
+    (Q0, R0) = divmod(A, q), and t_c = c * (q^-1 mod m1) mod m1,
 
         S = chi1(q) sum_{c < m1} [(C1[t_c + Q0 + 1] - C1[t_c]) X0[c]
                                   + (C1[t_c + Q0] - C1[t_c]) X1[c]],
@@ -807,12 +793,9 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
         tables = [_legendre_table(p) for p in odd_primes]
         if rem != 1:
             tables.append(np.array(_TWO_PART[rem], dtype=np.int8))
-        chi1 = np.empty(m1 + Q0, dtype=np.int8)
-        _fill_periodic(chi1, tables[0])
-        factor = np.empty_like(chi1)
-        for table in tables[1:]:
-            _fill_periodic(factor, table)
-            chi1 *= factor
+        chi1 = np.ones(m1 + Q0, dtype=np.int8)
+        for table in tables:  # each table's length divides m1
+            chi1 *= np.tile(table, -(-len(chi1) // len(table)))[: len(chi1)]
         C1 = np.zeros(m1 + Q0 + 1, dtype=np.int32)
         np.cumsum(chi1, dtype=np.int32, out=C1[1:])
         k = min(m1, q)  # the classes c holding some 0 < r < q

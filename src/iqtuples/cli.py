@@ -42,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(records: list[dict], fmt: str, text_lines: list[str]) -> None:
+def _emit(records: list[dict], fmt: str, text_lines: list[str], header: bool = True) -> None:
+    """Write records as json lines or csv rows (the header first where header), or text_lines."""
     if fmt == "json":
         for rec in records:
             print(json.dumps(rec, separators=(",", ":")))
@@ -51,7 +52,8 @@ def _emit(records: list[dict], fmt: str, text_lines: list[str]) -> None:
             return
         fields = list(records[0].keys())
         w = csv.writer(sys.stdout)
-        w.writerow(fields)
+        if header:
+            w.writerow(fields)
         for rec in records:  # a list or dict cell as compact JSON, a scalar as itself
             w.writerow([json.dumps(v, separators=(",", ":")) if isinstance(v, (list, dict)) else v
                         for v in (rec.get(f, "") for f in fields)])
@@ -96,17 +98,15 @@ def _tuple_exit(t: families.FamilyTuple, verified: bool) -> int:
 
 
 def _emit_tuple(t: families.FamilyTuple, fmt: str, header: bool = True) -> None:
-    if fmt == "csv":
-        w = csv.writer(sys.stdout)
-        if header:
-            w.writerow(families.CSV_FIELDS)
-        for row in families.to_csv_rows(t):
-            w.writerow(row)
-    elif fmt == "json":
-        print(families.to_json_line(t))
+    """The tuple's record through _emit, one csv row per member; each format builds only its own."""
+    rec = families.to_json_dict(t)
+    if fmt == "json":
+        _emit([rec], fmt, [])
+    elif fmt == "csv":
+        head = {key: rec[key] for key in ("kind", "n", "k", "ell", "d")}
+        _emit([{**head, **m} for m in rec["members"]], fmt, [], header)
     else:
-        for line in _tuple_text(families.to_json_dict(t)):
-            print(line)
+        _emit([], fmt, _tuple_text(rec))
 
 
 def _cmd_classnum(args) -> int:

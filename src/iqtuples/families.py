@@ -15,14 +15,14 @@ g(x) exactly when 4N mod q = x^2, so the builder decomposes every member
 by arith.decompose_member(4N, x), which shares one sieve of 4N among them.
 Constructors populate radicands and square-free parts; verify_tuple
 computes the class numbers and the divisibility verdicts. Records
-serialize to a versioned JSON-lines schema and a flat CSV layout.
+serialize to a versioned JSON-lines schema.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from math import isqrt
 
 from . import arith, classno, lrn
@@ -40,7 +40,7 @@ STATUS_BUDGET = "unverified (budget)"
 
 @dataclass
 class FamilyMember:
-    """One member; its field order is the key order of its JSON record and CSV columns."""
+    """One member; its field order is the key order of its JSON record."""
 
     offset: int
     radicand: int
@@ -49,9 +49,6 @@ class FamilyMember:
     class_number: int | None = None
     divisible: bool | None = None
     status: str = STATUS_PENDING
-
-
-CSV_FIELDS = ["kind", "n", "k", "ell", "d", *(f.name for f in fields(FamilyMember))]
 
 
 @dataclass
@@ -85,10 +82,24 @@ def _check_nk(n: int, k: int) -> None:
         raise DomainError(f"k must be an integer >= 2, got {k}")
 
 
+def _ell_power(n: int, k: int) -> tuple[int, int]:
+    """(ell, ell^n) for ell = 4*k^n - 1, under lrn.ell_power's size cap.
+
+    bits(ell) > n*(bits(k) - 1), so once n^2*(bits(k) - 1) is past the cap
+    ell^n is past it too: that is refused before k^n is formed.
+    """
+    if n * n * (k.bit_length() - 1) > lrn.POWER_CAP_BITS:
+        raise OutOfRangeError(f"ell^n = (4*k^n - 1)^n has over n^2*(bits(k) - 1) = "
+                              f"{n * n * (k.bit_length() - 1)} bits, past the cap of "
+                              f"{lrn.POWER_CAP_BITS}")
+    ell = 4 * k**n - 1
+    return ell, lrn.ell_power(ell, n)
+
+
 def _identities_hold(t: FamilyTuple) -> bool:
     """Whether t's ell, d, offsets and radicands are the ones its n, k and p_list determine."""
-    ell = 4 * t.k**t.n - 1
-    d = -4 * lrn.ell_power(ell, t.n)
+    ell, elln = _ell_power(t.n, t.k)
+    d = -4 * elln
     offsets = [0, 1, 4] + [4 * p * p for p in t.p_list]
     return ((t.ell, t.d, t.offsets) == (ell, d, offsets)
             and all(m.radicand == d + m.offset for m in t.members))
@@ -103,7 +114,7 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
     """The tuple of the given kind that n, k and the odd primes determine.
 
     The only path from parameters to a FamilyTuple. ell^n is formed once,
-    after lrn.ell_power's size cap, and d = -4*ell^n. Each prime gets
+    by _ell_power under the size cap, and d = -4*ell^n. Each prime gets
     Theorem 3.1's hypotheses from lrn.theorem31_hypotheses, whose
     decomposition of 4(p^2 - ell^n) = d + 4p^2 is the prime's member. A
     prime that fails a check raises HypothesisRejection, or with lenient is
@@ -121,13 +132,7 @@ def _build(kind: str, n: int, k: int, primes: list[int], lenient: bool = False) 
             raise DomainError(f"p must be an odd prime, got {p}")
     if any(p >= q for p, q in zip(primes, primes[1:])):
         raise DomainError(f"the primes must be increasing, got {primes}")
-    # bits(ell) > n*(bits(k) - 1), so past this ell^n is past the cap too: refuse before k^n
-    if n * n * (k.bit_length() - 1) > lrn.POWER_CAP_BITS:
-        raise OutOfRangeError(f"ell^n = (4*k^n - 1)^n has over n^2*(bits(k) - 1) = "
-                              f"{n * n * (k.bit_length() - 1)} bits, past the cap of "
-                              f"{lrn.POWER_CAP_BITS}")
-    ell = 4 * k**n - 1
-    elln = lrn.ell_power(ell, n)
+    ell, elln = _ell_power(n, k)
     d = -4 * elln  # = 4*(1 - 4*k^n)^n, as n is odd
     checks: list[HypothesisCheck] = []
     warnings: list[str] = []
@@ -295,8 +300,3 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     if (ell, d, p_list, members) != (t.ell, t.d, t.p_list, rebuilt):
         raise DomainError("ell, d or the members are not those that kind, n, k and p_list determine")
     return t
-
-
-def to_csv_rows(t: FamilyTuple) -> list[list]:
-    """One row per member, columns CSV_FIELDS; csv writes a None as an empty field."""
-    return [[t.kind, t.n, t.k, t.ell, t.d, *vars(m).values()] for m in t.members]

@@ -697,13 +697,6 @@ class TestDirichlet:
             assert classno.is_fundamental_discriminant(D)
             assert classno.class_number_dirichlet(D).h == h == classno.class_number_forms(D).h, D
 
-    def test_fill_periodic(self):
-        table = np.array([0, 1, -1, -1, 1], dtype=np.int8)
-        for L in (3, 5, 6, 19, 20, 21, 40, 41, 1):
-            out = np.empty(L, dtype=np.int8)
-            classno._fill_periodic(out, table)
-            assert out.tolist() == [int(table[a % 5]) for a in range(L)], L
-
 
 class TestFieldClassNumber:
     def test_examples(self):

@@ -1,13 +1,15 @@
+import csv
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iqtuples import arith, classno, families
+from iqtuples import arith, classno, cli, families
 from iqtuples.arith import limits
 from iqtuples.classno import field_class_number
-from iqtuples.errors import BudgetError, DomainError, HypothesisRejection
+from iqtuples.errors import BudgetError, DomainError, HypothesisRejection, OutOfRangeError
 from iqtuples.families import (
     FamilyMember,
     FamilyTuple,
@@ -270,6 +272,13 @@ class TestVerifyTuple:
         with pytest.raises(ArithmeticError):
             verify_tuple(t)
 
+    def test_huge_k_is_refused_before_its_power(self):
+        # n^2*(bits(k) - 1) = 9000 bits is past the cap, so k^n is never formed
+        t = quadruple(3, 3, 2)
+        t.k = 2**1000
+        with pytest.raises(OutOfRangeError, match=r"has over n\^2\*\(bits\(k\) - 1\) = 9000 bits"):
+            verify_tuple(t)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -333,12 +342,12 @@ class TestSerialization:
         with pytest.raises(DomainError):
             families.from_json_dict([1, 2])
 
-    def test_csv_rows(self):
-        t = verify_tuple(quadruple(3, 3, 2))
-        rows = families.to_csv_rows(t)
+    def test_csv_rows(self, capsys):
+        assert cli.main(["quadruple", "-n", "3", "-p", "3", "-k", "2", "--verify", "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
         assert len(rows) == 4
-        assert all(len(r) == len(families.CSV_FIELDS) for r in rows)
-        assert rows[0][families.CSV_FIELDS.index("squarefree_part")] == -31
+        assert len(header) == 12 and all(len(r) == 12 for r in rows)
+        assert rows[0][header.index("squarefree_part")] == "-31"
 
     def test_pending_members_serialize_with_nulls(self):
         rec = families.to_json_dict(quadruple(3, 3, 2))
