@@ -9,18 +9,22 @@ multiplicative and is sieved over the whole a-range at once: on a Python
 list below |D| = SIEVE_FROM (_root_list), by numpy from there on
 (_root_counts). Above M, the last eighth of the range, only the a with
 R(a) > 0 are looked at: b is solved mod 2a by CRT over the factorization
-of 2a, and the forms with c < a are dropped. A tail of TAIL_PASS_FROM such
-a or more is counted in one numpy pass over all of them, a shorter one
-walked a by a; below SIEVE_FROM every tail is shorter, so a count there
-imports no numpy. All of them read smallest prime factors from arith's
-one array("i") table: the list sieve and the walk entry by entry, the
-numpy sieve of R and the tail pass through a numpy view of its buffer,
-with the primes read off it once per table (_sieve). The walk tests
-gcd(a, b, c) = 1 form by form, an independent check on the local rule,
-and on request lists the forms of every a, within one a in the CRT order
-of the roots. Counts are remembered for the process; count_ahead decides
-which of a list's D are counted ahead on two cores, with a child process
-(counthelper), and counts them. An independent Dirichlet evaluator of the
+of 2a, and the forms with c < a are dropped. Below SIEVE_FROM the tail is
+counted by a Python loop (_tail_list), and a count there imports no
+numpy: the list sieve and that loop read (D/p) and sqrt(D) mod p off one
+held table of square roots mod each odd prime (_sqrt_table), and the
+counts and roots at 2 from _two_adic. From there on a tail of
+TAIL_PASS_FROM such a or more is counted in one numpy pass over all of
+them, a shorter one walked a by a (_walk). All of them read smallest
+prime factors from arith's one array("i") table: the list sieve, the
+tail loop and the walk entry by entry, the numpy sieve of R and the tail
+pass through a numpy view of its buffer, with the primes read off it once
+per table (_sieve). The walk tests gcd(a, b, c) = 1 form by form, an
+independent check on the local rule, and on request lists the forms of
+every a, within one a in the CRT order of the roots. Counts are
+remembered for the process; count_ahead decides which of a list's D are
+counted ahead on two cores, with a child process (counthelper), and
+counts them. An independent Dirichlet evaluator of the
 class number formula cross-checks fundamental D, for |D| <= DIRICHLET_LIMIT:
 it splits the character at the largest odd prime q of D and counts the
 squares mod q by residue class mod |D|/q, so none of its arrays is as long
@@ -30,6 +34,8 @@ as |D| (class_number_dirichlet).
 from __future__ import annotations
 
 import logging
+from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import dropwhile
@@ -45,17 +51,17 @@ DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
 
-# Below this |D| R is sieved on a Python list, as numpy's fixed cost per
-# call exceeds the list's whole work there. Per warm count, list against
-# numpy, best of 3 per D, over 150 D = 0, 1 (mod 4) drawn from |D| in
-# [x, 1.05x] and run alternately in one process: 56-64 against 134-156 us
-# at x = 10^4, 134-167 against 215-273 at 10^5, 304-323 against 330-345 at
-# 10^6, 391-417 against 393-425 at 1.5*10^6, 434-538 against 428-545 at
-# 2*10^6 and 460-635 against 433-630 at 2.5*10^6, over three seeds
-# (CPython 3.11, 2-core x86-64 VM). It stays below 3.7*10^6: from there
-# a_max - M, the longest a tail can be, reaches TAIL_PASS_FROM, and below
-# it no count imports numpy.
-SIEVE_FROM = 2_000_000
+# Below this |D| R is sieved on a Python list and the tail counted by a
+# Python loop, both reading _sqrt_table, as numpy's fixed cost per call
+# exceeds their whole work there. Per warm count, list against numpy, best
+# of 3 per D, over 150 D = 0, 1 (mod 4) drawn from |D| in [x, 1.05x] and
+# run alternately in one process: 38-50 against 138-194 us at x = 10^4,
+# 69-94 against 191-286 at 10^5, 150-161 against 336-363 at 10^6, 183-258
+# against 411-598 at 2*10^6, 221-223 against 460-467 at 3*10^6 and 238-255
+# against 485-521 at 3.6*10^6, over three seeds (CPython 3.11, 2-core
+# x86-64 VM). It stays below 3.7*10^6: from there a_max - M, the longest a
+# tail can be, reaches TAIL_PASS_FROM, and below it no count imports numpy.
+SIEVE_FROM = 3_700_000
 
 # A tail of fewer a than this (the a above M with R(a) > 0) is walked, as
 # the numpy pass's fixed cost exceeds the walk there. Per count, over 900
@@ -225,7 +231,7 @@ def _sieve(m: int):
     return spf, primes[: np.searchsorted(primes, m, side="right")]
 
 
-def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
+def _power_counts(D: int, p: int, a_max: int, kept: list | None = None) -> list[tuple[int, int]]:
     """(p^e, R(p^e)) for e = 1, 2, ... while p^e <= a_max, R the _primitive_roots.
 
     Up to the first zero at a p^e that does not divide D. Once p^e does not
@@ -238,12 +244,16 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
     the x + k*span (k < p) that are roots mod nxt, the next modulus (at 2,
     from _two_adic_roots(D, e) to those of e + 1). At odd p, Newton's step
     gives the one lift of an x prime to p; an x = 0 (mod p) lifts to every
-    k or to none, as (x + k*span)^2 = x^2 (mod nxt).
+    k or to none, as (x + k*span)^2 = x^2 (mod nxt). kept, if given, gets
+    each power's primitive roots appended, e = 1 first.
     """
     roots = _two_adic_roots(D, 1) if p == 2 else arith.sqrt_mod_prime_power(D, p, 1)
     out, q, e = [], p, 1
     while q <= a_max:
-        n = len(_primitive_roots(D, p, e, roots))
+        primitive = _primitive_roots(D, p, e, roots)
+        if kept is not None:
+            kept.append(primitive)
+        n = len(primitive)
         out.append((q, n))
         if n == 0 and D % q or q > a_max // p:
             break
@@ -258,30 +268,94 @@ def _power_counts(D: int, p: int, a_max: int) -> list[tuple[int, int]]:
     return out
 
 
+_sqrt_rows: tuple[list[int], list] = ([], [])  # _sqrt_table's (odd primes, rows by p), grown in place
+
+
+def _sqrt_table(m: int) -> tuple[list[int], list]:
+    """(primes, rows): the odd primes p <= m at least, increasing, and rows[p] for each.
+
+    rows[p] is an array("h") of p entries, in the layout of a row of
+    arith._qs_root_table: entry r is the square root of r modulo p in
+    [0, p/2], 0 for r = 0, and -1 when r is a non-residue. So rows[p][D % p]
+    reads (D/p) by its sign, and sqrt(D) mod p when D is a nonzero square;
+    rows[n] is None for every other n. Built in pure Python, a row at a
+    time as m passes it, and held for the process: rows never change, and
+    the two lists only grow.
+    """
+    primes, rows = _sqrt_rows
+    if len(rows) <= m:
+        spf = arith.smallest_prime_factor_table(m)
+        for p in range(len(rows), m + 1):
+            row = None
+            if p > 2 and not spf[p]:
+                roots = [-1] * p
+                for x in range(p // 2 + 1):
+                    roots[x * x % p] = x
+                row = array("h", roots)
+                primes.append(p)
+            rows.append(row)
+    return primes, rows
+
+
+def _two_adic(D: int, a_max: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """(_power_counts(D, 2, a_max), roots), roots[v] = _primitive_roots(D, 2, v) for 2^v <= a_max.
+
+    The roots come in the order they are found, not sorted. With k =
+    bits(a_max), D = 1 (mod 8) has R(2^e) = 2 for every e, and its roots
+    mod 2^(v+1) are +-r, r one root of x^2 = D (mod 2^(k+1)), found bit by
+    bit as in arith.sqrt_mod_prime_power. For any other D roots[0] is
+    [D mod 2], the roots from v = 1 on are those _power_counts lifts, and
+    the powers it stops short of hold none.
+    """
+    k = a_max.bit_length()
+    if D & 7 == 1:
+        r = 1
+        for i in range(3, k + 1):  # r^2 = D (mod 2^i) lifts to r or r + 2^(i-1)
+            if (r * r - D) % (2 << i):
+                r += 1 << (i - 1)
+        return ([(1 << e, 2) for e in range(1, k)],
+                [[1]] + [[r & m, -r & m] for m in ((2 << v) - 1 for v in range(1, k))])
+    roots = [[D & 1]]
+    counts = _power_counts(D, 2, a_max, roots)
+    return counts, roots + [[] for _ in range(k - len(roots))]
+
+
 def _root_list(D: int, a_max: int) -> list[int]:
     """_root_counts(D, a_max).tolist(), built on a Python list without numpy.
 
-    The same rule: _power_counts laid over the multiples at 2 and at each
-    odd p | D, and 1 + (D/p) for the other odd primes p, the entries 0 of
-    arith's table from 3 on, by one pow(D % p, p >> 1, p) each. An inert p
-    zeroes its multiples and a split p doubles them, by slicing.
+    The same rule, with (D/p) read off _sqrt_table's row of each odd prime
+    p <= a_max as the sign of row[D % p]: an inert p zeroes its multiples
+    and a split p doubles them, by slicing. A p | D with p^2 not dividing D
+    has R(p) = 1 and R(p^e) = 0 from e = 2 on, so it zeroes the multiples
+    of p^2 by one slice. The counts at 2 (_two_adic) go in first, each
+    power of 2 set over its multiples in increasing order, and those of
+    each p with p^2 | D (_power_counts) are multiplied in last.
     """
-    spf = arith.smallest_prime_factor_table(a_max)
+    primes, rows = _sqrt_table(a_max)
     R = [1] * (a_max + 1)
     R[0] = 0
-    exact = [2]
-    for p in range(3, a_max + 1, 2):
-        if spf[p]:
-            continue
-        chi = pow(D % p, p >> 1, p)
-        if chi == 1:
+    for q, n in _two_adic(D, a_max)[0]:  # each power of 2 over the multiples of the last
+        R[q::q] = [n] * (a_max // q)
+    exact = []
+    large = bisect_right(primes, a_max // 2)  # from here on R[p] is p's one multiple
+    for p in primes[:large]:
+        s = rows[p][D % p]
+        if s > 0:
             R[p::p] = [r + r for r in R[p::p]]
-        elif chi:
+        elif s:
             R[p::p] = [0] * (a_max // p)
+        elif D % (p * p):
+            R[p * p :: p * p] = [0] * (a_max // (p * p))
         else:
-            exact.append(p)
-    for p in exact:
-        counts = list(dropwhile(lambda qn: qn[1] == 1, _power_counts(D, p, a_max)))
+            exact.append(_power_counts(D, p, a_max))
+    for p in primes[large : bisect_right(primes, a_max)]:
+        s = rows[p][D % p]
+        if s > 0:
+            R[p] = 2
+        elif s or D % (p * p) == 0:  # p^2 | D leaves no primitive root mod p
+            R[p] = 0
+    for counts in exact:
+        counts = list(dropwhile(lambda qn: qn[1] == 1, counts))
         if counts:  # from the first count that is not 1, over the multiples of its q
             q0 = counts[0][0]
             at = [1] * (a_max // q0)
@@ -289,6 +363,59 @@ def _root_list(D: int, a_max: int) -> list[int]:
                 at[q // q0 - 1 :: q // q0] = [n] * (a_max // q)
             R[q0::q0] = [r * n for r, n in zip(R[q0::q0], at)]
     return R
+
+
+def _tail_list(D: int, tail: list[int], a_max: int) -> int:
+    """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count, without numpy.
+
+    tail is an increasing list of a <= a_max with R(a) > 0, after a call of
+    _root_list(D, a_max). Each a = 2^v * u is factored by arith's
+    smallest-prime-factor table, and its roots b mod 2a are joined by CRT
+    from _two_adic's primitive roots mod 2^(v+1) and, for each odd prime
+    power q exactly dividing u, the roots mod q: +-sqrt(D) mod p, read off
+    _sqrt_table, when q = p does not divide D, else _primitive_roots(D, p,
+    e), once per q. As in _tail_count, at the first such split p of an a
+    only +sqrt(D) is taken, and each root stands for b and -b both; a root b
+    in [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
+    b >= 0, and one that stands for -b too counts 2 when c > a and 1 when
+    c = a.
+    """
+    rows = _sqrt_table(a_max)[1]
+    two = _two_adic(D, a_max)[1]
+    spf = arith.smallest_prime_factor_table(a_max)
+    exact: dict[int, list[int]] = {}
+    h = 0
+    for a in tail:
+        v = (a & -a).bit_length() - 1
+        roots, mod, rest, paired = two[v], 2 << v, a >> v, False
+        while rest > 1:
+            p = spf[rest] or rest  # a prime reads 0
+            q, e = p, 1
+            rest //= p
+            while rest % p == 0:
+                rest //= p
+                q *= p
+                e += 1
+            if e == 1 and D % p:
+                s = rows[p][D % p]
+                rs = [s, p - s] if paired else [s]
+                paired = True
+            else:
+                rs = exact.get(q)
+                if rs is None:
+                    rs = exact[q] = _primitive_roots(D, p, e)
+            inv = pow(mod, -1, q)
+            roots = [r0 + mod * ((r1 - r0) * inv % q) for r0 in roots for r1 in rs]
+            mod *= q
+        m4a, a2 = 4 * a, 2 * a
+        for r in roots:
+            b = r if r <= a else r - a2
+            c = (b * b - D) // m4a
+            if c > a:
+                h += 2 if paired else 1
+            elif c == a and (paired or b >= 0):
+                h += 1
+    return h
 
 
 def _root_counts(D: int, a_max: int):
@@ -571,11 +698,12 @@ def _reduced_count(D: int) -> int:
 
     For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
     gives c > a, so the forms with first coefficient a number R(a) and the
-    sieve counts them. Above M only the a with R(a) > 0 are looked at: a
-    tail of at least TAIL_PASS_FROM of them is counted by _tail_count in one
-    numpy pass, a shorter one walked. Below |D| = SIEVE_FROM, R is the
-    Python list of _root_list and every tail is shorter than TAIL_PASS_FROM,
-    so the count imports no numpy.
+    sieve counts them. Above M only the a with R(a) > 0 are looked at.
+    Below |D| = SIEVE_FROM, R is the Python list of _root_list and the tail
+    is counted by _tail_list, so the count imports no numpy. From there on
+    a tail of at least TAIL_PASS_FROM of them is counted by _tail_count in
+    one numpy pass, a shorter one walked. Either way one INFO line logs the
+    sieved forms and one the tail's.
     """
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
     if -D < SIEVE_FROM:
@@ -591,7 +719,9 @@ def _reduced_count(D: int) -> int:
         if len(tail) < TAIL_PASS_FROM:
             tail = tail.tolist()
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    if isinstance(tail, list):
+    if -D < SIEVE_FROM:
+        h = _tail_list(D, tail, a_max)
+    elif isinstance(tail, list):
         h = sum(1 for _ in _walk(D, tail, a_max))
     else:
         h = _tail_count(D, tail)

@@ -362,11 +362,11 @@ class TestRootList:
         assert longest < classno.TAIL_PASS_FROM
 
     def test_counts_equal_the_walk_across_sieve_from(self, monkeypatch):
-        # below SIEVE_FROM the walk is given the tail alone, the a > M with R(a) > 0
+        # below SIEVE_FROM the tail loop is given the tail alone, the a > M with R(a) > 0
         rng = random.Random(19)
-        walk, given = classno._walk, []
-        monkeypatch.setattr(classno, "_walk", lambda D, a_values, a_max: given.append(
-            (D, list(a_values))) or walk(D, a_values, a_max))
+        tail_list, given = classno._tail_list, []
+        monkeypatch.setattr(classno, "_tail_list", lambda D, tail, a_max: given.append(
+            (D, list(tail))) or tail_list(D, tail, a_max))
         Ds = [-rng.randrange(classno.SIEVE_FROM // 2, 2 * classno.SIEVE_FROM) for _ in range(40)]
         Ds += [-classno.SIEVE_FROM - k for k in range(-4, 4)]
         for D in [D if D % 4 in (0, 1) else 4 * (D // 4) for D in Ds]:
@@ -376,7 +376,69 @@ class TestRootList:
             if -D < classno.SIEVE_FROM:
                 R = classno._root_list(D, a_max)
                 assert given == [(D, [a for a in range(M + 1, a_max + 1) if R[a]])], D
-            assert h == len(list(walk(D, range(1, a_max + 1), a_max))), D
+            assert h == len(list(classno._walk(D, range(1, a_max + 1), a_max))), D
+
+    def test_list_route_equals_the_walk_with_square_factors(self):
+        # a seeded sample across SIEVE_FROM with p^2 | D, up to p = 31 and
+        # past sqrt(a_max), and with 2^v | D, v up to 20; those at or past
+        # SIEVE_FROM are counted on the list route all the same
+        rng = random.Random(40)
+        top = 2 * classno.SIEVE_FROM
+        Ds = []
+        for p in (3, 5, 7, 11, 13, 31, 101, 331):
+            m = rng.randrange(top // (8 * p * p), top // (4 * p * p))
+            Ds.append(-p * p * (m if -m % 4 in (0, 1) else 4 * m))
+        Ds += [-(2**v) * rng.randrange(top >> (v + 2), top >> v) for v in range(2, 21)]
+        Ds += [-49 * 4 * u for u in range(top // 800, top // 800 + 20) if u % 7 in (3, 5, 6)][:4]
+        for D in Ds:
+            assert D % 4 in (0, 1) and -top <= D < -classno.SIEVE_FROM // 8, D
+            a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
+            R = classno._root_list(D, a_max)
+            tail = [a for a in range(M + 1, a_max + 1) if R[a]]
+            got = sum(R[1 : M + 1]) + classno._tail_list(D, tail, a_max)
+            assert got == len(list(classno._walk(D, range(1, a_max + 1), a_max))), D
+
+
+class TestHeldRoots:
+    def test_rows_are_the_square_roots_and_the_quadratic_sieves_rows(self, monkeypatch):
+        # grown from empty in three steps to the a_max of |D| just below SIEVE_FROM
+        monkeypatch.setattr(classno, "_sqrt_rows", ([], []))
+        a_max = isqrt((classno.SIEVE_FROM - 1) // 3)
+        for m in (2, 100, a_max):
+            primes, rows = classno._sqrt_table(m)
+        assert primes == arith.primes_up_to(a_max)[1:] and len(rows) == a_max + 1
+        assert all(rows[n] is None for n in range(a_max + 1) if n not in set(primes))
+        odd, offsets, qs_roots = arith._qs_root_table()
+        for p, o in zip(odd.tolist(), offsets.tolist()):
+            if p > a_max:
+                break
+            row = rows[p]
+            assert isinstance(row, array) and row.typecode == "h" and len(row) == p, p
+            want = [-1] * p
+            for x in range(p):
+                if want[x * x % p] < 0 or x < want[x * x % p]:
+                    want[x * x % p] = min(x, p - x)
+            assert row.tolist() == want == qs_roots[o : o + p].tolist(), p
+
+    def test_two_adic_equals_a_fresh_count_on_every_residue(self):
+        # both depend only on D mod 2^(k+3), k = bits(a_max): every such
+        # residue with D = 0, 1 (mod 4), for every k below SIEVE_FROM, at
+        # the least and the largest a_max of that k, and at a second D of
+        # the same residue
+        k_max = isqrt(classno.SIEVE_FROM // 3).bit_length()
+        for k in range(1, k_max + 1):
+            mod = 8 << k
+            for r in range(mod):
+                D = r - mod
+                if D % 4 not in (0, 1):
+                    continue
+                for a_max in (1 << (k - 1), (1 << k) - 1):
+                    counts, roots = classno._two_adic(D, a_max)
+                    assert counts == classno._power_counts(D, 2, a_max), (D, a_max)
+                    assert [sorted(rs) for rs in roots] == [
+                        classno._primitive_roots(D, 2, v, classno._two_adic_roots(D, v))
+                        for v in range(k)], (D, a_max)
+                    assert classno._two_adic(D - 7919 * mod, a_max) == (counts, roots), (D, a_max)
 
 
 class TestHeldSieve:

@@ -39,6 +39,7 @@ COMMANDS = [
     (["squarefree", "-m", "100003000700021"], (254, 382, 383, BIG_RHO), (0,)),  # rho 383
     (["squarefree", "-m", "1000003007000021", "--format", "json"], (383, 1023, 1024), (0,)),  # rho 1024
     (["classnum", "-D", "-123451"], (0,), (123450, 123451, BIG_SF)),
+    (["classnum", "-D", "-2999999"], (0,), (2999998, 2999999, BIG_SF)),  # on the list of R
     (["classnum", "-D", "-4000004", "--format", "json"], (0,), (1000000, 1000001, BIG_SF)),
     # verify, fed records built below: the first needs sf 119163, the second rho 1024
     # and is never verified (its square-free parts are past every sf budget)
