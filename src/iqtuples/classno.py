@@ -9,22 +9,22 @@ multiplicative and is sieved over the whole a-range at once: on a Python
 list below |D| = SIEVE_FROM (_root_list), by numpy from there on
 (_root_counts). Above M, the last eighth of the range, only the a with
 R(a) > 0 are looked at: b is solved mod 2a by CRT over the factorization
-of 2a, and the forms with c < a are dropped. Below SIEVE_FROM the tail is
-counted by a Python loop (_tail_list), and a count there imports no
-numpy: the list sieve and that loop read (D/p) and sqrt(D) mod p off one
-held table of square roots mod each odd prime (_sqrt_table), and the
-counts and roots at 2 from _two_adic. From there on a tail of
-TAIL_PASS_FROM such a or more is counted in one numpy pass over all of
-them, a shorter one walked a by a (_walk). All of them read smallest
-prime factors from arith's one array("i") table: the list sieve, the
-tail loop and the walk entry by entry, the numpy sieve of R and the tail
-pass through a numpy view of its buffer, with the primes read off it once
-per table (_sieve). The walk tests gcd(a, b, c) = 1 form by form, an
-independent check on the local rule, and on request lists the forms of
-every a, within one a in the CRT order of the roots. Counts are
-remembered for the process; count_ahead decides which of a list's D are
-counted ahead on two cores, with a child process (counthelper), and
-counts them. An independent Dirichlet evaluator of the
+of 2a, and the forms with c < a are dropped. A tail of fewer than
+TAIL_PASS_FROM such a is counted by a Python loop (_tail_list), a longer
+one in one numpy pass (_tail_count); below SIEVE_FROM every tail is that
+short, so a count there imports no numpy. The list sieve and the loop read
+(D/p) and sqrt(D) mod p off one held table of square roots mod each odd
+prime to 1110 (_sqrt_table), the loop taking sqrt(D) mod a larger p by
+arith.sqrt_mod_prime, and the counts and roots at 2 from _two_adic. All
+read smallest prime factors from arith's one array("i") table: the list
+sieve and the loop entry by entry, the numpy sieve and pass through a
+numpy view of its buffer, with the primes read off it once per table
+(_sieve). No count takes the walk (_walk): it tests gcd(a, b, c) = 1 form
+by form, the independent reference for the local rule and the counts,
+and on request lists the forms of every a, within one a in the CRT order
+of the roots. Counts are remembered for the process; count_ahead decides
+which of a list's D are counted ahead on two cores, with a child process
+(counthelper), and counts them. An independent Dirichlet evaluator of the
 class number formula cross-checks fundamental D, for |D| <= DIRICHLET_LIMIT:
 it splits the character at the largest odd prime q of D and counts the
 squares mod q by residue class mod |D|/q, so none of its arrays is as long
@@ -51,25 +51,27 @@ DIRICHLET_LIMIT = 10**6
 
 _PROGRESS_EVERY = 250_000
 
-# Below this |D| R is sieved on a Python list and the tail counted by a
-# Python loop, both reading _sqrt_table, as numpy's fixed cost per call
-# exceeds their whole work there. Per warm count, list against numpy, best
-# of 3 per D, over 150 D = 0, 1 (mod 4) drawn from |D| in [x, 1.05x] and
-# run alternately in one process: 38-50 against 138-194 us at x = 10^4,
-# 69-94 against 191-286 at 10^5, 150-161 against 336-363 at 10^6, 183-258
-# against 411-598 at 2*10^6, 221-223 against 460-467 at 3*10^6 and 238-255
-# against 485-521 at 3.6*10^6, over three seeds (CPython 3.11, 2-core
-# x86-64 VM). It stays below 3.7*10^6: from there a_max - M, the longest a
-# tail can be, reaches TAIL_PASS_FROM, and below it no count imports numpy.
+# Below this |D| R is sieved on a Python list reading _sqrt_table, as
+# numpy's fixed cost per call exceeds its whole work there. Per warm count,
+# list against numpy, best of 3 per D, over 150 D = 0, 1 (mod 4) drawn from
+# |D| in [x, 1.05x] and run alternately in one process: 38-50 against
+# 138-194 us at x = 10^4, 69-94 against 191-286 at 10^5, 150-161 against
+# 336-363 at 10^6, 183-258 against 411-598 at 2*10^6, 221-223 against
+# 460-467 at 3*10^6 and 238-255 against 485-521 at 3.6*10^6, over three
+# seeds (CPython 3.11, 2-core x86-64 VM). At 2*10^7, with the rows kept to
+# 1110 and one power per prime past them, counts were slower from 1.2*10^7
+# up: 759-899 against 719-798 us. Below it no tail reaches TAIL_PASS_FROM.
 SIEVE_FROM = 3_700_000
+_ROWS_TO = isqrt((SIEVE_FROM - 1) // 3)  # 1110, the last row _tail_list reads or grows
 
-# A tail of fewer a than this (the a above M with R(a) > 0) is walked, as
-# the numpy pass's fixed cost exceeds the walk there. Per count, over 900
-# D = 0, 1 (mod 4) with |D| log-uniform in [10^7, 4*10^8], binned by tail
-# length, the walk against the pass took 0.89 against 1.25 ms at 75-99 a,
-# 1.43 against 1.49 at 125-149, 1.66 against 1.54 at 150-174 and 2.80
-# against 1.86 at 275-299 (CPython 3.11, 2-core x86-64 VM).
-TAIL_PASS_FROM = 150
+# A tail of fewer a than this (the a above M with R(a) > 0) is counted by
+# the Python loop (_tail_list), as the numpy pass's fixed cost exceeds the
+# loop there. Per tail, best of 3, medians over 125 D = 0, 1 (mod 4) with
+# |D| log-uniform in [2*10^7, 3*10^10], binned by tail length, the loop
+# against the pass took 433 against 676 us at 100-149 a, 586 against 746
+# at 150-199, 807 against 845 at 200-249, 1058 against 915 at 250-299 and
+# 1213 against 989 at 300-349 (CPython 3.11, 2-core x86-64 VM).
+TAIL_PASS_FROM = 250
 
 
 @dataclass(frozen=True)
@@ -368,19 +370,20 @@ def _root_list(D: int, a_max: int) -> list[int]:
 def _tail_list(D: int, tail: list[int], a_max: int) -> int:
     """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count, without numpy.
 
-    tail is an increasing list of a <= a_max with R(a) > 0, after a call of
-    _root_list(D, a_max). Each a = 2^v * u is factored by arith's
+    tail is an increasing list of Python ints a <= a_max with R(a) > 0, on
+    either side of SIEVE_FROM. Each a = 2^v * u is factored by arith's
     smallest-prime-factor table, and its roots b mod 2a are joined by CRT
     from _two_adic's primitive roots mod 2^(v+1) and, for each odd prime
-    power q exactly dividing u, the roots mod q: +-sqrt(D) mod p, read off
-    _sqrt_table, when q = p does not divide D, else _primitive_roots(D, p,
-    e), once per q. As in _tail_count, at the first such split p of an a
-    only +sqrt(D) is taken, and each root stands for b and -b both; a root b
-    in [0, 2a) is moved into (-a, a] and kept when c > a, or when c = a and
-    b >= 0, and one that stands for -b too counts 2 when c > a and 1 when
-    c = a.
+    power q exactly dividing u, the roots mod q: +-sqrt(D) mod p when q = p
+    does not divide D, else _primitive_roots(D, p, e), once per q. sqrt(D)
+    mod p is read off _sqrt_table for p <= _ROWS_TO, which is never grown
+    past that, and taken by arith.sqrt_mod_prime above it. As in
+    _tail_count, at the first such split p of an a only +sqrt(D) is taken,
+    and each root stands for b and -b both; a root b in [0, 2a) is moved
+    into (-a, a] and kept when c > a, or when c = a and b >= 0, and one that
+    stands for -b too counts 2 when c > a and 1 when c = a.
     """
-    rows = _sqrt_table(a_max)[1]
+    rows = _sqrt_table(min(a_max, _ROWS_TO))[1]
     two = _two_adic(D, a_max)[1]
     spf = arith.smallest_prime_factor_table(a_max)
     exact: dict[int, list[int]] = {}
@@ -397,7 +400,7 @@ def _tail_list(D: int, tail: list[int], a_max: int) -> int:
                 q *= p
                 e += 1
             if e == 1 and D % p:
-                s = rows[p][D % p]
+                s = rows[p][D % p] if p <= _ROWS_TO else arith.sqrt_mod_prime(D, p)
                 rs = [s, p - s] if paired else [s]
                 paired = True
             else:
@@ -699,10 +702,11 @@ def _reduced_count(D: int) -> int:
     For a up to M, the largest a with 4a^2 < |D|, every root b in (-a, a]
     gives c > a, so the forms with first coefficient a number R(a) and the
     sieve counts them. Above M only the a with R(a) > 0 are looked at.
-    Below |D| = SIEVE_FROM, R is the Python list of _root_list and the tail
-    is counted by _tail_list, so the count imports no numpy. From there on
-    a tail of at least TAIL_PASS_FROM of them is counted by _tail_count in
-    one numpy pass, a shorter one walked. Either way one INFO line logs the
+    Below |D| = SIEVE_FROM, R is the Python list of _root_list, from there
+    on numpy's _root_counts. A tail of fewer than TAIL_PASS_FROM such a, on
+    either side of SIEVE_FROM, is counted by the Python loop _tail_list, as
+    is every tail below it, so a count there imports no numpy; a longer one
+    by _tail_count in one numpy pass. Either way one INFO line logs the
     sieved forms and one the tail's.
     """
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
@@ -719,12 +723,8 @@ def _reduced_count(D: int) -> int:
         if len(tail) < TAIL_PASS_FROM:
             tail = tail.tolist()
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    if -D < SIEVE_FROM:
-        h = _tail_list(D, tail, a_max)
-    elif isinstance(tail, list):
-        h = sum(1 for _ in _walk(D, tail, a_max))
-    else:
-        h = _tail_count(D, tail)
+    h = (_tail_list(D, tail, a_max) if len(tail) < TAIL_PASS_FROM or -D < SIEVE_FROM
+         else _tail_count(D, tail))
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 

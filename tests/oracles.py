@@ -4,6 +4,7 @@ Deliberately naive: trial division, exhaustive scans, and direct symbolic
 expansion. Nothing here shares code with the package.
 """
 
+from fractions import Fraction
 from math import comb, gcd, isqrt
 
 
@@ -42,6 +43,49 @@ def sieve_primes(m: int) -> list[int]:
             for j in range(i * i, m + 1, i):
                 flags[j] = False
     return [i for i, f in enumerate(flags) if f]
+
+
+def divisors(n: int) -> list[int]:
+    out = [1]
+    for p, e in trial_factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return out
+
+
+def hurwitz_class_number(m: int, count) -> Fraction:
+    """H(m) for m >= 0, with count(D) the number of primitive classes of discriminant D < 0.
+
+    H(0) = -1/12. For m > 0, the sum of count(-m/f^2)/w' over the f with
+    f^2 | m and -m/f^2 = 0, 1 (mod 4), where w' = 3 at -3, 2 at -4 and 1
+    otherwise.
+    """
+    if m == 0:
+        return Fraction(-1, 12)
+    root = 1  # the largest f with f^2 | m
+    for p, e in trial_factorize(m):
+        root *= p ** (e // 2)
+    total = Fraction(0)
+    for f in divisors(root):
+        D = -m // (f * f)
+        if D % 4 in (0, 1):
+            total += Fraction(count(D), {-3: 3, -4: 2}.get(D, 1))
+    return total
+
+
+def kronecker_hurwitz_sides(N: int, count) -> tuple[Fraction, int]:
+    """Both sides of the Kronecker-Hurwitz class number relation at N >= 1:
+
+        sum_{t^2 <= 4N} H(4N - t^2) = 2 sigma(N) - sum_{d | N} min(d, N/d),
+
+    t over all integers, H by hurwitz_class_number with the count given
+    (Zagier, Nombres de classes et formes modulaires de poids 3/2, C. R.
+    Acad. Sci. Paris 281, 1975).
+    """
+    left = Fraction(0)
+    for t in range(isqrt(4 * N) + 1):
+        left += (2 if t else 1) * hurwitz_class_number(4 * N - t * t, count)
+    ds = divisors(N)
+    return left, 2 * sum(ds) - sum(min(d, N // d) for d in ds)
 
 
 def brute_reduced_forms(D: int, a_limit: int | None = None) -> set[tuple[int, int, int]]:

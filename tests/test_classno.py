@@ -15,7 +15,8 @@ from iqtuples import arith, classno
 from iqtuples.classno import QuadForm, reduce_form
 from iqtuples.errors import BudgetError, DomainError
 
-from oracles import brute_reduced_forms, sieve_primes, trial_factorize, trial_is_prime
+from oracles import (brute_reduced_forms, kronecker_hurwitz_sides, sieve_primes, trial_factorize,
+                     trial_is_prime)
 
 
 class TestSqrtModInternals:
@@ -312,15 +313,15 @@ class TestSieve:
     def test_tail_walks_only_a_with_roots(self, monkeypatch):
         D = -4 * 10**9 + 1
         walked = []
-        roots_mod_2a = classno._roots_mod_2a
+        tail_list, roots_mod_2a = classno._tail_list, classno._roots_mod_2a
 
-        def recording(D, a, spf, cache):
-            walked.append(a)
-            return roots_mod_2a(D, a, spf, cache)
+        def recording(D, tail, a_max):
+            walked.extend(tail)
+            return tail_list(D, tail, a_max)
 
         with monkeypatch.context() as m:
-            m.setattr(classno, "_roots_mod_2a", recording)
-            m.setattr(classno, "TAIL_PASS_FROM", 10**9)  # the walk, whatever the tail
+            m.setattr(classno, "_tail_list", recording)
+            m.setattr(classno, "TAIL_PASS_FROM", 10**9)  # the loop, whatever the tail
             h = classno.class_number_forms(D).h
         a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
         spf = arith.smallest_prime_factor_table(a_max)
@@ -355,11 +356,15 @@ class TestRootList:
             a_max = isqrt(-D // 3)
             assert classno._root_list(D, a_max) == classno._root_counts(D, a_max).tolist(), D
 
-    def test_tails_below_sieve_from_are_walked(self):
+    def test_tails_below_sieve_from_take_the_loop(self, monkeypatch):
         # a tail holds at most a_max - M a, which grows as 0.077 sqrt|D|
         longest = max(isqrt(n // 3) - isqrt((n - 1) // 4)
                       for n in range(classno.SIEVE_FROM - 10**4, classno.SIEVE_FROM))
         assert longest < classno.TAIL_PASS_FROM
+        # and below SIEVE_FROM the loop counts it whatever the cut
+        D = -classno.SIEVE_FROM + 1
+        monkeypatch.setattr(classno, "TAIL_PASS_FROM", 0)
+        assert classno._reduced_count(D) == _walk_h(D)
 
     def test_counts_equal_the_walk_across_sieve_from(self, monkeypatch):
         # below SIEVE_FROM the tail loop is given the tail alone, the a > M with R(a) > 0
@@ -586,11 +591,29 @@ class TestTailPass:
               (-130543794003, 86968), (-108305801052, 50896), (-119199048203, 79732))
 
     def test_reduced_count_pinned_and_against_the_walk(self, monkeypatch):
-        # each count by the tail pass (forced for every tail) and by the walk,
-        # which takes at most 30 ms a count here
+        # each count by the tail pass and by the loop, each forced for every
+        # tail, and each tail's count against the walk of that tail, which
+        # takes at most 30 ms a tail here
+        counted = []
+
+        def recording(count):
+            def call(D, tail, *rest):
+                h = count(D, tail, *rest)
+                counted.append((D, [int(a) for a in tail], h))
+                return h
+            return call
+
+        for name in ("_tail_count", "_tail_list"):
+            monkeypatch.setattr(classno, name, recording(getattr(classno, name)))
         for through in (1, 10**9):
             monkeypatch.setattr(classno, "TAIL_PASS_FROM", through)
             assert [(D, classno._reduced_count(D)) for D, _ in self.PINNED] == list(self.PINNED)
+        assert len(counted) == 2 * len(self.PINNED)
+        walked = {}
+        for D, tail, h in counted:
+            if D not in walked:
+                walked[D] = sum(1 for _ in classno._walk(D, tail, isqrt(-D // 3)))
+            assert h == walked[D], D
 
     def test_imports_no_masked_arrays(self):
         # np.unique imports numpy.ma on its first call, 7-17 ms that a one-shot
@@ -605,15 +628,15 @@ class TestTailPass:
         assert done.returncode == 0, done.stderr
 
     def test_tail_pass_from_the_cut(self, monkeypatch, caplog):
-        # from the cut up the pass runs and walks nothing; both log alike
+        # from the cut up the pass runs and the loop does not; both log alike
         D = -4 * 10**9 + 1
         tail, _ = _tail(D)
         assert len(tail) >= classno.TAIL_PASS_FROM
-        walk, runs = classno._walk, []
-        for cut in (len(tail), len(tail) + 1):  # the pass, then the walk
+        tail_list, runs = classno._tail_list, []
+        for cut in (len(tail), len(tail) + 1):  # the pass, then the loop
             walked = []
             monkeypatch.setattr(classno, "TAIL_PASS_FROM", cut)
-            monkeypatch.setattr(classno, "_walk", lambda *args: walked.append(1) or walk(*args))
+            monkeypatch.setattr(classno, "_tail_list", lambda *args: walked.append(1) or tail_list(*args))
             with caplog.at_level("INFO", logger="iqtuples"):
                 caplog.clear()
                 count = classno._reduced_count(D)
@@ -621,6 +644,89 @@ class TestTailPass:
         (c0, log0, walked0), (c1, log1, walked1) = runs
         assert (c0, log0) == (c1, log1) and not walked0 and walked1
         assert log0[-1].startswith(f"form count {D}: walked {len(tail)} of a = ")
+
+
+class TestTailLoop:
+    """The Python loop on the short tails from SIEVE_FROM up, against the full walk."""
+
+    def test_tails_either_side_of_the_cut(self):
+        # seeded D whose tails hold 100-300 a, each counted with the cut as it
+        # stands, so the loop and the pass both run
+        rng = random.Random(41)
+        lengths = []
+        while len(lengths) < 24:
+            n = int(10 ** rng.uniform(7.5, 8.7))
+            D = -n if -n % 4 in (0, 1) else -4 * (n // 4)
+            tail, _ = _tail(D)
+            if 100 <= len(tail) <= 300:
+                lengths.append(len(tail))
+                assert classno._reduced_count(D) == _walk_h(D), D
+        assert min(lengths) < classno.TAIL_PASS_FROM <= max(lengths), lengths
+
+    def test_square_factors_powers_of_two_and_primes_past_the_rows(self):
+        # short tails from SIEVE_FROM up of D with p^2 | D, p up to past the
+        # rows, of D with 2^v | D, and of D drawn log-uniformly; most of them
+        # hold an a with a split p > 1110 exactly dividing it, whose sqrt(D)
+        # mod p is not read off _sqrt_table, some beside a smaller split prime
+        rng = random.Random(42)
+        lo, hi = classno.SIEVE_FROM, 2 * 10**8
+        Ds = []
+        for p in (3, 5, 7, 11, 13, 31, 101, 1117, 1201):
+            m = rng.randrange(-(-lo // (p * p)), hi // (4 * p * p))
+            Ds.append(-p * p * (m if -m % 4 in (0, 1) else 4 * m))
+        Ds += [-(2**v) * rng.randrange(-(-lo >> v), hi >> (v + 2)) for v in range(2, 24, 3)]
+        Ds += [D if D % 4 in (0, 1) else 4 * (D // 4)
+               for D in (-int(10 ** rng.uniform(6.6, 8.3)) for _ in range(12))]
+        far = near = 0
+        for D in Ds:
+            tail, a_max = _tail(D)
+            assert D % 4 in (0, 1) and -D >= lo and len(tail) < classno.TAIL_PASS_FROM, D
+            for a in tail.tolist():
+                split = [p for p, e in trial_factorize(a) if p > 2 and e == 1 and D % p]
+                far += bool(split) and split[-1] > classno._ROWS_TO
+                near += len(split) > 1 and split[-1] > classno._ROWS_TO
+            assert classno._reduced_count(D) == _walk_h(D), D
+        assert far >= 100 and near >= 10, (far, near)
+
+    def test_rows_stop_at_the_list_routes_a_max(self, monkeypatch):
+        # counts from SIEVE_FROM up, by the loop and by the pass, read rows
+        # only to the a_max of |D| just below SIEVE_FROM and grow none past it
+        monkeypatch.setattr(classno, "_sqrt_rows", ([], []))
+        loops = []
+        tail_list = classno._tail_list
+        monkeypatch.setattr(classno, "_tail_list", lambda *args: loops.append(1) or tail_list(*args))
+        for D in (-classno.SIEVE_FROM, -4 * 10**7 - 3, -10**8, -4 * 10**9 + 1):
+            assert classno._reduced_count(D) == _walk_h(D), D
+        primes, rows = classno._sqrt_rows
+        assert classno._ROWS_TO == 1110 == isqrt((classno.SIEVE_FROM - 1) // 3)
+        assert len(rows) == 1111 and primes[-1] == 1109 and len(loops) >= 3
+
+
+class TestKroneckerHurwitz:
+    """sum_{t^2 <= 4N} H(4N - t^2) = 2 sigma(N) - sum_{d | N} min(d, N/d), H over the counts.
+
+    The left side counts every discriminant -(4N - t^2), fundamental or not,
+    both parities: an oracle for counts past DIRICHLET_LIMIT that shares no
+    code with the count.
+    """
+
+    @staticmethod
+    def count(D):
+        return classno.class_number_forms(D).h
+
+    def test_every_n_to_300(self):
+        for N in range(1, 301):
+            left, right = kronecker_hurwitz_sides(N, self.count)
+            assert left == right, N
+
+    def test_n_with_square_classes_to_past_sieve_from(self):
+        # 4N a square mod 9, 25 and 49, so discriminants in the sum hold each
+        # of those squares; 4 * 1000021 is past SIEVE_FROM, so the numpy
+        # sieve and the loop past the rows count there
+        for N in (100009, 400024, 1000021):
+            assert all(any((x * x - 4 * N) % m == 0 for x in range(m)) for m in (9, 25, 49)), N
+            left, right = kronecker_hurwitz_sides(N, self.count)
+            assert left == right, N
 
 
 class TestDirichlet:

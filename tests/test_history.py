@@ -41,6 +41,8 @@ COMMANDS = [
     (["classnum", "-D", "-123451"], (0,), (123450, 123451, BIG_SF)),
     (["classnum", "-D", "-2999999"], (0,), (2999998, 2999999, BIG_SF)),  # on the list of R
     (["classnum", "-D", "-4000004", "--format", "json"], (0,), (1000000, 1000001, BIG_SF)),
+    # a tail of 127 a from SIEVE_FROM up, 60 of them with a split prime past _sqrt_table's rows
+    (["classnum", "-D", "-49185848"], (0,), (12296461, 12296462, BIG_SF)),
     # verify, fed records built below: the first needs sf 119163, the second rho 1024
     # and is never verified (its square-free parts are past every sf budget)
     (["verify"], (0, BIG_RHO), (119162, 119163, BIG_SF)),
