@@ -27,8 +27,9 @@ which of a list's D are counted ahead on two cores, with a child process
 (counthelper), and counts them. An independent Dirichlet evaluator of the
 class number formula cross-checks fundamental D, for |D| <= DIRICHLET_LIMIT:
 it splits the character at the largest odd prime q of D and counts the
-squares mod q by residue class mod |D|/q, so none of its arrays is as long
-as |D| (class_number_dirichlet).
+squares mod q, from one exact float64 kernel (_square_blocks), below
+thresholds when |D|/q <= THRESHOLD_M1, else by residue class mod |D|/q, so
+none of its arrays is as long as |D| (class_number_dirichlet).
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def _two_adic(D: int, a_max: int) -> tuple[list[tuple[int, int]], list[list[int]
     return counts, roots + [[] for _ in range(k - len(roots))]
 
 
-def _root_list(D: int, a_max: int) -> list[int]:
+def _root_list(D: int, a_max: int, two: tuple) -> list[int]:
     """_root_counts(D, a_max).tolist(), built on a Python list without numpy.
 
     The same rule, with (D/p) read off _sqrt_table's row of each odd prime
@@ -331,12 +332,13 @@ def _root_list(D: int, a_max: int) -> list[int]:
     has R(p) = 1 and R(p^e) = 0 from e = 2 on, so it zeroes the multiples
     of p^2 by one slice. The counts at 2 (_two_adic) go in first, each
     power of 2 set over its multiples in increasing order, and those of
-    each p with p^2 | D (_power_counts) are multiplied in last.
+    each p with p^2 | D (_power_counts) are multiplied in last. two is
+    _two_adic(D, a_max), which _tail_list reads too.
     """
     primes, rows = _sqrt_table(a_max)
     R = [1] * (a_max + 1)
     R[0] = 0
-    for q, n in _two_adic(D, a_max)[0]:  # each power of 2 over the multiples of the last
+    for q, n in two[0]:  # each power of 2 over the multiples of the last
         R[q::q] = [n] * (a_max // q)
     exact = []
     large = bisect_right(primes, a_max // 2)  # from here on R[p] is p's one multiple
@@ -367,14 +369,14 @@ def _root_list(D: int, a_max: int) -> list[int]:
     return R
 
 
-def _tail_list(D: int, tail: list[int], a_max: int) -> int:
+def _tail_list(D: int, tail: list[int], a_max: int, two: tuple) -> int:
     """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count, without numpy.
 
     tail is an increasing list of Python ints a <= a_max with R(a) > 0, on
     either side of SIEVE_FROM. Each a = 2^v * u is factored by arith's
     smallest-prime-factor table, and its roots b mod 2a are joined by CRT
-    from _two_adic's primitive roots mod 2^(v+1) and, for each odd prime
-    power q exactly dividing u, the roots mod q: +-sqrt(D) mod p when q = p
+    from the primitive roots mod 2^(v+1) of two = _two_adic(D, a_max) and,
+    for each odd prime power q exactly dividing u, the roots mod q: +-sqrt(D) mod p when q = p
     does not divide D, else _primitive_roots(D, p, e), once per q. sqrt(D)
     mod p is read off _sqrt_table for p <= _ROWS_TO, which is never grown
     past that, and taken by arith.sqrt_mod_prime above it. As in
@@ -384,13 +386,12 @@ def _tail_list(D: int, tail: list[int], a_max: int) -> int:
     stands for -b too counts 2 when c > a and 1 when c = a.
     """
     rows = _sqrt_table(min(a_max, _ROWS_TO))[1]
-    two = _two_adic(D, a_max)[1]
     spf = arith.smallest_prime_factor_table(a_max)
     exact: dict[int, list[int]] = {}
     h = 0
     for a in tail:
         v = (a & -a).bit_length() - 1
-        roots, mod, rest, paired = two[v], 2 << v, a >> v, False
+        roots, mod, rest, paired = two[1][v], 2 << v, a >> v, False
         while rest > 1:
             p = spf[rest] or rest  # a prime reads 0
             q, e = p, 1
@@ -710,8 +711,9 @@ def _reduced_count(D: int) -> int:
     sieved forms and one the tail's.
     """
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
+    two = _two_adic(D, a_max) if -D < SIEVE_FROM else None  # for the list sieve and the loop
     if -D < SIEVE_FROM:
-        R = _root_list(D, a_max)
+        R = _root_list(D, a_max, two)
         head = sum(R[1 : M + 1])
         tail = [a for a in range(M + 1, a_max + 1) if R[a]]
     else:
@@ -723,8 +725,8 @@ def _reduced_count(D: int) -> int:
         if len(tail) < TAIL_PASS_FROM:
             tail = tail.tolist()
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    h = (_tail_list(D, tail, a_max) if len(tail) < TAIL_PASS_FROM or -D < SIEVE_FROM
-         else _tail_count(D, tail))
+    h = (_tail_list(D, tail, a_max, two or _two_adic(D, a_max))
+         if len(tail) < TAIL_PASS_FROM or -D < SIEVE_FROM else _tail_count(D, tail))
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 
@@ -813,35 +815,42 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 # i taken at once while the squares mod p are formed, for a Legendre table
-# or for the oracle's count of squares by residue class: int64 blocks of
-# 128 KB. Over the 480 D of the sweep benchmark's seed 1, in one process,
-# blocks of 2^16 took 28 % more minor page faults than one buffer of p / 2
-# entries (22 715 against 17 676) and blocks of 2^14 took 3 114 (2-core
-# x86-64 VM, CPython 3.11, glibc malloc); the sweep's item_p50_ms followed
-# the faults.
+# or for the oracle's counts of squares: blocks of 128 KB. Over the 480 D of
+# the sweep benchmark's seed 1, in one process, blocks of 2^16 took 28 % more
+# minor page faults than one buffer of p / 2 entries (22 715 against 17 676)
+# and blocks of 2^14 took 3 114 (2-core x86-64 VM, CPython 3.11, glibc
+# malloc); the sweep's item_p50_ms followed the faults.
 _LEGENDRE_BLOCK = 1 << 14
 
 
 def _square_blocks(p: int):
     """The i^2 mod p for 0 < i <= (p - 1)/2, p an odd prime: each nonzero square once.
 
-    _LEGENDRE_BLOCK i at a time, the i^2 sit in one int64 buffer and are
-    reduced in place as sq - p * (sq // p), as numpy divides by one scalar
-    without a hardware division per element, which an int64 % pays. Each
-    block is yielded as int32, where the callers' passes over it run faster.
-    So two int64 buffers of 128 KB, whatever p, are live at once. Exact for
-    p <= 10^6: i <= 5 * 10^5, so i^2 < 2^38.
+    _LEGENDRE_BLOCK i at a time, as float64 i^2 - p * floor(i^2 * fl(1/p)),
+    in buffers made once per call: each block yielded is overwritten by the
+    next. Exact for p < 2^27: i^2 < 2^52 is exact; i^2 / p lies at least
+    1/p from every integer, as p does not divide i, and the rounded product
+    is within (p/4) 2^-52 < 1/p of it (< 2^-34 for p <= 10^6), so the floor
+    is exact, and so is the difference. numpy multiplies floats faster than
+    it divides int64 by a scalar.
     """
     import numpy as np
 
-    half = p // 2 + 1
-    for lo in range(1, half, _LEGENDRE_BLOCK):
-        sq = np.arange(lo, min(lo + _LEGENDRE_BLOCK, half), dtype=np.int64)
-        sq *= sq
-        q = sq // p
-        q *= p
-        sq -= q
-        yield sq.astype(np.int32)
+    half = p // 2
+    n = min(_LEGENDRE_BLOCK, half)
+    sq, quot = np.arange(1, n + 1, dtype=np.float64), np.empty(n)
+    i = sq.copy() if n < half else None  # the first block's i, for the blocks after it
+    for lo in range(0, half, n):
+        k = min(n, half - lo)
+        s, f = sq[:k], quot[:k]
+        if lo:
+            np.add(i[:k], lo, out=s)
+        s *= s
+        np.multiply(s, 1 / p, out=f)
+        np.floor(f, out=f)
+        f *= p
+        s -= f
+        yield s
 
 
 def _legendre_table(p: int):
@@ -851,8 +860,45 @@ def _legendre_table(p: int):
     legendre = np.full(p, -1, dtype=np.int8)
     legendre[0] = 0
     for sq in _square_blocks(p):
-        legendre[sq] = 1
+        legendre[sq.astype(np.intp)] = 1
     return legendre
+
+
+# The oracle sums by thresholds (_threshold_sum) when m1 = |D|/q is at most
+# this, q the largest odd prime of D, else by class and side. Per call, over
+# 12 D per m1 with |D| in [10^5, 10^6), medians of min of 7: 469 against 1284
+# us at m1 = 1, 247/449 at 3, 212/465 at 4, 193/259 at 5, 224/230 at 7, 147/258
+# at 8, 188/147 at 11, 232/174 at 13 (2-core x86-64 VM, CPython 3.11, numpy 2.4).
+THRESHOLD_M1 = 8
+
+
+def _threshold_sum(D: int, q: int, A: int) -> int:
+    """sum_{0 < a <= A} (D/a) from counts of the squares mod q below thresholds.
+
+    q is the largest odd prime of D, m1 = |D|/q, and (D/a) = chi1(a) (a/q),
+    chi1 = (D1/.) of period m1, D1 = D/q*, q* = +-q = 1 (mod 4). With a =
+    c + m1 t, 0 <= c < m1, (a/q) = (m1/q) ((t + u_c)/q), u_c = c m1^-1 mod
+    q, and t runs from 0 to (A - c) // m1; a period of (y/q) sums to 0, so
+
+        S = (m1/q) sum_{chi1(c) != 0} chi1(c) [P((u_c + (A - c) // m1 + 1) mod q) - P(u_c)],
+
+    P(x) = sum_{0 < y < x} (y/q) = 2 N(x) - (x - 1), P(0) = 0, and N(x) =
+    #{0 < i <= (q - 1)/2 : i^2 mod q < x}. Every N comes from one pass of
+    _square_blocks, one compare-and-count per threshold per block. For a
+    prime |D| = q, S = 2 N(A + 1) - A.
+    """
+    import numpy as np
+
+    m1 = -D // q
+    D1, inv = D // (q if q % 4 == 1 else -q), pow(m1, -1, q)
+    cs = [(arith.kronecker(D1, c), c * inv % q, c) for c in range(m1)]  # (chi1(c), u_c, c)
+    terms = [(x, u, (u + (A - c) // m1 + 1) % q) for x, u, c in cs if x]
+    below = dict.fromkeys({x for _, u, hi in terms for x in (u, hi)} - {0}, 0)  # x: N(x)
+    for sq in _square_blocks(q):
+        for x in below:
+            below[x] += int(np.count_nonzero(sq < x))
+    P = {0: 0} | {x: 2 * n - (x - 1) for x, n in below.items()}
+    return arith.kronecker(m1, q) * sum(x * (P[hi] - P[u]) for x, u, hi in terms)
 
 
 # (D/a) for 0 <= a < 8 at the 2-part prime discriminants -4, 8 and -8
@@ -868,9 +914,12 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     discriminants through one factorization, which also decides whether D
     is fundamental. No array grows with |D|. With q the largest odd prime
     of D and m1 = |D|/q, (D/a) = chi1(a) (a/q), chi1 the product of the
-    other prime discriminants' characters, of period m1: one int8 residue
-    table each (_legendre_table for an odd p), tiled over m1 + A/q entries
-    and multiplied into chi1, which starts at ones. Writing a = qj + r with
+    other prime discriminants' characters, of period m1. For m1 <=
+    THRESHOLD_M1, a prime |D| among them (m1 = 1), S is summed from the
+    counts of the squares mod q below the thresholds of _threshold_sum.
+    Above it chi1 is one int8 residue table per prime discriminant
+    (_legendre_table for an odd p), tiled over m1 + A/q entries and
+    multiplied into chi1, which starts at ones. Writing a = qj + r with
     (Q0, R0) = divmod(A, q), and t_c = c * (q^-1 mod m1) mod m1,
 
         S = chi1(q) sum_{c < m1} [(C1[t_c + Q0 + 1] - C1[t_c]) X0[c]
@@ -881,9 +930,9 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     = h: twice the squares i^2 mod q (0 < i <= (q - 1)/2) in that class and
     side, one np.bincount per block of _square_blocks, minus all its
     residues. Only the min(m1, q) classes c < q hold any r, so the arrays
-    over c are no longer than sqrt(|D|). For |D| = q prime S = 2 #{i : i^2
-    mod q <= A} - A; D = -8 reads its 8-entry table. Exact as |D| <= 10^6
-    is enforced. Independent of the form-counting path by construction.
+    over c are no longer than sqrt(|D|). D = -8 reads its 8-entry table.
+    Exact as |D| <= 10^6 is enforced. Independent of the form-counting path
+    by construction.
     """
     import numpy as np
 
@@ -912,10 +961,8 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
     A = (absD - 1) // 2
     if not odd_primes:  # D = -8
         S = sum(_TWO_PART[rem][1 : A + 1])
-    elif absD == odd_primes[0]:
-        S = -A
-        for sq in _square_blocks(absD):
-            S += 2 * int(np.count_nonzero(sq <= A))
+    elif absD // odd_primes[-1] <= THRESHOLD_M1:
+        S = _threshold_sum(D, odd_primes[-1], A)
     else:
         q = odd_primes.pop()
         m1 = absD // q
@@ -931,6 +978,7 @@ def class_number_dirichlet(D: int) -> ClassNumberResult:
         k = min(m1, q)  # the classes c holding some 0 < r < q
         squares = np.zeros(2 * k, dtype=np.int64)  # at 2c + [r > R0]
         for sq in _square_blocks(q):
+            sq = sq.astype(np.int32)
             key = sq // m1
             key *= -2 * m1
             key += sq

@@ -315,9 +315,9 @@ class TestSieve:
         walked = []
         tail_list, roots_mod_2a = classno._tail_list, classno._roots_mod_2a
 
-        def recording(D, tail, a_max):
+        def recording(D, tail, a_max, two):
             walked.extend(tail)
-            return tail_list(D, tail, a_max)
+            return tail_list(D, tail, a_max, two)
 
         with monkeypatch.context() as m:
             m.setattr(classno, "_tail_list", recording)
@@ -335,7 +335,8 @@ class TestRootList:
         for D in range(-3, -10_001, -1):
             if D % 4 in (0, 1):
                 a_max = isqrt(-D // 3)
-                assert classno._root_list(D, a_max) == classno._root_counts(D, a_max).tolist(), D
+                R = classno._root_list(D, a_max, classno._two_adic(D, a_max))
+                assert R == classno._root_counts(D, a_max).tolist(), D
 
     def test_equals_root_counts_sampled(self):
         # |D| log-uniform up to 4 * SIEVE_FROM, and D with p^2 | D, 2^v | D and
@@ -354,7 +355,8 @@ class TestRootList:
         for D in Ds:
             assert D % 4 in (0, 1) and -top <= D < 0, D
             a_max = isqrt(-D // 3)
-            assert classno._root_list(D, a_max) == classno._root_counts(D, a_max).tolist(), D
+            R = classno._root_list(D, a_max, classno._two_adic(D, a_max))
+            assert R == classno._root_counts(D, a_max).tolist(), D
 
     def test_tails_below_sieve_from_take_the_loop(self, monkeypatch):
         # a tail holds at most a_max - M a, which grows as 0.077 sqrt|D|
@@ -366,12 +368,27 @@ class TestRootList:
         monkeypatch.setattr(classno, "TAIL_PASS_FROM", 0)
         assert classno._reduced_count(D) == _walk_h(D)
 
+    def test_two_adic_runs_once_per_list_route_count(self, monkeypatch):
+        # the list sieve and the loop share one _two_adic below SIEVE_FROM; from
+        # there on a short tail's loop takes it, and the numpy pass never does
+        two_adic, calls = classno._two_adic, []
+        monkeypatch.setattr(classno, "_two_adic",
+                            lambda *args: calls.append(args) or two_adic(*args))
+        for D in (-23, -4 * 10**5 - 3, -classno.SIEVE_FROM + 1, -classno.SIEVE_FROM - 3):
+            calls.clear()
+            assert classno._reduced_count(D) == _walk_h(D), D
+            assert calls == [(D, isqrt(-D // 3))], D
+        monkeypatch.setattr(classno, "TAIL_PASS_FROM", 0)
+        calls.clear()
+        assert classno._reduced_count(-classno.SIEVE_FROM - 3) == _walk_h(-classno.SIEVE_FROM - 3)
+        assert calls == []
+
     def test_counts_equal_the_walk_across_sieve_from(self, monkeypatch):
         # below SIEVE_FROM the tail loop is given the tail alone, the a > M with R(a) > 0
         rng = random.Random(19)
         tail_list, given = classno._tail_list, []
-        monkeypatch.setattr(classno, "_tail_list", lambda D, tail, a_max: given.append(
-            (D, list(tail))) or tail_list(D, tail, a_max))
+        monkeypatch.setattr(classno, "_tail_list", lambda D, tail, a_max, two: given.append(
+            (D, list(tail))) or tail_list(D, tail, a_max, two))
         Ds = [-rng.randrange(classno.SIEVE_FROM // 2, 2 * classno.SIEVE_FROM) for _ in range(40)]
         Ds += [-classno.SIEVE_FROM - k for k in range(-4, 4)]
         for D in [D if D % 4 in (0, 1) else 4 * (D // 4) for D in Ds]:
@@ -379,7 +396,7 @@ class TestRootList:
             h = classno._reduced_count(D)
             a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
             if -D < classno.SIEVE_FROM:
-                R = classno._root_list(D, a_max)
+                R = classno._root_list(D, a_max, classno._two_adic(D, a_max))
                 assert given == [(D, [a for a in range(M + 1, a_max + 1) if R[a]])], D
             assert h == len(list(classno._walk(D, range(1, a_max + 1), a_max))), D
 
@@ -398,9 +415,10 @@ class TestRootList:
         for D in Ds:
             assert D % 4 in (0, 1) and -top <= D < -classno.SIEVE_FROM // 8, D
             a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
-            R = classno._root_list(D, a_max)
+            two = classno._two_adic(D, a_max)
+            R = classno._root_list(D, a_max, two)
             tail = [a for a in range(M + 1, a_max + 1) if R[a]]
-            got = sum(R[1 : M + 1]) + classno._tail_list(D, tail, a_max)
+            got = sum(R[1 : M + 1]) + classno._tail_list(D, tail, a_max, two)
             assert got == len(list(classno._walk(D, range(1, a_max + 1), a_max))), D
 
 
@@ -851,19 +869,95 @@ class TestDirichlet:
             assert got == h and peak < 10**6, (D, peak)
 
     def test_square_blocks_on_and_past_a_block_boundary(self):
-        # q = 65537 has (q - 1)/2 = 2 blocks of squares exactly, q = 65539 one
-        # square more; both as the largest prime of D, and 65539 on its own
-        assert 65537 // 2 == 2 * classno._LEGENDRE_BLOCK
-        for q in (65537, 65539):
+        # the float64 kernel against i*i % q: on the first and last block of
+        # q = 999983, and on every block of q = 65537, whose (q - 1)/2 squares
+        # fill 2 blocks exactly, and of q = 65539, one square more; each block
+        # is read before the next overwrites it
+        n = classno._LEGENDRE_BLOCK
+        assert 65537 // 2 == 2 * n
+        for q in (65537, 65539, 999983):
             assert trial_is_prime(q)
-            blocks = list(classno._square_blocks(q))
-            assert [len(b) for b in blocks[:2]] == [classno._LEGENDRE_BLOCK] * 2
-            squares = np.concatenate(blocks).tolist()
-            assert squares == [i * i % q for i in range(1, q // 2 + 1)], q
-            assert len(set(squares)) == q // 2, q
+            blocks = [block.tolist() for block in classno._square_blocks(q)]
+            assert [len(b) for b in blocks] == [n] * (q // 2 // n) + [q // 2 % n] * (q // 2 % n > 0)
+            for k in (range(len(blocks)) if q < 10**5 else (0, len(blocks) - 1)):
+                i = range(k * n + 1, k * n + 1 + len(blocks[k]))
+                assert blocks[k] == [x * x % q for x in i], (q, k)
+            if q < 10**5:
+                assert len({x for b in blocks for x in b}) == q // 2, q
         for D, h in ((-3 * 65537, 138), (-8 * 65537, 224), (-65539, 57)):
             assert classno.is_fundamental_discriminant(D)
             assert classno.class_number_dirichlet(D).h == h == classno.class_number_forms(D).h, D
+
+
+def _split(D):
+    """(q, m1, chi1's discriminant D1): D's largest odd prime q, m1 = |D|/q, D1 = D/q*."""
+    q = max(p for p, _ in trial_factorize(-D) if p > 2)
+    return q, -D // q, D // (q if q % 4 == 1 else -q)
+
+
+def _two_part(D):
+    """The 2-part prime discriminant of a fundamental D: 1 (odd D), -4, 8 or -8."""
+    return 1 if D % 4 == 1 else -4 if D % 16 == 12 else 8 if D // 8 % 4 == 1 else -8
+
+
+def _thresholds(D):
+    """[(u_c, u_c + (A - c) // m1 + 1)] over the c < m1 with chi1(c) != 0, before the wrap mod q."""
+    q, m1, D1 = _split(D)
+    A = (-D - 1) // 2
+    return [(c * pow(m1, -1, q) % q, c * pow(m1, -1, q) % q + (A - c) // m1 + 1)
+            for c in range(m1) if arith.kronecker(D1, c)]
+
+
+class TestDirichletThresholds:
+    def test_a_seeded_sample_per_m1_and_2_part_in_both_decades(self):
+        # 6 fundamental D per (m1, 2-part) in [10^4, 10^5) and [10^5, 10^6):
+        # m1 = 1, 3, 5 and 7 are odd, m1 = 4 has 2-part -4, m1 = 8 has 8 and -8
+        rng = random.Random(42)
+        for lo in (10**4, 10**5):
+            kinds: dict[tuple[int, int], list[int]] = {k: [] for k in (
+                (1, 1), (3, 1), (4, -4), (5, 1), (7, 1), (8, 8), (8, -8))}
+            while any(len(Ds) < 6 for Ds in kinds.values()):
+                m1, two = rng.choice(list(kinds))
+                q = rng.randrange(lo // m1 + 1, 10 * lo // m1)
+                D = -m1 * q
+                if (trial_is_prime(q) and classno.is_fundamental_discriminant(D)
+                        and _two_part(D) == two and len(kinds[m1, two]) < 6):
+                    kinds[m1, two].append(D)
+            for (m1, two), Ds in kinds.items():
+                for D in Ds:
+                    assert _split(D)[1] == m1 and _two_part(D) == two and lo <= -D < 10 * lo, D
+                    assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_a_threshold_that_wraps_mod_q(self):
+        # -3 * 100049: u_c + (A - c) // m1 + 1 passes q for c = 2, not for c = 1
+        D = -3 * 100049
+        q = _split(D)[0]
+        assert classno.is_fundamental_discriminant(D)
+        assert [hi >= q for _, hi in _thresholds(D)] == [False, True]
+        assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h
+
+    def test_thresholds_that_are_squares_mod_q(self):
+        # N(x) counts the squares below x, not up to it: -23's one threshold,
+        # 12 = 2^-1 mod 23, and one of -7 * 100049's are squares mod q
+        for D in (-23, -7 * 100049):
+            q = _split(D)[0]
+            ends = [x % q for pair in _thresholds(D) for x in pair if x % q]
+            assert any(pow(x, (q - 1) // 2, q) == 1 for x in ends), D
+            assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+
+    def test_which_d_take_the_thresholds(self, monkeypatch):
+        # m1 <= THRESHOLD_M1, a prime |D| among them, and no other D
+        taken, threshold_sum = [], classno._threshold_sum
+        monkeypatch.setattr(classno, "_threshold_sum",
+                            lambda D, q, A: taken.append(D) or threshold_sum(D, q, A))
+        Ds = [D for D in range(-10**5, -10**5 + 400) if classno.is_fundamental_discriminant(D)]
+        Ds += [-999983, -994840, -255255, -8]
+        few = [D for D in Ds if D != -8 and _split(D)[1] <= classno.THRESHOLD_M1]
+        assert {_split(D)[1] for D in few} == {1, 3, 4, 5, 7, 8}
+        assert len(few) < len(Ds) - 30
+        for D in Ds:
+            assert classno.class_number_dirichlet(D).h == classno.class_number_forms(D).h, D
+        assert taken == few
 
 
 class TestFieldClassNumber:
