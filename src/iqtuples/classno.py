@@ -12,14 +12,16 @@ R(a) > 0 are looked at: b is solved mod 2a by CRT over the factorization
 of 2a, and the forms with c < a are dropped. A tail of fewer than
 TAIL_PASS_FROM such a is counted by a Python loop (_tail_list), a longer
 one in one numpy pass (_tail_count); below SIEVE_FROM every tail is that
-short, so a count there imports no numpy. The list sieve and the loop read
-(D/p) and sqrt(D) mod p off one held table of square roots mod each odd
-prime to 1110 (_sqrt_table), the loop taking sqrt(D) mod a larger p by
-arith.sqrt_mod_prime, and the counts and roots at 2 from _two_adic. All
-read smallest prime factors from arith's one array("i") table: the list
-sieve and the loop entry by entry, the numpy sieve and pass through a
-numpy view of its buffer, with the primes read off it once per table
-(_sieve). No count takes the walk (_walk): it tests gcd(a, b, c) = 1 form
+short, so a count there imports no numpy. The list sieve reads (D/p) and
+the loop sqrt(D) mod p off one held table of square roots mod each odd
+prime, which only the list sieve grows, to its a_max (_sqrt_table); the
+loop takes sqrt(D) mod a prime past the held rows by arith.sqrt_mod_prime.
+Every route takes its counts and roots at 2 from one _two_adic per count,
+and every root mod a prime power comes from arith.sqrt_mod_prime_power
+(_primitive_roots). All read smallest prime factors from arith's one
+array("i") table: the list sieve and the loop entry by entry, the numpy
+sieve and pass through a numpy view of its buffer, with the primes read
+off it once per table (_sieve). No count takes the walk (_walk): it tests gcd(a, b, c) = 1 form
 by form, the independent reference for the local rule and the counts,
 and on request lists the forms of every a, within one a in the CRT order
 of the roots. Counts are remembered for the process; count_ahead decides
@@ -63,7 +65,6 @@ _PROGRESS_EVERY = 250_000
 # 1110 and one power per prime past them, counts were slower from 1.2*10^7
 # up: 759-899 against 719-798 us. Below it no tail reaches TAIL_PASS_FROM.
 SIEVE_FROM = 3_700_000
-_ROWS_TO = isqrt((SIEVE_FROM - 1) // 3)  # 1110, the last row _tail_list reads or grows
 
 # A tail of fewer a than this (the a above M with R(a) > 0) is counted by
 # the Python loop (_tail_list), as the numpy pass's fixed cost exceeds the
@@ -136,19 +137,18 @@ def _two_adic_roots(D: int, v: int) -> list[int]:
     return roots[: len(roots) // 2]
 
 
-def _primitive_roots(D: int, p: int, e: int, roots: list[int] | None = None) -> list[int]:
+def _primitive_roots(D: int, p: int, e: int) -> list[int]:
     """The roots mod p^e (2^(e+1) at p = 2) of primitive forms, p^e exactly dividing a.
 
-    For odd p, the x with x^2 = D (mod p^e); for p = 2, _two_adic_roots(D, e):
-    these are roots, unless a caller that has them already gives them. When
-    e >= 1, the x with p | x and p | c are dropped: those with p^(e+1)
-    (2^(e+3) at p = 2) dividing x^2 - D, as p | x gives b^2 = x^2 modulo
-    that power.
+    For odd p, the x with x^2 = D (mod p^e), from arith.sqrt_mod_prime_power;
+    for p = 2, _two_adic_roots(D, e). When e >= 1, the x with p | x and
+    p | c are dropped: those with p^(e+1) (2^(e+3) at p = 2) dividing
+    x^2 - D, as p | x gives b^2 = x^2 modulo that power.
     """
     if p == 2:
-        roots, mod = _two_adic_roots(D, e) if roots is None else roots, 8 << e
+        roots, mod = _two_adic_roots(D, e), 8 << e
     else:
-        roots, mod = arith.sqrt_mod_prime_power(D, p, e) if roots is None else roots, p ** (e + 1)
+        roots, mod = arith.sqrt_mod_prime_power(D, p, e), p ** (e + 1)
     if D % p == 0 and e:  # else p | x would mean p | D, or p does not divide a
         roots = [x for x in roots if x % p or (x * x - D) % mod]
     return roots
@@ -241,33 +241,19 @@ def _power_counts(D: int, p: int, a_max: int, kept: list | None = None) -> list[
     divide D, some root is kept whenever there is one, so a zero means no
     root mod p^e, nor mod any higher power. While p^e | D a zero may precede
     a nonzero count (D = p^2 u, u a nonzero square mod p: R(p) = 0 and
-    R(p^2) = p - 2).
-
-    Each power's roots are lifted from the last power's: x in [0, span) to
-    the x + k*span (k < p) that are roots mod nxt, the next modulus (at 2,
-    from _two_adic_roots(D, e) to those of e + 1). At odd p, Newton's step
-    gives the one lift of an x prime to p; an x = 0 (mod p) lifts to every
-    k or to none, as (x + k*span)^2 = x^2 (mod nxt). kept, if given, gets
-    each power's primitive roots appended, e = 1 first.
+    R(p^2) = p - 2). Each power's roots are _primitive_roots(D, p, e), so
+    arith.sqrt_mod_prime_power is the one lift. kept, if given, gets each
+    power's primitive roots appended, e = 1 first.
     """
-    roots = _two_adic_roots(D, 1) if p == 2 else arith.sqrt_mod_prime_power(D, p, 1)
     out, q, e = [], p, 1
     while q <= a_max:
-        primitive = _primitive_roots(D, p, e, roots)
+        primitive = _primitive_roots(D, p, e)
         if kept is not None:
             kept.append(primitive)
-        n = len(primitive)
-        out.append((q, n))
-        if n == 0 and D % q or q > a_max // p:
+        out.append((q, len(primitive)))
+        if not primitive and D % q:
             break
-        span, nxt = (2 * q, 8 * q) if p == 2 else (q, p * q)
-        lifted = []
-        for x in roots:
-            if p > 2 and x % p:
-                lifted.append((x - (x * x - D) * pow(2 * x, -1, nxt)) % nxt)
-            elif x % p or (x * x - D) % nxt == 0:
-                lifted += [y for y in range(x, p * span, span) if (y * y - D) % nxt == 0]
-        roots, q, e = lifted, q * p, e + 1
+        q, e = q * p, e + 1
     return out
 
 
@@ -283,7 +269,8 @@ def _sqrt_table(m: int) -> tuple[list[int], list]:
     reads (D/p) by its sign, and sqrt(D) mod p when D is a nonzero square;
     rows[n] is None for every other n. Built in pure Python, a row at a
     time as m passes it, and held for the process: rows never change, and
-    the two lists only grow.
+    the two lists only grow. _root_list alone grows them, to its a_max;
+    _tail_list reads the rows held.
     """
     primes, rows = _sqrt_rows
     if len(rows) <= m:
@@ -303,19 +290,18 @@ def _sqrt_table(m: int) -> tuple[list[int], list]:
 def _two_adic(D: int, a_max: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """(_power_counts(D, 2, a_max), roots), roots[v] = _primitive_roots(D, 2, v) for 2^v <= a_max.
 
-    The roots come in the order they are found, not sorted. With k =
-    bits(a_max), D = 1 (mod 8) has R(2^e) = 2 for every e, and its roots
-    mod 2^(v+1) are +-r, r one root of x^2 = D (mod 2^(k+1)), found bit by
-    bit as in arith.sqrt_mod_prime_power. For any other D roots[0] is
-    [D mod 2], the roots from v = 1 on are those _power_counts lifts, and
-    the powers it stops short of hold none.
+    The one source of the counts and roots at 2: _reduced_count takes it
+    once per count and hands it to the sieve of R and to the tail, on
+    every route. The roots come in the order they are found, not sorted.
+    With k = bits(a_max), D = 1 (mod 8) has R(2^e) = 2 for every e, and
+    its roots mod 2^(v+1) are +-r, r one root of x^2 = D (mod 2^(k+1)) from
+    arith.sqrt_mod_prime_power. For any other D roots[0] is [D mod 2], the
+    roots from v = 1 on are those _power_counts finds, and the powers it
+    stops short of hold none.
     """
     k = a_max.bit_length()
     if D & 7 == 1:
-        r = 1
-        for i in range(3, k + 1):  # r^2 = D (mod 2^i) lifts to r or r + 2^(i-1)
-            if (r * r - D) % (2 << i):
-                r += 1 << (i - 1)
+        r = arith.sqrt_mod_prime_power(D, 2, k + 1)[0]
         return ([(1 << e, 2) for e in range(1, k)],
                 [[1]] + [[r & m, -r & m] for m in ((2 << v) - 1 for v in range(1, k))])
     roots = [[D & 1]]
@@ -376,16 +362,19 @@ def _tail_list(D: int, tail: list[int], a_max: int, two: tuple) -> int:
     either side of SIEVE_FROM. Each a = 2^v * u is factored by arith's
     smallest-prime-factor table, and its roots b mod 2a are joined by CRT
     from the primitive roots mod 2^(v+1) of two = _two_adic(D, a_max) and,
-    for each odd prime power q exactly dividing u, the roots mod q: +-sqrt(D) mod p when q = p
-    does not divide D, else _primitive_roots(D, p, e), once per q. sqrt(D)
-    mod p is read off _sqrt_table for p <= _ROWS_TO, which is never grown
-    past that, and taken by arith.sqrt_mod_prime above it. As in
-    _tail_count, at the first such split p of an a only +sqrt(D) is taken,
-    and each root stands for b and -b both; a root b in [0, 2a) is moved
-    into (-a, a] and kept when c > a, or when c = a and b >= 0, and one that
-    stands for -b too counts 2 when c > a and 1 when c = a.
+    for each odd prime power q exactly dividing u, the roots mod q:
+    +-sqrt(D) mod p when q = p does not divide D, else
+    _primitive_roots(D, p, e), once per q. sqrt(D) mod p is read off the
+    rows _sqrt_table holds, which _root_list grows to its a_max, so below
+    SIEVE_FROM every p has one; a p past them, and from SIEVE_FROM up any p
+    before a list-route count has built its row, takes
+    arith.sqrt_mod_prime. No row is built here. As in _tail_count, at the
+    first such split p of an a only +sqrt(D) is taken, and each root stands
+    for b and -b both; a root b in [0, 2a) is moved into (-a, a] and kept
+    when c > a, or when c = a and b >= 0, and one that stands for -b too
+    counts 2 when c > a and 1 when c = a.
     """
-    rows = _sqrt_table(min(a_max, _ROWS_TO))[1]
+    rows = _sqrt_rows[1]
     spf = arith.smallest_prime_factor_table(a_max)
     exact: dict[int, list[int]] = {}
     h = 0
@@ -401,7 +390,7 @@ def _tail_list(D: int, tail: list[int], a_max: int, two: tuple) -> int:
                 q *= p
                 e += 1
             if e == 1 and D % p:
-                s = rows[p][D % p] if p <= _ROWS_TO else arith.sqrt_mod_prime(D, p)
+                s = rows[p][D % p] if p < len(rows) else arith.sqrt_mod_prime(D, p)
                 rs = [s, p - s] if paired else [s]
                 paired = True
             else:
@@ -422,13 +411,13 @@ def _tail_list(D: int, tail: list[int], a_max: int, two: tuple) -> int:
     return h
 
 
-def _root_counts(D: int, a_max: int):
+def _root_counts(D: int, a_max: int, two: tuple):
     """R with R[a] = #{b mod 2a : b^2 = D (mod 4a), gcd(a, b, c) = 1} for 0 < a <= a_max.
 
     R[0] = 0. R is multiplicative, R(p^e) the number of _primitive_roots:
-    by _power_counts at 2 and the odd p | D, each laid over the multiples of
-    p^e in turn so that the exact power decides, and 1 + (D/p) for the other
-    odd p. The primes are those read off arith's table by _sieve(a_max),
+    at 2 the counts of two = _two_adic(D, a_max), at the odd p | D those of
+    _power_counts, each laid over the multiples of p^e in turn so that the
+    exact power decides, and 1 + (D/p) for the other odd p. The primes are those read off arith's table by _sieve(a_max),
     and the Legendre symbols come from Euler's criterion over all odd ones
     at once, by arith._pow_mod (one 2-bit window per two bits of (p-1)/2,
     the largest p deciding how many). Each factor is multiplied into the
@@ -447,7 +436,7 @@ def _root_counts(D: int, a_max: int):
     # at 4*sqrt(a_max) rather than sqrt(a_max) took a quarter less time.
     split_at = 4 * isqrt(a_max)
     small = int(np.searchsorted(odd, split_at, side="right"))
-    exact = [_power_counts(D, p, a_max) for p in [2] + odd[Dmod == 0].tolist()]
+    exact = [two[0]] + [_power_counts(D, p, a_max) for p in odd[Dmod == 0].tolist()]
     # No a <= a_max has more than omega prime factors, and each contributes
     # at most 2 or its exact power count, so R fits a dtype this bound fits.
     bound, prod = 1, 1
@@ -570,7 +559,7 @@ def _inverse_mod_2k(u, mask):
     return w
 
 
-def _tail_count(D: int, tail) -> int:
+def _tail_count(D: int, tail, two: tuple) -> int:
     """The primitive reduced forms (a, b, c) of D with a in tail: _walk's count.
 
     tail is an increasing int64 array of a in (M, a_max] with R(a) > 0, all
@@ -586,8 +575,8 @@ def _tail_count(D: int, tail) -> int:
     the second on, are known once the levels are, and are all taken before
     the first by one Fermat power (arith._pow_mod). At the first such split
     p of an a only +sqrt(D) is taken, and its rows stand for b and -b both.
-    Last, each root mod u is joined with each of _primitive_roots(D, 2, v),
-    mod 2^(v+1), by _inverse_mod_2k. A root b in [0, 2a) is moved into
+    Last, each root mod u is joined with each primitive root mod 2^(v+1)
+    of two = _two_adic(D, a_max), by _inverse_mod_2k. A root b in [0, 2a) is moved into
     (-a, a] and kept when c > a, or when c = a and b >= 0, compared as
     b^2 - D against 4a^2; a row that stands for -b too counts 2 when c > a
     and 1 when c = a. That is exact: p | a and p does not divide b, as it does not
@@ -680,8 +669,7 @@ def _tail_count(D: int, tail) -> int:
     r = np.concatenate([x for _, x in finished] + [r])
     del finished
 
-    two_flat, two_count, two_start = _root_table(
-        [_primitive_roots(D, 2, k) for k in range(int(v.max()) + 1)])
+    two_flat, two_count, two_start = _root_table(two[1][: int(v.max()) + 1])
     mask = (low << 1) - 1
     w = _inverse_mod_2k(mod, mask)
     i, j = _expand(two_count[v[own]])
@@ -707,11 +695,12 @@ def _reduced_count(D: int) -> int:
     on numpy's _root_counts. A tail of fewer than TAIL_PASS_FROM such a, on
     either side of SIEVE_FROM, is counted by the Python loop _tail_list, as
     is every tail below it, so a count there imports no numpy; a longer one
-    by _tail_count in one numpy pass. Either way one INFO line logs the
-    sieved forms and one the tail's.
+    by _tail_count in one numpy pass. Every route reads its counts and roots
+    at 2 from the one _two_adic(D, a_max) taken here. Either way one INFO
+    line logs the sieved forms and one the tail's.
     """
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
-    two = _two_adic(D, a_max) if -D < SIEVE_FROM else None  # for the list sieve and the loop
+    two = _two_adic(D, a_max)  # for the sieve of R and the tail, on every route
     if -D < SIEVE_FROM:
         R = _root_list(D, a_max, two)
         head = sum(R[1 : M + 1])
@@ -719,14 +708,14 @@ def _reduced_count(D: int) -> int:
     else:
         import numpy as np
 
-        R = _root_counts(D, a_max)
+        R = _root_counts(D, a_max, two)
         head = int(R[1 : M + 1].sum(dtype=np.int64))
         tail = np.flatnonzero(R[M + 1 :]) + (M + 1)
         if len(tail) < TAIL_PASS_FROM:
             tail = tail.tolist()
     log.info("form count %d: a = 1..%d sieved, %d forms", D, M, head)
-    h = (_tail_list(D, tail, a_max, two or _two_adic(D, a_max))
-         if len(tail) < TAIL_PASS_FROM or -D < SIEVE_FROM else _tail_count(D, tail))
+    h = (_tail_list(D, tail, a_max, two)
+         if len(tail) < TAIL_PASS_FROM or -D < SIEVE_FROM else _tail_count(D, tail, two))
     log.info("form count %d: walked %d of a = %d..%d, %d forms", D, len(tail), M + 1, a_max, h)
     return head + h
 

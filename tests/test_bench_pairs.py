@@ -139,14 +139,15 @@ def test_trace_runs_one_traced_run_per_side_per_pair(monkeypatch, capsys, tmp_pa
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     assert bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", "3",
                              "--first-seed", "5", "--trace"]) == 0
-    untraced, traced = calls[:6], calls[6:]
+    warm, untraced, traced = calls[:2], calls[2:8], calls[8:]  # one unread run per side first
+    assert warm == [(ROOT, 5, False), (tmp_path.resolve(), 5, False)]
     assert [c[2] for c in untraced] == [False] * 6 and [c[2] for c in traced] == [True] * 6
     assert [c[:2] for c in traced] == [c[:2] for c in untraced]  # the same seeds in the same order
     out = capsys.readouterr().out
     assert "| `certify` | `classno.self_s` | s | 1 [1–1] | 0.8 [0.8–0.8] | -20.0% |" in out
     calls.clear()
     assert bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", "2"]) == 0
-    assert [c[2] for c in calls] == [False] * 4 and "classno.self_s" not in capsys.readouterr().out
+    assert [c[2] for c in calls] == [False] * 6 and "classno.self_s" not in capsys.readouterr().out
 
 
 def test_a_traced_run_asks_run_py_for_the_trace(monkeypatch, tmp_path):
@@ -252,8 +253,8 @@ def test_inert_runs_a_third_side_and_adds_its_median(monkeypatch, capsys, tmp_pa
     assert bench_pairs.main(["--base", str(base), "--workload", "sweep", "--pairs", "3",
                              "--inert", str(inert)]) == 0
     order = [ROOT, base.resolve(), inert.resolve()]
-    assert calls == [(c, 1) for c in order] + [(c, 2) for c in order[1:] + order[:1]] \
-        + [(c, 3) for c in order[2:] + order[:2]]
+    assert calls == [(c, 1) for c in order] * 2 + [(c, 2) for c in order[1:] + order[:1]] \
+        + [(c, 3) for c in order[2:] + order[:2]]  # one unread run per side first
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("pair 1: wall_s 1.000 -> 0.500 (inert 0.500), ")
     assert lines[0].endswith(", ru_minflt 2000 -> 1000 (inert 3000), ru_utime 0.500 -> 0.500 (inert 0.500), "
@@ -271,6 +272,27 @@ def test_inert_runs_a_third_side_and_adds_its_median(monkeypatch, capsys, tmp_pa
     # parent runs 2000, 4000, 9000; change 1000, 6000, 8000; inert 3000, 5000, 7000
     assert table[2] == ("| `sweep` | `ru_minflt` | faults | 4000 [3000–6500] | 6000 [3500–7000] "
                         "| 5000 [4000–6000] | +50.0% |")
+
+
+def test_a_first_run_per_side_before_pair_1_is_not_counted(monkeypatch, capsys, tmp_path):
+    # each side's first run reads 100 on every metric; no pair line, table
+    # or verdict shows it, and pair 1 runs after both of them
+    metrics = ("wall_s", "item_p50_ms", "item_p90_ms", "setup_s", "peak_rss_mb")
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout, seed))
+        return dict.fromkeys(metrics, 100.0 if len(calls) <= 2 else 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    _rusage_stub(monkeypatch, [(1000, 0.5, 0.125)] * 4)
+    assert bench_pairs.main(["--base", str(tmp_path), "--workload", "certify", "--pairs", "2",
+                             "--first-seed", "4"]) == 0
+    assert calls == [(ROOT, 4), (tmp_path.resolve(), 4), (ROOT, 4), (tmp_path.resolve(), 4),
+                     (tmp_path.resolve(), 5), (ROOT, 5)]
+    out = capsys.readouterr().out
+    assert "100.000" not in out
+    assert "| `certify` | `setup_s` | 1.000 [1.000–1.000] | 1.000 [1.000–1.000] | +0.0% | 0/2 |" in out
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3", "two"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iqtuples import arith, classno
+from iqtuples import arith, classno, cli
 from iqtuples.classno import QuadForm, reduce_form
 from iqtuples.errors import BudgetError, DomainError
 
@@ -286,7 +286,7 @@ class TestSieve:
         # 3 * 101^2: a prime above the split at 4 * sqrt(300) with its square in D
         for D in (-3, -4, -252, -112, -2**12 * 3**4 * 7, -1023, square_heavy, -4 * 10**9 + 1,
                   -49 * 3, -25 * 11, -3 * 101**2):
-            R = classno._root_counts(D, 300)
+            R = classno._root_counts(D, 300, classno._two_adic(D, 300))
             roots = [[b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
                      for a in range(1, 301)]
             primitive = [sum(gcd(gcd(a, b), (b * b - D) // (4 * a)) == 1 for b in rs)
@@ -335,8 +335,8 @@ class TestRootList:
         for D in range(-3, -10_001, -1):
             if D % 4 in (0, 1):
                 a_max = isqrt(-D // 3)
-                R = classno._root_list(D, a_max, classno._two_adic(D, a_max))
-                assert R == classno._root_counts(D, a_max).tolist(), D
+                two = classno._two_adic(D, a_max)
+                assert classno._root_list(D, a_max, two) == classno._root_counts(D, a_max, two).tolist(), D
 
     def test_equals_root_counts_sampled(self):
         # |D| log-uniform up to 4 * SIEVE_FROM, and D with p^2 | D, 2^v | D and
@@ -355,8 +355,8 @@ class TestRootList:
         for D in Ds:
             assert D % 4 in (0, 1) and -top <= D < 0, D
             a_max = isqrt(-D // 3)
-            R = classno._root_list(D, a_max, classno._two_adic(D, a_max))
-            assert R == classno._root_counts(D, a_max).tolist(), D
+            two = classno._two_adic(D, a_max)
+            assert classno._root_list(D, a_max, two) == classno._root_counts(D, a_max, two).tolist(), D
 
     def test_tails_below_sieve_from_take_the_loop(self, monkeypatch):
         # a tail holds at most a_max - M a, which grows as 0.077 sqrt|D|
@@ -369,19 +369,19 @@ class TestRootList:
         assert classno._reduced_count(D) == _walk_h(D)
 
     def test_two_adic_runs_once_per_list_route_count(self, monkeypatch):
-        # the list sieve and the loop share one _two_adic below SIEVE_FROM; from
-        # there on a short tail's loop takes it, and the numpy pass never does
+        # one _two_adic per count on every route: the list sieve and the
+        # loop below SIEVE_FROM, numpy's sieve with the loop or with the pass
+        # from there on
         two_adic, calls = classno._two_adic, []
         monkeypatch.setattr(classno, "_two_adic",
                             lambda *args: calls.append(args) or two_adic(*args))
-        for D in (-23, -4 * 10**5 - 3, -classno.SIEVE_FROM + 1, -classno.SIEVE_FROM - 3):
-            calls.clear()
-            assert classno._reduced_count(D) == _walk_h(D), D
-            assert calls == [(D, isqrt(-D // 3))], D
-        monkeypatch.setattr(classno, "TAIL_PASS_FROM", 0)
-        calls.clear()
-        assert classno._reduced_count(-classno.SIEVE_FROM - 3) == _walk_h(-classno.SIEVE_FROM - 3)
-        assert calls == []
+        for cut in (classno.TAIL_PASS_FROM, 0):
+            monkeypatch.setattr(classno, "TAIL_PASS_FROM", cut)
+            for D in (-23, -4 * 10**5 - 3, -classno.SIEVE_FROM + 1, -classno.SIEVE_FROM - 3,
+                      -4 * 10**9 + 1):
+                calls.clear()
+                assert classno._reduced_count(D) == _walk_h(D), D
+                assert calls == [(D, isqrt(-D // 3))], D
 
     def test_counts_equal_the_walk_across_sieve_from(self, monkeypatch):
         # below SIEVE_FROM the tail loop is given the tail alone, the a > M with R(a) > 0
@@ -459,7 +459,7 @@ class TestHeldRoots:
                     counts, roots = classno._two_adic(D, a_max)
                     assert counts == classno._power_counts(D, 2, a_max), (D, a_max)
                     assert [sorted(rs) for rs in roots] == [
-                        classno._primitive_roots(D, 2, v, classno._two_adic_roots(D, v))
+                        classno._primitive_roots(D, 2, v)
                         for v in range(k)], (D, a_max)
                     assert classno._two_adic(D - 7919 * mod, a_max) == (counts, roots), (D, a_max)
 
@@ -506,7 +506,7 @@ class TestHeldSieve:
 
 def _tail(D):
     a_max, M = isqrt(-D // 3), isqrt((-D - 1) // 4)
-    R = classno._root_counts(D, a_max)
+    R = classno._root_counts(D, a_max, classno._two_adic(D, a_max))
     return np.flatnonzero(R[M + 1 :]) + (M + 1), a_max
 
 
@@ -528,7 +528,7 @@ class TestTailPass:
             D = -(2**v) * max(1, n >> v)
         tail, a_max = _tail(D)
         want = sum(1 for _ in classno._walk(D, tail.tolist(), a_max))
-        assert classno._tail_count(D, tail) == want, D
+        assert classno._tail_count(D, tail, classno._two_adic(D, a_max)) == want, D
 
     def test_equals_walk_on_prime_powers(self):
         # tails whose a hold odd prime powers and high powers of 2, with p | D,
@@ -537,7 +537,7 @@ class TestTailPass:
                   -(2**30) * 17, -4 * 10**9 - 3 * 4, -3, -4):
             tail, a_max = _tail(D)
             want = sum(1 for _ in classno._walk(D, tail.tolist(), a_max))
-            assert classno._tail_count(D, tail) == want, D
+            assert classno._tail_count(D, tail, classno._two_adic(D, a_max)) == want, D
         tail, _ = _tail(-4 * 30030**2)
         assert any(a % 9 == 0 and a % 27 for a in tail.tolist())  # 9 exactly divides a
 
@@ -550,7 +550,7 @@ class TestTailPass:
         for D in (1 - 4 * 15015**2, -odd_primorial * 29, -4 * odd_primorial):
             tail, a_max = _tail(D)
             forms = list(classno._walk(D, tail.tolist(), a_max))
-            assert classno._tail_count(D, tail) == len(forms), D
+            assert classno._tail_count(D, tail, classno._two_adic(D, a_max)) == len(forms), D
             for a in tail.tolist():
                 u = a >> (a & -a).bit_length() - 1
                 odd = [p for p, _ in trial_factorize(u)] if u > 1 else []
@@ -681,11 +681,15 @@ class TestTailLoop:
                 assert classno._reduced_count(D) == _walk_h(D), D
         assert min(lengths) < classno.TAIL_PASS_FROM <= max(lengths), lengths
 
-    def test_square_factors_powers_of_two_and_primes_past_the_rows(self):
+    def test_square_factors_powers_of_two_and_primes_past_the_rows(self, monkeypatch):
         # short tails from SIEVE_FROM up of D with p^2 | D, p up to past the
-        # rows, of D with 2^v | D, and of D drawn log-uniformly; most of them
-        # hold an a with a split p > 1110 exactly dividing it, whose sqrt(D)
-        # mod p is not read off _sqrt_table, some beside a smaller split prime
+        # rows, of D with 2^v | D, and of D drawn log-uniformly; with the rows
+        # held to 1110, as a count just below SIEVE_FROM leaves them, most of
+        # them hold an a with a split p > 1110 exactly dividing it, whose
+        # sqrt(D) mod p is not read off a row, some beside a smaller split prime
+        monkeypatch.setattr(classno, "_sqrt_rows", ([], []))
+        held = len(classno._sqrt_table(isqrt((classno.SIEVE_FROM - 1) // 3))[1]) - 1
+        assert held == 1110
         rng = random.Random(42)
         lo, hi = classno.SIEVE_FROM, 2 * 10**8
         Ds = []
@@ -701,23 +705,46 @@ class TestTailLoop:
             assert D % 4 in (0, 1) and -D >= lo and len(tail) < classno.TAIL_PASS_FROM, D
             for a in tail.tolist():
                 split = [p for p, e in trial_factorize(a) if p > 2 and e == 1 and D % p]
-                far += bool(split) and split[-1] > classno._ROWS_TO
-                near += len(split) > 1 and split[-1] > classno._ROWS_TO
+                far += bool(split) and split[-1] > held
+                near += len(split) > 1 and split[-1] > held
             assert classno._reduced_count(D) == _walk_h(D), D
         assert far >= 100 and near >= 10, (far, near)
+        assert len(classno._sqrt_rows[1]) == held + 1
 
     def test_rows_stop_at_the_list_routes_a_max(self, monkeypatch):
-        # counts from SIEVE_FROM up, by the loop and by the pass, read rows
-        # only to the a_max of |D| just below SIEVE_FROM and grow none past it
+        # counts from SIEVE_FROM up, by the loop and by the pass, grow no row:
+        # the loop takes sqrt(D) mod p from the rows held, and from
+        # arith.sqrt_mod_prime for every p past them, none of them when no
+        # row is held; a count below SIEVE_FROM grows them to its a_max
         monkeypatch.setattr(classno, "_sqrt_rows", ([], []))
-        loops = []
-        tail_list = classno._tail_list
+        loops, taken = [], []
+        tail_list, sqrt_mod_prime = classno._tail_list, arith.sqrt_mod_prime
         monkeypatch.setattr(classno, "_tail_list", lambda *args: loops.append(1) or tail_list(*args))
-        for D in (-classno.SIEVE_FROM, -4 * 10**7 - 3, -10**8, -4 * 10**9 + 1):
+
+        def spy(n, p):  # the loop asks with D itself, sqrt_mod_prime_power with D mod p^e
+            if n < 0:
+                taken.append(p)
+            return sqrt_mod_prime(n, p)
+
+        monkeypatch.setattr(arith, "sqrt_mod_prime", spy)
+        big = (-classno.SIEVE_FROM, -4 * 10**7 - 3, -10**8, -4 * 10**9 + 1)
+        for D in big:
             assert classno._reduced_count(D) == _walk_h(D), D
+        assert classno._sqrt_rows == ([], []) and len(loops) >= 3 and min(taken) < 1110
+        assert classno._reduced_count(-classno.SIEVE_FROM + 1) == _walk_h(-classno.SIEVE_FROM + 1)
         primes, rows = classno._sqrt_rows
-        assert classno._ROWS_TO == 1110 == isqrt((classno.SIEVE_FROM - 1) // 3)
-        assert len(rows) == 1111 and primes[-1] == 1109 and len(loops) >= 3
+        assert len(rows) == 1111 and primes[-1] == 1109
+        taken.clear()
+        for D in big:
+            assert classno._reduced_count(D) == _walk_h(D), D
+        assert len(rows) == 1111 and taken and min(taken) > 1110
+
+    def test_a_one_shot_count_from_sieve_from_up_builds_no_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(classno, "_sqrt_rows", ([], []))
+        monkeypatch.setattr(classno, "_h_memo", {})
+        assert cli.main(["classnum", "-D", "-4000003"]) == 0
+        assert capsys.readouterr().out.startswith(f"h*(-4000003) = {_walk_h(-4000003)} ")
+        assert classno._sqrt_rows == ([], [])
 
 
 class TestKroneckerHurwitz:
@@ -735,6 +762,16 @@ class TestKroneckerHurwitz:
     def test_every_n_to_300(self):
         for N in range(1, 301):
             left, right = kronecker_hurwitz_sides(N, self.count)
+            assert left == right, N
+
+    def test_every_n_to_300_over_the_listed_forms(self):
+        # each H from the number of forms the walk lists, so the listing is
+        # checked by the relation as the counts are
+        def listed(D):
+            return len(classno.class_number_forms(D, with_forms=True).reduced_forms)
+
+        for N in range(1, 301):
+            left, right = kronecker_hurwitz_sides(N, listed)
             assert left == right, N
 
     def test_n_with_square_classes_to_past_sieve_from(self):

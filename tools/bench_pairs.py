@@ -21,7 +21,12 @@ and never waits for (say a helper left to exit after it) reads as no
 work at all. A prototype of the form count's helper that was never
 reaped read ru_utime 7-8 % below the parent's, less CPU than the
 sequential run, where the reaped helper reads within 1 %.
-After each pair one line shows both sides' values.
+After each pair one line shows both sides' values. Before the first pair
+each side runs once, in the first pair's order and on its seed, and
+nothing reads those runs: no pair line, table or verdict. The first run of
+a series had read `setup_s` 0.328 and 0.330 s in two sweep series against
+series medians of 0.229-0.234 s, likely a checkout's files read cold after
+a fresh export or another series.
 
 With --inert, each pair also runs a third checkout: the parent plus a
 change that does no work (one unused module-level tuple), which moves
@@ -231,6 +236,8 @@ def main(argv=None) -> int:
     series = (sides, args.workload, args.first_seed, args.pairs, bench["run_seconds"])
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     try:
+        for side in (s for s in SIDES if s in sides):  # pair 1's order; nothing reads these runs
+            run_once(sides[side], args.workload, args.first_seed, bench["run_seconds"])
         for seed, got in paired_runs(*series):
             cells = []
             for name in got["change"]:
