@@ -11,11 +11,11 @@ list below |D| = SIEVE_FROM (_root_list), by numpy from there on
 R(a) > 0 are looked at: b is solved mod 2a by CRT over the factorization
 of 2a, and the forms with c < a are dropped. A tail of fewer than
 TAIL_PASS_FROM such a is counted by a Python loop (_tail_list), a longer
-one in one numpy pass (_tail_count); below SIEVE_FROM every tail is that
-short, so a count there imports no numpy. The list sieve reads (D/p) and
-the loop sqrt(D) mod p off one held table of square roots mod each odd
-prime, which only the list sieve grows, to its a_max (_sqrt_table); the
-loop takes sqrt(D) mod a prime past the held rows by arith.sqrt_mod_prime.
+one by a numpy pass gathering from one flat table of roots (_tail_count);
+below SIEVE_FROM every tail is that short, so a count there imports no
+numpy. The list sieve reads (D/p) and the loop sqrt(D) mod p off one held
+table of square roots mod each odd prime, which only the list sieve grows,
+to its a_max (_sqrt_table), and the loop asks arith.sqrt_mod_prime past it.
 Every route takes its counts and roots at 2 from one _two_adic per count,
 and every root mod a prime power comes from arith.sqrt_mod_prime_power
 (_primitive_roots). All read smallest prime factors from arith's one
@@ -529,12 +529,16 @@ def _sqrt_mod_split(d, p):
     return s
 
 
-def _root_table(roots: list[list[int]]):
-    """(flat, count, start): the lists laid end to end, list i at flat[start[i]:][:count[i]]."""
+def _root_table(pairs, roots: list[list[int]]):
+    """(flat, count, start): the rows of a (k, 2) int64 array, then the lists, laid end to end.
+
+    Row or list i is flat[start[i]:][:count[i]].
+    """
     import numpy as np
 
-    count = np.array([len(rs) for rs in roots], dtype=np.int64)
-    flat = np.array([x for rs in roots for x in rs], dtype=np.int64)
+    count = np.concatenate([np.full(len(pairs), 2), [len(rs) for rs in roots]]).astype(np.int64)
+    listed = np.array([x for rs in roots for x in rs], dtype=np.int64)
+    flat = np.concatenate([pairs.reshape(-1), listed])
     return flat, count, np.cumsum(count) - count
 
 
@@ -566,25 +570,27 @@ def _tail_count(D: int, tail, two: tuple) -> int:
     counted in one numpy pass. Each a = 2^v * u is factored through
     _sieve's view of arith's smallest-prime-factor table, where a prime
     reads 0 and stands for itself, one odd prime power q of u per level,
-    smallest first. The roots mod a q = p^e with e > 1 or p | D come from
-    _primitive_roots, once per D and q; for the other q = p they are
-    +-sqrt(D) mod p, from _sqrt_mod_split once per prime. Each array row
-    holds one root mod the part of u done so far, starting from 0 mod 1; at
-    each level a row becomes one row per root mod q, joined by CRT with the
-    inverse of that part mod q. Those inverses, for every a and level from
-    the second on, are known once the levels are, and are all taken before
-    the first by one Fermat power (arith._pow_mod). At the first such split
-    p of an a only +sqrt(D) is taken, and its rows stand for b and -b both.
-    Last, each root mod u is joined with each primitive root mod 2^(v+1)
-    of two = _two_adic(D, a_max), by _inverse_mod_2k. A root b in [0, 2a) is moved into
-    (-a, a] and kept when c > a, or when c = a and b >= 0, compared as
-    b^2 - D against 4a^2; a row that stands for -b too counts 2 when c > a
-    and 1 when c = a. That is exact: p | a and p does not divide b, as it does not
-    divide D, so b is neither 0 nor a; b and -b are then two roots mod 2a,
-    both in (-a, a) with the same c and told apart by b mod p, and the
-    primitive roots, like gcd(a, b, c), do not change when b is negated.
-    Half the rows of such an a are built. Outside _inverse_mod_2k, whose
-    masks keep it right, every intermediate is below max(4a^2, a^2 - D) <=
+    smallest first. Every root joined comes from one flat table
+    (_root_table): +sqrt(D) and -sqrt(D) mod each split p met (q = p not
+    dividing D), from one _sqrt_mod_split call over them in increasing
+    order; then _primitive_roots mod each other q met; then the roots mod
+    2^(v+1) of two = _two_adic(D, a_max). A level finds where its roots
+    start by searchsorted over the q met and reads them by one gather. Each
+    array row holds one root mod the part of u done so far, from 0 mod 1;
+    at each level a row becomes one row per root mod q, joined by CRT with
+    the inverse of that part mod q. Those inverses, for every a and level
+    from the second on, are all taken before the first by one Fermat power
+    (arith._pow_mod). At the first split p of an a only the first entry,
+    +sqrt(D), is taken, and its rows stand for b and -b both. Last, each
+    root mod u is joined with each root mod 2^(v+1) by _inverse_mod_2k. A
+    root b in [0, 2a) is moved into (-a, a] and kept when c > a, or when
+    c = a and b >= 0, compared as b^2 - D against 4a^2; a row that stands
+    for -b too counts 2 when c > a and 1 when c = a. That is exact: p | a
+    and p does not divide b, as it does not divide D, so b is neither 0 nor
+    a; b and -b are then two roots mod 2a, both in (-a, a) with the same c
+    and told apart by b mod p, and the primitive roots, like gcd(a, b, c),
+    do not change when b is negated. Outside _inverse_mod_2k, whose masks
+    keep it right, every intermediate is below max(4a^2, a^2 - D) <=
     4|D|/3, so all are exact in int64 for |D| < 2^62.
     """
     import numpy as np
@@ -596,7 +602,8 @@ def _tail_count(D: int, tail, two: tuple) -> int:
     v = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # low = 2^v exactly
     rest = tail >> v
     spf = _sieve(int(tail[-1]))[0]
-    levels = []  # (a, p, q, split): the tail indices a whose next odd prime power is q = p^e
+    top = int(tail[-1]) + 1  # the key of a q: q for a split prime, q + top for any other
+    levels = []  # (a, q, key): the tail indices a whose next odd prime power is q = p^e
     depth = np.zeros(n, dtype=np.int64)  # the odd prime powers of each a
     taken = np.ones(n, dtype=np.int64)  # per a: the product of its q so far
     fermat = [(low[:0],) * 3]  # (x, e, m), x^-1 = x^e mod m, of each level's CRT inverses
@@ -616,66 +623,57 @@ def _tail_count(D: int, tail, two: tuple) -> int:
         depth[act] += 1
         if levels:  # at the first level every product is 1, and so is its inverse
             fermat.append((taken[act] % q, q - q // p - 1, q))
-        levels.append((act, p, q, (q == p) & (D % p != 0)))
+        levels.append((act, q, np.where((q == p) & (D % p != 0), q, q + top)))
         taken[act] *= q
         act = act[left > 1]
     inverses = arith._pow_mod(*(np.concatenate(c) for c in zip(*fermat)))  # level by level
 
-    root_at = np.zeros(int(tail[-1]) + 1, dtype=np.int32)  # sqrt(D) mod each split p met
-    for _, p, _, sp in levels:
-        root_at[p[sp]] = 1
-    split_p = np.flatnonzero(root_at)
-    root_at[split_p] = _sqrt_mod_split(D % split_p, split_p)
     # sorted, repeats dropped: np.unique would import numpy.ma on its first call
-    exact_q = np.sort(np.concatenate([q[~sp] for _, _, q, sp in levels] + [low[:0]]))
-    exact_q = exact_q[np.diff(exact_q, prepend=-1) != 0]
+    keys = np.sort(np.concatenate([key for *_, key in levels] + [low[:0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    split_p = keys[: np.searchsorted(keys, top)]
+    s = _sqrt_mod_split(D % split_p, split_p)
     exact = []
-    for q in exact_q.tolist():
+    for q in (keys[len(split_p) :] - top).tolist():
         p, e = int(spf[q]) or q, 1
         while p**e < q:
             e += 1
         exact.append(_primitive_roots(D, p, e))
-    ex_flat, ex_count, ex_start = _root_table(exact)
+    flat, count_at, start = _root_table(np.stack([s, split_p - s], axis=1),
+                                        exact + two[1][: int(v.max()) + 1])
 
     own, r = np.arange(n), np.zeros(n, dtype=np.int64)  # own: the tail index of each row
     mod = np.ones(n, dtype=np.int64)  # per a: the part of u its roots so far are taken mod
-    # per a, at its current level: roots mod q, and the first of them (the
-    # square root of D for a split p, else where they start in ex_flat)
-    count, first, qa, inv = (np.ones(n, dtype=np.int64) for _ in range(4))
-    tabled, paired = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    # per a, at its current level: q, its roots taken, where they start in flat
+    qa, count, first, inv = (np.ones(n, dtype=np.int64) for _ in range(4))
+    paired = np.zeros(n, dtype=bool)
     finished = []
-    for level, (act, p, q, sp) in enumerate(levels):
+    for level, (act, q, key) in enumerate(levels):
         done = depth[own] == level
         finished.append((own[done], r[done]))
         own, r = own[~done], r[~done]
-        count[act], qa[act], tabled[act] = 2, q, ~sp
-        halve = act[sp & ~paired[act]]  # at its first split p an a takes +sqrt(D) alone
+        x = np.searchsorted(keys, key)
+        qa[act], count[act], first[act] = q, count_at[x], start[x]
+        halve = act[(key < top) & ~paired[act]]  # at its first split p an a takes +sqrt(D) alone
         count[halve], paired[halve] = 1, True
-        first[act[sp]] = root_at[p[sp]]
-        x = np.searchsorted(exact_q, q[~sp])
-        count[act[~sp]], first[act[~sp]] = ex_count[x], ex_start[x]
         if level:
             inv[act], inverses = inverses[: len(act)], inverses[len(act) :]
         i, j = _expand(count[own])
         own, r0 = own[i], r[i]
-        qq, f = qa[own], first[own]
-        r1 = np.where(j == 0, f, qq - f)
-        t = np.flatnonzero(tabled[own])
-        r1[t] = ex_flat[f[t] + j[t]]
-        r = r0 + mod[own] * ((r1 - r0) % qq * inv[own] % qq)
+        qq = qa[own]
+        r = r0 + mod[own] * ((flat[first[own] + j] - r0) % qq * inv[own] % qq)
         mod[act] *= q
-        del i, j, r0, qq, f, r1, t  # before the next level's rows or the last step's
+        del i, j, r0, qq  # before the next level's rows or the last step's
     own = np.concatenate([o for o, _ in finished] + [own])
     r = np.concatenate([x for _, x in finished] + [r])
     del finished
 
-    two_flat, two_count, two_start = _root_table(two[1][: int(v.max()) + 1])
     mask = (low << 1) - 1
     w = _inverse_mod_2k(mod, mask)
-    i, j = _expand(two_count[v[own]])
+    at = len(keys) + v  # per a: its list of roots mod 2^(v+1) in flat
+    i, j = _expand(count_at[at[own]])
     own, r = own[i], r[i]
-    j += two_start[v[own]]
-    b = r + mod[own] * ((two_flat[j] - r) * w[own] & mask[own])
+    b = r + mod[own] * ((flat[start[at[own]] + j] - r) * w[own] & mask[own])
     del i, j, r
     a, pair = tail[own], paired[own]
     b = np.where(b > a, b - 2 * a, b)

@@ -270,8 +270,12 @@ def from_json_dict(rec: dict) -> FamilyTuple:
 
     The tuple is rebuilt from the record's kind, n, k and p_list, so its
     decompositions, hypotheses and warnings are derived here, never read.
-    Raises DomainError when a p fails its hypotheses, or unless the record's
-    ell, d, p_list and members are exactly the rebuilt ones. The verdict
+    Raises DomainError when a p fails its hypotheses, when the record's
+    ell, d, p_list or members are not exactly the rebuilt ones, and when a
+    pi_tuple's p_list leaves out an odd prime below its largest p that
+    passes every hypothesis: the left-out primes are tried in increasing
+    order up to the first that passes, so no sieve runs up to that p. A
+    huge n or k is refused by _build's cap before any power. The verdict
     fields (class_number, divisible, status, all_divisible) are ignored:
     the members come back pending, for verify_tuple to decide.
     """
@@ -289,9 +293,6 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     if type(kind) is not str or any(type(v) is not int for v in numbers):
         raise DomainError("kind must be a string, and n, k, ell, d, p_list and the member "
                           "numbers integers")
-    # |d| has over n^2*(bits(k) - 1) bits: a huge n or k fails before any power
-    if n * n * (k.bit_length() - 1) > abs(d).bit_length():
-        raise DomainError(f"d = {d} is not 4*(1 - 4*k^n)^n")
     try:
         t = _build(kind, n, k, p_list)
     except HypothesisRejection as e:
@@ -299,4 +300,10 @@ def from_json_dict(rec: dict) -> FamilyTuple:
     rebuilt = [(m.offset, m.radicand, m.squarefree_part, m.cofactor) for m in t.members]
     if (ell, d, p_list, members) != (t.ell, t.d, t.p_list, rebuilt):
         raise DomainError("ell, d or the members are not those that kind, n, k and p_list determine")
+    if kind == "pi_tuple" and p_list:
+        listed, elln = set(p_list), -d // 4
+        for p in range(3, p_list[-1], 2):
+            if p not in listed and arith.is_prime(p) and all(
+                    c.ok for c in lrn.theorem31_hypotheses(ell, n, p, elln)[0]):
+                raise DomainError(f"p_list leaves out p = {p}, which passes every hypothesis")
     return t

@@ -565,6 +565,21 @@ class TestTailPass:
         monkeypatch.setattr(classno, "TAIL_PASS_FROM", 1)
         assert classno._reduced_count(-299999999999) == 795920
 
+    def test_peak_memory_does_not_follow_a_max(self):
+        # a tail of 1612 a below a_max = 182574: an int32 table of sqrt(D) over
+        # [0, a_max] put the traced peak at 1.13 MB, the one flat table at 0.46
+        D = -100000000003
+        tail, a_max = _tail(D)
+        two = classno._two_adic(D, a_max)
+        assert len(tail) == 1612 and classno._tail_count(D, tail, two) == 1362  # first-use allocations
+        tracemalloc.start()
+        try:
+            got = classno._tail_count(D, tail, two)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1362 and peak < 800_000, peak
+
     def test_inverse_mod_2k(self):
         rng = np.random.default_rng(3)
         for k in range(1, 33):

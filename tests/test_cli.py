@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from iqtuples import arith, classno, cli, families
+from iqtuples import arith, classno, cli, families, lrn
 
 
 def run(capsys, *argv):
@@ -388,6 +388,26 @@ class TestVerifyCommand:
         assert code == 3
         assert len(out.splitlines()) == 1
         assert err.startswith("invalid input: line 3: p_list fails a hypothesis: gcd(ell, 3) = 1")
+
+    def test_relabelled_quadruple_exits_3_naming_p_3(self, capsys, tmp_path):
+        # quadruple(3, 7, 2) as a pi_tuple rebuilds with p_list [7], though
+        # p = 3 and p = 5 pass every hypothesis; it used to verify, exit 0
+        _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "7", "-k", "2", "--format", "json")
+        src = tmp_path / "relabelled.jsonl"
+        src.write_text(json.dumps({**json.loads(good), "kind": "pi_tuple"}) + "\n")
+        code, out, err = run(capsys, "verify", str(src))
+        assert code == 3
+        assert out == "" and err == ("invalid input: line 1: p_list leaves out p = 3, "
+                                     "which passes every hypothesis\n")
+
+    def test_record_with_a_huge_n_is_refused_by_the_cap(self, capsys, tmp_path):
+        _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")
+        src = tmp_path / "huge_n.jsonl"
+        src.write_text(json.dumps({**json.loads(good), "n": 10**9 + 1}) + "\n")
+        code, out, err = run(capsys, "verify", str(src))
+        assert code == 3
+        assert out == "" and err.startswith("invalid input: line 1: ell^n = (4*k^n - 1)^n has over ")
+        assert err.endswith(f"past the cap of {lrn.POWER_CAP_BITS}\n")
 
     def test_record_with_an_out_of_range_p_names_it(self, capsys, tmp_path):
         _, good, _ = run(capsys, "quadruple", "-n", "3", "-p", "3", "-k", "2", "--format", "json")

@@ -429,6 +429,30 @@ class TestTrustBoundary:
         assert _claims(rec) == _claims(families.to_json_dict(true))
         assert _facts(t) == _facts(true)
 
+    def test_lenient_records_with_dropped_primes_still_verify(self):
+        # (3, 13, 4): 3 and 5 share a factor with ell = 255, so p_list starts
+        # at 7; (3, 40, 2): 31 = ell is dropped in the middle
+        for args, p_list in (((3, 13, 4), [7, 11, 13]),
+                             ((3, 40, 2), [3, 5, 7, 11, 13, 17, 19, 23, 29, 37])):
+            lenient = pi_tuple(*args, mode="lenient")
+            assert lenient.p_list == p_list
+            back = families.from_json_dict(families.to_json_dict(lenient))
+            assert _facts(back)["members"] == _facts(lenient)["members"]
+            assert verify_tuple(back).all_divisible is True
+
+    def test_pi_tuple_leaving_out_a_passing_prime_is_refused(self):
+        # the first gap that passes is named: 3 before 5, and 5 once 3 is listed
+        rec = families.to_json_dict(quadruple(3, 7, 2))
+        rec["kind"] = "pi_tuple"
+        with pytest.raises(DomainError, match=r"^p_list leaves out p = 3, which passes"):
+            families.from_json_dict(rec)
+        rec = families.to_json_dict(pi_tuple(3, 12, 2))
+        assert rec["p_list"] == [3, 5, 7, 11]
+        rec["p_list"].remove(5)
+        del rec["members"][4]
+        with pytest.raises(DomainError, match=r"^p_list leaves out p = 5, which passes"):
+            families.from_json_dict(rec)
+
     def test_lenient_record_is_rebuilt_over_its_own_p_list(self):
         # k = 4: p = 3 and p = 5 share a factor with ell = 255 and are dropped
         lenient = pi_tuple(3, 6, 4, mode="lenient")
